@@ -57,7 +57,7 @@ def _parse_buckets(spec: str):
     return tuple(buckets)
 
 
-def _train_config(args, mode: str) -> TrainConfig:
+def _train_config(args, mode: str, seed: int) -> TrainConfig:
     return TrainConfig(
         max_em_iters=args.max_iters,
         em_rel_tol=args.tol,
@@ -65,7 +65,16 @@ def _train_config(args, mode: str) -> TrainConfig:
         estep_tol=args.estep_tol,
         mode=mode,
         smoothing=args.smoothing == "on",
-        seed=args.seed,
+        seed=seed,
+    )
+
+
+def _predict_config(args, mode: str, smoothing: bool) -> TrainConfig:
+    return TrainConfig(
+        max_estep_iters=args.max_estep_iters,
+        estep_tol=args.estep_tol,
+        mode=mode,
+        smoothing=smoothing,
     )
 
 
@@ -98,9 +107,7 @@ def cmd_train(args) -> int:
         raise ValueError("crowd mode needs --crowd")
     corpus, dims = load_corpus(args.corpus, args.crowd)
     dims = dims.with_topics(args.topics)
-    cfg = _train_config(args, mode)
-    threads = 1 if args.deterministic else args.threads
-    params, topics, trace = train(corpus, dims, cfg, threads=threads)
+    params, topics, trace = train(corpus, dims, _train_config(args, mode, args.seed))
     save_model(args.model_out, params, dims, mode, topics)
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as fh:
@@ -115,12 +122,7 @@ def cmd_predict(args) -> int:
         raise ValueError(
             f"model expects V={dims.V} C={dims.C}, corpus has V={cdims.V} C={cdims.C}"
         )
-    cfg = TrainConfig(
-        mode=mode,
-        smoothing=smoothed is not None,
-        max_estep_iters=args.max_estep_iters,
-        estep_tol=args.estep_tol,
-    )
+    cfg = _predict_config(args, mode, smoothed is not None)
     beliefs, labels = _predict_corpus(corpus, params, smoothed, cfg, args.threshold)
     write_predictions(
         args.out, [(doc.doc_id, b, l) for doc, b, l in zip(corpus, beliefs, labels)]
@@ -151,12 +153,7 @@ def cmd_evaluate(args) -> int:
             raise ValueError(
                 f"model expects V={dims.V} C={dims.C}, corpus has V={cdims.V} C={cdims.C}"
             )
-        cfg = TrainConfig(
-            mode=mode,
-            smoothing=smoothed is not None,
-            max_estep_iters=args.max_estep_iters,
-            estep_tol=args.estep_tol,
-        )
+        cfg = _predict_config(args, mode, smoothed is not None)
         beliefs, labels = _predict_corpus(corpus, params, smoothed, cfg, args.threshold)
         if args.pool is not None:
             truth_rho = load_pool_file(args.pool)
@@ -214,7 +211,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("--test-fraction must be in (0, 1)")
     corpus, dims = load_corpus(args.corpus)
     buckets = _parse_buckets(args.buckets)
-    threads = 1 if args.deterministic else args.threads
+    pcfg = _predict_config(args, mode, args.smoothing == "on")
 
     lines = [SWEEP_HEADER]
     for frac in fractions:
@@ -232,22 +229,7 @@ def cmd_sweep(args) -> int:
                     run_dims = Dimensions(D=len(use), C=dims.C, T=T, V=dims.V, K=pool.size)
                 else:
                     run_dims = Dimensions(D=len(use), C=dims.C, T=T, V=dims.V)
-                cfg = TrainConfig(
-                    max_em_iters=args.max_iters,
-                    em_rel_tol=args.tol,
-                    max_estep_iters=args.max_estep_iters,
-                    estep_tol=args.estep_tol,
-                    mode=mode,
-                    smoothing=args.smoothing == "on",
-                    seed=seed,
-                )
-                params, topics, _ = train(use, run_dims, cfg, threads=threads)
-                pcfg = TrainConfig(
-                    mode=mode,
-                    smoothing=cfg.smoothing,
-                    max_estep_iters=args.max_estep_iters,
-                    estep_tol=args.estep_tol,
-                )
+                params, topics, _ = train(use, run_dims, _train_config(args, mode, seed))
                 beliefs, labels = _predict_corpus(
                     test_docs, params, topics, pcfg, args.threshold
                 )
@@ -290,9 +272,6 @@ def _add_train_flags(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--smoothing", choices=("on", "off"), default="off")
     p.add_argument("--mode", choices=("crowd", "nocrowd", "no-crowd"), default="nocrowd")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--deterministic", action="store_true",
-                   help="force single-threaded E-step for run-to-run identical files")
 
 
 def build_parser() -> argparse.ArgumentParser:

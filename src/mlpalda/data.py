@@ -10,7 +10,6 @@ All formats are UTF-8 text with LF endings.
                   every absent triple means "no judgment" (-1)
   features (.mlf) header ``#mlf v1 D=<D> F=<F> C=<C>`` then
                   ``<doc_id> | <l_1> ... <l_C> | <v_1> ... <v_F>`` (reals)
-  vocabulary      one term per line; line number = word index
   discretizer     header ``#disc v1 V=<V>`` then one center per line
   annotator pool  ``<annotator_idx> <rho>`` per line
   predictions     ``<doc_id> <belief_1> ... <belief_C> <bits>`` where bits
@@ -222,25 +221,8 @@ def write_crowd_file(path, corpus, K):
 
 
 # ---------------------------------------------------------------------------
-# vocabulary / pool / predictions
+# pool / predictions
 # ---------------------------------------------------------------------------
-
-
-def load_vocab(path):
-    terms = _read_lines(path)
-    while terms and terms[-1] == "":
-        terms.pop()
-    for lineno, term in enumerate(terms, start=1):
-        if not term:
-            raise CorpusFormatError(path, lineno, "empty vocabulary term")
-    if len(set(terms)) != len(terms):
-        raise CorpusFormatError(path, 1, "duplicate vocabulary term")
-    return terms
-
-
-def save_vocab(path, terms):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(terms) + "\n")
 
 
 def save_pool_file(path, qualities):

@@ -22,8 +22,7 @@ each parameter block (xi, rho, beta or eta, alpha) given the E-states.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -407,7 +406,7 @@ def _check_training_corpus(corpus, dims: Dimensions, cfg: TrainConfig) -> None:
                 )
 
 
-def train(corpus, dims: Dimensions, cfg: TrainConfig, threads: int = 1):
+def train(corpus, dims: Dimensions, cfg: TrainConfig):
     """Run variational EM; returns (params, smoothed_state_or_None, trace).
 
     The bound is evaluated after every E-pass (and chi refresh); because
@@ -424,19 +423,10 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig, threads: int = 1):
     last_change = 0.0
 
     for iteration in range(1, cfg.max_em_iters + 1):
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                states = list(
-                    pool.map(
-                        lambda pair: e_step_document(pair[0], params, topics, cfg, state=pair[1]),
-                        zip(corpus, states),
-                    )
-                )
-        else:
-            states = [
-                e_step_document(doc, params, topics, cfg, state=st)
-                for doc, st in zip(corpus, states)
-            ]
+        states = [
+            e_step_document(doc, params, topics, cfg, state=st)
+            for doc, st in zip(corpus, states)
+        ]
         stats = collect_stats(corpus, states, params, dims)
         if cfg.smoothing:
             topics = SmoothedTopicState(chi=params.eta + stats.topic_word)

@@ -344,59 +344,88 @@ def save_model(path, params: ModelParams, dims: Dimensions, mode: str,
         fh.write("\n".join(lines) + "\n")
 
 
+def _model_error(path, lineno, message):
+    return ValueError(f"model file {path}: line {lineno}: {message}")
+
+
 def load_model(path):
-    """Read a model file; returns (params, dims, smoothed_state_or_None, mode)."""
+    """Read and validate a model file; returns (params, dims, smoothed_state_or_None, mode).
+
+    Every malformed or invariant-violating file raises ValueError naming the
+    path and the offending line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != MODEL_FILE_HEADER:
-        raise ValueError(f"model file {path}: missing '{MODEL_FILE_HEADER}' header")
+        raise _model_error(path, 1, f"missing '{MODEL_FILE_HEADER}' header")
     if len(lines) < 4:
-        raise ValueError(f"model file {path}: truncated header block")
+        raise _model_error(path, len(lines) + 1, "truncated header block")
 
     try:
         fields = dict(part.split("=") for part in lines[1].split()[1:])
         dims = Dimensions(D=int(fields["D"]), C=int(fields["C"]), T=int(fields["T"]),
                           V=int(fields["V"]), K=int(fields["K"]))
-    except (KeyError, ValueError, IndexError) as exc:
-        raise ValueError(f"model file {path}: bad dims line: {lines[1]!r}") from exc
-    if not lines[2].startswith("mode "):
-        raise ValueError(f"model file {path}: bad mode line: {lines[2]!r}")
-    mode = normalize_mode(lines[2].split(None, 1)[1])
+    except (KeyError, ValueError, IndexError):
+        raise _model_error(path, 2, f"bad dims line: {lines[1]!r}") from None
+    head = lines[2].split()
+    if len(head) != 2 or head[0] != "mode":
+        raise _model_error(path, 3, f"bad mode line: {lines[2]!r}")
+    try:
+        mode = normalize_mode(head[1])
+    except ValueError as exc:
+        raise _model_error(path, 3, str(exc)) from None
     if lines[3] not in ("smoothing on", "smoothing off"):
-        raise ValueError(f"model file {path}: bad smoothing line: {lines[3]!r}")
+        raise _model_error(path, 4, f"bad smoothing line: {lines[3]!r}")
     smoothing = lines[3].endswith("on")
 
     arrays = {}
+    where = {}  # array name -> line of its 'array' header
     i = 4
     while i < len(lines):
         if not lines[i].strip():
             i += 1
             continue
         head = lines[i].split()
-        if len(head) != 3 or head[0] != "array":
-            raise ValueError(f"model file {path}: line {i + 1}: expected 'array <name> <size>'")
+        if len(head) != 3 or head[0] != "array" or not head[2].isdigit():
+            raise _model_error(path, i + 1, "expected 'array <name> <size>'")
         name, size = head[1], int(head[2])
         if i + 1 >= len(lines):
-            raise ValueError(f"model file {path}: array {name}: missing values line")
-        vals = np.array([float(t) for t in lines[i + 1].split()], dtype=np.float64)
+            raise _model_error(path, i + 2, f"array {name}: missing values line")
+        try:
+            vals = np.array([float(t) for t in lines[i + 1].split()], dtype=np.float64)
+        except ValueError:
+            raise _model_error(path, i + 2, f"array {name}: non-numeric value") from None
         if vals.size != size:
-            raise ValueError(f"model file {path}: array {name}: expected {size} values, got {vals.size}")
+            raise _model_error(path, i + 2, f"array {name}: expected {size} values, got {vals.size}")
+        if not np.all(np.isfinite(vals)):
+            raise _model_error(path, i + 2, f"array {name}: non-finite value")
         arrays[name] = vals
+        where[name] = i + 1
         i += 2
 
     expected = {"alpha", "xi", "rho"} | ({"eta", "chi"} if smoothing else {"beta"})
     missing = expected - set(arrays)
     if missing:
-        raise ValueError(f"model file {path}: missing arrays: {sorted(missing)}")
+        raise _model_error(path, len(lines), f"missing arrays: {sorted(missing)}")
+    C, T, V = dims.C, dims.T, dims.V
+    sizes = {"alpha": C * 2 * T, "xi": C, "rho": dims.K if mode == "crowd" else 0,
+             "beta": T * V, "eta": T * V, "chi": T * V}
+    for name in sorted(expected):
+        if arrays[name].size != sizes[name]:
+            raise _model_error(path, where[name],
+                               f"array {name}: {arrays[name].size} values, dims need {sizes[name]}")
 
-    alpha = arrays["alpha"].reshape(dims.C, 2, dims.T)
-    xi = arrays["xi"].reshape(dims.C)
-    rho = arrays["rho"].reshape(-1)
+    alpha = arrays["alpha"].reshape(C, 2, T)
+    xi = arrays["xi"]
+    rho = arrays["rho"]
     if smoothing:
-        eta = arrays["eta"].reshape(dims.T, dims.V)
-        chi = arrays["chi"].reshape(dims.T, dims.V)
-        params = ModelParams(alpha=alpha, xi=xi, rho=rho, beta=None, eta=eta)
-        return params, dims, SmoothedTopicState(chi=chi), mode
-    beta = arrays["beta"].reshape(dims.T, dims.V)
-    params = ModelParams(alpha=alpha, xi=xi, rho=rho, beta=beta, eta=None)
-    return params, dims, None, mode
+        params = ModelParams(alpha=alpha, xi=xi, rho=rho, beta=None, eta=arrays["eta"].reshape(T, V))
+        smoothed = SmoothedTopicState(chi=arrays["chi"].reshape(T, V))
+    else:
+        params = ModelParams(alpha=alpha, xi=xi, rho=rho, beta=arrays["beta"].reshape(T, V), eta=None)
+        smoothed = None
+    problems = validate(params, dims, smoothed=smoothed)
+    if problems:
+        # with shapes checked above, every message starts with its array's name
+        raise _model_error(path, where[problems[0].split()[0]], "; ".join(problems))
+    return params, dims, smoothed, mode

@@ -1,11 +1,6 @@
-"""Special functions and the damped Newton solver used by the trainer.
+"""Dirichlet expectations and the damped Newton solver used by the trainer.
 
-digamma/trigamma are evaluated by shifting the argument upward with the
-recurrence ``psi(x) = psi(x+1) - 1/x`` (resp. ``psi'(x) = psi'(x+1) + 1/x^2``)
-until it reaches 6, then applying the de Moivre asymptotic expansion with
-eight Bernoulli-number terms.  At the switchover point the first neglected
-term is ~3e-14 (digamma) / ~9e-14 (trigamma), so the truncation error is
-well below the float64 noise floor of the surrounding arithmetic.
+psi and psi' come from ``scipy.special`` (``psi`` and ``polygamma(1, .)``).
 """
 
 from __future__ import annotations
@@ -13,88 +8,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
-
-_ASYMPTOTIC_CUTOFF = 6.0
-_MAX_SHIFTS = 6  # x > 0 reaches the cutoff in at most ceil(6) steps
-
-# B_{2n}/(2n) for n = 1..8
-_DIGAMMA_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-    -3617.0 / 8160.0,
-)
-
-# B_{2n} for n = 1..8
-_TRIGAMMA_COEFFS = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
-)
+from scipy.special import gammaln, polygamma, psi
 
 NEWTON_FLOOR = 1e-10
 NEWTON_MAX_HALVINGS = 30
-
-
-def _as_positive_array(x, name):
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError(f"{name}: empty input")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError(f"{name}: argument must be finite and > 0")
-    return arr
-
-
-def _horner(y, coeffs):
-    acc = np.zeros_like(y)
-    for c in reversed(coeffs):
-        acc = y * (c + acc)
-    return acc
-
-
-def digamma(x):
-    """psi(x) for x > 0; scalars in, float out; arrays in, arrays out."""
-    arr = _as_positive_array(x, "digamma")
-    scalar = arr.ndim == 0
-    work = np.atleast_1d(arr).astype(np.float64, copy=True)
-    acc = np.zeros_like(work)
-    for _ in range(_MAX_SHIFTS):
-        low = work < _ASYMPTOTIC_CUTOFF
-        if not low.any():
-            break
-        acc -= low / work
-        work += low
-    inv2 = 1.0 / (work * work)
-    acc += np.log(work) - 0.5 / work - _horner(inv2, _DIGAMMA_COEFFS)
-    return float(acc[0]) if scalar else acc.reshape(arr.shape)
-
-
-def trigamma(x):
-    """psi'(x) for x > 0; same shape conventions as :func:`digamma`."""
-    arr = _as_positive_array(x, "trigamma")
-    scalar = arr.ndim == 0
-    work = np.atleast_1d(arr).astype(np.float64, copy=True)
-    acc = np.zeros_like(work)
-    for _ in range(_MAX_SHIFTS):
-        low = work < _ASYMPTOTIC_CUTOFF
-        if not low.any():
-            break
-        acc += low / (work * work)
-        work += low
-    inv = 1.0 / work
-    inv2 = inv * inv
-    acc += inv + 0.5 * inv2 + inv * _horner(inv2, _TRIGAMMA_COEFFS)
-    return float(acc[0]) if scalar else acc.reshape(arr.shape)
 
 
 def log_sum_exp(v, axis=None):
@@ -117,9 +34,13 @@ def dirichlet_expected_log(gamma, axis=-1):
 
     Works on batched concentration arrays; the simplex axis is ``axis``.
     """
-    arr = _as_positive_array(gamma, "dirichlet_expected_log")
+    arr = np.asarray(gamma, dtype=np.float64)
+    if arr.size == 0:
+        raise ValueError("dirichlet_expected_log: empty input")
+    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        raise ValueError("dirichlet_expected_log: argument must be finite and > 0")
     total = np.sum(arr, axis=axis, keepdims=True)
-    return digamma(arr) - digamma(total)
+    return psi(arr) - psi(total)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +102,7 @@ def dirichlet_objective(conc, stats, scale):
 
 def dirichlet_gradient(conc, stats, scale):
     conc = np.asarray(conc, dtype=np.float64)
-    return scale * (digamma(conc.sum()) - digamma(conc)) + stats
+    return scale * (psi(conc.sum()) - psi(conc)) + stats
 
 
 def newton_dirichlet_step(problem: DirichletNewtonProblem) -> NewtonStep:
@@ -197,8 +118,8 @@ def newton_dirichlet_step(problem: DirichletNewtonProblem) -> NewtonStep:
     # the maximizer to infinity; the curvature then underflows and the pieces
     # below go non-finite.  Those trials are rejected, not errors.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        h = -scale * trigamma(conc)
-        z = scale * trigamma(conc.sum())
+        h = -scale * polygamma(1, conc)
+        z = scale * polygamma(1, conc.sum())
         c = (g / h).sum() / (1.0 / z + (1.0 / h).sum())
         residual = float(np.abs(g - c).max()) if np.isfinite(c) else np.inf
         direction = -(g - c) / h

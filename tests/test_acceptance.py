@@ -204,7 +204,6 @@ def test_criterion_6_newswire_reproduction():
         print("ACCEPTANCE 6 newswire-reproduction: SKIP "
               "(set MLPA_REUTERS_MLC and MLPA_REUTERS_TEST_MLC)")
         pytest.skip("prepared newswire corpora not provided")
-    threads = os.cpu_count() or 1
     train_docs, dims = load_corpus(train_path)
     test_docs, test_dims = load_corpus(test_path)
     assert test_dims.C == dims.C and test_dims.V == dims.V
@@ -213,7 +212,7 @@ def test_criterion_6_newswire_reproduction():
 
     cfg = TrainConfig(mode="no-crowd", smoothing=True, max_em_iters=60,
                       em_rel_tol=1e-5, seed=0)
-    params, topics, _ = train(train_docs, dims20, cfg, threads=threads)
+    params, topics, _ = train(train_docs, dims20, cfg)
     bits = np.stack([predict(d, params, topics, cfg)[1] for d in test_docs])
     acc_plain = average_accuracy(bits, truth)
 
@@ -222,7 +221,7 @@ def test_criterion_6_newswire_reproduction():
     cdims = Dimensions(D=dims.D, C=dims.C, T=20, V=dims.V, K=pool.size)
     ccfg = TrainConfig(mode="crowd", smoothing=True, max_em_iters=60,
                        em_rel_tol=1e-5, seed=0)
-    cparams, ctopics, _ = train(adocs, cdims, ccfg, threads=threads)
+    cparams, ctopics, _ = train(adocs, cdims, ccfg)
     cbits = np.stack([predict(d, cparams, ctopics, ccfg)[1] for d in test_docs])
     acc_crowd = average_accuracy(cbits, truth)
     gate(6, "newswire-reproduction", acc_plain >= 0.93 and acc_crowd >= 0.91,

@@ -64,7 +64,7 @@ def test_train_crowd_mode_needs_crowd_file(tmp_path, corpus, capsys):
 def test_train_same_seed_is_byte_identical(tmp_path, corpus):
     a, b = tmp_path / "a.model", tmp_path / "b.model"
     argv = ["train", "--corpus", str(corpus), "--topics", "2", "--max-iters", "5",
-            "--tol", "0.0", "--seed", "3", "--deterministic"]
+            "--tol", "0.0", "--seed", "3"]
     assert run(*argv, "--model-out", str(a)) in (0, 2)
     assert run(*argv, "--model-out", str(b)) in (0, 2)
     assert a.read_bytes() == b.read_bytes()
@@ -178,23 +178,29 @@ def test_predict_rejects_mismatched_corpus(tmp_path, corpus):
     ) == 1
 
 
-def test_corrupt_model_detected_as_numerical_failure(tmp_path, corpus, capsys):
+@pytest.mark.parametrize("array,edit", [
+    ("alpha", lambda vals: ["-0.05"] + vals[1:]),
+    ("beta", lambda vals: [repr(3.0 * float(v)) for v in vals]),
+    ("beta", lambda vals: ["nan"] + vals[1:]),
+    ("xi", lambda vals: ["abc"] + vals[1:]),
+], ids=["negative-alpha", "unnormalised-beta", "nan-value", "non-numeric-value"])
+def test_predict_rejects_malformed_model(tmp_path, corpus, capsys, array, edit):
     model = tmp_path / "m.model"
     run("train", "--corpus", str(corpus), "--topics", "2", "--model-out", str(model),
         "--max-iters", "3", "--tol", "0.0")
     lines = model.read_text().splitlines()
     for i, line in enumerate(lines):
-        if line.startswith("array beta"):
-            vals = lines[i + 1].split()
-            vals[0] = "nan"
-            lines[i + 1] = " ".join(vals)
+        if line.startswith(f"array {array} "):
+            lines[i + 1] = " ".join(edit(lines[i + 1].split()))
     model.write_text("\n".join(lines) + "\n")
     code = run(
         "predict", "--model-in", str(model), "--corpus", str(corpus),
         "--out", str(tmp_path / "p.txt"),
     )
-    assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"model file {model}: line " in err
+    assert not (tmp_path / "p.txt").exists()
 
 
 def test_discretize_builds_corpus(tmp_path):

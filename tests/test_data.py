@@ -11,13 +11,11 @@ from mlpalda.data import (
     load_discretizer,
     load_features,
     load_pool_file,
-    load_vocab,
     read_crowd_file,
     read_predictions,
     save_corpus,
     save_discretizer,
     save_pool_file,
-    save_vocab,
     split_corpus,
     write_crowd_file,
     write_predictions,
@@ -158,16 +156,6 @@ def test_crowd_file_roundtrip(tmp_path):
     np.testing.assert_array_equal(judged["b"], docs[1].crowd_labels)
     with pytest.raises(ValueError, match="no document"):
         write_crowd_file(tmp_path / "y.crowd", [Document("a", np.array([0]), np.array([1]))], K=1)
-
-
-def test_vocab_roundtrip_and_errors(tmp_path):
-    path = tmp_path / "v.txt"
-    save_vocab(path, ["alpha", "beta", "gamma"])
-    assert load_vocab(path) == ["alpha", "beta", "gamma"]
-    with pytest.raises(CorpusFormatError, match="duplicate"):
-        load_vocab(write(tmp_path, "dup.txt", "a\nb\na\n"))
-    with pytest.raises(CorpusFormatError, match="empty"):
-        load_vocab(write(tmp_path, "gap.txt", "a\n\nb\n"))
 
 
 def test_pool_roundtrip_and_order_independence(tmp_path):

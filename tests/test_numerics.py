@@ -1,8 +1,4 @@
-"""Tests for the special-function and Newton-solver layer.
-
-scipy.special is used here purely as an independent oracle; the package
-implementation must not call it for digamma/trigamma.
-"""
+"""Tests for the Dirichlet-expectation and Newton-solver layer."""
 
 import math
 
@@ -15,102 +11,13 @@ from hypothesis import strategies as st
 
 from mlpalda.numerics import (
     DirichletNewtonProblem,
-    digamma,
     dirichlet_expected_log,
     dirichlet_gradient,
     dirichlet_objective,
     log_sum_exp,
     newton_dirichlet_step,
     solve_dirichlet_newton,
-    trigamma,
 )
-
-EULER_GAMMA = 0.5772156649015329
-
-
-# ---------------------------------------------------------------------------
-# digamma / trigamma
-# ---------------------------------------------------------------------------
-
-
-def test_digamma_known_values():
-    assert abs(digamma(1.0) - (-EULER_GAMMA)) <= 1e-12
-    # psi(1/2) = -gamma - 2 ln 2
-    assert abs(digamma(0.5) - (-EULER_GAMMA - 2.0 * math.log(2.0))) <= 1e-12
-    # psi(2) = 1 - gamma
-    assert abs(digamma(2.0) - (1.0 - EULER_GAMMA)) <= 1e-12
-
-
-def test_trigamma_known_values():
-    assert abs(trigamma(1.0) - math.pi**2 / 6.0) <= 1e-12
-    assert abs(trigamma(0.5) - math.pi**2 / 2.0) <= 1e-12
-    assert abs(trigamma(2.0) - (math.pi**2 / 6.0 - 1.0)) <= 1e-12
-
-
-def test_digamma_matches_scipy_on_grid():
-    # Absolute tolerance holds where the value is O(1)-representable; for
-    # tiny x the true value is ~1/x and one float64 ulp already exceeds
-    # 1e-12, so a relative comparison is the only meaningful check there.
-    xs = np.concatenate(
-        [
-            np.geomspace(1e-2, 1e4, 300),
-            np.linspace(0.01, 30.0, 300),
-            np.array([5.999999, 6.0, 6.000001, 1.0, 0.5]),
-        ]
-    )
-    ours = digamma(xs)
-    ref = scipy.special.psi(xs)
-    assert np.max(np.abs(ours - ref)) <= 1e-12
-
-    tiny = np.geomspace(1e-6, 1e-2, 200)
-    rel = np.abs(digamma(tiny) - scipy.special.psi(tiny)) / np.abs(scipy.special.psi(tiny))
-    assert np.max(rel) <= 1e-13
-
-
-def test_trigamma_matches_scipy_on_grid():
-    xs = np.concatenate([np.geomspace(1e-2, 1e4, 300), np.linspace(0.01, 30.0, 300)])
-    ours = trigamma(xs)
-    ref = scipy.special.polygamma(1, xs)
-    scale = np.maximum(1.0, np.abs(ref))
-    assert np.max(np.abs(ours - ref) / scale) <= 1e-10
-
-    tiny = np.geomspace(1e-6, 1e-2, 200)
-    rel = np.abs(trigamma(tiny) - scipy.special.polygamma(1, tiny)) / scipy.special.polygamma(1, tiny)
-    assert np.max(rel) <= 1e-12
-
-
-@given(st.floats(min_value=1e-4, max_value=50.0, allow_nan=False))
-@settings(max_examples=200, deadline=None)
-def test_digamma_recurrence(x):
-    # psi(x+1) = psi(x) + 1/x; the rhs itself cancels catastrophically for
-    # tiny x, so tolerate rounding at the scale of its largest intermediate
-    lhs = digamma(x + 1.0)
-    rhs = digamma(x) + 1.0 / x
-    assert abs(lhs - rhs) <= 1e-10 * max(1.0, 1.0 / x)
-
-
-@given(st.floats(min_value=1e-4, max_value=50.0, allow_nan=False))
-@settings(max_examples=200, deadline=None)
-def test_trigamma_recurrence(x):
-    # psi'(x+1) = psi'(x) - 1/x^2, same intermediate-scale tolerance
-    lhs = trigamma(x + 1.0)
-    rhs = trigamma(x) - 1.0 / x**2
-    assert abs(lhs - rhs) <= 1e-10 * max(1.0, 1.0 / x**2)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, -1e-9, np.nan, np.inf])
-def test_digamma_domain_errors(bad):
-    with pytest.raises(ValueError):
-        digamma(bad)
-    with pytest.raises(ValueError):
-        trigamma(bad)
-
-
-def test_digamma_preserves_shape():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = digamma(x)
-    assert out.shape == (2, 2)
-    assert isinstance(digamma(1.5), float)
 
 
 # ---------------------------------------------------------------------------
