@@ -31,7 +31,8 @@ from .data import (
     write_crowd_file,
     write_predictions,
 )
-from .inference import NumericalFailureError, TrainConfig, predict, train
+from .atomic import write_text
+from .inference import NumericalFailureError, TrainConfig, predict_corpus, train
 from .metrics import compute_report
 from .model import Dimensions, load_model, normalize_mode, save_model
 
@@ -87,13 +88,20 @@ def _known_truth(corpus):
     return np.stack(rows)
 
 
-def _predict_corpus(corpus, params, smoothed, cfg, threshold):
-    beliefs, labels = [], []
-    for doc in corpus:
-        b, l = predict(doc, params, smoothed, cfg, threshold)
-        beliefs.append(b)
-        labels.append(l)
-    return np.stack(beliefs), np.stack(labels)
+def _predict_with_model(args, corpus, cdims):
+    """Beliefs and labels for ``corpus`` from the model at ``--model-in``.
+
+    Returns (beliefs, labels, params); the model must match the corpus's
+    vocabulary size and class count.
+    """
+    params, dims, smoothed, mode = load_model(args.model_in)
+    if cdims.V != dims.V or cdims.C != dims.C:
+        raise ValueError(
+            f"model expects V={dims.V} C={dims.C}, corpus has V={cdims.V} C={cdims.C}"
+        )
+    cfg = _predict_config(args, mode, smoothed is not None)
+    beliefs, labels = predict_corpus(corpus, params, smoothed, cfg, args.threshold)
+    return beliefs, labels, params
 
 
 # ---------------------------------------------------------------------------
@@ -110,20 +118,13 @@ def cmd_train(args) -> int:
     params, topics, trace = train(corpus, dims, _train_config(args, mode, args.seed))
     save_model(args.model_out, params, dims, mode, topics)
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            fh.write(trace.to_csv())
+        write_text(args.trace_out, trace.to_csv())
     return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
 
 
 def cmd_predict(args) -> int:
-    params, dims, smoothed, mode = load_model(args.model_in)
     corpus, cdims = load_corpus(args.corpus)
-    if cdims.V != dims.V or cdims.C != dims.C:
-        raise ValueError(
-            f"model expects V={dims.V} C={dims.C}, corpus has V={cdims.V} C={cdims.C}"
-        )
-    cfg = _predict_config(args, mode, smoothed is not None)
-    beliefs, labels = _predict_corpus(corpus, params, smoothed, cfg, args.threshold)
+    beliefs, labels, _ = _predict_with_model(args, corpus, cdims)
     write_predictions(
         args.out, [(doc.doc_id, b, l) for doc, b, l in zip(corpus, beliefs, labels)]
     )
@@ -148,13 +149,7 @@ def cmd_evaluate(args) -> int:
         beliefs = np.stack([by_id[d.doc_id][0] for d in corpus])
         labels = np.stack([by_id[d.doc_id][1] for d in corpus])
     else:
-        params, dims, smoothed, mode = load_model(args.model_in)
-        if cdims.V != dims.V or cdims.C != dims.C:
-            raise ValueError(
-                f"model expects V={dims.V} C={dims.C}, corpus has V={cdims.V} C={cdims.C}"
-            )
-        cfg = _predict_config(args, mode, smoothed is not None)
-        beliefs, labels = _predict_corpus(corpus, params, smoothed, cfg, args.threshold)
+        beliefs, labels, params = _predict_with_model(args, corpus, cdims)
         if args.pool is not None:
             truth_rho = load_pool_file(args.pool)
             if truth_rho.size != params.rho.size:
@@ -165,8 +160,7 @@ def cmd_evaluate(args) -> int:
     report = compute_report(labels, beliefs, truth, ann_rmse=rmse)
     text = report.to_csv()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -230,9 +224,7 @@ def cmd_sweep(args) -> int:
                 else:
                     run_dims = Dimensions(D=len(use), C=dims.C, T=T, V=dims.V)
                 params, topics, _ = train(use, run_dims, _train_config(args, mode, seed))
-                beliefs, labels = _predict_corpus(
-                    test_docs, params, topics, pcfg, args.threshold
-                )
+                beliefs, labels = predict_corpus(test_docs, params, topics, pcfg, args.threshold)
                 truth = _known_truth(test_docs)
                 rmse = ann_rmse(params.rho, pool.qualities) if pool is not None else None
                 report = compute_report(labels, beliefs, truth, ann_rmse=rmse)
@@ -254,8 +246,7 @@ def cmd_sweep(args) -> int:
                 f"{float(np.mean([r.avg_class_loglik for r in cell])):.17g},"
                 f"{_fmt_cell(mean_rmse)}"
             )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 

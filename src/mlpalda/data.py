@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import write_text
 from .model import Dimensions, Document
 
 logger = logging.getLogger(__name__)
@@ -255,12 +256,13 @@ def load_pool_file(path):
 
 
 def write_predictions(path, rows):
-    """rows: iterable of (doc_id, beliefs (C,), labels (C,))."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc_id, beliefs, labels in rows:
-            vals = " ".join(f"{b:.17g}" for b in np.asarray(beliefs, dtype=np.float64))
-            bits = "".join(str(int(l)) for l in labels)
-            fh.write(f"{doc_id} {vals} {bits}\n")
+    """rows: iterable of (doc_id, beliefs (C,), labels (C,)); written atomically."""
+    lines = []
+    for doc_id, beliefs, labels in rows:
+        vals = " ".join(f"{b:.17g}" for b in np.asarray(beliefs, dtype=np.float64))
+        bits = "".join(str(int(l)) for l in labels)
+        lines.append(f"{doc_id} {vals} {bits}\n")
+    write_text(path, "".join(lines))
 
 
 def read_predictions(path):

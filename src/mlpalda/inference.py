@@ -10,6 +10,11 @@ loop one trailing gamma refresh makes the returned state self-consistent
 (gamma - alpha equals the presence-weighted responsibility sums of its own
 delta/phi/Delta).
 
+The inner loops are independent across documents given the global
+parameters, so one E-step runs them in lockstep over chunks of documents
+(``e_step_corpus``); the single-document and single-prediction calls go
+through the same code.
+
 Rows are kept per distinct term and weighted by token count; tokens of the
 same term provably share a row because no update depends on the token
 beyond its vocabulary index.
@@ -115,33 +120,232 @@ def _annotator_log_terms(doc: Document, params: ModelParams):
 
 
 def _softmax_rows(logits):
-    return np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
+    return np.exp(logits - log_sum_exp(logits, axis=-1)[..., None])
 
 
 def _presence_update(xi, ann1, ann0, elog, resp):
     """Exact coordinate update of the presence beliefs.
 
-    ``resp`` is the (C, T) count-weighted responsibility matrix
-    sum_n delta_ni phi_nt; ``elog`` the (C, 2, T) expected log topic
+    ``resp`` is the (..., C, T) count-weighted responsibility matrix
+    sum_n delta_ni phi_nt; ``elog`` the (..., C, 2, T) expected log topic
     probabilities.
     """
     xi = clamp_probability(xi, PROB_CLAMP)
-    l1 = np.log(xi) + ann1 + (resp * elog[:, 1, :]).sum(axis=1)
-    l0 = np.log(1.0 - xi) + ann0 + (resp * elog[:, 0, :]).sum(axis=1)
+    l1 = np.log(xi) + ann1 + (resp * elog[..., 1, :]).sum(axis=-1)
+    l0 = np.log(1.0 - xi) + ann0 + (resp * elog[..., 0, :]).sum(axis=-1)
     norm = log_sum_exp(np.stack([l1, l0]), axis=0)
     return clamp_probability(np.exp(l1 - norm), DELTA_CLAMP)
 
 
 def _gamma_from(alpha, Delta, resp):
-    gamma = np.empty_like(alpha)
-    gamma[:, 1, :] = alpha[:, 1, :] + Delta[:, None] * resp
-    gamma[:, 0, :] = alpha[:, 0, :] + (1.0 - Delta)[:, None] * resp
+    gamma = np.empty(Delta.shape + alpha.shape[1:])
+    gamma[..., 1, :] = alpha[:, 1, :] + Delta[..., None] * resp
+    gamma[..., 0, :] = alpha[:, 0, :] + (1.0 - Delta)[..., None] * resp
     return gamma
+
+
+def _gemm(a, b, ta=False, tb=False):
+    """op(a) @ op(b) over the last two axes, always through BLAS gemm.
+
+    op swaps the last two axes of an operand whose flag is set.  numpy hands
+    a product with one row or one column to gemv, whose rounding depends on
+    the length of the padded document axis; gemm accumulates every output in
+    the same order whatever the padding.  So a one-row or one-column operand
+    gets a zero row or column, sliced off the result again.  It is added
+    before the swap, which keeps the memory layout that picks gemm's kernel.
+    """
+    m_axis, n_axis = (-1 if ta else -2), (-2 if tb else -1)
+    m, n = a.shape[m_axis], b.shape[n_axis]
+    if m == 1:
+        a = np.concatenate([a, np.zeros_like(a)], axis=m_axis)
+    if n == 1:
+        b = np.concatenate([b, np.zeros_like(b)], axis=n_axis)
+    if ta:
+        a = np.swapaxes(a, -1, -2)
+    if tb:
+        b = np.swapaxes(b, -1, -2)
+    return np.matmul(a, b)[..., :m, :n]
+
+
+def _responsibilities(delta, counts, phi):
+    """(B, C, T) count-weighted sums over each document's rows of delta x phi."""
+    return _gemm(delta * counts[..., None], phi, ta=True)
 
 
 # ---------------------------------------------------------------------------
 # E-step
 # ---------------------------------------------------------------------------
+
+# Cap on the padded rows x max(C, T) of one chunk's widest working array
+# (256 KiB of float64), so the E-step's memory does not grow with the corpus.
+CHUNK_ELEMENTS = 2 ** 15
+
+
+def _length_sorted_chunks(lengths, width):
+    """Document indices grouped in ascending length order within the budget.
+
+    A document wider than the budget on its own still gets a chunk.
+    """
+    chunks, current = [], []
+    for d in np.argsort(lengths, kind="stable"):
+        if current and (len(current) + 1) * lengths[d] * width > CHUNK_ELEMENTS:
+            chunks.append(current)
+            current = []
+        current.append(int(d))
+    if current:
+        chunks.append(current)
+    return chunks
+
+
+def e_step_corpus(
+    corpus,
+    params: ModelParams,
+    topics: Optional[SmoothedTopicState],
+    cfg: TrainConfig,
+    states=None,
+    prediction: bool = False,
+) -> list:
+    """Coordinate-ascent inner loops for every document; one state each.
+
+    Each document cycles gamma -> phi -> delta -> Delta until the largest
+    change across its delta, Delta and phi drops below ``cfg.estep_tol`` (or
+    the inner cap is hit), warm-starting from its entry of ``states`` when
+    one is given.  In no-crowd training the presence beliefs are the
+    observed labels and stay pinned; in prediction both labels and
+    judgments are ignored.
+
+    The documents run in lockstep, in length-sorted chunks padded to their
+    longest document and bounded by ``CHUNK_ELEMENTS``.  Padded rows carry
+    zero counts, so they add exact zeros to the responsibility sums, and a
+    document leaves its chunk at the sweep where its own change converges:
+    every state equals the one a single-document call returns.
+    """
+    if states is None:
+        states = [None] * len(corpus)
+    log_wt = expected_log_word_given_topic(params, topics).T  # (V, T)
+    C, _, T = params.alpha.shape
+    lengths = np.array([doc.word_ids.size for doc in corpus], dtype=np.int64)
+    out = [None] * len(corpus)
+    capped = 0
+    for chunk in _length_sorted_chunks(lengths, max(C, T)):
+        finished, hits = _e_step_chunk(
+            [corpus[d] for d in chunk], [states[d] for d in chunk], params, cfg, log_wt, prediction
+        )
+        for d, state in zip(chunk, finished):
+            out[d] = state
+        capped += hits
+    if capped:
+        logger.warning(
+            "E-step: %d of %d documents were still changing after max_estep_iters=%d sweeps",
+            capped, len(corpus), cfg.max_estep_iters,
+        )
+    return out
+
+
+def _e_step_chunk(docs, states, params, cfg, log_wt_rows, prediction):
+    """Lockstep inner loops for one chunk.
+
+    Returns the documents' final states, in order, and how many of them
+    were still changing at the inner cap.
+    """
+    C, _, T = params.alpha.shape
+    B = len(docs)
+    sizes = np.array([doc.word_ids.size for doc in docs])
+    U = int(sizes.max())
+    pinned = cfg.mode == "no-crowd" and not prediction
+    use_judgments = cfg.mode == "crowd" and not prediction
+
+    delta = np.full((B, U, C), 1.0 / C)
+    phi = np.full((B, U, T), 1.0 / T)
+    log_wt = np.zeros((B, U, T))
+    counts = np.zeros((B, U))
+    Delta = np.empty((B, C))
+    ann1 = np.zeros((B, C))
+    ann0 = np.zeros((B, C))
+    for k, (doc, state) in enumerate(zip(docs, states)):
+        if state is None:
+            state = init_doc_variational(doc, params, mode=cfg.mode, prediction=prediction)
+        u = sizes[k]
+        delta[k, :u] = state.delta
+        phi[k, :u] = state.phi
+        Delta[k] = state.Delta
+        log_wt[k, :u] = log_wt_rows[doc.word_ids]
+        counts[k, :u] = doc.counts
+        if pinned:
+            lab = doc.true_labels
+            if lab is None or not np.all(np.isin(lab, (0, 1))):
+                raise ValueError(
+                    f"document {doc.doc_id}: no-crowd training needs fully known labels"
+                )
+            Delta[k] = clamp_probability(lab.astype(np.float64), DELTA_CLAMP)
+        if use_judgments:
+            ann1[k], ann0[k] = _annotator_log_terms(doc, params)
+
+    pad = np.arange(U) >= sizes[:, None]  # (B, U) rows that hold no term
+    live = np.arange(B)                   # chunk position of each working row
+    finished = [None] * B
+    capped = 0
+    resp = _responsibilities(delta, counts, phi)
+    for sweep in range(1, cfg.max_estep_iters + 1):
+        prev_delta, prev_phi, prev_Delta = delta, phi, Delta
+
+        gamma = _gamma_from(params.alpha, Delta, resp)
+        try:
+            elog = dirichlet_expected_log(gamma)  # (B, C, 2, T)
+        except ValueError as exc:
+            bad = ~np.all(np.isfinite(gamma) & (gamma > 0.0), axis=(1, 2, 3))
+            doc = docs[live[np.argmax(bad)]]
+            raise NumericalFailureError(f"document {doc.doc_id}: {exc}") from exc
+        mix = Delta[..., None] * elog[..., 1, :] + (1.0 - Delta)[..., None] * elog[..., 0, :]
+
+        phi = _softmax_rows(_gemm(delta, mix) + log_wt)
+        delta = _softmax_rows(_gemm(phi, mix, tb=True))
+        resp = _responsibilities(delta, counts, phi)
+        if not pinned:
+            Delta = _presence_update(params.xi, ann1, ann0, elog, resp)
+
+        change = np.maximum(
+            np.maximum(_largest_change(delta, prev_delta, pad), _largest_change(phi, prev_phi, pad)),
+            np.abs(Delta - prev_Delta).max(axis=-1),
+        )
+        done = change < cfg.estep_tol
+        if sweep == cfg.max_estep_iters:
+            capped = int(np.count_nonzero(~done))
+            done[:] = True
+        if not done.any():
+            continue
+        for i in np.flatnonzero(done):
+            finished[live[i]] = _finished_state(
+                docs[live[i]], params.alpha, delta[i], phi[i], Delta[i], resp[i], sweep
+            )
+        keep = ~done
+        if not keep.any():
+            break
+        live, pad = live[keep], pad[keep]
+        delta, phi, Delta, resp = delta[keep], phi[keep], Delta[keep], resp[keep]
+        log_wt, counts, ann1, ann0 = log_wt[keep], counts[keep], ann1[keep], ann0[keep]
+    return finished, capped
+
+
+def _largest_change(new, old, pad):
+    """Per document, the largest |new - old| over its term rows, not its padding."""
+    diff = np.subtract(new, old)
+    np.abs(diff, out=diff)
+    diff[pad] = 0.0
+    return diff.reshape(diff.shape[0], -1).max(axis=1)
+
+
+def _finished_state(doc, alpha, delta, phi, Delta, resp, sweeps):
+    """A document's state from its working rows, with the trailing gamma refresh."""
+    u = doc.word_ids.size
+    state = DocVariational(
+        delta=delta[:u].copy(), Delta=Delta.copy(), phi=phi[:u].copy(),
+        gamma=_gamma_from(alpha, Delta, resp), sweeps=sweeps,
+    )
+    for name in ("delta", "phi", "Delta", "gamma"):
+        if not np.all(np.isfinite(getattr(state, name))):
+            raise NumericalFailureError(f"document {doc.doc_id}: non-finite {name}")
+    return state
 
 
 def e_step_document(
@@ -152,66 +356,8 @@ def e_step_document(
     state: Optional[DocVariational] = None,
     prediction: bool = False,
 ) -> DocVariational:
-    """Coordinate-ascent inner loop for one document.
-
-    Cycles gamma -> phi -> delta -> Delta until the largest change across
-    delta, Delta and phi drops below ``cfg.estep_tol`` (or the inner cap is
-    hit), warm-starting from ``state`` when given.  In no-crowd training the
-    presence beliefs are the observed labels and stay pinned; in prediction
-    both labels and judgments are ignored.
-    """
-    if state is None:
-        state = init_doc_variational(doc, params, mode=cfg.mode, prediction=prediction)
-    delta = state.delta.copy()
-    phi = state.phi.copy()
-    Delta = state.Delta.copy()
-
-    counts = doc.counts.astype(np.float64)
-    log_wt = expected_log_word_given_topic(params, topics)[:, doc.word_ids].T  # (U, T)
-    pinned = cfg.mode == "no-crowd" and not prediction
-    if pinned:
-        lab = doc.true_labels
-        if lab is None or not np.all(np.isin(lab, (0, 1))):
-            raise ValueError(f"document {doc.doc_id}: no-crowd training needs fully known labels")
-        Delta = clamp_probability(lab.astype(np.float64), DELTA_CLAMP)
-    use_judgments = cfg.mode == "crowd" and not prediction
-    if use_judgments:
-        ann1, ann0 = _annotator_log_terms(doc, params)
-    else:
-        ann1 = ann0 = np.zeros(params.alpha.shape[0])
-
-    try:
-        resp = (delta * counts[:, None]).T @ phi  # (C, T)
-        for _ in range(cfg.max_estep_iters):
-            prev_delta, prev_phi, prev_Delta = delta, phi, Delta
-
-            gamma = _gamma_from(params.alpha, Delta, resp)
-            elog = dirichlet_expected_log(gamma)  # (C, 2, T)
-            mix = Delta[:, None] * elog[:, 1, :] + (1.0 - Delta)[:, None] * elog[:, 0, :]
-
-            phi = _softmax_rows(delta @ mix + log_wt)
-            delta = _softmax_rows(phi @ mix.T)
-            resp = (delta * counts[:, None]).T @ phi
-            if not pinned:
-                Delta = _presence_update(params.xi, ann1, ann0, elog, resp)
-
-            change = max(
-                np.abs(delta - prev_delta).max(),
-                np.abs(phi - prev_phi).max(),
-                np.abs(Delta - prev_Delta).max(),
-            )
-            if change < cfg.estep_tol:
-                break
-
-        gamma = _gamma_from(params.alpha, Delta, resp)
-    except ValueError as exc:
-        # shapes are fixed by construction, so a ValueError inside the cycle
-        # means a non-finite value reached a checked routine
-        raise NumericalFailureError(f"document {doc.doc_id}: {exc}") from exc
-    for name, arr in (("delta", delta), ("phi", phi), ("Delta", Delta), ("gamma", gamma)):
-        if not np.all(np.isfinite(arr)):
-            raise NumericalFailureError(f"document {doc.doc_id}: non-finite {name}")
-    return DocVariational(delta=delta, Delta=Delta, phi=phi, gamma=gamma)
+    """The inner loop of :func:`e_step_corpus` for one document."""
+    return e_step_corpus([doc], params, topics, cfg, [state], prediction)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +569,7 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
     last_change = 0.0
 
     for iteration in range(1, cfg.max_em_iters + 1):
-        states = [
-            e_step_document(doc, params, topics, cfg, state=st)
-            for doc, st in zip(corpus, states)
-        ]
+        states = e_step_corpus(corpus, params, topics, cfg, states)
         stats = collect_stats(corpus, states, params, dims)
         if cfg.smoothing:
             topics = SmoothedTopicState(chi=params.eta + stats.topic_word)
@@ -447,6 +590,31 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
     return params, topics, trace
 
 
+def predict_corpus(
+    corpus,
+    params: ModelParams,
+    topics: Optional[SmoothedTopicState] = None,
+    cfg: Optional[TrainConfig] = None,
+    threshold: float = 0.5,
+):
+    """(D, C) presence beliefs and thresholded labels for unlabeled documents.
+
+    Only the words and the trained parameters matter; any labels or
+    judgments attached to the documents are ignored.  Ties at the threshold
+    predict "present".
+    """
+    for doc in corpus:
+        if doc.counts.size == 0 or doc.counts.sum() < 1:
+            raise ValueError(f"predict: document {doc.doc_id} has no words")
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError("predict: threshold must be in [0, 1]")
+    if cfg is None:
+        cfg = TrainConfig()
+    states = e_step_corpus(corpus, params, topics, cfg, prediction=True)
+    beliefs = np.array([st.Delta for st in states]).reshape(len(corpus), params.alpha.shape[0])
+    return beliefs, (beliefs >= threshold).astype(np.int64)
+
+
 def predict(
     doc: Document,
     params: ModelParams,
@@ -454,18 +622,6 @@ def predict(
     cfg: Optional[TrainConfig] = None,
     threshold: float = 0.5,
 ):
-    """Presence beliefs and thresholded labels for one unlabeled document.
-
-    Only the words and the trained parameters matter; any labels or
-    judgments attached to the document are ignored.  Ties at the threshold
-    predict "present".
-    """
-    if doc.counts.size == 0 or doc.counts.sum() < 1:
-        raise ValueError(f"predict: document {doc.doc_id} has no words")
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("predict: threshold must be in [0, 1]")
-    if cfg is None:
-        cfg = TrainConfig()
-    state = e_step_document(doc, params, topics, cfg, state=None, prediction=True)
-    labels = (state.Delta >= threshold).astype(np.int64)
-    return state.Delta.copy(), labels
+    """:func:`predict_corpus` for one document: (beliefs, labels)."""
+    beliefs, labels = predict_corpus([doc], params, topics, cfg, threshold)
+    return beliefs[0], labels[0]

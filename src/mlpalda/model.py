@@ -26,6 +26,8 @@ from typing import Optional
 
 import numpy as np
 
+from .atomic import write_text
+
 PROB_CLAMP = 1e-6   # xi, rho live in [PROB_CLAMP, 1 - PROB_CLAMP]
 DELTA_CLAMP = 1e-9  # Delta lives in [DELTA_CLAMP, 1 - DELTA_CLAMP]
 ROW_SUM_TOL = 1e-9
@@ -125,6 +127,7 @@ class DocVariational:
     Delta: np.ndarray   # (C,)
     phi: np.ndarray     # (U, T)
     gamma: np.ndarray   # (C, 2, T)
+    sweeps: int = 0     # inner sweeps of the E-step that produced it (0: none)
 
 
 @dataclass
@@ -163,6 +166,11 @@ def validate_document(doc: Document, dims: Dimensions) -> None:
             raise ValueError(f"document {doc.doc_id}: crowd labels must be 0, 1 or -1")
 
 
+def _all_within(x, lo, hi) -> bool:
+    """Every entry in [lo, hi]; unlike "none below lo or above hi", NaN fails."""
+    return bool(np.all((x >= lo) & (x <= hi)))
+
+
 def validate(
     params: ModelParams,
     dims: Dimensions,
@@ -180,10 +188,10 @@ def validate(
 
     if params.xi.shape != (C,):
         msgs.append(f"xi shape {params.xi.shape} != {(C,)}")
-    if np.any(params.xi < PROB_CLAMP) or np.any(params.xi > 1.0 - PROB_CLAMP):
+    if not _all_within(params.xi, PROB_CLAMP, 1.0 - PROB_CLAMP):
         msgs.append("xi out of clamp range")
 
-    if params.rho.size and (np.any(params.rho < PROB_CLAMP) or np.any(params.rho > 1.0 - PROB_CLAMP)):
+    if not _all_within(params.rho, PROB_CLAMP, 1.0 - PROB_CLAMP):
         msgs.append("rho out of clamp range")
 
     if params.beta is None and params.eta is None:
@@ -210,7 +218,7 @@ def validate(
         for name, rows in (("delta", state.delta), ("phi", state.phi)):
             if np.any(rows < 0.0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > ROW_SUM_TOL):
                 msgs.append(f"{name} rows not stochastic")
-        if np.any(state.Delta < DELTA_CLAMP) or np.any(state.Delta > 1.0 - DELTA_CLAMP):
+        if not _all_within(state.Delta, DELTA_CLAMP, 1.0 - DELTA_CLAMP):
             msgs.append("Delta out of clamp range")
         if state.gamma.shape != params.alpha.shape:
             msgs.append("gamma shape mismatch with alpha")
@@ -223,7 +231,7 @@ def validate(
     if smoothed is not None:
         if params.eta is None:
             msgs.append("smoothed state without eta")
-        elif np.any(smoothed.chi < params.eta - 1e-12):
+        elif not _all_within(smoothed.chi, params.eta - 1e-12, np.inf):
             msgs.append("chi below eta")
 
     return msgs
@@ -320,7 +328,10 @@ def _format_array(arr: np.ndarray) -> str:
 
 def save_model(path, params: ModelParams, dims: Dimensions, mode: str,
                smoothed: Optional[SmoothedTopicState] = None) -> None:
-    """Write the versioned text model file (17 significant digits, row-major)."""
+    """Write the versioned text model file (17 significant digits, row-major).
+
+    The file is replaced atomically: a failed save leaves any earlier file.
+    """
     mode = normalize_mode(mode)
     smoothing = params.eta is not None
     if smoothing and smoothed is None:
@@ -340,8 +351,7 @@ def save_model(path, params: ModelParams, dims: Dimensions, mode: str,
         size = 0 if arr is None else arr.size
         lines.append(f"array {name} {size}")
         lines.append("" if arr is None else _format_array(arr))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _model_error(path, lineno, message):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import psi as sp_digamma
 
+import mlpalda.inference as inference
 from mlpalda.inference import (
     CorpusStats,
     ElboTrace,
@@ -21,9 +22,11 @@ from mlpalda.inference import (
     _presence_update,
     collect_stats,
     compute_elbo,
+    e_step_corpus,
     e_step_document,
     m_step,
     predict,
+    predict_corpus,
     train,
 )
 from mlpalda.model import (
@@ -309,6 +312,127 @@ def test_estep_raises_on_nan_parameters():
     doc = random_doc(rng, 2, 5, doc_id="bad-doc")
     with pytest.raises(NumericalFailureError, match="bad-doc"):
         e_step_document(doc, params, None, TrainConfig(mode="no-crowd"))
+
+
+# ---------------------------------------------------------------------------
+# lockstep E-step over a corpus
+# ---------------------------------------------------------------------------
+
+MIXED_TERMS = (1, 1, 2, 3, 5, 100, 8, 13, 1, 21, 34, 55, 89, 4, 60, 2)
+
+
+def mixed_length_corpus(rng, C, V, K=0):
+    return [
+        random_doc(rng, C, V, K=K, n_terms=n, max_count=3, doc_id=f"m{d}")
+        for d, n in enumerate(MIXED_TERMS)
+    ]
+
+
+@pytest.mark.parametrize("mode,prediction", [
+    ("crowd", False), ("no-crowd", False), ("crowd", True),
+], ids=["crowd", "pinned-no-crowd", "prediction"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("budget", [40, 2 ** 30], ids=["many-chunks", "one-chunk"])
+def test_corpus_estep_equals_one_document_calls(monkeypatch, mode, prediction, warm, budget):
+    """Padding, chunking and per-document exits must not move a single bit:
+    every state equals the one-document call's, after the same sweep count."""
+    rng = np.random.default_rng(51)
+    C, T, V, K = 3, 4, 120, 3
+    params = random_params(rng, C, T, V, K=K)
+    docs = mixed_length_corpus(rng, C, V, K=K)
+    cfg = TrainConfig(mode=mode, max_estep_iters=60, estep_tol=1e-7)
+    starts = [None] * len(docs)
+    if warm:
+        starts = e_step_corpus(docs, params, None, TrainConfig(mode=mode, max_estep_iters=2),
+                               prediction=prediction)
+
+    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", budget)
+    states = e_step_corpus(docs, params, None, cfg, starts, prediction=prediction)
+    sweeps = []
+    for doc, start, st in zip(docs, starts, states):
+        one = e_step_document(doc, params, None, cfg, state=start, prediction=prediction)
+        for name in ("delta", "phi", "Delta", "gamma"):
+            assert np.array_equal(getattr(st, name), getattr(one, name)), (doc.doc_id, name)
+        assert st.sweeps == one.sweeps, doc.doc_id
+        sweeps.append(st.sweeps)
+    assert len(set(sweeps)) > 1  # documents converge at different sweeps
+    assert max(sweeps) < cfg.max_estep_iters
+
+
+def test_chunks_are_length_sorted_and_within_budget(monkeypatch):
+    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 40)
+    lengths = np.array(MIXED_TERMS)
+    chunks = inference._length_sorted_chunks(lengths, 4)
+    flat = [d for chunk in chunks for d in chunk]
+    assert sorted(flat) == list(range(lengths.size))
+    assert list(lengths[flat]) == sorted(MIXED_TERMS)
+    for chunk in chunks:
+        assert len(chunk) == 1 or len(chunk) * lengths[chunk].max() * 4 <= 40
+
+
+def test_corpus_estep_names_the_failing_document():
+    rng = np.random.default_rng(17)
+    params = random_params(rng, 2, 2, 30)
+    params.beta[:, 0] = np.nan  # only documents holding word 0 go non-finite
+    docs = [
+        Document(f"ok{n}", np.arange(1, n + 1), np.ones(n), true_labels=np.array([1, 0]))
+        for n in (3, 5, 7)
+    ]
+    docs.insert(1, Document("bad-doc", np.array([0, 4]), np.array([2, 1]),
+                            true_labels=np.array([0, 1])))
+    with pytest.raises(NumericalFailureError, match="bad-doc"):
+        e_step_corpus(docs, params, None, TrainConfig(mode="no-crowd"))
+
+
+def _cap_warnings(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.levelno == logging.WARNING and "max_estep_iters" in r.getMessage()]
+
+
+def test_estep_cap_hits_are_logged_once_per_pass(caplog):
+    rng = np.random.default_rng(53)
+    C, T, V, K = 2, 3, 40, 2
+    params = random_params(rng, C, T, V, K=K)
+    docs = [random_doc(rng, C, V, K=K, n_terms=6, doc_id=f"c{d}") for d in range(5)]
+    capped = TrainConfig(mode="crowd", max_estep_iters=1)
+    with caplog.at_level(logging.WARNING, logger="mlpalda.inference"):
+        e_step_corpus(docs, params, None, capped)
+        predict_corpus(docs, params, None, capped)
+    assert _cap_warnings(caplog) == [
+        "E-step: 5 of 5 documents were still changing after max_estep_iters=1 sweeps"
+    ] * 2
+
+    caplog.clear()
+    train_docs, _ = make_training_corpus(D=6, votes_from=(2, [0.9, 0.85], 3))
+    dims = Dimensions(D=6, C=2, T=3, V=12, K=2)
+    with caplog.at_level(logging.WARNING, logger="mlpalda.inference"):
+        train(train_docs, dims, TrainConfig(mode="crowd", max_em_iters=3, em_rel_tol=0.0,
+                                            max_estep_iters=1))
+    assert _cap_warnings(caplog) == [
+        "E-step: 6 of 6 documents were still changing after max_estep_iters=1 sweeps"
+    ] * 3
+
+
+def test_converged_estep_logs_no_cap_warning(caplog):
+    docs, _ = make_training_corpus(D=6, votes_from=(2, [0.9, 0.85], 3))
+    dims = Dimensions(D=6, C=2, T=3, V=12, K=2)
+    cfg = TrainConfig(mode="crowd", max_em_iters=3, em_rel_tol=0.0, seed=1)
+    with caplog.at_level(logging.WARNING, logger="mlpalda.inference"):
+        params, topics, _ = train(docs, dims, cfg)
+        predict_corpus(docs, params, topics, cfg)
+    assert _cap_warnings(caplog) == []
+
+
+def test_predict_corpus_matches_predict():
+    docs, _ = make_training_corpus(D=10, seed=5)
+    dims = Dimensions(D=10, C=2, T=3, V=12)
+    cfg = TrainConfig(mode="no-crowd", max_em_iters=4, seed=0)
+    params, topics, _ = train(docs, dims, cfg)
+    beliefs, labels = predict_corpus(docs, params, topics, cfg, threshold=0.4)
+    assert beliefs.shape == labels.shape == (10, 2)
+    for d, doc in enumerate(docs):
+        b, l = predict(doc, params, topics, cfg, threshold=0.4)
+        assert np.array_equal(beliefs[d], b) and np.array_equal(labels[d], l)
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,21 @@ def test_validate_flags_violations():
     assert any("xi" in m for m in validate(bad_xi, dims))
 
 
+@pytest.mark.parametrize("where", ["xi", "rho", "Delta", "chi"])
+def test_validate_flags_nan(where):
+    """NaN compares false both ways, so each range check must reject it."""
+    dims = _dims(K=2)
+    p = init_params(dims, mode="crowd", smoothing=True, seed=0)
+    smoothed = init_smoothed_state(p.eta, seed=0)
+    state = init_doc_variational(_doc(crowd=[[1, 0, 1], [0, -1, 1]]), p, mode="crowd")
+    assert validate(p, dims, state=state, smoothed=smoothed) == []
+
+    target = {"xi": p.xi, "rho": p.rho, "Delta": state.Delta, "chi": smoothed.chi}[where]
+    target.flat[0] = np.nan
+    msgs = validate(p, dims, state=state, smoothed=smoothed)
+    assert any(m.startswith(where) for m in msgs), msgs
+
+
 def test_validate_doc_state():
     dims = _dims(K=0)
     p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
@@ -286,3 +301,21 @@ def test_model_file_rejects_garbage(tmp_path):
     path.write_text("mlpa-model v1\ndims D=1 C=1 T=1 V=1 K=0\nmode no-crowd\n")
     with pytest.raises(ValueError):
         load_model(path)
+
+
+def test_failed_save_keeps_the_old_model_file(tmp_path, monkeypatch):
+    dims = _dims(K=0)
+    p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
+    path = tmp_path / "m.model"
+    save_model(path, p, dims, mode="no-crowd")
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("mlpalda.atomic.os.replace", refuse)
+    other = init_params(dims, mode="no-crowd", smoothing=False, seed=1)
+    with pytest.raises(OSError, match="disk full"):
+        save_model(path, other, dims, mode="no-crowd")
+    assert path.read_bytes() == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["m.model"]
