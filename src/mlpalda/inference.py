@@ -403,6 +403,17 @@ def collect_stats(corpus, states, params: ModelParams, dims: Dimensions) -> Corp
     )
 
 
+def _fit_dirichlet_rows(name, conc, stats, scale):
+    """One batched Newton solve over a Dirichlet block; warns about stalled rows."""
+    new, stalled = solve_dirichlet_newton(conc, stats, scale, return_stalled=True)
+    if stalled.any():
+        logger.warning(
+            "M-step: Newton stalled on %d of %d %s rows; they keep their last accepted value",
+            int(stalled.sum()), stalled.size, name,
+        )
+    return new
+
+
 def m_step(
     stats: CorpusStats,
     params: ModelParams,
@@ -424,21 +435,12 @@ def m_step(
         ratio = stats.rho_num[labeled] / stats.rho_cnt[labeled]
         rho[labeled] = clamp_probability(ratio, PROB_CLAMP)
 
-    alpha = np.empty_like(params.alpha)
-    C = alpha.shape[0]
-    for i in range(C):
-        for j in (0, 1):
-            alpha[i, j] = solve_dirichlet_newton(
-                params.alpha[i, j], stats.sum_log_theta[i, j], stats.n_docs
-            )
+    alpha = _fit_dirichlet_rows("alpha", params.alpha, stats.sum_log_theta, stats.n_docs)
 
     if params.eta is not None:
         if topics is None:
             raise ValueError("m_step: smoothed mode needs the chi state")
-        elog_beta = dirichlet_expected_log(topics.chi)
-        eta = np.empty_like(params.eta)
-        for t in range(eta.shape[0]):
-            eta[t] = solve_dirichlet_newton(params.eta[t], elog_beta[t], 1)
+        eta = _fit_dirichlet_rows("eta", params.eta, dirichlet_expected_log(topics.chi), 1)
         return ModelParams(alpha=alpha, xi=xi, rho=rho, beta=None, eta=eta)
 
     row_sums = stats.topic_word.sum(axis=1, keepdims=True)

@@ -231,7 +231,11 @@ def validate(
     if smoothed is not None:
         if params.eta is None:
             msgs.append("smoothed state without eta")
-        elif not _all_within(smoothed.chi, params.eta - 1e-12, np.inf):
+        elif smoothed.chi.shape != params.eta.shape:
+            msgs.append("chi shape mismatch with eta")
+        elif not np.all(np.isfinite(smoothed.chi)):
+            msgs.append("chi has non-finite entries")
+        elif np.any(smoothed.chi < params.eta - 1e-12):
             msgs.append("chi below eta")
 
     return msgs

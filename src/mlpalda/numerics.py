@@ -1,6 +1,7 @@
 """Dirichlet expectations and the damped Newton solver used by the trainer.
 
-psi and psi' come from ``scipy.special`` (``psi`` and ``polygamma(1, .)``).
+psi and psi' come from ``scipy.special``: ``psi`` and ``zeta(2, .)``, which is
+what ``polygamma(1, .)`` evaluates, minus the ``psi`` call it throws away.
 """
 
 from __future__ import annotations
@@ -8,10 +9,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, polygamma, psi
+from scipy.special import gammaln, psi, zeta
 
 NEWTON_FLOOR = 1e-10
 NEWTON_MAX_HALVINGS = 30
+# A row stops once its Newton step promises a gain of at most this many
+# rounding units of its objective: the exact ``f1 >= f0`` test cannot tell
+# such a gain from noise, so further steps only halve down to nothing.
+NEWTON_GAIN_ULPS = 8
 
 
 def log_sum_exp(v, axis=None):
@@ -54,7 +59,25 @@ def dirichlet_expected_log(gamma, axis=-1):
 # Its Hessian is diag(h) + z 11^T with h_r = -scale*psi'(a_r) and
 # z = scale*psi'(sum a), so the Newton direction has the closed form
 # -(g - c)/h with c = (sum g_r/h_r) / (1/z + sum 1/h_r).
+#
+# Every function below works on rows along the last axis, and a row's
+# result never depends on the other rows: a batch of rows gives, bit for
+# bit, what each row gives alone.
 # ---------------------------------------------------------------------------
+
+
+def _checked_rows(conc, stats, scale, who):
+    cur = np.asarray(conc, dtype=np.float64)
+    st = np.asarray(stats, dtype=np.float64)
+    if cur.ndim < 1 or cur.shape != st.shape:
+        raise ValueError(f"{who}: current/stats must be equal-shape arrays")
+    if not np.all(np.isfinite(cur)) or np.any(cur <= 0.0):
+        raise ValueError(f"{who}: current concentrations must be > 0")
+    if not np.all(np.isfinite(st)):
+        raise ValueError(f"{who}: stats must be finite")
+    if int(scale) < 1:
+        raise ValueError(f"{who}: scale must be a positive count")
+    return cur, st, int(scale)
 
 
 @dataclass(frozen=True)
@@ -71,19 +94,13 @@ class DirichletNewtonProblem:
     scale: int
 
     def __post_init__(self):
-        cur = np.asarray(self.current, dtype=np.float64)
-        st = np.asarray(self.stats, dtype=np.float64)
-        if cur.ndim != 1 or cur.shape != st.shape:
+        if np.ndim(self.current) != 1:
             raise ValueError("DirichletNewtonProblem: current/stats must be equal-length vectors")
-        if not np.all(np.isfinite(cur)) or np.any(cur <= 0.0):
-            raise ValueError("DirichletNewtonProblem: current concentrations must be > 0")
-        if not np.all(np.isfinite(st)):
-            raise ValueError("DirichletNewtonProblem: stats must be finite")
-        if int(self.scale) < 1:
-            raise ValueError("DirichletNewtonProblem: scale must be a positive count")
+        cur, st, scale = _checked_rows(self.current, self.stats, self.scale,
+                                       "DirichletNewtonProblem")
         object.__setattr__(self, "current", cur)
         object.__setattr__(self, "stats", st)
-        object.__setattr__(self, "scale", int(self.scale))
+        object.__setattr__(self, "scale", scale)
 
 
 @dataclass(frozen=True)
@@ -94,15 +111,70 @@ class NewtonStep:
 
 
 def dirichlet_objective(conc, stats, scale):
+    """f(a) for every row of ``conc`` (a scalar for one vector)."""
     conc = np.asarray(conc, dtype=np.float64)
-    return float(
-        scale * (gammaln(conc.sum()) - gammaln(conc).sum()) + ((conc - 1.0) * stats).sum()
-    )
+    return scale * (gammaln(conc.sum(-1)) - gammaln(conc).sum(-1)) + ((conc - 1.0) * stats).sum(-1)
 
 
 def dirichlet_gradient(conc, stats, scale):
     conc = np.asarray(conc, dtype=np.float64)
-    return scale * (psi(conc.sum()) - psi(conc)) + stats
+    return scale * (psi(conc.sum(-1, keepdims=True)) - psi(conc)) + stats
+
+
+def _line_search(conc, direction, stats, scale, f0):
+    """Halve each row's step until it stays above the floor and f does not fall.
+
+    Returns the new rows and the indices of the rows for which no step down
+    to 2**-NEWTON_MAX_HALVINGS qualified; those rows keep their input.
+    """
+    new = conc.copy()
+    pending = np.arange(len(conc))
+    step = 1.0
+    for _ in range(NEWTON_MAX_HALVINGS + 1):
+        cand = conc[pending] + step * direction[pending]
+        ok = np.all(cand > NEWTON_FLOOR, axis=-1)
+        f1 = dirichlet_objective(cand[ok], stats[pending[ok]], scale)
+        ok[ok] = np.isfinite(f1) & (f1 >= f0[pending[ok]])
+        new[pending[ok]] = cand[ok]
+        pending = pending[~ok]
+        if pending.size == 0:
+            break
+        step *= 0.5
+    return new, pending
+
+
+def _newton_rows(conc, stats, scale, tol):
+    """One damped Newton step on every (R, N) row whose residual is >= ``tol``.
+
+    Returns ``(new, residual, stalled, flat)``: ``residual`` is max |g_r - c|
+    at the input; a row below ``tol`` is returned as it is; ``stalled`` marks
+    rows whose direction was not finite or whose halving ran out (returned
+    as they are); ``flat`` marks rows whose step promised a gain of at most
+    NEWTON_GAIN_ULPS rounding units of f.
+    """
+    # stats outside the achievable mean range (sum exp(stats/scale) >= 1) push
+    # the maximizer to infinity; the curvature then underflows and the pieces
+    # below go non-finite.  Those rows stall; they are not errors.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = dirichlet_gradient(conc, stats, scale)
+        h = -scale * zeta(2, conc)
+        z = scale * zeta(2, conc.sum(-1, keepdims=True))
+        c = (g / h).sum(-1, keepdims=True) / (1.0 / z + (1.0 / h).sum(-1, keepdims=True))
+        residual = np.where(np.isfinite(c[:, 0]), np.abs(g - c).max(-1), np.inf)
+        direction = -(g - c) / h
+        finite = np.all(np.isfinite(direction), axis=-1)
+
+        moving = ~(residual < tol)
+        stalled = moving & ~finite
+        rows = np.flatnonzero(moving & finite)
+        f0 = dirichlet_objective(conc[rows], stats[rows], scale)
+        new = conc.copy()
+        new[rows], failed = _line_search(conc[rows], direction[rows], stats[rows], scale, f0)
+        stalled[rows[failed]] = True
+        gain = 0.5 * (g[rows] * direction[rows]).sum(-1)
+        flat = np.zeros(len(conc), dtype=bool)
+        flat[rows] = gain <= NEWTON_GAIN_ULPS * np.finfo(np.float64).eps * np.abs(f0)
+    return new, residual, stalled, flat
 
 
 def newton_dirichlet_step(problem: DirichletNewtonProblem) -> NewtonStep:
@@ -112,40 +184,40 @@ def newton_dirichlet_step(problem: DirichletNewtonProblem) -> NewtonStep:
     the positivity floor and the local objective does not decrease; if no
     such step exists the input is returned unchanged with ``stalled`` set.
     """
-    conc, stats, scale = problem.current, problem.stats, problem.scale
-    g = dirichlet_gradient(conc, stats, scale)
-    # stats outside the achievable mean range (sum exp(stats/scale) >= 1) push
-    # the maximizer to infinity; the curvature then underflows and the pieces
-    # below go non-finite.  Those trials are rejected, not errors.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        h = -scale * polygamma(1, conc)
-        z = scale * polygamma(1, conc.sum())
-        c = (g / h).sum() / (1.0 / z + (1.0 / h).sum())
-        residual = float(np.abs(g - c).max()) if np.isfinite(c) else np.inf
-        direction = -(g - c) / h
-        if not np.all(np.isfinite(direction)):
-            return NewtonStep(conc.copy(), stalled=True, residual=residual)
-
-        f0 = dirichlet_objective(conc, stats, scale)
-        step = 1.0
-        for _ in range(NEWTON_MAX_HALVINGS + 1):
-            cand = conc + step * direction
-            if np.all(cand > NEWTON_FLOOR):
-                f1 = dirichlet_objective(cand, stats, scale)
-                if np.isfinite(f1) and f1 >= f0:
-                    return NewtonStep(cand, stalled=False, residual=residual)
-            step *= 0.5
-    return NewtonStep(conc.copy(), stalled=True, residual=residual)
+    new, residual, stalled, _ = _newton_rows(
+        problem.current[None], problem.stats[None], problem.scale, tol=0.0
+    )
+    return NewtonStep(new[0], stalled=bool(stalled[0]), residual=float(residual[0]))
 
 
-def solve_dirichlet_newton(conc, stats, scale, max_iters=50, tol=1e-8):
-    """Iterate damped Newton steps until max |g_r - c| < tol (or stall)."""
-    cur = np.asarray(conc, dtype=np.float64).copy()
+def solve_dirichlet_newton(conc, stats, scale, max_iters=50, tol=1e-8, return_stalled=False):
+    """Damped Newton for every concentration row of ``conc`` (..., N) at once.
+
+    A row stops when max |g_r - c| < tol (without taking that step), after
+    a step that promised a gain below the objective's rounding, on a stall
+    (it keeps its last accepted value) or after ``max_iters`` steps; a
+    finished row leaves the working arrays.  A (N,) vector is a one-row
+    batch.  With ``return_stalled`` the per-row stall mask (shape
+    ``conc.shape[:-1]``) is returned as well.
+    """
+    conc, stats, scale = _checked_rows(conc, stats, scale, "solve_dirichlet_newton")
+    out = conc.reshape(-1, conc.shape[-1]).copy()
+    st = stats.reshape(out.shape)
+    stalled = np.zeros(len(out), dtype=bool)
+    idx = np.arange(len(out))
+    cur = out
     for _ in range(max_iters):
-        step = newton_dirichlet_step(DirichletNewtonProblem(cur, stats, scale))
-        if step.residual < tol:
-            break
-        cur = step.conc
-        if step.stalled:
-            break
-    return cur
+        cur, residual, stalled_now, flat = _newton_rows(cur, st, scale, tol)
+        done = (residual < tol) | stalled_now | flat
+        if done.any():
+            out[idx[done]] = cur[done]
+            stalled[idx[stalled_now]] = True
+            keep = ~done
+            cur, st, idx = cur[keep], st[keep], idx[keep]
+            if idx.size == 0:
+                break
+    out[idx] = cur
+    out = out.reshape(conc.shape)
+    if return_stalled:
+        return out, stalled.reshape(conc.shape[:-1])
+    return out

@@ -514,6 +514,29 @@ def test_mstep_alpha_matches_direct_newton_solve():
     assert np.all(new.alpha > 0)
 
 
+def _newton_stall_warnings(caplog):
+    return [r for r in caplog.records
+            if r.levelno == logging.WARNING and "Newton stalled" in r.getMessage()]
+
+
+def test_mstep_warns_once_about_stalled_alpha_rows(caplog):
+    stats = simple_stats()
+    # sum exp(stats / n_docs) >= 1: this row's optimum is at infinity
+    stats.sum_log_theta[1, 0] = -0.05 * stats.n_docs
+    with caplog.at_level(logging.WARNING, logger="mlpalda.inference"):
+        new = m_step(stats, base_params(), TrainConfig(mode="crowd"))
+    warnings = _newton_stall_warnings(caplog)
+    assert len(warnings) == 1
+    assert "1 of 4 alpha rows" in warnings[0].getMessage()
+    assert np.all(np.isfinite(new.alpha)) and np.all(new.alpha > 0)
+
+
+def test_converging_mstep_logs_no_newton_stall(caplog):
+    with caplog.at_level(logging.WARNING, logger="mlpalda.inference"):
+        m_step(simple_stats(), base_params(), TrainConfig(mode="crowd"))
+    assert _newton_stall_warnings(caplog) == []
+
+
 def test_mstep_smoothed_updates_eta_and_drops_beta():
     T, V = 2, 3
     params = ModelParams(

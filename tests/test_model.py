@@ -221,6 +221,19 @@ def test_validate_flags_nan(where):
     assert any(m.startswith(where) for m in msgs), msgs
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, "shape"])
+def test_validate_flags_bad_chi(value):
+    dims = _dims(K=2)
+    p = init_params(dims, mode="crowd", smoothing=True, seed=0)
+    smoothed = init_smoothed_state(p.eta, seed=0)
+    if value == "shape":
+        smoothed = SmoothedTopicState(chi=smoothed.chi[:, 1:])
+    else:
+        smoothed.chi[0, 0] = value
+    msgs = validate(p, dims, smoothed=smoothed)
+    assert any(m.startswith("chi") for m in msgs), msgs
+
+
 def test_validate_doc_state():
     dims = _dims(K=0)
     p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)

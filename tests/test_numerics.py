@@ -9,6 +9,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mlpalda.numerics as numerics
 from mlpalda.numerics import (
     DirichletNewtonProblem,
     dirichlet_expected_log,
@@ -222,3 +223,64 @@ def test_newton_stalls_gracefully_when_optimum_is_at_infinity():
     stats = np.array([-0.05, -0.05])
     out = solve_dirichlet_newton(np.ones(2), stats, 1)
     assert np.all(np.isfinite(out)) and np.all(out > 0)
+
+
+def test_trigamma_through_zeta_is_polygamma_bit_for_bit():
+    x = np.geomspace(1e-10, 1e8, 300_001)
+    assert np.array_equal(scipy.special.zeta(2, x), scipy.special.polygamma(1, x))
+
+
+def _record_newton_rows(monkeypatch):
+    """Wrap the batched step; each call appends (f before, f after, flat mask)."""
+    calls = []
+    step = numerics._newton_rows
+
+    def recording(conc, stats, scale, tol):
+        out = step(conc, stats, scale, tol)
+        calls.append((dirichlet_objective(conc, stats, scale),
+                      dirichlet_objective(out[0], stats, scale), out[3]))
+        return out
+
+    monkeypatch.setattr(numerics, "_newton_rows", recording)
+    return calls
+
+
+def test_batched_solve_rows_equal_their_one_row_solves(monkeypatch):
+    scale = 100
+    fixed = np.array([0.7, 1.3, 2.2, 0.5])
+    conc = np.ones((5, 4))
+    conc[0] = fixed
+    stats = np.stack([
+        # gradient zero at the start: done on the first step without moving
+        scale * (scipy.special.psi(fixed) - scipy.special.psi(fixed.sum())),
+        # ordinary problems, which end on the rounding stop rule
+        _random_problem(6, dim=4, scale=scale),
+        _random_problem(7, dim=4, scale=scale),
+        _random_problem(8, dim=4, scale=scale),
+        # sum exp(stats / scale) >= 1: the optimum is at infinity and the row stalls
+        np.full(4, scale * np.log(0.3)),
+    ])
+    calls = _record_newton_rows(monkeypatch)
+    batch, stalled = solve_dirichlet_newton(conc, stats, scale, return_stalled=True)
+    assert np.any([flat.any() for _, _, flat in calls])
+    for r in range(len(conc)):
+        alone, alone_stalled = solve_dirichlet_newton(conc[r], stats[r], scale,
+                                                      return_stalled=True)
+        assert np.array_equal(batch[r], alone), r
+        assert stalled[r] == alone_stalled
+    assert np.array_equal(batch[0], fixed)
+    assert stalled.tolist() == [False, False, False, False, True]
+    assert np.all(np.isfinite(batch)) and np.all(batch > 0)
+
+
+@pytest.mark.parametrize("seed,dim", [(6, 20), (3, 10)])
+def test_solve_stops_once_the_gain_is_below_rounding(monkeypatch, seed, dim):
+    # each halved down to a step the objective cannot see and ran to the
+    # 50-iteration cap before the rounding stop rule
+    stats = _random_problem(seed, dim=dim, scale=100)
+    calls = _record_newton_rows(monkeypatch)
+    out = solve_dirichlet_newton(np.ones(dim), stats, 100)
+    assert len(calls) <= 12
+    assert all(np.all(after >= before) for before, after, _ in calls)
+    assert calls[-1][2].all()
+    assert np.abs(dirichlet_gradient(out, stats, 100)).max() <= 1e-6
