@@ -164,8 +164,7 @@ def save_corpus(path, corpus, dims: Dimensions):
             labels = " ".join(str(int(l)) for l in doc.true_labels)
         words = " ".join(f"{int(i)}:{int(c)}" for i, c in zip(doc.word_ids, doc.counts))
         lines.append(f"{doc.doc_id} | {labels} | {words}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +216,7 @@ def write_crowd_file(path, corpus, K):
             lines.append(f"{doc.doc_id} {j} {i} {y[j, i]}")
     if lines is None:
         raise ValueError("write_crowd_file: no document carries judgments")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +225,8 @@ def write_crowd_file(path, corpus, K):
 
 
 def save_pool_file(path, qualities):
-    with open(path, "w", encoding="utf-8") as fh:
-        for j, rho in enumerate(np.asarray(qualities, dtype=np.float64)):
-            fh.write(f"{j} {rho:.17g}\n")
+    qualities = np.asarray(qualities, dtype=np.float64)
+    write_text(path, "".join(f"{j} {rho:.17g}\n" for j, rho in enumerate(qualities)))
 
 
 def load_pool_file(path):
@@ -401,10 +398,7 @@ def discretize_instance(features, disc: Discretizer):
 
 
 def save_discretizer(path, disc: Discretizer):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#disc v1 V={disc.size}\n")
-        for c in disc.centers:
-            fh.write(f"{c:.17g}\n")
+    write_text(path, f"#disc v1 V={disc.size}\n" + "".join(f"{c:.17g}\n" for c in disc.centers))
 
 
 def load_discretizer(path):

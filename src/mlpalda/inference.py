@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import xlogy
 
 from .model import (
     DELTA_CLAMP,
@@ -47,8 +47,9 @@ from .model import (
     init_smoothed_state,
     normalize_mode,
     validate_document,
+    validate_words,
 )
-from .numerics import dirichlet_expected_log, log_sum_exp, solve_dirichlet_newton
+from .numerics import dirichlet_expected_log, dirichlet_objective, log_sum_exp, solve_dirichlet_newton
 
 logger = logging.getLogger(__name__)
 
@@ -117,6 +118,11 @@ def _annotator_log_terms(doc: Document, params: ModelParams):
     ann1 = np.where(provided, yf * log_rho + (1.0 - yf) * log_mis, 0.0).sum(axis=0)
     ann0 = np.where(provided, (1.0 - yf) * log_rho + yf * log_mis, 0.0).sum(axis=0)
     return ann1, ann0
+
+
+def _dirichlet_block(conc, elog, scale=1):
+    """Summed over rows: ``scale`` log Dirichlet normalizers plus (conc-1) * elog."""
+    return float(dirichlet_objective(conc, elog, scale).sum())
 
 
 def _softmax_rows(logits):
@@ -368,38 +374,62 @@ def e_step_document(
 @dataclass
 class CorpusStats:
     n_docs: int
+    n_tokens: float              # total word count
     sum_Delta: np.ndarray        # (C,)
     rho_num: np.ndarray          # (K,) expected agreements
     rho_cnt: np.ndarray          # (K,) provided-judgment counts
     topic_word: np.ndarray       # (T, V) count-weighted phi totals
     sum_log_theta: np.ndarray    # (C, 2, T) summed E[log theta]
+    state_terms: float           # the bound's terms that need one document's state
 
 
-def collect_stats(corpus, states, params: ModelParams, dims: Dimensions) -> CorpusStats:
+def collect_stats(corpus, states, dims: Dimensions) -> CorpusStats:
+    """The M-step's statistics and the per-document part of the bound, in one pass.
+
+    ``state_terms`` sums, over documents, every bound term that depends on
+    that document's variational state beyond the statistics above: the
+    expected log topic draws, the delta and phi entropies, minus the gamma
+    Dirichlet block, and the Delta entropy.
+    """
     C, T, V, K = dims.C, dims.T, dims.V, dims.K
+    n_tokens = 0.0
     sum_Delta = np.zeros(C)
     rho_num = np.zeros(K)
     rho_cnt = np.zeros(K)
     topic_word = np.zeros((T, V))
     sum_log_theta = np.zeros((C, 2, T))
+    state_terms = 0.0
     for doc, st in zip(corpus, states):
-        sum_Delta += st.Delta
-        topic_word[:, doc.word_ids] += (st.phi * doc.counts[:, None]).T
-        sum_log_theta += dirichlet_expected_log(st.gamma)
+        counts = doc.counts[:, None].astype(np.float64)
+        Delta = st.Delta
+        n_tokens += counts.sum()
+        sum_Delta += Delta
+        topic_word[:, doc.word_ids] += (st.phi * counts).T
+        elog = dirichlet_expected_log(st.gamma)
+        sum_log_theta += elog
         y = doc.crowd_labels
         if y is not None and K:
             provided = y != -1
             yf = y.astype(np.float64)
-            agree = yf * st.Delta[None, :] + (1.0 - yf) * (1.0 - st.Delta)[None, :]
+            agree = yf * Delta[None, :] + (1.0 - yf) * (1.0 - Delta)[None, :]
             rho_num += np.where(provided, agree, 0.0).sum(axis=1)
             rho_cnt += provided.sum(axis=1)
+        resp = (st.delta * counts).T @ st.phi                    # (C, T)
+        mix = Delta[:, None] * elog[:, 1, :] + (1.0 - Delta)[:, None] * elog[:, 0, :]
+        state_terms += float((resp * mix).sum())
+        state_terms -= float((counts * xlogy(st.delta, st.delta)).sum())
+        state_terms -= float((counts * xlogy(st.phi, st.phi)).sum())
+        state_terms -= _dirichlet_block(st.gamma, elog)
+        state_terms -= float((xlogy(Delta, Delta) + xlogy(1.0 - Delta, 1.0 - Delta)).sum())
     return CorpusStats(
         n_docs=len(corpus),
+        n_tokens=n_tokens,
         sum_Delta=sum_Delta,
         rho_num=rho_num,
         rho_cnt=rho_cnt,
         topic_word=topic_word,
         sum_log_theta=sum_log_theta,
+        state_terms=state_terms,
     )
 
 
@@ -455,54 +485,34 @@ def m_step(
 # ---------------------------------------------------------------------------
 
 
-def _dirichlet_block(conc, elog):
-    """sum over rows of log Dirichlet normalizer plus (conc-1) * E[log p]."""
-    return float(
-        (gammaln(conc.sum(-1)) - gammaln(conc).sum(-1) + ((conc - 1.0) * elog).sum(-1)).sum()
-    )
+def compute_elbo(stats: CorpusStats, params: ModelParams, topics: Optional[SmoothedTopicState] = None) -> float:
+    """Evidence lower bound of the variational states summarized in ``stats``.
 
-
-def compute_elbo(corpus, params: ModelParams, states, topics: Optional[SmoothedTopicState] = None) -> float:
-    """Evidence lower bound of the stored variational states.
-
+    Every term is a corpus statistic paired with a parameter, except
+    ``stats.state_terms``, which :func:`collect_stats` sums per document.
     Includes every constant of the generative process (in particular the
     uniform word-to-class prior), so on tiny instances the value is directly
     comparable against the exact enumerated marginal.
     """
     C = params.alpha.shape[0]
     xi = clamp_probability(params.xi, PROB_CLAMP)
-    log_xi, log_1mxi = np.log(xi), np.log(1.0 - xi)
-    log_wt_full = expected_log_word_given_topic(params, topics)
-    total = 0.0
-    for doc, st in zip(corpus, states):
-        counts = doc.counts.astype(np.float64)
-        n = counts.sum()
-        Delta = st.Delta
-        elog = dirichlet_expected_log(st.gamma)
+    total = float((stats.sum_Delta * np.log(xi)).sum())
+    total += float(((stats.n_docs - stats.sum_Delta) * np.log(1.0 - xi)).sum())
+    if params.rho.size:
+        if stats.rho_num.shape != params.rho.shape:
+            raise ValueError("compute_elbo: stats and params disagree on the annotator count")
+        log_rho = np.log(np.clip(params.rho, _LOG_FLOOR, None))
+        log_mis = np.log(np.clip(1.0 - params.rho, _LOG_FLOOR, None))
+        total += float((stats.rho_num * log_rho + (stats.rho_cnt - stats.rho_num) * log_mis).sum())
 
-        total += float((Delta * log_xi + (1.0 - Delta) * log_1mxi).sum())
-        if doc.crowd_labels is not None and params.rho.size:
-            ann1, ann0 = _annotator_log_terms(doc, params)
-            total += float((Delta * ann1 + (1.0 - Delta) * ann0).sum())
+    total -= stats.n_tokens * np.log(C)                          # uniform class pick
+    elog_beta = expected_log_word_given_topic(params, topics)
+    total += float((stats.topic_word * elog_beta).sum())
 
-        total -= n * np.log(C)                                   # uniform class pick
-        total -= float((counts[:, None] * xlogy(st.delta, st.delta)).sum())
-
-        resp = (st.delta * counts[:, None]).T @ st.phi           # (C, T)
-        mix = Delta[:, None] * elog[:, 1, :] + (1.0 - Delta)[:, None] * elog[:, 0, :]
-        total += float((resp * mix).sum())
-
-        log_wt = log_wt_full[:, doc.word_ids].T
-        total += float((counts[:, None] * st.phi * log_wt).sum())
-        total -= float((counts[:, None] * xlogy(st.phi, st.phi)).sum())
-
-        total += _dirichlet_block(params.alpha, elog)
-        total -= _dirichlet_block(st.gamma, elog)
-
-        total -= float((xlogy(Delta, Delta) + xlogy(1.0 - Delta, 1.0 - Delta)).sum())
+    total += _dirichlet_block(params.alpha, stats.sum_log_theta, stats.n_docs)
+    total += stats.state_terms
 
     if topics is not None:
-        elog_beta = dirichlet_expected_log(topics.chi)
         total += _dirichlet_block(params.eta, elog_beta)
         total -= _dirichlet_block(topics.chi, elog_beta)
 
@@ -572,11 +582,11 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
 
     for iteration in range(1, cfg.max_em_iters + 1):
         states = e_step_corpus(corpus, params, topics, cfg, states)
-        stats = collect_stats(corpus, states, params, dims)
+        stats = collect_stats(corpus, states, dims)
         if cfg.smoothing:
             topics = SmoothedTopicState(chi=params.eta + stats.topic_word)
 
-        elbo = compute_elbo(corpus, params, states, topics)
+        elbo = compute_elbo(stats, params, topics)
         trace.rows.append((iteration, elbo, last_change))
         if prev_elbo is not None and abs(elbo - prev_elbo) <= cfg.em_rel_tol * abs(prev_elbo):
             trace.converged = True
@@ -605,9 +615,9 @@ def predict_corpus(
     judgments attached to the documents are ignored.  Ties at the threshold
     predict "present".
     """
+    V = (params.eta if params.smoothing else params.beta).shape[1]
     for doc in corpus:
-        if doc.counts.size == 0 or doc.counts.sum() < 1:
-            raise ValueError(f"predict: document {doc.doc_id} has no words")
+        validate_words(doc, V)
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("predict: threshold must be in [0, 1]")
     if cfg is None:

@@ -140,18 +140,23 @@ class SmoothedTopicState:
 # ---------------------------------------------------------------------------
 
 
-def validate_document(doc: Document, dims: Dimensions) -> None:
-    """Raise ValueError on any structural problem with one document."""
+def validate_words(doc: Document, V: int) -> None:
+    """Raise ValueError unless ``doc`` is a non-empty bag of distinct words in [0, V)."""
     if doc.word_ids.ndim != 1 or doc.word_ids.shape != doc.counts.shape:
         raise ValueError(f"document {doc.doc_id}: word_ids/counts must be equal-length vectors")
     if doc.word_ids.size == 0:
         raise ValueError(f"document {doc.doc_id}: has no words")
-    if np.any(doc.word_ids < 0) or np.any(doc.word_ids >= dims.V):
-        raise ValueError(f"document {doc.doc_id}: word index out of range [0, {dims.V})")
-    if np.any(doc.counts < 1):
+    if doc.word_ids.min() < 0 or doc.word_ids.max() >= V:
+        raise ValueError(f"document {doc.doc_id}: word index out of range [0, {V})")
+    if doc.counts.min() < 1:
         raise ValueError(f"document {doc.doc_id}: word counts must be >= 1")
     if len(set(doc.word_ids.tolist())) != doc.word_ids.size:
         raise ValueError(f"document {doc.doc_id}: duplicate word index")
+
+
+def validate_document(doc: Document, dims: Dimensions) -> None:
+    """Raise ValueError on any structural problem with one document."""
+    validate_words(doc, dims.V)
     if doc.true_labels is not None:
         if doc.true_labels.shape != (dims.C,):
             raise ValueError(f"document {doc.doc_id}: true_labels must have length {dims.C}")

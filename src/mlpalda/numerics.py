@@ -6,8 +6,6 @@ what ``polygamma(1, .)`` evaluates, minus the ``psi`` call it throws away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.special import gammaln, psi, zeta
 
@@ -64,50 +62,6 @@ def dirichlet_expected_log(gamma, axis=-1):
 # result never depends on the other rows: a batch of rows gives, bit for
 # bit, what each row gives alone.
 # ---------------------------------------------------------------------------
-
-
-def _checked_rows(conc, stats, scale, who):
-    cur = np.asarray(conc, dtype=np.float64)
-    st = np.asarray(stats, dtype=np.float64)
-    if cur.ndim < 1 or cur.shape != st.shape:
-        raise ValueError(f"{who}: current/stats must be equal-shape arrays")
-    if not np.all(np.isfinite(cur)) or np.any(cur <= 0.0):
-        raise ValueError(f"{who}: current concentrations must be > 0")
-    if not np.all(np.isfinite(st)):
-        raise ValueError(f"{who}: stats must be finite")
-    if int(scale) < 1:
-        raise ValueError(f"{who}: scale must be a positive count")
-    return cur, st, int(scale)
-
-
-@dataclass(frozen=True)
-class DirichletNewtonProblem:
-    """One concentration row plus its sufficient statistics.
-
-    ``stats`` holds the summed expected-log-probability statistics
-    (sum over observations of psi(gamma_r) - psi(sum gamma)), and ``scale``
-    is the number of observations behind that sum.
-    """
-
-    current: np.ndarray
-    stats: np.ndarray
-    scale: int
-
-    def __post_init__(self):
-        if np.ndim(self.current) != 1:
-            raise ValueError("DirichletNewtonProblem: current/stats must be equal-length vectors")
-        cur, st, scale = _checked_rows(self.current, self.stats, self.scale,
-                                       "DirichletNewtonProblem")
-        object.__setattr__(self, "current", cur)
-        object.__setattr__(self, "stats", st)
-        object.__setattr__(self, "scale", scale)
-
-
-@dataclass(frozen=True)
-class NewtonStep:
-    conc: np.ndarray
-    stalled: bool
-    residual: float = field(default=np.inf)
 
 
 def dirichlet_objective(conc, stats, scale):
@@ -177,19 +131,6 @@ def _newton_rows(conc, stats, scale, tol):
     return new, residual, stalled, flat
 
 
-def newton_dirichlet_step(problem: DirichletNewtonProblem) -> NewtonStep:
-    """One damped shared-structure Newton update.
-
-    The step is halved (up to 30 times) until every component stays above
-    the positivity floor and the local objective does not decrease; if no
-    such step exists the input is returned unchanged with ``stalled`` set.
-    """
-    new, residual, stalled, _ = _newton_rows(
-        problem.current[None], problem.stats[None], problem.scale, tol=0.0
-    )
-    return NewtonStep(new[0], stalled=bool(stalled[0]), residual=float(residual[0]))
-
-
 def solve_dirichlet_newton(conc, stats, scale, max_iters=50, tol=1e-8, return_stalled=False):
     """Damped Newton for every concentration row of ``conc`` (..., N) at once.
 
@@ -200,7 +141,17 @@ def solve_dirichlet_newton(conc, stats, scale, max_iters=50, tol=1e-8, return_st
     batch.  With ``return_stalled`` the per-row stall mask (shape
     ``conc.shape[:-1]``) is returned as well.
     """
-    conc, stats, scale = _checked_rows(conc, stats, scale, "solve_dirichlet_newton")
+    conc = np.asarray(conc, dtype=np.float64)
+    stats = np.asarray(stats, dtype=np.float64)
+    if conc.ndim < 1 or conc.shape != stats.shape:
+        raise ValueError("solve_dirichlet_newton: current/stats must be equal-shape arrays")
+    if not np.all(np.isfinite(conc)) or np.any(conc <= 0.0):
+        raise ValueError("solve_dirichlet_newton: current concentrations must be > 0")
+    if not np.all(np.isfinite(stats)):
+        raise ValueError("solve_dirichlet_newton: stats must be finite")
+    scale = int(scale)
+    if scale < 1:
+        raise ValueError("solve_dirichlet_newton: scale must be a positive count")
     out = conc.reshape(-1, conc.shape[-1]).copy()
     st = stats.reshape(out.shape)
     stalled = np.zeros(len(out), dtype=bool)

@@ -22,7 +22,14 @@ from mlpalda.crowd import (
     sample_pool,
 )
 from mlpalda.data import load_corpus
-from mlpalda.inference import TrainConfig, compute_elbo, e_step_document, predict, train
+from mlpalda.inference import (
+    TrainConfig,
+    collect_stats,
+    compute_elbo,
+    e_step_document,
+    predict,
+    train,
+)
 from mlpalda.metrics import average_accuracy, avg_class_log_likelihood, micro_f1
 from mlpalda.model import Dimensions, Document, init_doc_variational
 from mlpalda.numerics import dirichlet_gradient
@@ -93,9 +100,9 @@ def test_criterion_2_oracle_bound():
         dims = Dimensions(D=1, C=C, T=T, V=V, K=K)
         exact = exact_log_marginal(TinyInstance(doc=doc, params=params, dims=dims))
         fresh = init_doc_variational(doc, params, mode="crowd")
-        worst = max(worst, compute_elbo([doc], params, [fresh]) - exact)
+        worst = max(worst, compute_elbo(collect_stats([doc], [fresh], dims), params) - exact)
         settled = e_step_document(doc, params, None, cfg)
-        worst = max(worst, compute_elbo([doc], params, [settled]) - exact)
+        worst = max(worst, compute_elbo(collect_stats([doc], [settled], dims), params) - exact)
     elapsed = time.monotonic() - t0
     gate(2, "oracle-bound", worst <= 1e-9 and elapsed < 60.0,
          f"max elbo-exact {worst:.3e}, {elapsed:.1f}s for 200 instances")

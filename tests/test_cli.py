@@ -91,6 +91,19 @@ def test_simulate_crowd_outputs(tmp_path, corpus):
     assert rho.shape == (50,) and np.all((rho > 0) & (rho < 1))
 
 
+def test_failed_simulate_crowd_leaves_no_partial_file(tmp_path, corpus, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("mlpalda.atomic.os.replace", refuse)
+    code = run(
+        "simulate-crowd", "--corpus", str(corpus), "--crowd-out", str(tmp_path / "c.crowd"),
+        "--pool-out", str(tmp_path / "pool.txt"), "--seed", "5",
+    )
+    assert code == 1
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["c.mlc"]
+
+
 def test_simulate_crowd_custom_buckets(tmp_path, corpus):
     crowd = tmp_path / "c.crowd"
     code = run(

@@ -11,6 +11,7 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, xlogy
 from scipy.special import psi as sp_digamma
 
 import mlpalda.inference as inference
@@ -30,10 +31,12 @@ from mlpalda.inference import (
     train,
 )
 from mlpalda.model import (
+    PROB_CLAMP,
     Dimensions,
     Document,
     ModelParams,
     SmoothedTopicState,
+    clamp_probability,
     init_doc_variational,
     init_params,
     validate,
@@ -448,6 +451,8 @@ def simple_stats(n_docs=4):
         rho_cnt=np.array([4.0, 0.0]),
         topic_word=np.array([[2.0, 6.0, 0.0], [1.0, 1.0, 2.0]]),
         sum_log_theta=np.full((2, 2, 2), -0.8 * n_docs),
+        n_tokens=10.0,
+        state_terms=0.0,
     )
 
 
@@ -574,13 +579,17 @@ def test_collect_stats_counts_judgments():
     )
     cfg = TrainConfig(mode="crowd", max_estep_iters=4)
     st = e_step_document(doc, params, None, cfg)
-    stats = collect_stats([doc], [st], params, Dimensions(D=1, C=C, T=T, V=V, K=K))
+    stats = collect_stats([doc], [st], Dimensions(D=1, C=C, T=T, V=V, K=K))
     np.testing.assert_array_equal(stats.rho_cnt, [1, 2])
     # annotator 0 said "present" for class 0 only
     assert stats.rho_num[0] == pytest.approx(st.Delta[0])
     assert stats.rho_num[1] == pytest.approx((1 - st.Delta[0]) + st.Delta[1])
     # word statistics sum to the token count
     assert stats.topic_word.sum() == pytest.approx(3.0)
+    # statistics of 2 annotators cannot be scored against 3
+    three = ModelParams(alpha=params.alpha, xi=params.xi, rho=np.full(3, 0.8), beta=params.beta)
+    with pytest.raises(ValueError, match="annotator count"):
+        compute_elbo(stats, three)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +612,7 @@ def test_elbo_of_degenerate_model_is_log_presence_rate():
     )
     cfg = TrainConfig(mode="no-crowd", max_estep_iters=5)
     st = e_step_document(doc, params, None, cfg)
-    elbo = compute_elbo([doc], params, [st])
+    elbo = compute_elbo(collect_stats([doc], [st], Dimensions(D=1, C=1, T=1, V=1)), params)
     assert abs(elbo - np.log(0.3)) < 1e-7
 
 
@@ -623,9 +632,9 @@ def test_elbo_never_exceeds_exact_marginal():
         exact = exact_log_marginal(TinyInstance(doc=doc, params=params, dims=dims))
 
         fresh = init_doc_variational(doc, params, mode="crowd")
-        assert compute_elbo([doc], params, [fresh]) <= exact + 1e-9
+        assert compute_elbo(collect_stats([doc], [fresh], dims), params) <= exact + 1e-9
         st = e_step_document(doc, params, None, cfg)
-        assert compute_elbo([doc], params, [st]) <= exact + 1e-9
+        assert compute_elbo(collect_stats([doc], [st], dims), params) <= exact + 1e-9
 
 
 def test_estep_increases_elbo():
@@ -633,9 +642,89 @@ def test_estep_increases_elbo():
     C, T, V, K = 2, 3, 10, 2
     params = random_params(rng, C, T, V, K=K)
     doc = random_doc(rng, C, V, K=K, n_terms=5)
+    dims = Dimensions(D=1, C=C, T=T, V=V, K=K)
     before = init_doc_variational(doc, params, mode="crowd")
     after = e_step_document(doc, params, None, TrainConfig(mode="crowd", max_estep_iters=30))
-    assert compute_elbo([doc], params, [after]) >= compute_elbo([doc], params, [before]) - 1e-10
+    assert (compute_elbo(collect_stats([doc], [after], dims), params)
+            >= compute_elbo(collect_stats([doc], [before], dims), params) - 1e-10)
+
+
+def _expected_log(conc):
+    return sp_digamma(conc) - sp_digamma(conc.sum(-1, keepdims=True))
+
+
+def _dirichlet_terms(conc, elog):
+    return float((gammaln(conc.sum(-1)) - gammaln(conc).sum(-1)
+                  + ((conc - 1.0) * elog).sum(-1)).sum())
+
+
+def per_document_bound(corpus, params, states, topics=None):
+    """Reference transcription: the bound summed document by document, with
+    every term evaluated from that document's own state."""
+    C = params.alpha.shape[0]
+    xi = clamp_probability(params.xi, PROB_CLAMP)
+    if topics is not None:
+        log_wt_full = _expected_log(topics.chi)
+    else:
+        log_wt_full = np.log(np.clip(params.beta, 1e-300, None))
+    total = 0.0
+    for doc, st in zip(corpus, states):
+        counts = doc.counts.astype(np.float64)
+        Delta = st.Delta
+        elog = _expected_log(st.gamma)
+
+        total += float((Delta * np.log(xi) + (1.0 - Delta) * np.log(1.0 - xi)).sum())
+        if doc.crowd_labels is not None and params.rho.size:
+            ann1, ann0 = oracle_annotator_terms(doc, params)
+            total += float((Delta * ann1 + (1.0 - Delta) * ann0).sum())
+
+        total -= counts.sum() * np.log(C)
+        total -= float((counts[:, None] * xlogy(st.delta, st.delta)).sum())
+
+        resp = (st.delta * counts[:, None]).T @ st.phi
+        mix = Delta[:, None] * elog[:, 1, :] + (1.0 - Delta)[:, None] * elog[:, 0, :]
+        total += float((resp * mix).sum())
+
+        log_wt = log_wt_full[:, doc.word_ids].T
+        total += float((counts[:, None] * st.phi * log_wt).sum())
+        total -= float((counts[:, None] * xlogy(st.phi, st.phi)).sum())
+
+        total += _dirichlet_terms(params.alpha, elog)
+        total -= _dirichlet_terms(st.gamma, elog)
+
+        total -= float((xlogy(Delta, Delta) + xlogy(1.0 - Delta, 1.0 - Delta)).sum())
+
+    if topics is not None:
+        elog_beta = _expected_log(topics.chi)
+        total += _dirichlet_terms(params.eta, elog_beta)
+        total -= _dirichlet_terms(topics.chi, elog_beta)
+    return total
+
+
+@pytest.mark.parametrize("mode", ["crowd", "no-crowd"])
+@pytest.mark.parametrize("smoothing", [False, True], ids=["plain", "smoothed"])
+@pytest.mark.parametrize("stepped", [False, True], ids=["cold", "e-stepped"])
+def test_elbo_from_stats_matches_per_document_bound(mode, smoothing, stepped):
+    rng = np.random.default_rng(61)
+    C, T, V = 3, 4, 120
+    K = 3 if mode == "crowd" else 0
+    params = random_params(rng, C, T, V, K=K)
+    topics = None
+    if smoothing:
+        eta = rng.uniform(0.3, 2.0, size=(T, V))
+        params = ModelParams(alpha=params.alpha, xi=params.xi, rho=params.rho, eta=eta)
+        topics = SmoothedTopicState(chi=eta + rng.uniform(0.0, 3.0, size=(T, V)))
+    docs = mixed_length_corpus(rng, C, V, K=K)
+    dims = Dimensions(D=len(docs), C=C, T=T, V=V, K=K)
+    if stepped:
+        cfg = TrainConfig(mode=mode, smoothing=smoothing, max_estep_iters=30)
+        states = e_step_corpus(docs, params, topics, cfg)
+    else:
+        states = [init_doc_variational(doc, params, mode=mode) for doc in docs]
+
+    ours = compute_elbo(collect_stats(docs, states, dims), params, topics)
+    ref = per_document_bound(docs, params, states, topics)
+    assert abs(ours - ref) <= 1e-12 * abs(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -778,3 +867,22 @@ def test_predict_threshold_semantics():
     empty = Document("e", np.zeros(0, dtype=int), np.zeros(0, dtype=int))
     with pytest.raises(ValueError, match="no words"):
         predict(empty, params, topics)
+
+
+@pytest.mark.parametrize(
+    "word_ids, counts, message",
+    [
+        ([0, -1], [1, 1], r"word index out of range \[0, 12\)"),
+        ([0, 12], [1, 1], r"word index out of range \[0, 12\)"),
+        ([3, 3], [1, 1], "duplicate word index"),
+        ([3, 4], [1, 0], "word counts must be >= 1"),
+    ],
+    ids=["negative", "past-vocabulary", "duplicate", "zero-count"],
+)
+def test_predict_checks_words_like_training(word_ids, counts, message):
+    docs, _ = make_training_corpus(D=6, seed=4)
+    dims = Dimensions(D=6, C=2, T=3, V=12)
+    params, topics, _ = train(docs, dims, TrainConfig(mode="no-crowd", max_em_iters=2, seed=0))
+    stray = Document("stray", np.array(word_ids), np.array(counts))
+    with pytest.raises(ValueError, match=f"document stray: {message}"):
+        predict_corpus([docs[0], stray], params, topics)

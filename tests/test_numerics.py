@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 
 import mlpalda.numerics as numerics
 from mlpalda.numerics import (
-    DirichletNewtonProblem,
     dirichlet_expected_log,
     dirichlet_gradient,
     dirichlet_objective,
     log_sum_exp,
-    newton_dirichlet_step,
     solve_dirichlet_newton,
 )
 
@@ -106,24 +104,36 @@ def _random_problem(seed, dim=4, scale=25):
     return stats
 
 
+def _one_step(conc, stats, scale, tol=0.0):
+    """One damped Newton step: (new concentrations, stalled)."""
+    new, stalled = solve_dirichlet_newton(conc, stats, scale, max_iters=1, tol=tol,
+                                          return_stalled=True)
+    return new, bool(stalled)
+
+
 def test_newton_step_zero_gradient_fixed_point():
     conc = np.array([0.7, 1.3, 2.2])
     scale = 13
     # stats chosen so the analytic gradient vanishes at `conc`
     stats = scale * (scipy.special.psi(conc) - scipy.special.psi(conc.sum()))
-    step = newton_dirichlet_step(DirichletNewtonProblem(conc, stats, scale))
-    assert not step.stalled
-    assert step.residual <= 1e-12
-    assert np.allclose(step.conc, conc, atol=1e-12)
+    assert np.abs(dirichlet_gradient(conc, stats, scale)).max() <= 1e-12
+    # a step taken at the optimum goes nowhere
+    new, stalled = _one_step(conc, stats, scale)
+    assert not stalled
+    assert np.allclose(new, conc, atol=1e-12)
+    # a row whose residual is below tol is returned without a step
+    new, stalled = _one_step(conc, stats, scale, tol=1e-12)
+    assert not stalled
+    assert np.array_equal(new, conc)
 
 
 def test_newton_step_reduces_gradient_norm():
     stats = _random_problem(3, dim=3, scale=40)
     conc = np.ones(3)
     g0 = np.abs(dirichlet_gradient(conc, stats, 40)).max()
-    step = newton_dirichlet_step(DirichletNewtonProblem(conc, stats, 40))
-    g1 = np.abs(dirichlet_gradient(step.conc, stats, 40)).max()
-    assert not step.stalled
+    new, stalled = _one_step(conc, stats, 40)
+    g1 = np.abs(dirichlet_gradient(new, stats, 40)).max()
+    assert not stalled
     assert g1 < g0
 
 
@@ -133,10 +143,10 @@ def test_newton_step_never_decreases_objective():
         conc = np.ones(5)
         f0 = dirichlet_objective(conc, stats, 30)
         for _ in range(25):
-            step = newton_dirichlet_step(DirichletNewtonProblem(conc, stats, 30))
-            f1 = dirichlet_objective(step.conc, stats, 30)
+            new, _ = _one_step(conc, stats, 30)
+            f1 = dirichlet_objective(new, stats, 30)
             assert f1 >= f0
-            conc, f0 = step.conc, f1
+            conc, f0 = new, f1
         assert np.all(conc > 1e-10)
 
 
@@ -210,11 +220,11 @@ def test_solve_converges_to_small_residual():
 
 def test_newton_problem_validation():
     with pytest.raises(ValueError):
-        DirichletNewtonProblem(np.array([1.0, -1.0]), np.zeros(2), 3)
+        _one_step(np.array([1.0, -1.0]), np.zeros(2), 3)
     with pytest.raises(ValueError):
-        DirichletNewtonProblem(np.ones(2), np.zeros(3), 3)
+        _one_step(np.ones(2), np.zeros(3), 3)
     with pytest.raises(ValueError):
-        DirichletNewtonProblem(np.ones(2), np.zeros(2), 0)
+        _one_step(np.ones(2), np.zeros(2), 0)
 
 
 def test_newton_stalls_gracefully_when_optimum_is_at_infinity():
