@@ -17,7 +17,6 @@ import numpy as np
 
 from .crowd import ADVERSARIAL_BUCKETS, DEFAULT_BUCKETS, ann_rmse, annotate_corpus, sample_pool
 from .data import (
-    CorpusFormatError,
     discretize_features,
     fit_discretizer,
     load_corpus,
@@ -25,7 +24,6 @@ from .data import (
     load_pool_file,
     read_predictions,
     save_corpus,
-    save_discretizer,
     save_pool_file,
     split_corpus,
     write_crowd_file,
@@ -182,8 +180,6 @@ def cmd_discretize(args) -> int:
     disc = fit_discretizer(values, args.clusters, args.seed)
     docs = discretize_features(rows, disc)
     save_corpus(args.corpus_out, docs, Dimensions(D=len(docs), C=C, T=1, V=disc.size))
-    if args.disc_out:
-        save_discretizer(args.disc_out, disc)
     return EXIT_OK
 
 
@@ -317,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--clusters", type=int, required=True)
     p.add_argument("--corpus-out", required=True)
-    p.add_argument("--disc-out")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_discretize)
 
@@ -350,7 +345,7 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (CorpusFormatError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,6 +1,6 @@
 """Corpus/crowd/feature file handling, discretization, and splitting.
 
-All formats are UTF-8 text with LF endings.
+All formats are UTF-8 text with LF endings; every header count is >= 1.
 
   corpus (.mlc)   header ``#mlc v1 D=<D> V=<V> C=<C>`` then one line per
                   document: ``<doc_id> | <l_1> ... <l_C> | <idx>:<cnt> ...``
@@ -10,7 +10,6 @@ All formats are UTF-8 text with LF endings.
                   every absent triple means "no judgment" (-1)
   features (.mlf) header ``#mlf v1 D=<D> F=<F> C=<C>`` then
                   ``<doc_id> | <l_1> ... <l_C> | <v_1> ... <v_F>`` (reals)
-  discretizer     header ``#disc v1 V=<V>`` then one center per line
   annotator pool  ``<annotator_idx> <rho>`` per line
   predictions     ``<doc_id> <belief_1> ... <belief_C> <bits>`` where bits
                   is the C thresholded labels as one contiguous 0/1 string
@@ -24,42 +23,45 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import write_text
-from .model import Dimensions, Document
+from .atomic import CorpusFormatError, format_floats, read_records, write_text
+from .model import Dimensions, Document, validate_words
 
 logger = logging.getLogger(__name__)
 
 
-class CorpusFormatError(ValueError):
-    """Malformed input file; message carries path and 1-based line number."""
+def _labeled_rows(path, tag, size_key):
+    """Read an .mlc or .mlf file: header ``#<tag> v1 D= <size_key>= C=``,
+    then D rows of ``<doc_id> | <labels> | <rest>``.
 
-    def __init__(self, path, lineno, message):
-        super().__init__(f"{path}:{lineno}: {message}")
-        self.path = str(path)
-        self.lineno = lineno
-
-
-def _read_lines(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().split("\n")
-
-
-def _parse_header(path, line, tag, keys):
-    toks = line.split()
-    if len(toks) != 2 + len(keys) or toks[0] != f"#{tag}" or toks[1] != "v1":
-        raise CorpusFormatError(path, 1, f"expected header '#{tag} v1 {' '.join(k + '=<int>' for k in keys)}'")
-    out = []
-    for key, tok in zip(keys, toks[2:]):
-        if not tok.startswith(key + "="):
-            raise CorpusFormatError(path, 1, f"expected {key}=<int>, got {tok!r}")
+    Returns (size, C, rows) with rows of (lineno, doc_id, labels (C,), rest);
+    doc ids are one token and unique, labels are C values in {-1, 0, 1}.
+    """
+    (D, size, C), records = read_records(path, tag, ("D", size_key, "C"))
+    if len(records) != D:
+        raise CorpusFormatError(path, 1, f"header says D={D} but found {len(records)} rows")
+    rows = []
+    seen = set()
+    for lineno, line in records:
+        parts = [p.strip() for p in line.split("|")]
+        if len(parts) != 3:
+            raise CorpusFormatError(path, lineno, "expected '<doc_id> | <labels> | <...>'")
+        doc_id = parts[0]
+        if len(doc_id.split()) != 1:
+            raise CorpusFormatError(path, lineno, "doc_id must be one token")
+        if doc_id in seen:
+            raise CorpusFormatError(path, lineno, f"duplicate doc_id {doc_id!r}")
+        seen.add(doc_id)
+        label_toks = parts[1].split()
+        if len(label_toks) != C:
+            raise CorpusFormatError(path, lineno, f"expected {C} labels, got {len(label_toks)}")
         try:
-            val = int(tok[len(key) + 1 :])
-        except ValueError:
-            raise CorpusFormatError(path, 1, f"{key} is not an integer") from None
-        if val < 0:
-            raise CorpusFormatError(path, 1, f"{key} must be non-negative")
-        out.append(val)
-    return out
+            labels = np.array([int(t) for t in label_toks], dtype=np.int64)
+        except (ValueError, OverflowError):
+            raise CorpusFormatError(path, lineno, "labels must be integers") from None
+        if not np.all(np.isin(labels, (-1, 0, 1))):
+            raise CorpusFormatError(path, lineno, "labels must be 0, 1 or -1")
+        rows.append((lineno, doc_id, labels, parts[2]))
+    return size, C, rows
 
 
 # ---------------------------------------------------------------------------
@@ -74,41 +76,10 @@ def load_corpus(corpus_path, crowd_path=None):
     (topics are a training choice, not a corpus property) and K=0 unless a
     crowd file supplies judgments.
     """
-    lines = _read_lines(corpus_path)
-    if not lines or not lines[0].strip():
-        raise CorpusFormatError(corpus_path, 1, "missing header")
-    D, V, C = _parse_header(corpus_path, lines[0], "mlc", ("D", "V", "C"))
+    V, C, rows = _labeled_rows(corpus_path, "mlc", "V")
     docs = []
-    seen = set()
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split("|")]
-        if len(parts) != 3:
-            raise CorpusFormatError(
-                corpus_path, lineno, "expected '<doc_id> | <labels> | <words>'"
-            )
-        doc_id = parts[0]
-        if not doc_id or len(doc_id.split()) != 1:
-            raise CorpusFormatError(corpus_path, lineno, "doc_id must be one token")
-        if doc_id in seen:
-            raise CorpusFormatError(corpus_path, lineno, f"duplicate doc_id {doc_id!r}")
-        seen.add(doc_id)
-
-        label_toks = parts[1].split()
-        if len(label_toks) != C:
-            raise CorpusFormatError(corpus_path, lineno, f"expected {C} labels, got {len(label_toks)}")
-        try:
-            labels = np.array([int(t) for t in label_toks], dtype=np.int64)
-        except ValueError:
-            raise CorpusFormatError(corpus_path, lineno, "labels must be integers") from None
-        if not np.all(np.isin(labels, (-1, 0, 1))):
-            raise CorpusFormatError(corpus_path, lineno, "labels must be 0, 1 or -1")
-
-        word_toks = parts[2].split()
-        if not word_toks:
-            raise CorpusFormatError(corpus_path, lineno, "document has no words")
+    for lineno, doc_id, labels, words in rows:
+        word_toks = words.split()
         ids = np.empty(len(word_toks), dtype=np.int64)
         cnts = np.empty(len(word_toks), dtype=np.int64)
         for k, tok in enumerate(word_toks):
@@ -117,26 +88,21 @@ def load_corpus(corpus_path, crowd_path=None):
                 raise CorpusFormatError(corpus_path, lineno, f"expected <idx>:<cnt>, got {tok!r}")
             try:
                 ids[k], cnts[k] = int(idx_s), int(cnt_s)
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise CorpusFormatError(corpus_path, lineno, f"bad word token {tok!r}") from None
-        if np.any(ids < 0) or np.any(ids >= V):
-            raise CorpusFormatError(corpus_path, lineno, f"word index out of range [0, {V})")
-        if np.any(cnts < 1):
-            raise CorpusFormatError(corpus_path, lineno, "word counts must be >= 1")
-        if np.unique(ids).size != ids.size:
-            raise CorpusFormatError(corpus_path, lineno, "duplicate word index in document")
-        docs.append(Document(doc_id=doc_id, word_ids=ids, counts=cnts, true_labels=labels))
-    if len(docs) != D:
-        raise CorpusFormatError(
-            corpus_path, len(lines), f"header says D={D} but found {len(docs)} documents"
-        )
+        doc = Document(doc_id=doc_id, word_ids=ids, counts=cnts, true_labels=labels)
+        try:
+            validate_words(doc, V)
+        except ValueError as exc:
+            raise CorpusFormatError(corpus_path, lineno, str(exc)) from None
+        docs.append(doc)
 
     K = 0
     if crowd_path is not None:
         judgments, K, crowd_C = read_crowd_file(crowd_path)
         if crowd_C != C:
             raise CorpusFormatError(crowd_path, 1, f"crowd C={crowd_C} does not match corpus C={C}")
-        unknown = set(judgments) - seen
+        unknown = set(judgments) - {d.doc_id for d in docs}
         if unknown:
             raise CorpusFormatError(
                 crowd_path, 1, f"crowd file references unknown doc_id {sorted(unknown)[0]!r}"
@@ -152,7 +118,7 @@ def load_corpus(corpus_path, crowd_path=None):
             )
             for d in docs
         ]
-    return docs, Dimensions(D=D, C=C, T=1, V=V, K=K)
+    return docs, Dimensions(D=len(docs), C=C, T=1, V=V, K=K)
 
 
 def save_corpus(path, corpus, dims: Dimensions):
@@ -174,15 +140,9 @@ def save_corpus(path, corpus, dims: Dimensions):
 
 def read_crowd_file(path):
     """Returns ({doc_id: (K, C) judgment matrix}, K, C); absent means -1."""
-    lines = _read_lines(path)
-    if not lines or not lines[0].strip():
-        raise CorpusFormatError(path, 1, "missing header")
-    K, C = _parse_header(path, lines[0], "crowd", ("K", "C"))
+    (K, C), records = read_records(path, "crowd", ("K", "C"))
     out = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in records:
         toks = line.split()
         if len(toks) != 4:
             raise CorpusFormatError(path, lineno, "expected '<doc_id> <annotator> <class> <0|1>'")
@@ -230,11 +190,9 @@ def save_pool_file(path, qualities):
 
 
 def load_pool_file(path):
+    _, records = read_records(path)
     entries = {}
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in records:
         toks = line.split()
         if len(toks) != 2:
             raise CorpusFormatError(path, lineno, "expected '<annotator_idx> <rho>'")
@@ -256,7 +214,7 @@ def write_predictions(path, rows):
     """rows: iterable of (doc_id, beliefs (C,), labels (C,)); written atomically."""
     lines = []
     for doc_id, beliefs, labels in rows:
-        vals = " ".join(f"{b:.17g}" for b in np.asarray(beliefs, dtype=np.float64))
+        vals = format_floats(beliefs)
         bits = "".join(str(int(l)) for l in labels)
         lines.append(f"{doc_id} {vals} {bits}\n")
     write_text(path, "".join(lines))
@@ -264,12 +222,10 @@ def write_predictions(path, rows):
 
 def read_predictions(path):
     """Returns list of (doc_id, beliefs, labels); C inferred from the lines."""
+    _, records = read_records(path)
     rows = []
     C = None
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in records:
         toks = line.split()
         if C is None:
             C = len(toks) - 2
@@ -282,7 +238,7 @@ def read_predictions(path):
         bits = toks[-1]
         if len(bits) != C or any(b not in "01" for b in bits):
             raise CorpusFormatError(path, lineno, f"expected {C} prediction bits")
-        if np.any(beliefs < 0.0) or np.any(beliefs > 1.0):
+        if not np.all((beliefs >= 0.0) & (beliefs <= 1.0)):
             raise CorpusFormatError(path, lineno, "beliefs must be in [0, 1]")
         rows.append((toks[0], beliefs, np.array([int(b) for b in bits], dtype=np.int64)))
     return rows
@@ -296,7 +252,6 @@ def read_predictions(path):
 @dataclass(frozen=True)
 class Discretizer:
     centers: np.ndarray  # strictly increasing
-    seed: int = 0
 
     def __post_init__(self):
         c = np.asarray(self.centers, dtype=np.float64)
@@ -346,7 +301,7 @@ def fit_discretizer(values, V, seed, max_iters=300, return_trace=False):
                 "fit_discretizer: only %d distinct values for V=%d; using %d centers",
                 distinct.size, V, distinct.size,
             )
-        disc = Discretizer(centers=distinct, seed=seed)
+        disc = Discretizer(centers=distinct)
         return (disc, [_kmeans_objective(vals, distinct)]) if return_trace else disc
 
     rng = np.random.default_rng(seed)
@@ -382,7 +337,7 @@ def fit_discretizer(values, V, seed, max_iters=300, return_trace=False):
             break
     # merged centers can only arise from pathological inputs; drop duplicates
     centers = np.unique(centers)
-    disc = Discretizer(centers=centers, seed=seed)
+    disc = Discretizer(centers=centers)
     return (disc, trace) if return_trace else disc
 
 
@@ -397,29 +352,6 @@ def discretize_instance(features, disc: Discretizer):
     return ids.astype(np.int64), counts[ids].astype(np.int64)
 
 
-def save_discretizer(path, disc: Discretizer):
-    write_text(path, f"#disc v1 V={disc.size}\n" + "".join(f"{c:.17g}\n" for c in disc.centers))
-
-
-def load_discretizer(path):
-    lines = _read_lines(path)
-    if not lines or not lines[0].strip():
-        raise CorpusFormatError(path, 1, "missing header")
-    (V,) = _parse_header(path, lines[0], "disc", ("V",))
-    vals = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            vals.append(float(line))
-        except ValueError:
-            raise CorpusFormatError(path, lineno, "center must be a float") from None
-    if len(vals) != V:
-        raise CorpusFormatError(path, len(lines), f"header says V={V} but found {len(vals)} centers")
-    return Discretizer(centers=np.array(vals))
-
-
 # ---------------------------------------------------------------------------
 # real-valued feature files
 # ---------------------------------------------------------------------------
@@ -428,35 +360,10 @@ def load_discretizer(path):
 def load_features(path):
     """Parse an .mlf file: returns (rows, F, C) with rows of
     (doc_id, labels (C,), values (F,))."""
-    lines = _read_lines(path)
-    if not lines or not lines[0].strip():
-        raise CorpusFormatError(path, 1, "missing header")
-    D, F, C = _parse_header(path, lines[0], "mlf", ("D", "F", "C"))
+    F, C, labeled = _labeled_rows(path, "mlf", "F")
     rows = []
-    seen = set()
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split("|")]
-        if len(parts) != 3:
-            raise CorpusFormatError(path, lineno, "expected '<doc_id> | <labels> | <values>'")
-        doc_id = parts[0]
-        if not doc_id or len(doc_id.split()) != 1:
-            raise CorpusFormatError(path, lineno, "doc_id must be one token")
-        if doc_id in seen:
-            raise CorpusFormatError(path, lineno, f"duplicate doc_id {doc_id!r}")
-        seen.add(doc_id)
-        label_toks = parts[1].split()
-        if len(label_toks) != C:
-            raise CorpusFormatError(path, lineno, f"expected {C} labels, got {len(label_toks)}")
-        try:
-            labels = np.array([int(t) for t in label_toks], dtype=np.int64)
-        except ValueError:
-            raise CorpusFormatError(path, lineno, "labels must be integers") from None
-        if not np.all(np.isin(labels, (-1, 0, 1))):
-            raise CorpusFormatError(path, lineno, "labels must be 0, 1 or -1")
-        val_toks = parts[2].split()
+    for lineno, doc_id, labels, text in labeled:
+        val_toks = text.split()
         if len(val_toks) != F:
             raise CorpusFormatError(path, lineno, f"expected {F} feature values, got {len(val_toks)}")
         try:
@@ -466,8 +373,6 @@ def load_features(path):
         if not np.all(np.isfinite(values)):
             raise CorpusFormatError(path, lineno, "feature values must be finite")
         rows.append((doc_id, labels, values))
-    if len(rows) != D:
-        raise CorpusFormatError(path, len(lines), f"header says D={D} but found {len(rows)} rows")
     return rows, F, C
 
 

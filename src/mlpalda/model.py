@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .atomic import write_text
+from .atomic import format_floats, read_text, write_text
 
 PROB_CLAMP = 1e-6   # xi, rho live in [PROB_CLAMP, 1 - PROB_CLAMP]
 DELTA_CLAMP = 1e-9  # Delta lives in [DELTA_CLAMP, 1 - DELTA_CLAMP]
@@ -94,9 +94,6 @@ class Document:
     @property
     def n_words(self) -> int:
         return int(self.counts.sum())
-
-
-Corpus = list  # list[Document]
 
 
 @dataclass
@@ -331,10 +328,6 @@ def init_doc_variational(
 # ---------------------------------------------------------------------------
 
 
-def _format_array(arr: np.ndarray) -> str:
-    return " ".join(format(float(v), ".17g") for v in np.asarray(arr, dtype=np.float64).ravel())
-
-
 def save_model(path, params: ModelParams, dims: Dimensions, mode: str,
                smoothed: Optional[SmoothedTopicState] = None) -> None:
     """Write the versioned text model file (17 significant digits, row-major).
@@ -357,9 +350,8 @@ def save_model(path, params: ModelParams, dims: Dimensions, mode: str,
         f"smoothing {'on' if smoothing else 'off'}",
     ]
     for name, arr in arrays:
-        size = 0 if arr is None else arr.size
-        lines.append(f"array {name} {size}")
-        lines.append("" if arr is None else _format_array(arr))
+        lines.append(f"array {name} {arr.size}")
+        lines.append(format_floats(arr))
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -373,8 +365,7 @@ def load_model(path):
     Every malformed or invariant-violating file raises ValueError naming the
     path and the offending line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != MODEL_FILE_HEADER:
         raise _model_error(path, 1, f"missing '{MODEL_FILE_HEADER}' header")
     if len(lines) < 4:
@@ -405,7 +396,7 @@ def load_model(path):
             i += 1
             continue
         head = lines[i].split()
-        if len(head) != 3 or head[0] != "array" or not head[2].isdigit():
+        if len(head) != 3 or head[0] != "array" or not head[2].isdecimal():
             raise _model_error(path, i + 1, "expected 'array <name> <size>'")
         name, size = head[1], int(head[2])
         if i + 1 >= len(lines):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mlpalda.cli import SWEEP_HEADER, main
-from mlpalda.data import load_corpus, load_discretizer, read_crowd_file, read_predictions, write_predictions
+from mlpalda.data import load_corpus, read_crowd_file, read_predictions, write_predictions
 from mlpalda.model import Dimensions, load_model
 from synth import sample_corpus, separable_params
 
@@ -216,6 +216,62 @@ def test_predict_rejects_malformed_model(tmp_path, corpus, capsys, array, edit):
     assert not (tmp_path / "p.txt").exists()
 
 
+VALID_INPUTS = {
+    "mlc": "#mlc v1 D=2 V=3 C=2\na | 1 0 | 0:2 1:1\nb | 0 1 | 1:1 2:3\n",
+    "crowd": "#crowd v1 K=2 C=2\na 0 0 1\nb 1 1 1\n",
+    "mlf": "#mlf v1 D=2 F=2 C=2\na | 1 0 | 0.5 1.5\nb | 0 1 | 2.5 0.5\n",
+    "pool": "0 0.9\n1 0.8\n",
+    "predictions": "a 0.75 0.25 10\nb 0.25 0.75 01\n",
+}
+# the command that reads each kind of input, writing {out}
+READERS = {
+    "mlc": ["train", "--corpus", "{mlc}", "--topics", "2", "--model-out", "{out}"],
+    "crowd": ["train", "--corpus", "{mlc}", "--crowd", "{crowd}", "--mode", "crowd",
+              "--topics", "2", "--model-out", "{out}"],
+    "mlf": ["discretize", "--features", "{mlf}", "--clusters", "2", "--corpus-out", "{out}"],
+    "model": ["predict", "--model-in", "{model}", "--corpus", "{mlc}", "--out", "{out}"],
+    "pool": ["evaluate", "--corpus", "{mlc}", "--model-in", "{model}", "--pool", "{pool}",
+             "--out", "{out}"],
+    "predictions": ["evaluate", "--corpus", "{mlc}", "--predictions", "{predictions}",
+                    "--out", "{out}"],
+}
+NOT_UTF8 = [(kind, b"\n", b"\n\xff", 2) for kind in READERS]
+
+
+@pytest.mark.parametrize("kind,old,new,line", [
+    ("mlc", b"0:2", b"0:99999999999999999999", 2),
+    ("mlc", b"D=2", b"D=0", 1),
+    ("mlc", b"V=3", b"V=0", 1),
+    ("mlc", b"C=2", b"C=0", 1),
+    ("crowd", b"K=2", b"K=0", 1),
+    ("mlf", b"F=2", b"F=0", 1),
+    ("model", b"array alpha 8", "array alpha \u00b2".encode(), 5),
+    ("predictions", b"0.75", b"nan", 1),
+] + NOT_UTF8, ids=[
+    "huge-word-count", "D=0", "V=0", "C=0", "K=0", "F=0", "superscript-array-size",
+    "nan-belief",
+] + [f"{kind}-not-utf8" for kind, *_ in NOT_UTF8])
+def test_malformed_input_exits_1_naming_path_and_line(tmp_path, capsys, kind, old, new, line):
+    paths = {"out": tmp_path / "out"}
+    for name, text in VALID_INPUTS.items():
+        paths[name] = tmp_path / f"in.{name}"
+        paths[name].write_text(text, encoding="utf-8")
+    paths["model"] = tmp_path / "in.model"
+    assert run("train", "--corpus", str(paths["mlc"]), "--topics", "2",
+               "--model-out", str(paths["model"]), "--max-iters", "3", "--tol", "0.0") == 2
+    bad = paths[kind]
+    data = bad.read_bytes()
+    assert old in data
+    bad.write_bytes(data.replace(old, new, 1))
+    capsys.readouterr()
+
+    assert run(*[arg.format(**paths) for arg in READERS[kind]]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{bad}:{line}: " in err or f"model file {bad}: line {line}: " in err, err
+    assert not paths["out"].exists()
+
+
 def test_discretize_builds_corpus(tmp_path):
     mlf = tmp_path / "f.mlf"
     mlf.write_text(
@@ -226,15 +282,13 @@ def test_discretize_builds_corpus(tmp_path):
         encoding="utf-8",
     )
     out = tmp_path / "f.mlc"
-    disc_path = tmp_path / "f.disc"
     assert run(
         "discretize", "--features", str(mlf), "--clusters", "3",
-        "--corpus-out", str(out), "--disc-out", str(disc_path), "--seed", "0",
+        "--corpus-out", str(out), "--seed", "0",
     ) == 0
     corpus, dims = load_corpus(out)
     assert dims.V == 3 and dims.C == 2 and len(corpus) == 3
     assert all(d.counts.sum() == 4 for d in corpus)
-    assert load_discretizer(disc_path).size == 3
 
 
 def test_sweep_csv_layout(tmp_path, corpus):

@@ -8,13 +8,11 @@ from mlpalda.data import (
     discretize_instance,
     fit_discretizer,
     load_corpus,
-    load_discretizer,
     load_features,
     load_pool_file,
     read_crowd_file,
     read_predictions,
     save_corpus,
-    save_discretizer,
     save_pool_file,
     split_corpus,
     write_crowd_file,
@@ -87,6 +85,8 @@ def test_corpus_roundtrip(tmp_path):
         ("#mlc v1 D=2 V=5", "header"),
         ("#mlc v1 D=3 V=5 C=3", "D=3"),
         ("#mlc v1 D=2 V=x C=3", "not an integer"),
+        ("#mlc v1 D=2 V=0 C=3", "V must be >= 1"),
+        ("", "missing header"),
     ],
 )
 def test_load_corpus_header_errors(tmp_path, mutation, complaint):
@@ -105,6 +105,8 @@ def test_load_corpus_header_errors(tmp_path, mutation, complaint):
         ("alpha-doc | 1 0 1 | 0:1 0:2", "duplicate word index"),
         ("alpha-doc | 1 0 1 |", "no words"),
         ("alpha-doc | 1 0 1 | 0", "expected <idx>:<cnt>"),
+        ("alpha-doc | 1 0 1 | 0:99999999999999999999", "bad word token"),
+        ("alpha-doc | 1 0 99999999999999999999 | 0:1", "labels must be integers"),
         ("alpha-doc 1 0 1 | 0:1", "expected '<doc_id>"),
         ("beta-doc | 1 0 1 | 0:1", "duplicate doc_id"),
     ],
@@ -184,8 +186,9 @@ def test_predictions_roundtrip(tmp_path):
         np.testing.assert_array_equal(l1, l2)
     with pytest.raises(CorpusFormatError, match="bits"):
         read_predictions(write(tmp_path, "bad.txt", "d 0.5 0.5 21\n"))
-    with pytest.raises(CorpusFormatError, match="in \\[0, 1\\]"):
-        read_predictions(write(tmp_path, "bad2.txt", "d 1.5 0.5 10\n"))
+    for belief in ("1.5", "nan"):
+        with pytest.raises(CorpusFormatError, match="in \\[0, 1\\]"):
+            read_predictions(write(tmp_path, "bad2.txt", f"d {belief} 0.5 10\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -240,17 +243,6 @@ def test_nearest_center_mapping_and_tie_rule():
     assert counts.sum() == 57
     with pytest.raises(ValueError):
         discretize_instance([], disc)
-
-
-def test_discretizer_file_roundtrip(tmp_path):
-    disc = fit_discretizer(np.random.default_rng(3).normal(size=40), V=5, seed=2)
-    path = tmp_path / "d.disc"
-    save_discretizer(path, disc)
-    back = load_discretizer(path)
-    np.testing.assert_array_equal(back.centers, disc.centers)
-    assert path.read_text().splitlines()[0] == "#disc v1 V=5"
-    with pytest.raises(CorpusFormatError, match="V=5 but found"):
-        load_discretizer(write(tmp_path, "bad.disc", "#disc v1 V=5\n1.0\n2.0\n"))
 
 
 def test_feature_file_load_and_discretize(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for model containers, initialization, validation and model files."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,12 @@ def test_model_file_rejects_garbage(tmp_path):
 
     path.write_text("mlpa-model v1\ndims D=1 C=1 T=1 V=1 K=0\nmode no-crowd\n")
     with pytest.raises(ValueError):
+        load_model(path)
+
+    # '²' passes str.isdigit() but is no integer
+    path.write_text("mlpa-model v1\ndims D=1 C=1 T=1 V=1 K=0\nmode no-crowd\n"
+                    "smoothing off\narray alpha \u00b2\n1 1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"model file {path}: line 5: ")):
         load_model(path)
 
 
