@@ -29,7 +29,7 @@ from .data import (
     write_crowd_file,
     write_predictions,
 )
-from .atomic import write_text
+from .atomic import CorpusFormatError, write_text
 from .inference import NumericalFailureError, TrainConfig, predict_corpus, train
 from .metrics import compute_report
 from .model import Dimensions, load_model, normalize_mode, save_model
@@ -113,7 +113,14 @@ def cmd_train(args) -> int:
         raise ValueError("crowd mode needs --crowd")
     corpus, dims = load_corpus(args.corpus, args.crowd)
     dims = dims.with_topics(args.topics)
-    params, topics, trace = train(corpus, dims, _train_config(args, mode, args.seed))
+    try:
+        params, topics, trace = train(corpus, dims, _train_config(args, mode, args.seed))
+    except MemoryError:
+        # the arrays that grow with the header's V are the T x V topic-word
+        # parameters and statistics; the E-step's working memory is capped
+        raise CorpusFormatError(
+            args.corpus, 1, f"V={dims.V} is too large for a model of {dims.T} topics"
+        ) from None
     save_model(args.model_out, params, dims, mode, topics)
     if args.trace_out:
         write_text(args.trace_out, trace.to_csv())

@@ -141,6 +141,10 @@ def save_corpus(path, corpus, dims: Dimensions):
 def read_crowd_file(path):
     """Returns ({doc_id: (K, C) judgment matrix}, K, C); absent means -1."""
     (K, C), records = read_records(path, "crowd", ("K", "C"))
+    try:
+        blank = np.full((K, C), -1, dtype=np.int64)
+    except (ValueError, MemoryError):  # numpy's "array is too big", or no memory
+        raise CorpusFormatError(path, 1, f"a K={K} x C={C} judgment matrix does not fit in memory") from None
     out = {}
     for lineno, line in records:
         toks = line.split()
@@ -157,7 +161,9 @@ def read_crowd_file(path):
             raise CorpusFormatError(path, lineno, f"class index out of range [0, {C})")
         if y not in (0, 1):
             raise CorpusFormatError(path, lineno, "judgment must be 0 or 1")
-        mat = out.setdefault(doc_id, np.full((K, C), -1, dtype=np.int64))
+        mat = out.get(doc_id)
+        if mat is None:
+            mat = out[doc_id] = blank.copy()
         if mat[j, i] != -1:
             raise CorpusFormatError(path, lineno, f"duplicate judgment for ({doc_id}, {j}, {i})")
         mat[j, i] = y

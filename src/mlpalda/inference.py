@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import xlogy
+from scipy.special import expit, xlogy
 
 from .model import (
     DELTA_CLAMP,
@@ -49,7 +49,7 @@ from .model import (
     validate_document,
     validate_words,
 )
-from .numerics import dirichlet_expected_log, dirichlet_objective, log_sum_exp, solve_dirichlet_newton
+from .numerics import dirichlet_expected_log, dirichlet_objective, solve_dirichlet_newton
 
 logger = logging.getLogger(__name__)
 
@@ -125,8 +125,16 @@ def _dirichlet_block(conc, elog, scale=1):
     return float(dirichlet_objective(conc, elog, scale).sum())
 
 
-def _softmax_rows(logits):
-    return np.exp(logits - log_sum_exp(logits, axis=-1)[..., None])
+def _softmax_columns(logits):
+    """In place, each column of the last two axes becomes its softmax.
+
+    The max-shift keeps a column finite even when all its logits lie below
+    the exp underflow point.
+    """
+    logits -= logits.max(axis=-2, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-2, keepdims=True)
+    return logits
 
 
 def _presence_update(xi, ann1, ann0, elog, resp):
@@ -139,8 +147,7 @@ def _presence_update(xi, ann1, ann0, elog, resp):
     xi = clamp_probability(xi, PROB_CLAMP)
     l1 = np.log(xi) + ann1 + (resp * elog[..., 1, :]).sum(axis=-1)
     l0 = np.log(1.0 - xi) + ann0 + (resp * elog[..., 0, :]).sum(axis=-1)
-    norm = log_sum_exp(np.stack([l1, l0]), axis=0)
-    return clamp_probability(np.exp(l1 - norm), DELTA_CLAMP)
+    return clamp_probability(expit(l1 - l0), DELTA_CLAMP)
 
 
 def _gamma_from(alpha, Delta, resp):
@@ -150,39 +157,43 @@ def _gamma_from(alpha, Delta, resp):
     return gamma
 
 
-def _gemm(a, b, ta=False, tb=False):
-    """op(a) @ op(b) over the last two axes, always through BLAS gemm.
+def _gemm(a, b, ta=False):
+    """op(a) @ b over the last two axes, always through BLAS gemm.
 
-    op swaps the last two axes of an operand whose flag is set.  numpy hands
-    a product with one row or one column to gemv, whose rounding depends on
+    op swaps the last two axes of ``a`` when ``ta`` is set.  numpy hands a
+    product with one row or one column to gemv, whose rounding depends on
     the length of the padded document axis; gemm accumulates every output in
     the same order whatever the padding.  So a one-row or one-column operand
     gets a zero row or column, sliced off the result again.  It is added
     before the swap, which keeps the memory layout that picks gemm's kernel.
     """
-    m_axis, n_axis = (-1 if ta else -2), (-2 if tb else -1)
-    m, n = a.shape[m_axis], b.shape[n_axis]
+    m_axis = -1 if ta else -2
+    m, n = a.shape[m_axis], b.shape[-1]
     if m == 1:
         a = np.concatenate([a, np.zeros_like(a)], axis=m_axis)
     if n == 1:
-        b = np.concatenate([b, np.zeros_like(b)], axis=n_axis)
+        b = np.concatenate([b, np.zeros_like(b)], axis=-1)
     if ta:
         a = np.swapaxes(a, -1, -2)
-    if tb:
-        b = np.swapaxes(b, -1, -2)
     return np.matmul(a, b)[..., :m, :n]
 
 
 def _responsibilities(delta, counts, phi):
-    """(B, C, T) count-weighted sums over each document's rows of delta x phi."""
-    return _gemm(delta * counts[..., None], phi, ta=True)
+    """(B, C, T) count-weighted sums over each document's columns of delta x phi.
+
+    The sum runs over the padded term axis, so both operands go in as
+    row-major (B, U, .) copies: BLAS rounds a product whose summed axis is
+    the contiguous one according to its padded length.
+    """
+    weighted = np.multiply(delta.transpose(0, 2, 1), counts[..., None], order="C")
+    return _gemm(weighted, phi.transpose(0, 2, 1).copy(), ta=True)
 
 
 # ---------------------------------------------------------------------------
 # E-step
 # ---------------------------------------------------------------------------
 
-# Cap on the padded rows x max(C, T) of one chunk's widest working array
+# Cap on the padded columns x max(C, T) of one chunk's widest working array
 # (256 KiB of float64), so the E-step's memory does not grow with the corpus.
 CHUNK_ELEMENTS = 2 ** 15
 
@@ -221,21 +232,23 @@ def e_step_corpus(
     judgments are ignored.
 
     The documents run in lockstep, in length-sorted chunks padded to their
-    longest document and bounded by ``CHUNK_ELEMENTS``.  Padded rows carry
-    zero counts, so they add exact zeros to the responsibility sums, and a
-    document leaves its chunk at the sweep where its own change converges:
-    every state equals the one a single-document call returns.
+    longest document and bounded by ``CHUNK_ELEMENTS``.  A chunk holds its
+    working arrays class-major, one column per term, so every softmax runs
+    down the outer axis.  Padded columns carry zero counts, so they add
+    exact zeros to the responsibility sums, and a document leaves its chunk
+    at the sweep where its own change converges: every state equals the
+    one a single-document call returns.
     """
     if states is None:
         states = [None] * len(corpus)
-    log_wt = expected_log_word_given_topic(params, topics).T  # (V, T)
+    elog_beta = expected_log_word_given_topic(params, topics)
     C, _, T = params.alpha.shape
     lengths = np.array([doc.word_ids.size for doc in corpus], dtype=np.int64)
     out = [None] * len(corpus)
     capped = 0
     for chunk in _length_sorted_chunks(lengths, max(C, T)):
         finished, hits = _e_step_chunk(
-            [corpus[d] for d in chunk], [states[d] for d in chunk], params, cfg, log_wt, prediction
+            [corpus[d] for d in chunk], [states[d] for d in chunk], params, cfg, elog_beta, prediction
         )
         for d, state in zip(chunk, finished):
             out[d] = state
@@ -248,11 +261,12 @@ def e_step_corpus(
     return out
 
 
-def _e_step_chunk(docs, states, params, cfg, log_wt_rows, prediction):
+def _e_step_chunk(docs, states, params, cfg, elog_beta, prediction):
     """Lockstep inner loops for one chunk.
 
-    Returns the documents' final states, in order, and how many of them
-    were still changing at the inner cap.
+    ``delta`` is (B, C, U) and ``phi`` (B, T, U): column u of document b
+    belongs to its u-th term.  Returns the documents' final states, in
+    order, and how many of them were still changing at the inner cap.
     """
     C, _, T = params.alpha.shape
     B = len(docs)
@@ -261,9 +275,9 @@ def _e_step_chunk(docs, states, params, cfg, log_wt_rows, prediction):
     pinned = cfg.mode == "no-crowd" and not prediction
     use_judgments = cfg.mode == "crowd" and not prediction
 
-    delta = np.full((B, U, C), 1.0 / C)
-    phi = np.full((B, U, T), 1.0 / T)
-    log_wt = np.zeros((B, U, T))
+    delta = np.full((B, C, U), 1.0 / C)
+    phi = np.full((B, T, U), 1.0 / T)
+    log_wt = np.zeros((B, T, U))
     counts = np.zeros((B, U))
     Delta = np.empty((B, C))
     ann1 = np.zeros((B, C))
@@ -272,10 +286,10 @@ def _e_step_chunk(docs, states, params, cfg, log_wt_rows, prediction):
         if state is None:
             state = init_doc_variational(doc, params, mode=cfg.mode, prediction=prediction)
         u = sizes[k]
-        delta[k, :u] = state.delta
-        phi[k, :u] = state.phi
+        delta[k, :, :u] = state.delta.T
+        phi[k, :, :u] = state.phi.T
         Delta[k] = state.Delta
-        log_wt[k, :u] = log_wt_rows[doc.word_ids]
+        log_wt[k, :, :u] = elog_beta[:, doc.word_ids]
         counts[k, :u] = doc.counts
         if pinned:
             lab = doc.true_labels
@@ -287,7 +301,7 @@ def _e_step_chunk(docs, states, params, cfg, log_wt_rows, prediction):
         if use_judgments:
             ann1[k], ann0[k] = _annotator_log_terms(doc, params)
 
-    pad = np.arange(U) >= sizes[:, None]  # (B, U) rows that hold no term
+    terms = (np.arange(U) < sizes[:, None]).astype(np.float64)  # (B, U), 0.0 on padding
     live = np.arange(B)                   # chunk position of each working row
     finished = [None] * B
     capped = 0
@@ -304,14 +318,16 @@ def _e_step_chunk(docs, states, params, cfg, log_wt_rows, prediction):
             raise NumericalFailureError(f"document {doc.doc_id}: {exc}") from exc
         mix = Delta[..., None] * elog[..., 1, :] + (1.0 - Delta)[..., None] * elog[..., 0, :]
 
-        phi = _softmax_rows(_gemm(delta, mix) + log_wt)
-        delta = _softmax_rows(_gemm(phi, mix, tb=True))
+        logits = _gemm(mix, delta, ta=True)
+        logits += log_wt
+        phi = _softmax_columns(logits)
+        delta = _softmax_columns(_gemm(mix, phi))
         resp = _responsibilities(delta, counts, phi)
         if not pinned:
             Delta = _presence_update(params.xi, ann1, ann0, elog, resp)
 
         change = np.maximum(
-            np.maximum(_largest_change(delta, prev_delta, pad), _largest_change(phi, prev_phi, pad)),
+            np.maximum(_largest_change(delta, prev_delta, terms), _largest_change(phi, prev_phi, terms)),
             np.abs(Delta - prev_Delta).max(axis=-1),
         )
         done = change < cfg.estep_tol
@@ -327,25 +343,29 @@ def _e_step_chunk(docs, states, params, cfg, log_wt_rows, prediction):
         keep = ~done
         if not keep.any():
             break
-        live, pad = live[keep], pad[keep]
+        live, terms = live[keep], terms[keep]
         delta, phi, Delta, resp = delta[keep], phi[keep], Delta[keep], resp[keep]
         log_wt, counts, ann1, ann0 = log_wt[keep], counts[keep], ann1[keep], ann0[keep]
     return finished, capped
 
 
-def _largest_change(new, old, pad):
-    """Per document, the largest |new - old| over its term rows, not its padding."""
+def _largest_change(new, old, terms):
+    """Per document, the largest |new - old| over its term columns, not its padding.
+
+    ``terms`` is (B, U): 1.0 on a document's term columns, 0.0 on padding.
+    """
     diff = np.subtract(new, old)
     np.abs(diff, out=diff)
-    diff[pad] = 0.0
-    return diff.reshape(diff.shape[0], -1).max(axis=1)
+    columns = diff.max(axis=-2)
+    columns *= terms
+    return columns.max(axis=-1)
 
 
 def _finished_state(doc, alpha, delta, phi, Delta, resp, sweeps):
-    """A document's state from its working rows, with the trailing gamma refresh."""
+    """A document's state from its working columns, with the trailing gamma refresh."""
     u = doc.word_ids.size
     state = DocVariational(
-        delta=delta[:u].copy(), Delta=Delta.copy(), phi=phi[:u].copy(),
+        delta=delta[:, :u].T.copy(), Delta=Delta.copy(), phi=phi[:, :u].T.copy(),
         gamma=_gamma_from(alpha, Delta, resp), sweeps=sweeps,
     )
     for name in ("delta", "phi", "Delta", "gamma"):

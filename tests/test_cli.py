@@ -244,11 +244,14 @@ NOT_UTF8 = [(kind, b"\n", b"\n\xff", 2) for kind in READERS]
     ("mlc", b"V=3", b"V=0", 1),
     ("mlc", b"C=2", b"C=0", 1),
     ("crowd", b"K=2", b"K=0", 1),
+    ("mlc", b"V=3", b"V=1000000000000000000", 1),
+    ("crowd", b"K=2", b"K=1000000000000000000", 1),
     ("mlf", b"F=2", b"F=0", 1),
     ("model", b"array alpha 8", "array alpha \u00b2".encode(), 5),
     ("predictions", b"0.75", b"nan", 1),
 ] + NOT_UTF8, ids=[
-    "huge-word-count", "D=0", "V=0", "C=0", "K=0", "F=0", "superscript-array-size",
+    "huge-word-count", "D=0", "V=0", "C=0", "K=0", "huge-V", "huge-K", "F=0",
+    "superscript-array-size",
     "nan-belief",
 ] + [f"{kind}-not-utf8" for kind, *_ in NOT_UTF8])
 def test_malformed_input_exits_1_naming_path_and_line(tmp_path, capsys, kind, old, new, line):

@@ -21,6 +21,7 @@ from mlpalda.inference import (
     NumericalFailureError,
     TrainConfig,
     _presence_update,
+    _softmax_columns,
     collect_stats,
     compute_elbo,
     e_step_corpus,
@@ -331,9 +332,26 @@ def mixed_length_corpus(rng, C, V, K=0):
     ]
 
 
-@pytest.mark.parametrize("mode,prediction", [
+ESTEP_MODES = pytest.mark.parametrize("mode,prediction", [
     ("crowd", False), ("no-crowd", False), ("crowd", True),
 ], ids=["crowd", "pinned-no-crowd", "prediction"])
+
+
+def assert_equals_one_document_calls(docs, params, cfg, starts, prediction):
+    """Every state of one corpus call equals the one-document call's, bit for
+    bit and after the same sweep count; returns the sweep counts."""
+    states = e_step_corpus(docs, params, None, cfg, starts, prediction=prediction)
+    sweeps = []
+    for doc, start, st in zip(docs, starts, states):
+        one = e_step_document(doc, params, None, cfg, state=start, prediction=prediction)
+        for name in ("delta", "phi", "Delta", "gamma"):
+            assert np.array_equal(getattr(st, name), getattr(one, name)), (doc.doc_id, name)
+        assert st.sweeps == one.sweeps, doc.doc_id
+        sweeps.append(st.sweeps)
+    return sweeps
+
+
+@ESTEP_MODES
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("budget", [40, 2 ** 30], ids=["many-chunks", "one-chunk"])
 def test_corpus_estep_equals_one_document_calls(monkeypatch, mode, prediction, warm, budget):
@@ -350,16 +368,39 @@ def test_corpus_estep_equals_one_document_calls(monkeypatch, mode, prediction, w
                                prediction=prediction)
 
     monkeypatch.setattr(inference, "CHUNK_ELEMENTS", budget)
-    states = e_step_corpus(docs, params, None, cfg, starts, prediction=prediction)
-    sweeps = []
-    for doc, start, st in zip(docs, starts, states):
-        one = e_step_document(doc, params, None, cfg, state=start, prediction=prediction)
-        for name in ("delta", "phi", "Delta", "gamma"):
-            assert np.array_equal(getattr(st, name), getattr(one, name)), (doc.doc_id, name)
-        assert st.sweeps == one.sweeps, doc.doc_id
-        sweeps.append(st.sweeps)
+    sweeps = assert_equals_one_document_calls(docs, params, cfg, starts, prediction)
     assert len(set(sweeps)) > 1  # documents converge at different sweeps
     assert max(sweeps) < cfg.max_estep_iters
+
+
+@ESTEP_MODES
+@pytest.mark.parametrize("C,T", [(1, 4), (3, 1), (1, 1)], ids=["C1", "T1", "C1-T1"])
+def test_corpus_estep_equals_one_document_calls_at_unit_widths(mode, prediction, C, T):
+    """One class, one topic and one-term documents, all in one chunk: the
+    products whose operand is one row or one column wide stay exact too."""
+    rng = np.random.default_rng(52)
+    V, K = 40, 2
+    params = random_params(rng, C, T, V, K=K)
+    docs = [
+        random_doc(rng, C, V, K=K, n_terms=n, max_count=3, doc_id=f"u{d}")
+        for d, n in enumerate((1, 1, 7, 1, 3, 12))
+    ]
+    cfg = TrainConfig(mode=mode, max_estep_iters=60, estep_tol=1e-7)
+    assert len(inference._length_sorted_chunks(np.array([d.word_ids.size for d in docs]),
+                                               max(C, T))) == 1
+    assert_equals_one_document_calls(docs, params, cfg, [None] * len(docs), prediction)
+
+
+def test_softmax_columns_stays_finite_below_exp_underflow():
+    logits = np.full((2, 5, 3), -1e4)
+    logits[1, :, 2] += np.arange(5.0)
+    out = _softmax_columns(logits)
+    assert out is logits  # in place
+    assert np.all(np.isfinite(out))
+    np.testing.assert_allclose(out.sum(axis=-2), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(out[0], 0.2, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(out[1, :, 2], np.exp(np.arange(5.0)) / np.exp(np.arange(5.0)).sum(),
+                               rtol=1e-14)
 
 
 def test_chunks_are_length_sorted_and_within_budget(monkeypatch):
