@@ -54,6 +54,7 @@ from .numerics import dirichlet_expected_log, dirichlet_objective, solve_dirichl
 logger = logging.getLogger(__name__)
 
 _LOG_FLOOR = 1e-300  # keeps log(prob) finite; never binds on trained parameters
+BOUND_DROP_REL = 1e-8  # a larger relative fall of the bound between EM iterations is logged
 
 
 class NumericalFailureError(RuntimeError):
@@ -453,24 +454,16 @@ def collect_stats(corpus, states, dims: Dimensions) -> CorpusStats:
     )
 
 
-def _fit_dirichlet_rows(name, conc, stats, scale):
-    """One batched Newton solve over a Dirichlet block; warns about stalled rows."""
-    new, stalled = solve_dirichlet_newton(conc, stats, scale, return_stalled=True)
-    if stalled.any():
-        logger.warning(
-            "M-step: Newton stalled on %d of %d %s rows; they keep their last accepted value",
-            int(stalled.sum()), stalled.size, name,
-        )
-    return new
-
-
 def m_step(
     stats: CorpusStats,
     params: ModelParams,
-    cfg: TrainConfig,
     topics: Optional[SmoothedTopicState] = None,
 ) -> ModelParams:
-    """Maximize each parameter block given the E-step statistics."""
+    """Maximize each parameter block given the E-step statistics.
+
+    With smoothing, eta = chi: eta_t's block of the bound is
+    -H(Dir(chi_t)) - KL(Dir(chi_t) || Dir(eta_t)), largest at eta_t = chi_t.
+    """
     xi = clamp_probability(stats.sum_Delta / stats.n_docs, PROB_CLAMP)
 
     rho = params.rho.copy()
@@ -485,13 +478,19 @@ def m_step(
         ratio = stats.rho_num[labeled] / stats.rho_cnt[labeled]
         rho[labeled] = clamp_probability(ratio, PROB_CLAMP)
 
-    alpha = _fit_dirichlet_rows("alpha", params.alpha, stats.sum_log_theta, stats.n_docs)
+    alpha, stalled = solve_dirichlet_newton(
+        params.alpha, stats.sum_log_theta, stats.n_docs, return_stalled=True
+    )
+    if stalled.any():
+        logger.warning(
+            "M-step: Newton stalled on %d of %d alpha rows; they keep their last accepted value",
+            int(stalled.sum()), stalled.size,
+        )
 
     if params.eta is not None:
         if topics is None:
             raise ValueError("m_step: smoothed mode needs the chi state")
-        eta = _fit_dirichlet_rows("eta", params.eta, dirichlet_expected_log(topics.chi), 1)
-        return ModelParams(alpha=alpha, xi=xi, rho=rho, beta=None, eta=eta)
+        return ModelParams(alpha=alpha, xi=xi, rho=rho, beta=None, eta=topics.chi.copy())
 
     row_sums = stats.topic_word.sum(axis=1, keepdims=True)
     if np.any(row_sums <= 0.0):
@@ -547,14 +546,8 @@ def compute_elbo(stats: CorpusStats, params: ModelParams, topics: Optional[Smoot
 
 
 def _max_param_change(old: ModelParams, new: ModelParams) -> float:
-    pieces = [(old.xi, new.xi), (old.alpha, new.alpha)]
-    if old.rho.size:
-        pieces.append((old.rho, new.rho))
-    if old.beta is not None:
-        pieces.append((old.beta, new.beta))
-    if old.eta is not None:
-        pieces.append((old.eta, new.eta))
-    return max(float(np.abs(a - b).max()) for a, b in pieces)
+    pairs = [(getattr(old, n), getattr(new, n)) for n in ("xi", "alpha", "rho", "beta", "eta")]
+    return max(float(np.abs(a - b).max()) for a, b in pairs if a is not None and a.size)
 
 
 def _check_training_corpus(corpus, dims: Dimensions, cfg: TrainConfig) -> None:
@@ -590,7 +583,7 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
     The bound is evaluated after every E-pass (and chi refresh); because
     each E-step warm-starts from the previous state and every M-step block
     maximizes its own additive piece of the bound, the recorded ELBO series
-    never decreases beyond float rounding.
+    never decreases beyond float rounding; a larger fall logs a warning.
     """
     _check_training_corpus(corpus, dims, cfg)
     params = init_params(dims, cfg.mode, cfg.smoothing, cfg.seed)
@@ -608,14 +601,19 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
 
         elbo = compute_elbo(stats, params, topics)
         trace.rows.append((iteration, elbo, last_change))
-        if prev_elbo is not None and abs(elbo - prev_elbo) <= cfg.em_rel_tol * abs(prev_elbo):
-            trace.converged = True
-            break
+        if prev_elbo is not None:
+            drop = prev_elbo - elbo
+            if drop > BOUND_DROP_REL * abs(prev_elbo):
+                logger.warning("EM iteration %d: the bound fell by %.6g (%.3g relative)",
+                               iteration, drop, drop / abs(prev_elbo))
+            if abs(drop) <= cfg.em_rel_tol * abs(prev_elbo):
+                trace.converged = True
+                break
         prev_elbo = elbo
         if iteration == cfg.max_em_iters:
             break
 
-        new_params = m_step(stats, params, cfg, topics)
+        new_params = m_step(stats, params, topics)
         last_change = _max_param_change(params, new_params)
         params = new_params
 

@@ -508,20 +508,20 @@ def base_params():
 
 
 def test_mstep_presence_rate_is_mean_of_beliefs():
-    new = m_step(simple_stats(), base_params(), TrainConfig(mode="crowd"))
+    new = m_step(simple_stats(), base_params())
     np.testing.assert_allclose(new.xi, [0.5, 0.9], atol=1e-15)
 
 
 def test_mstep_presence_rate_clamped():
     stats = simple_stats()
     stats.sum_Delta = np.array([0.0, 4.0])
-    new = m_step(stats, base_params(), TrainConfig(mode="crowd"))
+    new = m_step(stats, base_params())
     np.testing.assert_allclose(new.xi, [1e-6, 1.0 - 1e-6], atol=0)
 
 
 def test_mstep_annotator_quality_ratio_and_idle_warning(caplog):
     with caplog.at_level(logging.WARNING, logger="mlpalda.inference"):
-        new = m_step(simple_stats(), base_params(), TrainConfig(mode="crowd"))
+        new = m_step(simple_stats(), base_params())
     assert new.rho[0] == pytest.approx(0.75, abs=1e-15)
     assert new.rho[1] == 0.7  # untouched
     assert any("no judgments" in r.getMessage() for r in caplog.records)
@@ -531,12 +531,12 @@ def test_mstep_perfect_agreement_clamped_below_one():
     stats = simple_stats()
     stats.rho_num = np.array([4.0, 2.0])
     stats.rho_cnt = np.array([4.0, 4.0])
-    new = m_step(stats, base_params(), TrainConfig(mode="crowd"))
+    new = m_step(stats, base_params())
     np.testing.assert_allclose(new.rho, [1.0 - 1e-6, 0.5], atol=0)
 
 
 def test_mstep_word_distributions_are_normalized_statistics():
-    new = m_step(simple_stats(), base_params(), TrainConfig(mode="crowd"))
+    new = m_step(simple_stats(), base_params())
     np.testing.assert_allclose(new.beta, [[0.25, 0.75, 0.0], [0.25, 0.25, 0.5]], atol=1e-15)
 
 
@@ -550,7 +550,7 @@ def test_mstep_alpha_matches_direct_newton_solve():
         rng.uniform(0.5, 4.0, size=(2, 2, 2))
     ) * stats.n_docs
     params = base_params()
-    new = m_step(stats, params, TrainConfig(mode="crowd"))
+    new = m_step(stats, params)
     for i in range(2):
         for j in range(2):
             direct = solve_dirichlet_newton(
@@ -570,7 +570,7 @@ def test_mstep_warns_once_about_stalled_alpha_rows(caplog):
     # sum exp(stats / n_docs) >= 1: this row's optimum is at infinity
     stats.sum_log_theta[1, 0] = -0.05 * stats.n_docs
     with caplog.at_level(logging.WARNING, logger="mlpalda.inference"):
-        new = m_step(stats, base_params(), TrainConfig(mode="crowd"))
+        new = m_step(stats, base_params())
     warnings = _newton_stall_warnings(caplog)
     assert len(warnings) == 1
     assert "1 of 4 alpha rows" in warnings[0].getMessage()
@@ -579,7 +579,7 @@ def test_mstep_warns_once_about_stalled_alpha_rows(caplog):
 
 def test_converging_mstep_logs_no_newton_stall(caplog):
     with caplog.at_level(logging.WARNING, logger="mlpalda.inference"):
-        m_step(simple_stats(), base_params(), TrainConfig(mode="crowd"))
+        m_step(simple_stats(), base_params())
     assert _newton_stall_warnings(caplog) == []
 
 
@@ -596,16 +596,13 @@ def test_mstep_smoothed_updates_eta_and_drops_beta():
     stats.rho_num = np.zeros(0)
     stats.rho_cnt = np.zeros(0)
     chi = np.array([[3.0, 7.0, 1.0], [2.0, 2.0, 3.0]])
-    new = m_step(stats, params, TrainConfig(mode="no-crowd", smoothing=True),
-                 topics=SmoothedTopicState(chi=chi))
+    new = m_step(stats, params, topics=SmoothedTopicState(chi=chi))
     assert new.beta is None
-    assert new.eta is not None and np.all(new.eta > 0)
-    from mlpalda.numerics import dirichlet_expected_log
-
-    direct = solve_dirichlet_newton(params.eta[0], dirichlet_expected_log(chi)[0], 1)
-    np.testing.assert_array_equal(new.eta[0], direct)
+    # the exact maximizer of each eta row's block is its chi row
+    np.testing.assert_array_equal(new.eta, chi)
+    assert not np.shares_memory(new.eta, chi)
     with pytest.raises(ValueError):
-        m_step(stats, params, TrainConfig(mode="no-crowd", smoothing=True))
+        m_step(stats, params)
 
 
 def test_collect_stats_counts_judgments():
@@ -790,7 +787,7 @@ def make_training_corpus(D=16, C=2, T=3, V=12, seed=0, votes_from=None):
 @pytest.mark.parametrize("mode,smoothing", [
     ("no-crowd", False), ("no-crowd", True), ("crowd", False), ("crowd", True),
 ])
-def test_training_bound_never_decreases(mode, smoothing):
+def test_training_bound_never_decreases(mode, smoothing, caplog):
     if mode == "crowd":
         docs, _ = make_training_corpus(votes_from=(3, [0.9, 0.8, 0.85], 99))
         dims = Dimensions(D=len(docs), C=2, T=3, V=12, K=3)
@@ -799,12 +796,47 @@ def test_training_bound_never_decreases(mode, smoothing):
         dims = Dimensions(D=len(docs), C=2, T=3, V=12)
     cfg = TrainConfig(mode=mode, smoothing=smoothing, max_em_iters=8,
                       em_rel_tol=0.0, max_estep_iters=25, seed=4)
-    params, topics, trace = train(docs, dims, cfg)
+    with caplog.at_level(logging.WARNING, logger="mlpalda.inference"):
+        params, topics, trace = train(docs, dims, cfg)
     elbos = [row[1] for row in trace.rows]
     assert len(elbos) == 8
     for a, b in zip(elbos, elbos[1:]):
         assert b >= a - 1e-8 * abs(a)
+    assert _bound_drop_warnings(caplog) == []
     assert validate(params, dims, smoothed=topics) == []
+
+
+def _bound_drop_warnings(caplog):
+    return [r for r in caplog.records
+            if r.levelno == logging.WARNING and "the bound fell" in r.getMessage()]
+
+
+def test_training_warns_once_when_the_bound_falls(monkeypatch, caplog):
+    docs, _ = make_training_corpus()
+    dims = Dimensions(D=len(docs), C=2, T=3, V=12)
+    cfg = TrainConfig(mode="no-crowd", max_em_iters=5, em_rel_tol=0.0, seed=4)
+    exact_m_step = inference.m_step
+    calls = []
+
+    def worse_once(stats, params, topics=None):
+        new = exact_m_step(stats, params, topics)
+        calls.append(new)
+        if len(calls) == 2:
+            # the labels are pinned, so presence rates at the clamp floor
+            # lower the bound at the next iteration
+            new.xi = np.full_like(new.xi, 1e-6)
+        return new
+
+    monkeypatch.setattr(inference, "m_step", worse_once)
+    with caplog.at_level(logging.WARNING, logger="mlpalda.inference"):
+        _, _, trace = train(docs, dims, cfg)
+    elbos = [row[1] for row in trace.rows]
+    assert len(calls) == 4 and elbos[2] < elbos[1]
+    warnings = _bound_drop_warnings(caplog)
+    assert len(warnings) == 1
+    message = warnings[0].getMessage()
+    assert message.startswith("EM iteration 3:")
+    assert f"{elbos[1] - elbos[2]:.6g}" in message
 
 
 def test_training_is_deterministic():

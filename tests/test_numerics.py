@@ -294,3 +294,17 @@ def test_solve_stops_once_the_gain_is_below_rounding(monkeypatch, seed, dim):
     assert all(np.all(after >= before) for before, after, _ in calls)
     assert calls[-1][2].all()
     assert np.abs(dirichlet_gradient(out, stats, 100)).max() <= 1e-6
+
+
+@pytest.mark.parametrize("dim", [4, 20, 200, 2000])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_observation_of_expected_logs_is_maximized_at_its_own_chi(seed, dim):
+    # f(a) = E_{Dir(chi)}[log Dir(beta; a)] = -H(Dir(chi)) - KL(Dir(chi) || Dir(a)),
+    # so a = chi is its unique maximizer: the smoothed M-step sets eta = chi
+    chi = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, size=(6, dim))
+    stats = dirichlet_expected_log(chi)
+    np.testing.assert_allclose(dirichlet_gradient(chi, stats, 1), 0.0, rtol=0, atol=1e-12)
+    # Newton finds the same point to the accuracy its f-based stop rules
+    # resolve: up to 5.7e-7 relative on these rows
+    out = solve_dirichlet_newton(np.ones_like(chi), stats, 1)
+    np.testing.assert_allclose(out, chi, rtol=1e-6, atol=0)
