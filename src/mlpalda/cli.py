@@ -9,6 +9,7 @@ iteration cap without converging (the model file is still written);
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import sys
@@ -30,9 +31,9 @@ from .data import (
     write_predictions,
 )
 from .atomic import CorpusFormatError, write_text
-from .inference import NumericalFailureError, TrainConfig, predict_corpus, train
+from .inference import EStepConfig, NumericalFailureError, TrainConfig, predict_corpus, train
 from .metrics import compute_report
-from .model import Dimensions, load_model, normalize_mode, save_model
+from .model import Dimensions, load_model, save_model
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,24 +57,18 @@ def _parse_buckets(spec: str):
     return tuple(buckets)
 
 
-def _train_config(args, mode: str, seed: int) -> TrainConfig:
+def _estep_config(args) -> EStepConfig:
+    return EStepConfig(max_iters=args.max_estep_iters, tol=args.estep_tol)
+
+
+def _train_config(args) -> TrainConfig:
     return TrainConfig(
         max_em_iters=args.max_iters,
         em_rel_tol=args.tol,
-        max_estep_iters=args.max_estep_iters,
-        estep_tol=args.estep_tol,
-        mode=mode,
+        estep=_estep_config(args),
+        mode=args.mode,
         smoothing=args.smoothing == "on",
-        seed=seed,
-    )
-
-
-def _predict_config(args, mode: str, smoothing: bool) -> TrainConfig:
-    return TrainConfig(
-        max_estep_iters=args.max_estep_iters,
-        estep_tol=args.estep_tol,
-        mode=mode,
-        smoothing=smoothing,
+        seed=args.seed,
     )
 
 
@@ -92,13 +87,13 @@ def _predict_with_model(args, corpus, cdims):
     Returns (beliefs, labels, params); the model must match the corpus's
     vocabulary size and class count.
     """
-    params, dims, smoothed, mode = load_model(args.model_in)
+    estep = _estep_config(args)
+    params, dims, smoothed, _ = load_model(args.model_in)
     if cdims.V != dims.V or cdims.C != dims.C:
         raise ValueError(
             f"model expects V={dims.V} C={dims.C}, corpus has V={cdims.V} C={cdims.C}"
         )
-    cfg = _predict_config(args, mode, smoothed is not None)
-    beliefs, labels = predict_corpus(corpus, params, smoothed, cfg, args.threshold)
+    beliefs, labels = predict_corpus(corpus, params, smoothed, estep, args.threshold)
     return beliefs, labels, params
 
 
@@ -108,20 +103,20 @@ def _predict_with_model(args, corpus, cdims):
 
 
 def cmd_train(args) -> int:
-    mode = normalize_mode(args.mode)
-    if mode == "crowd" and args.crowd is None:
+    cfg = _train_config(args)
+    if cfg.mode == "crowd" and args.crowd is None:
         raise ValueError("crowd mode needs --crowd")
     corpus, dims = load_corpus(args.corpus, args.crowd)
     dims = dims.with_topics(args.topics)
     try:
-        params, topics, trace = train(corpus, dims, _train_config(args, mode, args.seed))
+        params, topics, trace = train(corpus, dims, cfg)
     except MemoryError:
         # the arrays that grow with the header's V are the T x V topic-word
         # parameters and statistics; the E-step's working memory is capped
         raise CorpusFormatError(
             args.corpus, 1, f"V={dims.V} is too large for a model of {dims.T} topics"
         ) from None
-    save_model(args.model_out, params, dims, mode, topics)
+    save_model(args.model_out, params, dims, topics)
     if args.trace_out:
         write_text(args.trace_out, trace.to_csv())
     return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
@@ -139,6 +134,8 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     if (args.predictions is None) == (args.model_in is None):
         raise ValueError("evaluate needs exactly one of --predictions or --model-in")
+    if args.pool is not None and args.model_in is None:
+        raise ValueError("--pool needs --model-in")
     corpus, cdims = load_corpus(args.corpus)
     truth = _known_truth(corpus)
     rmse = None
@@ -195,7 +192,7 @@ def _fmt_cell(x) -> str:
 
 
 def cmd_sweep(args) -> int:
-    mode = normalize_mode(args.mode)
+    cfg = _train_config(args)
     fractions = [float(x) for x in args.fractions.split(",") if x]
     topic_grid = [int(x) for x in args.topic_grid.split(",") if x]
     if not fractions or any(not 0.0 < f <= 1.0 for f in fractions):
@@ -208,7 +205,6 @@ def cmd_sweep(args) -> int:
         raise ValueError("--test-fraction must be in (0, 1)")
     corpus, dims = load_corpus(args.corpus)
     buckets = _parse_buckets(args.buckets)
-    pcfg = _predict_config(args, mode, args.smoothing == "on")
 
     lines = [SWEEP_HEADER]
     for frac in fractions:
@@ -216,18 +212,19 @@ def cmd_sweep(args) -> int:
             cell = []
             for rep in range(args.repeats):
                 seed = args.seed + rep
+                run_cfg = dataclasses.replace(cfg, seed=seed)
                 train_docs, test_docs = split_corpus(corpus, 1.0 - args.test_fraction, seed)
                 n_use = max(1, math.ceil(frac * len(train_docs)))
                 use = train_docs[:n_use]
                 pool = None
-                if mode == "crowd":
+                if cfg.mode == "crowd":
                     pool = sample_pool(buckets, seed, per_doc_count=args.per_doc)
                     use, _ = annotate_corpus(use, pool, seed)
                     run_dims = Dimensions(D=len(use), C=dims.C, T=T, V=dims.V, K=pool.size)
                 else:
                     run_dims = Dimensions(D=len(use), C=dims.C, T=T, V=dims.V)
-                params, topics, _ = train(use, run_dims, _train_config(args, mode, seed))
-                beliefs, labels = predict_corpus(test_docs, params, topics, pcfg, args.threshold)
+                params, topics, _ = train(use, run_dims, run_cfg)
+                beliefs, labels = predict_corpus(test_docs, params, topics, cfg.estep, args.threshold)
                 truth = _known_truth(test_docs)
                 rmse = ann_rmse(params.rho, pool.qualities) if pool is not None else None
                 report = compute_report(labels, beliefs, truth, ann_rmse=rmse)
@@ -258,11 +255,15 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_estep_flags(p):
+    p.add_argument("--max-estep-iters", type=int, default=EStepConfig.max_iters)
+    p.add_argument("--estep-tol", type=float, default=EStepConfig.tol)
+
+
 def _add_train_flags(p):
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-estep-iters", type=int, default=100)
-    p.add_argument("--estep-tol", type=float, default=1e-5)
+    _add_estep_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--smoothing", choices=("on", "off"), default="off")
     p.add_argument("--mode", choices=("crowd", "nocrowd", "no-crowd"), default="nocrowd")
@@ -290,8 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--max-estep-iters", type=int, default=100)
-    p.add_argument("--estep-tol", type=float, default=1e-5)
+    _add_estep_flags(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score predictions against known labels")
@@ -301,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", help="true annotator qualities; adds ann_rmse")
     p.add_argument("--out")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--max-estep-iters", type=int, default=100)
-    p.add_argument("--estep-tol", type=float, default=1e-5)
+    _add_estep_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("simulate-crowd", help="draw noisy annotators over a labeled corpus")

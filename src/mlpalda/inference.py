@@ -12,8 +12,7 @@ delta/phi/Delta).
 
 The inner loops are independent across documents given the global
 parameters, so one E-step runs them in lockstep over chunks of documents
-(``e_step_corpus``); the single-document and single-prediction calls go
-through the same code.
+(``e_step_corpus``).
 
 Rows are kept per distinct term and weighted by token count; tokens of the
 same term provably share a row because no update depends on the token
@@ -42,9 +41,9 @@ from .model import (
     ModelParams,
     SmoothedTopicState,
     clamp_probability,
-    init_doc_variational,
     init_params,
     init_smoothed_state,
+    initial_presence,
     normalize_mode,
     validate_document,
     validate_words,
@@ -61,21 +60,36 @@ class NumericalFailureError(RuntimeError):
     """A non-finite value appeared where the math guarantees finite ones."""
 
 
+@dataclass(frozen=True)
+class EStepConfig:
+    """Inner-loop settings of the E-step, for training and prediction alike."""
+
+    max_iters: int = 100  # sweep cap per document
+    tol: float = 1e-5     # a document stops once its largest change is below this
+
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError("E-step iteration cap (max_estep_iters) must be >= 1")
+        if self.tol < 0.0:
+            raise ValueError(
+                "E-step tolerance (estep_tol) must be >= 0 (0 runs to the iteration cap)"
+            )
+
+
 @dataclass
 class TrainConfig:
     max_em_iters: int = 200
     em_rel_tol: float = 1e-6
-    max_estep_iters: int = 100
-    estep_tol: float = 1e-5
+    estep: EStepConfig = EStepConfig()
     mode: str = "no-crowd"
     smoothing: bool = False
     seed: int = 0
 
     def __post_init__(self):
         self.mode = normalize_mode(self.mode)
-        if self.max_em_iters < 1 or self.max_estep_iters < 1:
+        if self.max_em_iters < 1:
             raise ValueError("iteration caps must be >= 1")
-        if self.em_rel_tol < 0.0 or self.estep_tol < 0.0:
+        if self.em_rel_tol < 0.0:
             raise ValueError("tolerances must be >= 0 (0 runs to the iteration cap)")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
@@ -219,18 +233,19 @@ def e_step_corpus(
     corpus,
     params: ModelParams,
     topics: Optional[SmoothedTopicState],
-    cfg: TrainConfig,
+    estep: EStepConfig,
     states=None,
-    prediction: bool = False,
+    pinned: bool = False,
 ) -> list:
     """Coordinate-ascent inner loops for every document; one state each.
 
     Each document cycles gamma -> phi -> delta -> Delta until the largest
-    change across its delta, Delta and phi drops below ``cfg.estep_tol`` (or
+    change across its delta, Delta and phi drops below ``estep.tol`` (or
     the inner cap is hit), warm-starting from its entry of ``states`` when
-    one is given.  In no-crowd training the presence beliefs are the
-    observed labels and stay pinned; in prediction both labels and
-    judgments are ignored.
+    one is given.  With ``pinned`` (no-crowd training) the presence beliefs
+    are the observed labels and stay there.  Otherwise they are free, and a
+    document's judgments enter wherever it carries them; prediction passes
+    documents that carry words only.
 
     The documents run in lockstep, in length-sorted chunks padded to their
     longest document and bounded by ``CHUNK_ELEMENTS``.  A chunk holds its
@@ -249,7 +264,7 @@ def e_step_corpus(
     capped = 0
     for chunk in _length_sorted_chunks(lengths, max(C, T)):
         finished, hits = _e_step_chunk(
-            [corpus[d] for d in chunk], [states[d] for d in chunk], params, cfg, elog_beta, prediction
+            [corpus[d] for d in chunk], [states[d] for d in chunk], params, estep, elog_beta, pinned
         )
         for d, state in zip(chunk, finished):
             out[d] = state
@@ -257,57 +272,47 @@ def e_step_corpus(
     if capped:
         logger.warning(
             "E-step: %d of %d documents were still changing after max_estep_iters=%d sweeps",
-            capped, len(corpus), cfg.max_estep_iters,
+            capped, len(corpus), estep.max_iters,
         )
     return out
 
 
-def _e_step_chunk(docs, states, params, cfg, elog_beta, prediction):
+def _e_step_chunk(docs, states, params, estep, elog_beta, pinned):
     """Lockstep inner loops for one chunk.
 
     ``delta`` is (B, C, U) and ``phi`` (B, T, U): column u of document b
-    belongs to its u-th term.  Returns the documents' final states, in
-    order, and how many of them were still changing at the inner cap.
+    belongs to its u-th term.  A cold document keeps the uniform columns
+    the arrays start with.  Returns the documents' final states, in order,
+    and how many of them were still changing at the inner cap.
     """
     C, _, T = params.alpha.shape
     B = len(docs)
     sizes = np.array([doc.word_ids.size for doc in docs])
     U = int(sizes.max())
-    pinned = cfg.mode == "no-crowd" and not prediction
-    use_judgments = cfg.mode == "crowd" and not prediction
 
     delta = np.full((B, C, U), 1.0 / C)
     phi = np.full((B, T, U), 1.0 / T)
     log_wt = np.zeros((B, T, U))
     counts = np.zeros((B, U))
     Delta = np.empty((B, C))
-    ann1 = np.zeros((B, C))
-    ann0 = np.zeros((B, C))
+    ann1 = np.empty((B, C))
+    ann0 = np.empty((B, C))
     for k, (doc, state) in enumerate(zip(docs, states)):
-        if state is None:
-            state = init_doc_variational(doc, params, mode=cfg.mode, prediction=prediction)
         u = sizes[k]
-        delta[k, :, :u] = state.delta.T
-        phi[k, :, :u] = state.phi.T
-        Delta[k] = state.Delta
+        if state is not None:
+            delta[k, :, :u] = state.delta.T
+            phi[k, :, :u] = state.phi.T
+        Delta[k] = initial_presence(doc, params, pinned) if state is None or pinned else state.Delta
         log_wt[k, :, :u] = elog_beta[:, doc.word_ids]
         counts[k, :u] = doc.counts
-        if pinned:
-            lab = doc.true_labels
-            if lab is None or not np.all(np.isin(lab, (0, 1))):
-                raise ValueError(
-                    f"document {doc.doc_id}: no-crowd training needs fully known labels"
-                )
-            Delta[k] = clamp_probability(lab.astype(np.float64), DELTA_CLAMP)
-        if use_judgments:
-            ann1[k], ann0[k] = _annotator_log_terms(doc, params)
+        ann1[k], ann0[k] = _annotator_log_terms(doc, params)
 
     terms = (np.arange(U) < sizes[:, None]).astype(np.float64)  # (B, U), 0.0 on padding
     live = np.arange(B)                   # chunk position of each working row
     finished = [None] * B
     capped = 0
     resp = _responsibilities(delta, counts, phi)
-    for sweep in range(1, cfg.max_estep_iters + 1):
+    for sweep in range(1, estep.max_iters + 1):
         prev_delta, prev_phi, prev_Delta = delta, phi, Delta
 
         gamma = _gamma_from(params.alpha, Delta, resp)
@@ -331,8 +336,8 @@ def _e_step_chunk(docs, states, params, cfg, elog_beta, prediction):
             np.maximum(_largest_change(delta, prev_delta, terms), _largest_change(phi, prev_phi, terms)),
             np.abs(Delta - prev_Delta).max(axis=-1),
         )
-        done = change < cfg.estep_tol
-        if sweep == cfg.max_estep_iters:
+        done = change < estep.tol
+        if sweep == estep.max_iters:
             capped = int(np.count_nonzero(~done))
             done[:] = True
         if not done.any():
@@ -373,18 +378,6 @@ def _finished_state(doc, alpha, delta, phi, Delta, resp, sweeps):
         if not np.all(np.isfinite(getattr(state, name))):
             raise NumericalFailureError(f"document {doc.doc_id}: non-finite {name}")
     return state
-
-
-def e_step_document(
-    doc: Document,
-    params: ModelParams,
-    topics: Optional[SmoothedTopicState],
-    cfg: TrainConfig,
-    state: Optional[DocVariational] = None,
-    prediction: bool = False,
-) -> DocVariational:
-    """The inner loop of :func:`e_step_corpus` for one document."""
-    return e_step_corpus([doc], params, topics, cfg, [state], prediction)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -569,12 +562,6 @@ def _check_training_corpus(corpus, dims: Dimensions, cfg: TrainConfig) -> None:
                 "annotators %s never judged anything; their quality will stay at its start value",
                 np.flatnonzero(seen == 0).tolist(),
             )
-    else:
-        for doc in corpus:
-            if doc.true_labels is None or not np.all(np.isin(doc.true_labels, (0, 1))):
-                raise ValueError(
-                    f"train: no-crowd mode needs fully known labels (document {doc.doc_id})"
-                )
 
 
 def train(corpus, dims: Dimensions, cfg: TrainConfig):
@@ -594,7 +581,8 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
     last_change = 0.0
 
     for iteration in range(1, cfg.max_em_iters + 1):
-        states = e_step_corpus(corpus, params, topics, cfg, states)
+        states = e_step_corpus(corpus, params, topics, cfg.estep, states,
+                               pinned=cfg.mode == "no-crowd")
         stats = collect_stats(corpus, states, dims)
         if cfg.smoothing:
             topics = SmoothedTopicState(chi=params.eta + stats.topic_word)
@@ -624,13 +612,13 @@ def predict_corpus(
     corpus,
     params: ModelParams,
     topics: Optional[SmoothedTopicState] = None,
-    cfg: Optional[TrainConfig] = None,
+    estep: EStepConfig = EStepConfig(),
     threshold: float = 0.5,
 ):
     """(D, C) presence beliefs and thresholded labels for unlabeled documents.
 
-    Only the words and the trained parameters matter; any labels or
-    judgments attached to the documents are ignored.  Ties at the threshold
+    Only the words and the trained parameters matter: the E-step sees each
+    document without its labels or judgments.  Ties at the threshold
     predict "present".
     """
     V = (params.eta if params.smoothing else params.beta).shape[1]
@@ -638,20 +626,7 @@ def predict_corpus(
         validate_words(doc, V)
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("predict: threshold must be in [0, 1]")
-    if cfg is None:
-        cfg = TrainConfig()
-    states = e_step_corpus(corpus, params, topics, cfg, prediction=True)
+    words = [Document(doc.doc_id, doc.word_ids, doc.counts) for doc in corpus]
+    states = e_step_corpus(words, params, topics, estep)
     beliefs = np.array([st.Delta for st in states]).reshape(len(corpus), params.alpha.shape[0])
     return beliefs, (beliefs >= threshold).astype(np.int64)
-
-
-def predict(
-    doc: Document,
-    params: ModelParams,
-    topics: Optional[SmoothedTopicState] = None,
-    cfg: Optional[TrainConfig] = None,
-    threshold: float = 0.5,
-):
-    """:func:`predict_corpus` for one document: (beliefs, labels)."""
-    beliefs, labels = predict_corpus([doc], params, topics, cfg, threshold)
-    return beliefs[0], labels[0]

@@ -279,23 +279,15 @@ def init_smoothed_state(eta: np.ndarray, seed: int) -> SmoothedTopicState:
     return SmoothedTopicState(chi=eta + 0.5 * rng.random(eta.shape))
 
 
-def init_doc_variational(
-    doc: Document,
-    params: ModelParams,
-    mode: str = "no-crowd",
-    prediction: bool = False,
-) -> DocVariational:
-    """Starting per-document state: uniform responsibilities, prior-or-label
-    presence beliefs, and gamma set by one update from that point."""
-    mode = normalize_mode(mode)
-    C, _, T = params.alpha.shape
-    U = doc.word_ids.size
-    delta = np.full((U, C), 1.0 / C)
-    phi = np.full((U, T), 1.0 / T)
+def initial_presence(doc: Document, params: ModelParams, pinned: bool = False) -> np.ndarray:
+    """Starting presence beliefs, clamped.
 
-    if prediction:
-        Delta = params.xi.astype(np.float64).copy()
-    elif mode == "no-crowd":
+    Pinned (no-crowd training): the observed labels, which must all be
+    known.  Otherwise the prior ``xi``, moved for each judged class to the
+    mean of its votes mapped through the annotators' quality ``rho``; params
+    without annotator qualities leave votes out, as the E-step does.
+    """
+    if pinned:
         lab = doc.true_labels
         if lab is None or not np.all(np.isin(lab, (0, 1))):
             raise ValueError(
@@ -305,7 +297,7 @@ def init_doc_variational(
     else:
         Delta = params.xi.astype(np.float64).copy()
         y = doc.crowd_labels
-        if y is not None and y.size:
+        if y is not None and y.size and params.rho.size:
             provided = y != -1
             yf = y.astype(np.float64)
             rho = params.rho[:, None]
@@ -314,13 +306,24 @@ def init_doc_variational(
             num = np.where(provided, mapped, 0.0).sum(axis=0)
             with np.errstate(invalid="ignore"):
                 Delta = np.where(votes > 0, num / np.maximum(votes, 1), Delta)
-    Delta = clamp_probability(Delta, DELTA_CLAMP)
+    return clamp_probability(Delta, DELTA_CLAMP)
 
+
+def init_doc_variational(
+    doc: Document, params: ModelParams, pinned: bool = False
+) -> DocVariational:
+    """Starting per-document state: uniform responsibilities, the
+    :func:`initial_presence` beliefs, and gamma set by one update from that point."""
+    C, _, T = params.alpha.shape
+    U = doc.word_ids.size
+    Delta = initial_presence(doc, params, pinned)
     per_pair = doc.n_words / (C * T)
     gamma = np.empty_like(params.alpha)
     gamma[:, 1, :] = params.alpha[:, 1, :] + Delta[:, None] * per_pair
     gamma[:, 0, :] = params.alpha[:, 0, :] + (1.0 - Delta)[:, None] * per_pair
-    return DocVariational(delta=delta, Delta=Delta, phi=phi, gamma=gamma)
+    return DocVariational(
+        delta=np.full((U, C), 1.0 / C), Delta=Delta, phi=np.full((U, T), 1.0 / T), gamma=gamma
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +331,15 @@ def init_doc_variational(
 # ---------------------------------------------------------------------------
 
 
-def save_model(path, params: ModelParams, dims: Dimensions, mode: str,
+def save_model(path, params: ModelParams, dims: Dimensions,
                smoothed: Optional[SmoothedTopicState] = None) -> None:
     """Write the versioned text model file (17 significant digits, row-major).
 
-    The file is replaced atomically: a failed save leaves any earlier file.
+    The mode line reads ``crowd`` exactly when the params carry annotator
+    qualities, so the file always matches the ``rho`` array it holds.  The
+    file is replaced atomically: a failed save leaves any earlier file.
     """
-    mode = normalize_mode(mode)
+    mode = "crowd" if params.rho.size else "no-crowd"
     smoothing = params.eta is not None
     if smoothing and smoothed is None:
         raise ValueError("save_model: smoothed mode requires the chi state")

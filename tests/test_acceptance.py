@@ -23,11 +23,12 @@ from mlpalda.crowd import (
 )
 from mlpalda.data import load_corpus
 from mlpalda.inference import (
+    EStepConfig,
     TrainConfig,
     collect_stats,
     compute_elbo,
-    e_step_document,
-    predict,
+    e_step_corpus,
+    predict_corpus,
     train,
 )
 from mlpalda.metrics import average_accuracy, avg_class_log_likelihood, micro_f1
@@ -87,7 +88,7 @@ def test_criterion_1_elbo_monotonicity():
 def test_criterion_2_oracle_bound():
     t0 = time.monotonic()
     rng = np.random.default_rng(202)
-    cfg = TrainConfig(mode="crowd", max_estep_iters=60)
+    estep = EStepConfig(max_iters=60)
     worst = -np.inf  # largest elbo - exact seen
     for trial in range(200):
         C, T = int(rng.integers(1, 3)), int(rng.integers(1, 3))
@@ -99,9 +100,9 @@ def test_criterion_2_oracle_bound():
         doc = Document(doc.doc_id, doc.word_ids, doc.counts, None, doc.crowd_labels)
         dims = Dimensions(D=1, C=C, T=T, V=V, K=K)
         exact = exact_log_marginal(TinyInstance(doc=doc, params=params, dims=dims))
-        fresh = init_doc_variational(doc, params, mode="crowd")
+        fresh = init_doc_variational(doc, params)
         worst = max(worst, compute_elbo(collect_stats([doc], [fresh], dims), params) - exact)
-        settled = e_step_document(doc, params, None, cfg)
+        settled = e_step_corpus([doc], params, None, estep)[0]
         worst = max(worst, compute_elbo(collect_stats([doc], [settled], dims), params) - exact)
     elapsed = time.monotonic() - t0
     gate(2, "oracle-bound", worst <= 1e-9 and elapsed < 60.0,
@@ -170,7 +171,8 @@ def recovery_runs():
             adocs, _ = annotate_corpus(train_docs, pool, seed=seed)
             dims = Dimensions(D=500, C=3, T=4, V=100, K=pool.size)
             params, topics, _ = train(adocs, dims, cfg)
-            bits = np.stack([predict(d, params, topics, cfg)[1] for d in test_docs])
+            bits = np.stack([predict_corpus([d], params, topics, cfg.estep)[1][0]
+                             for d in test_docs])
             row[f"rmse_{tag}"] = ann_rmse(params.rho, pool.qualities)
             row[f"acc_{tag}"] = average_accuracy(bits, test_truth)
             if tag == "default":
@@ -220,7 +222,7 @@ def test_criterion_6_newswire_reproduction():
     cfg = TrainConfig(mode="no-crowd", smoothing=True, max_em_iters=60,
                       em_rel_tol=1e-5, seed=0)
     params, topics, _ = train(train_docs, dims20, cfg)
-    bits = np.stack([predict(d, params, topics, cfg)[1] for d in test_docs])
+    bits = np.stack([predict_corpus([d], params, topics, cfg.estep)[1][0] for d in test_docs])
     acc_plain = average_accuracy(bits, truth)
 
     pool = sample_pool(DEFAULT_BUCKETS, seed=0, per_doc_count=5)
@@ -229,7 +231,7 @@ def test_criterion_6_newswire_reproduction():
     ccfg = TrainConfig(mode="crowd", smoothing=True, max_em_iters=60,
                        em_rel_tol=1e-5, seed=0)
     cparams, ctopics, _ = train(adocs, cdims, ccfg)
-    cbits = np.stack([predict(d, cparams, ctopics, ccfg)[1] for d in test_docs])
+    cbits = np.stack([predict_corpus([d], cparams, ctopics, ccfg.estep)[1][0] for d in test_docs])
     acc_crowd = average_accuracy(cbits, truth)
     gate(6, "newswire-reproduction", acc_plain >= 0.93 and acc_crowd >= 0.91,
          f"plain {acc_plain:.4f}, crowd {acc_crowd:.4f}")
@@ -296,9 +298,8 @@ def test_criterion_8_consistency_and_regrouping():
         rng = np.random.default_rng(800 + seed)
         params = random_params(rng, 2, 3, 10, K=2)
         doc = random_doc(rng, 2, 10, K=2, n_terms=4, max_count=3, doc_id=f"reg{seed}")
-        cfg = TrainConfig(mode="crowd", max_estep_iters=3, estep_tol=0.0)
-        grouped = e_step_document(doc, params, None, cfg)
-        init = init_doc_variational(doc, params, mode="crowd")
+        grouped = e_step_corpus([doc], params, None, EStepConfig(max_iters=3, tol=0.0))[0]
+        init = init_doc_variational(doc, params)
         ann1, ann0 = oracle_annotator_terms(doc, params)
         tokens = np.repeat(doc.word_ids, doc.counts)
         o_delta, o_phi, o_Delta, o_gamma = token_loop_cycle(

@@ -175,6 +175,41 @@ def test_evaluate_needs_exactly_one_source(tmp_path, corpus):
     ) == 1
 
 
+def test_evaluate_pool_needs_model_in(tmp_path, corpus, capsys):
+    docs, _ = load_corpus(corpus)
+    preds, pool, out = tmp_path / "p.txt", tmp_path / "pool.txt", tmp_path / "eval.csv"
+    write_predictions(preds, [(d.doc_id, d.true_labels * 0.8 + 0.1, d.true_labels) for d in docs])
+    pool.write_text("0 0.9\n1 0.8\n", encoding="utf-8")
+    assert run(
+        "evaluate", "--corpus", str(corpus), "--predictions", str(preds),
+        "--pool", str(pool), "--out", str(out),
+    ) == 1
+    assert "--pool needs --model-in" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate", "sweep"])
+@pytest.mark.parametrize("flag,value,named", [
+    ("--max-estep-iters", "0", "iteration cap"),
+    ("--estep-tol", "-1", "tolerance"),
+], ids=["estep-iters", "estep-tol"])
+def test_bad_estep_setting_exits_1_before_writing(tmp_path, corpus, capsys, command, flag,
+                                                  value, named):
+    model, out = tmp_path / "m.model", tmp_path / "out"
+    run("train", "--corpus", str(corpus), "--topics", "2", "--model-out", str(model),
+        "--max-iters", "3", "--tol", "0.0")
+    argv = {
+        "predict": ["predict", "--model-in", str(model), "--corpus", str(corpus)],
+        "evaluate": ["evaluate", "--model-in", str(model), "--corpus", str(corpus)],
+        "sweep": ["sweep", "--corpus", str(corpus), "--topic-grid", "2", "--max-iters", "2"],
+    }[command]
+    capsys.readouterr()
+    assert run(*argv, "--out", str(out), flag, value) == 1
+    err = capsys.readouterr().err
+    assert named in err and (named == "tolerance" or "tolerance" not in err), err
+    assert not out.exists()
+
+
 def test_predict_rejects_mismatched_corpus(tmp_path, corpus):
     model = tmp_path / "m.model"
     run("train", "--corpus", str(corpus), "--topics", "2", "--model-out", str(model),

@@ -78,7 +78,7 @@ def files(tmp_path_factory):
     paths = {kind: base / f"in.{kind}" for kind in [*VALID, "model"]}
     dims = Dimensions(D=3, C=2, T=2, V=4, K=2)
     params = init_params(dims, mode="crowd", smoothing=True, seed=0)
-    save_model(paths["model"], params, dims, "crowd", init_smoothed_state(params.eta, seed=0))
+    save_model(paths["model"], params, dims, init_smoothed_state(params.eta, seed=0))
     return paths, {**VALID, "model": paths["model"].read_bytes()}
 
 

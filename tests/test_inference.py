@@ -18,6 +18,7 @@ import mlpalda.inference as inference
 from mlpalda.inference import (
     CorpusStats,
     ElboTrace,
+    EStepConfig,
     NumericalFailureError,
     TrainConfig,
     _presence_update,
@@ -25,9 +26,7 @@ from mlpalda.inference import (
     collect_stats,
     compute_elbo,
     e_step_corpus,
-    e_step_document,
     m_step,
-    predict,
     predict_corpus,
     train,
 )
@@ -165,10 +164,10 @@ def test_estep_matches_token_loop_transcription(mode, with_votes):
     params = random_params(rng, C, T, V, K=K)
     doc = random_doc(rng, C, V, K=K, n_terms=4, max_count=3)
 
-    cfg = TrainConfig(mode=mode, max_estep_iters=3, estep_tol=0.0)
-    state = e_step_document(doc, params, None, cfg)
+    pinned = mode == "no-crowd"
+    state = e_step_corpus([doc], params, None, EStepConfig(max_iters=3, tol=0.0), pinned=pinned)[0]
 
-    init = init_doc_variational(doc, params, mode=mode)
+    init = init_doc_variational(doc, params, pinned=pinned)
     ann1, ann0 = oracle_annotator_terms(doc, params) if mode == "crowd" else (
         np.zeros(C),
         np.zeros(C),
@@ -203,9 +202,9 @@ def test_grouped_and_expanded_documents_agree():
         true_labels=doc.true_labels,
         crowd_labels=doc.crowd_labels,
     )
-    cfg = TrainConfig(mode="crowd", max_estep_iters=6, estep_tol=0.0)
-    grouped = e_step_document(doc, params, None, cfg)
-    flat = e_step_document(expanded, params, None, cfg)
+    estep = EStepConfig(max_iters=6, tol=0.0)
+    grouped = e_step_corpus([doc], params, None, estep)[0]
+    flat = e_step_corpus([expanded], params, None, estep)[0]
 
     np.testing.assert_allclose(flat.Delta, grouped.Delta, rtol=0, atol=1e-12)
     np.testing.assert_allclose(flat.gamma, grouped.gamma, rtol=0, atol=1e-12)
@@ -256,8 +255,7 @@ def test_near_perfect_annotator_pins_presence():
         counts=np.array([1, 2]),
         crowd_labels=np.array([[1, 0]]),
     )
-    cfg = TrainConfig(mode="crowd", max_estep_iters=20)
-    state = e_step_document(doc, params, None, cfg)
+    state = e_step_corpus([doc], params, None, EStepConfig(max_iters=20))[0]
     assert state.Delta[0] > 1.0 - 1e-6
     assert state.Delta[1] < 1e-6
 
@@ -267,8 +265,7 @@ def test_estep_state_is_self_consistent():
     C, T, V, K = 3, 2, 10, 2
     params = random_params(rng, C, T, V, K=K)
     doc = random_doc(rng, C, V, K=K, n_terms=6)
-    cfg = TrainConfig(mode="crowd", max_estep_iters=15)
-    st = e_step_document(doc, params, None, cfg)
+    st = e_step_corpus([doc], params, None, EStepConfig(max_iters=15))[0]
 
     assert np.all(np.abs(st.delta.sum(axis=1) - 1.0) < 1e-9)
     assert np.all(np.abs(st.phi.sum(axis=1) - 1.0) < 1e-9)
@@ -285,8 +282,7 @@ def test_estep_pins_observed_labels_in_no_crowd_mode():
     rng = np.random.default_rng(2)
     params = random_params(rng, 3, 2, 9)
     doc = random_doc(rng, 3, 9)
-    cfg = TrainConfig(mode="no-crowd", max_estep_iters=8)
-    st = e_step_document(doc, params, None, cfg)
+    st = e_step_corpus([doc], params, None, EStepConfig(max_iters=8), pinned=True)[0]
     np.testing.assert_allclose(
         st.Delta, np.clip(doc.true_labels.astype(float), 1e-9, 1 - 1e-9), atol=0
     )
@@ -301,11 +297,11 @@ def test_estep_smoothed_uses_chi_not_beta():
     )
     chi = rng.uniform(0.5, 3.0, size=(T, V))
     doc = random_doc(rng, C, V)
-    cfg = TrainConfig(mode="no-crowd", smoothing=True, max_estep_iters=4)
-    st = e_step_document(doc, smoothed, SmoothedTopicState(chi=chi), cfg)
+    estep = EStepConfig(max_iters=4)
+    st = e_step_corpus([doc], smoothed, SmoothedTopicState(chi=chi), estep, pinned=True)[0]
     assert np.all(np.isfinite(st.phi))
     # different chi must change the answer
-    st2 = e_step_document(doc, smoothed, SmoothedTopicState(chi=chi * 3.0), cfg)
+    st2 = e_step_corpus([doc], smoothed, SmoothedTopicState(chi=chi * 3.0), estep, pinned=True)[0]
     assert np.abs(st.phi - st2.phi).max() > 1e-6
 
 
@@ -315,7 +311,7 @@ def test_estep_raises_on_nan_parameters():
     params.beta[0, 0] = np.nan
     doc = random_doc(rng, 2, 5, doc_id="bad-doc")
     with pytest.raises(NumericalFailureError, match="bad-doc"):
-        e_step_document(doc, params, None, TrainConfig(mode="no-crowd"))
+        e_step_corpus([doc], params, None, EStepConfig(), pinned=True)
 
 
 # ---------------------------------------------------------------------------
@@ -332,18 +328,24 @@ def mixed_length_corpus(rng, C, V, K=0):
     ]
 
 
-ESTEP_MODES = pytest.mark.parametrize("mode,prediction", [
-    ("crowd", False), ("no-crowd", False), ("crowd", True),
+# free presence with judgments (crowd training), pinned presence (no-crowd
+# training), and free presence on word-only documents (prediction)
+ESTEP_MODES = pytest.mark.parametrize("pinned,words_only", [
+    (False, False), (True, False), (False, True),
 ], ids=["crowd", "pinned-no-crowd", "prediction"])
 
 
-def assert_equals_one_document_calls(docs, params, cfg, starts, prediction):
+def words_of(docs):
+    return [Document(d.doc_id, d.word_ids, d.counts) for d in docs]
+
+
+def assert_equals_one_document_calls(docs, params, estep, starts, pinned):
     """Every state of one corpus call equals the one-document call's, bit for
     bit and after the same sweep count; returns the sweep counts."""
-    states = e_step_corpus(docs, params, None, cfg, starts, prediction=prediction)
+    states = e_step_corpus(docs, params, None, estep, starts, pinned)
     sweeps = []
     for doc, start, st in zip(docs, starts, states):
-        one = e_step_document(doc, params, None, cfg, state=start, prediction=prediction)
+        one = e_step_corpus([doc], params, None, estep, [start], pinned)[0]
         for name in ("delta", "phi", "Delta", "gamma"):
             assert np.array_equal(getattr(st, name), getattr(one, name)), (doc.doc_id, name)
         assert st.sweeps == one.sweeps, doc.doc_id
@@ -354,28 +356,29 @@ def assert_equals_one_document_calls(docs, params, cfg, starts, prediction):
 @ESTEP_MODES
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("budget", [40, 2 ** 30], ids=["many-chunks", "one-chunk"])
-def test_corpus_estep_equals_one_document_calls(monkeypatch, mode, prediction, warm, budget):
+def test_corpus_estep_equals_one_document_calls(monkeypatch, pinned, words_only, warm, budget):
     """Padding, chunking and per-document exits must not move a single bit:
     every state equals the one-document call's, after the same sweep count."""
     rng = np.random.default_rng(51)
     C, T, V, K = 3, 4, 120, 3
     params = random_params(rng, C, T, V, K=K)
     docs = mixed_length_corpus(rng, C, V, K=K)
-    cfg = TrainConfig(mode=mode, max_estep_iters=60, estep_tol=1e-7)
+    if words_only:
+        docs = words_of(docs)
+    estep = EStepConfig(max_iters=60, tol=1e-7)
     starts = [None] * len(docs)
     if warm:
-        starts = e_step_corpus(docs, params, None, TrainConfig(mode=mode, max_estep_iters=2),
-                               prediction=prediction)
+        starts = e_step_corpus(docs, params, None, EStepConfig(max_iters=2), pinned=pinned)
 
     monkeypatch.setattr(inference, "CHUNK_ELEMENTS", budget)
-    sweeps = assert_equals_one_document_calls(docs, params, cfg, starts, prediction)
+    sweeps = assert_equals_one_document_calls(docs, params, estep, starts, pinned)
     assert len(set(sweeps)) > 1  # documents converge at different sweeps
-    assert max(sweeps) < cfg.max_estep_iters
+    assert max(sweeps) < estep.max_iters
 
 
 @ESTEP_MODES
 @pytest.mark.parametrize("C,T", [(1, 4), (3, 1), (1, 1)], ids=["C1", "T1", "C1-T1"])
-def test_corpus_estep_equals_one_document_calls_at_unit_widths(mode, prediction, C, T):
+def test_corpus_estep_equals_one_document_calls_at_unit_widths(pinned, words_only, C, T):
     """One class, one topic and one-term documents, all in one chunk: the
     products whose operand is one row or one column wide stay exact too."""
     rng = np.random.default_rng(52)
@@ -385,10 +388,12 @@ def test_corpus_estep_equals_one_document_calls_at_unit_widths(mode, prediction,
         random_doc(rng, C, V, K=K, n_terms=n, max_count=3, doc_id=f"u{d}")
         for d, n in enumerate((1, 1, 7, 1, 3, 12))
     ]
-    cfg = TrainConfig(mode=mode, max_estep_iters=60, estep_tol=1e-7)
+    if words_only:
+        docs = words_of(docs)
+    estep = EStepConfig(max_iters=60, tol=1e-7)
     assert len(inference._length_sorted_chunks(np.array([d.word_ids.size for d in docs]),
                                                max(C, T))) == 1
-    assert_equals_one_document_calls(docs, params, cfg, [None] * len(docs), prediction)
+    assert_equals_one_document_calls(docs, params, estep, [None] * len(docs), pinned)
 
 
 def test_softmax_columns_stays_finite_below_exp_underflow():
@@ -425,7 +430,7 @@ def test_corpus_estep_names_the_failing_document():
     docs.insert(1, Document("bad-doc", np.array([0, 4]), np.array([2, 1]),
                             true_labels=np.array([0, 1])))
     with pytest.raises(NumericalFailureError, match="bad-doc"):
-        e_step_corpus(docs, params, None, TrainConfig(mode="no-crowd"))
+        e_step_corpus(docs, params, None, EStepConfig(), pinned=True)
 
 
 def _cap_warnings(caplog):
@@ -438,7 +443,7 @@ def test_estep_cap_hits_are_logged_once_per_pass(caplog):
     C, T, V, K = 2, 3, 40, 2
     params = random_params(rng, C, T, V, K=K)
     docs = [random_doc(rng, C, V, K=K, n_terms=6, doc_id=f"c{d}") for d in range(5)]
-    capped = TrainConfig(mode="crowd", max_estep_iters=1)
+    capped = EStepConfig(max_iters=1)
     with caplog.at_level(logging.WARNING, logger="mlpalda.inference"):
         e_step_corpus(docs, params, None, capped)
         predict_corpus(docs, params, None, capped)
@@ -451,7 +456,7 @@ def test_estep_cap_hits_are_logged_once_per_pass(caplog):
     dims = Dimensions(D=6, C=2, T=3, V=12, K=2)
     with caplog.at_level(logging.WARNING, logger="mlpalda.inference"):
         train(train_docs, dims, TrainConfig(mode="crowd", max_em_iters=3, em_rel_tol=0.0,
-                                            max_estep_iters=1))
+                                            estep=EStepConfig(max_iters=1)))
     assert _cap_warnings(caplog) == [
         "E-step: 6 of 6 documents were still changing after max_estep_iters=1 sweeps"
     ] * 3
@@ -463,7 +468,7 @@ def test_converged_estep_logs_no_cap_warning(caplog):
     cfg = TrainConfig(mode="crowd", max_em_iters=3, em_rel_tol=0.0, seed=1)
     with caplog.at_level(logging.WARNING, logger="mlpalda.inference"):
         params, topics, _ = train(docs, dims, cfg)
-        predict_corpus(docs, params, topics, cfg)
+        predict_corpus(docs, params, topics, cfg.estep)
     assert _cap_warnings(caplog) == []
 
 
@@ -472,11 +477,11 @@ def test_predict_corpus_matches_predict():
     dims = Dimensions(D=10, C=2, T=3, V=12)
     cfg = TrainConfig(mode="no-crowd", max_em_iters=4, seed=0)
     params, topics, _ = train(docs, dims, cfg)
-    beliefs, labels = predict_corpus(docs, params, topics, cfg, threshold=0.4)
+    beliefs, labels = predict_corpus(docs, params, topics, cfg.estep, threshold=0.4)
     assert beliefs.shape == labels.shape == (10, 2)
     for d, doc in enumerate(docs):
-        b, l = predict(doc, params, topics, cfg, threshold=0.4)
-        assert np.array_equal(beliefs[d], b) and np.array_equal(labels[d], l)
+        b, l = predict_corpus([doc], params, topics, cfg.estep, threshold=0.4)
+        assert np.array_equal(beliefs[d], b[0]) and np.array_equal(labels[d], l[0])
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +620,7 @@ def test_collect_stats_counts_judgments():
         counts=np.array([2, 1]),
         crowd_labels=np.array([[1, -1], [0, 1]]),
     )
-    cfg = TrainConfig(mode="crowd", max_estep_iters=4)
-    st = e_step_document(doc, params, None, cfg)
+    st = e_step_corpus([doc], params, None, EStepConfig(max_iters=4))[0]
     stats = collect_stats([doc], [st], Dimensions(D=1, C=C, T=T, V=V, K=K))
     np.testing.assert_array_equal(stats.rho_cnt, [1, 2])
     # annotator 0 said "present" for class 0 only
@@ -648,15 +652,14 @@ def test_elbo_of_degenerate_model_is_log_presence_rate():
     doc = Document(
         doc_id="d", word_ids=np.array([0]), counts=np.array([1]), true_labels=np.array([1])
     )
-    cfg = TrainConfig(mode="no-crowd", max_estep_iters=5)
-    st = e_step_document(doc, params, None, cfg)
+    st = e_step_corpus([doc], params, None, EStepConfig(max_iters=5), pinned=True)[0]
     elbo = compute_elbo(collect_stats([doc], [st], Dimensions(D=1, C=1, T=1, V=1)), params)
     assert abs(elbo - np.log(0.3)) < 1e-7
 
 
 def test_elbo_never_exceeds_exact_marginal():
     rng = np.random.default_rng(41)
-    cfg = TrainConfig(mode="crowd", max_estep_iters=40)
+    estep = EStepConfig(max_iters=40)
     for trial in range(25):
         C, T = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         V = int(rng.integers(2, 5))
@@ -669,9 +672,9 @@ def test_elbo_never_exceeds_exact_marginal():
         dims = Dimensions(D=1, C=C, T=T, V=V, K=K)
         exact = exact_log_marginal(TinyInstance(doc=doc, params=params, dims=dims))
 
-        fresh = init_doc_variational(doc, params, mode="crowd")
+        fresh = init_doc_variational(doc, params)
         assert compute_elbo(collect_stats([doc], [fresh], dims), params) <= exact + 1e-9
-        st = e_step_document(doc, params, None, cfg)
+        st = e_step_corpus([doc], params, None, estep)[0]
         assert compute_elbo(collect_stats([doc], [st], dims), params) <= exact + 1e-9
 
 
@@ -681,8 +684,8 @@ def test_estep_increases_elbo():
     params = random_params(rng, C, T, V, K=K)
     doc = random_doc(rng, C, V, K=K, n_terms=5)
     dims = Dimensions(D=1, C=C, T=T, V=V, K=K)
-    before = init_doc_variational(doc, params, mode="crowd")
-    after = e_step_document(doc, params, None, TrainConfig(mode="crowd", max_estep_iters=30))
+    before = init_doc_variational(doc, params)
+    after = e_step_corpus([doc], params, None, EStepConfig(max_iters=30))[0]
     assert (compute_elbo(collect_stats([doc], [after], dims), params)
             >= compute_elbo(collect_stats([doc], [before], dims), params) - 1e-10)
 
@@ -754,11 +757,11 @@ def test_elbo_from_stats_matches_per_document_bound(mode, smoothing, stepped):
         topics = SmoothedTopicState(chi=eta + rng.uniform(0.0, 3.0, size=(T, V)))
     docs = mixed_length_corpus(rng, C, V, K=K)
     dims = Dimensions(D=len(docs), C=C, T=T, V=V, K=K)
+    pinned = mode == "no-crowd"
     if stepped:
-        cfg = TrainConfig(mode=mode, smoothing=smoothing, max_estep_iters=30)
-        states = e_step_corpus(docs, params, topics, cfg)
+        states = e_step_corpus(docs, params, topics, EStepConfig(max_iters=30), pinned=pinned)
     else:
-        states = [init_doc_variational(doc, params, mode=mode) for doc in docs]
+        states = [init_doc_variational(doc, params, pinned=pinned) for doc in docs]
 
     ours = compute_elbo(collect_stats(docs, states, dims), params, topics)
     ref = per_document_bound(docs, params, states, topics)
@@ -795,7 +798,7 @@ def test_training_bound_never_decreases(mode, smoothing, caplog):
         docs, _ = make_training_corpus()
         dims = Dimensions(D=len(docs), C=2, T=3, V=12)
     cfg = TrainConfig(mode=mode, smoothing=smoothing, max_em_iters=8,
-                      em_rel_tol=0.0, max_estep_iters=25, seed=4)
+                      em_rel_tol=0.0, estep=EStepConfig(max_iters=25), seed=4)
     with caplog.at_level(logging.WARNING, logger="mlpalda.inference"):
         params, topics, trace = train(docs, dims, cfg)
     elbos = [row[1] for row in trace.rows]
@@ -907,8 +910,8 @@ def test_predict_recovers_separable_labels():
     params, topics, _ = train(docs, dims, cfg)
     hits = 0
     for d, doc in enumerate(docs):
-        _, labels = predict(doc, params, topics, cfg)
-        hits += int(np.array_equal(labels, truth[d]))
+        _, labels = predict_corpus([doc], params, topics, cfg.estep)
+        hits += int(np.array_equal(labels[0], truth[d]))
     assert hits / len(docs) > 0.7
 
 
@@ -922,8 +925,8 @@ def test_predict_ignores_attached_labels_and_votes():
         doc.doc_id, doc.word_ids, doc.counts,
         true_labels=np.array([1, 1]), crowd_labels=np.array([[0, 0]]),
     )
-    b1, _ = predict(bare, params, topics)
-    b2, _ = predict(decorated, params, topics)
+    b1, _ = predict_corpus([bare], params, topics)
+    b2, _ = predict_corpus([decorated], params, topics)
     np.testing.assert_array_equal(b1, b2)
 
 
@@ -931,15 +934,15 @@ def test_predict_threshold_semantics():
     docs, _ = make_training_corpus(D=6, seed=4)
     dims = Dimensions(D=6, C=2, T=3, V=12)
     params, topics, _ = train(docs, dims, TrainConfig(mode="no-crowd", max_em_iters=3, seed=0))
-    beliefs, at_zero = predict(docs[0], params, topics, threshold=0.0)
+    beliefs, at_zero = predict_corpus(docs[:1], params, topics, threshold=0.0)
     assert np.all(at_zero == 1)  # beliefs >= 0 always, tie counts as present
-    _, at_one = predict(docs[0], params, topics, threshold=1.0)
+    _, at_one = predict_corpus(docs[:1], params, topics, threshold=1.0)
     assert np.all(at_one == 0)  # beliefs are clamped strictly below 1
     with pytest.raises(ValueError):
-        predict(docs[0], params, topics, threshold=1.5)
+        predict_corpus(docs[:1], params, topics, threshold=1.5)
     empty = Document("e", np.zeros(0, dtype=int), np.zeros(0, dtype=int))
     with pytest.raises(ValueError, match="no words"):
-        predict(empty, params, topics)
+        predict_corpus([empty], params, topics)
 
 
 @pytest.mark.parametrize(

@@ -122,7 +122,7 @@ def test_init_doc_uniform_rows_and_gamma():
     dims = _dims(K=0)
     p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
     doc = _doc()
-    dv = init_doc_variational(doc, p, mode="no-crowd")
+    dv = init_doc_variational(doc, p, pinned=True)
     assert np.allclose(dv.delta, 1.0 / 3.0)
     assert np.allclose(dv.phi, 1.0 / 2.0)
     # observed labels land in the Delta slot, clamped
@@ -139,7 +139,7 @@ def test_init_doc_prediction_uses_prior():
     dims = _dims(K=0)
     p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
     doc = _doc(labels=(1, 1, 1))  # present labels must be ignored
-    dv = init_doc_variational(doc, p, mode="no-crowd", prediction=True)
+    dv = init_doc_variational(doc, p)
     assert np.allclose(dv.Delta, p.xi)
 
 
@@ -153,10 +153,20 @@ def test_init_doc_crowd_warm_start_maps_votes_through_quality():
     # "absent" vote; class 2 gets no votes at all
     crowd = np.array([[1, 0, -1], [1, -1, -1], [1, -1, -1]])
     doc = _doc(labels=None, crowd=crowd)
-    dv = init_doc_variational(doc, p, mode="crowd")
+    dv = init_doc_variational(doc, p)
     assert abs(dv.Delta[0] - 0.9) <= 1e-12
     assert abs(dv.Delta[1] - 0.1) <= 1e-12
     assert abs(dv.Delta[2] - p.xi[2]) <= 1e-12
+
+
+def test_init_doc_leaves_votes_out_without_annotator_qualities():
+    """No-crowd params carry no rho, so votes cannot move the prior (the
+    E-step's judgment terms are zero for them too)."""
+    dims = _dims(K=2)
+    p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
+    doc = _doc(labels=None, crowd=[[1, 0, -1], [1, -1, 0]])
+    dv = init_doc_variational(doc, p)
+    assert np.array_equal(dv.Delta, p.xi)
 
 
 def test_init_doc_nocrowd_requires_known_labels():
@@ -164,7 +174,7 @@ def test_init_doc_nocrowd_requires_known_labels():
     p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
     doc = _doc(labels=(1, -1, 0))
     with pytest.raises(ValueError):
-        init_doc_variational(doc, p, mode="no-crowd")
+        init_doc_variational(doc, p, pinned=True)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +224,7 @@ def test_validate_flags_nan(where):
     dims = _dims(K=2)
     p = init_params(dims, mode="crowd", smoothing=True, seed=0)
     smoothed = init_smoothed_state(p.eta, seed=0)
-    state = init_doc_variational(_doc(crowd=[[1, 0, 1], [0, -1, 1]]), p, mode="crowd")
+    state = init_doc_variational(_doc(crowd=[[1, 0, 1], [0, -1, 1]]), p)
     assert validate(p, dims, state=state, smoothed=smoothed) == []
 
     target = {"xi": p.xi, "rho": p.rho, "Delta": state.Delta, "chi": smoothed.chi}[where]
@@ -240,7 +250,7 @@ def test_validate_doc_state():
     dims = _dims(K=0)
     p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
     doc = _doc()
-    dv = init_doc_variational(doc, p, mode="no-crowd")
+    dv = init_doc_variational(doc, p, pinned=True)
     assert validate(p, dims, state=dv) == []
 
     broken = DocVariational(
@@ -280,7 +290,7 @@ def test_model_file_round_trip(tmp_path, mode, smoothing):
     smoothed = init_smoothed_state(p.eta, seed=11) if smoothing else None
 
     path = tmp_path / "m.model"
-    save_model(path, p, dims, mode=mode, smoothed=smoothed)
+    save_model(path, p, dims, smoothed=smoothed)
     q, dims2, smoothed2, mode2 = load_model(path)
 
     assert mode2 == mode
@@ -298,11 +308,25 @@ def test_model_file_round_trip(tmp_path, mode, smoothing):
         assert np.array_equal(q.beta, p.beta)
 
 
+@pytest.mark.parametrize("mode", ["crowd", "no-crowd"])
+def test_model_file_mode_follows_the_annotator_qualities(tmp_path, mode):
+    """No-crowd params keep no qualities even when the corpus has annotators
+    (training with --crowd in nocrowd mode), and still load back."""
+    dims = _dims(K=2)
+    p = init_params(dims, mode=mode, smoothing=False, seed=0)
+    path = tmp_path / "m.model"
+    save_model(path, p, dims)
+    assert path.read_text().splitlines()[2] == f"mode {mode}"
+    q, dims2, _, mode2 = load_model(path)
+    assert mode2 == mode and dims2 == dims
+    assert np.array_equal(q.rho, p.rho) and q.rho.size == (2 if mode == "crowd" else 0)
+
+
 def test_model_file_is_versioned_text(tmp_path):
     dims = _dims(K=0)
     p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
     path = tmp_path / "m.model"
-    save_model(path, p, dims, mode="no-crowd")
+    save_model(path, p, dims)
     first = path.read_text().splitlines()[0]
     assert first == "mlpa-model v1"
 
@@ -328,7 +352,7 @@ def test_failed_save_keeps_the_old_model_file(tmp_path, monkeypatch):
     dims = _dims(K=0)
     p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
     path = tmp_path / "m.model"
-    save_model(path, p, dims, mode="no-crowd")
+    save_model(path, p, dims)
     before = path.read_bytes()
 
     def refuse(src, dst):
@@ -337,6 +361,6 @@ def test_failed_save_keeps_the_old_model_file(tmp_path, monkeypatch):
     monkeypatch.setattr("mlpalda.atomic.os.replace", refuse)
     other = init_params(dims, mode="no-crowd", smoothing=False, seed=1)
     with pytest.raises(OSError, match="disk full"):
-        save_model(path, other, dims, mode="no-crowd")
+        save_model(path, other, dims)
     assert path.read_bytes() == before
     assert sorted(f.name for f in tmp_path.iterdir()) == ["m.model"]
