@@ -40,6 +40,8 @@ EXIT_USAGE = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_NUMERICAL = 3
 
+THRESHOLD = 0.5  # a belief at or above it predicts "present"
+
 SWEEP_HEADER = "seed,train_fraction,topics,avg_accuracy,micro_f1,avg_class_loglik,ann_rmse"
 
 
@@ -58,7 +60,8 @@ def _parse_buckets(spec: str):
 
 
 def _estep_config(args) -> EStepConfig:
-    return EStepConfig(max_iters=args.max_estep_iters, tol=args.estep_tol)
+    given = {"max_iters": args.max_estep_iters, "tol": args.estep_tol}
+    return EStepConfig(**{name: value for name, value in given.items() if value is not None})
 
 
 def _train_config(args) -> TrainConfig:
@@ -93,7 +96,8 @@ def _predict_with_model(args, corpus, cdims):
         raise ValueError(
             f"model expects V={dims.V} C={dims.C}, corpus has V={cdims.V} C={cdims.C}"
         )
-    beliefs, labels = predict_corpus(corpus, params, smoothed, estep, args.threshold)
+    threshold = THRESHOLD if args.threshold is None else args.threshold
+    beliefs, labels = predict_corpus(corpus, params, smoothed, estep, threshold)
     return beliefs, labels, params
 
 
@@ -134,8 +138,10 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     if (args.predictions is None) == (args.model_in is None):
         raise ValueError("evaluate needs exactly one of --predictions or --model-in")
-    if args.pool is not None and args.model_in is None:
-        raise ValueError("--pool needs --model-in")
+    if args.model_in is None:
+        for flag in ("--pool", "--threshold", "--max-estep-iters", "--estep-tol"):
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                raise ValueError(f"{flag} needs --model-in")
     corpus, cdims = load_corpus(args.corpus)
     truth = _known_truth(corpus)
     rmse = None
@@ -256,8 +262,10 @@ def cmd_sweep(args) -> int:
 
 
 def _add_estep_flags(p):
-    p.add_argument("--max-estep-iters", type=int, default=EStepConfig.max_iters)
-    p.add_argument("--estep-tol", type=float, default=EStepConfig.tol)
+    # unset flags stay None, so EStepConfig supplies the defaults and evaluate
+    # can tell a given flag from an absent one
+    p.add_argument("--max-estep-iters", type=int, help=f"default {EStepConfig.max_iters}")
+    p.add_argument("--estep-tol", type=float, help=f"default {EStepConfig.tol}")
 
 
 def _add_train_flags(p):
@@ -290,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-in", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=THRESHOLD)
     _add_estep_flags(p)
     p.set_defaults(func=cmd_predict)
 
@@ -300,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-in")
     p.add_argument("--pool", help="true annotator qualities; adds ann_rmse")
     p.add_argument("--out")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, help=f"default {THRESHOLD}")
     _add_estep_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
@@ -330,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topic-grid", required=True, help="comma list of topic counts")
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--test-fraction", type=float, default=0.2)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=THRESHOLD)
     p.add_argument("--buckets", default="default")
     p.add_argument("--per-doc", type=int, default=5)
     _add_train_flags(p)

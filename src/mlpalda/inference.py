@@ -12,7 +12,8 @@ delta/phi/Delta).
 
 The inner loops are independent across documents given the global
 parameters, so one E-step runs them in lockstep over chunks of documents
-(``e_step_corpus``).
+(``e_step_corpus``).  The states stay in those chunks between E-passes,
+and the M-step statistics are reduced from them (``_reduce_stats``).
 
 Rows are kept per distinct term and weighted by token count; tokens of the
 same term provably share a row because no update depends on the token
@@ -26,7 +27,7 @@ each parameter block (xi, rho, beta or eta, alpha) given the E-states.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -119,22 +120,6 @@ def expected_log_word_given_topic(params: ModelParams, topics: Optional[Smoothed
     return np.log(np.clip(params.beta, _LOG_FLOOR, None))
 
 
-def _annotator_log_terms(doc: Document, params: ModelParams):
-    """Per-class expected judgment log-likelihoods for lambda=1 and lambda=0."""
-    C = params.alpha.shape[0]
-    y = doc.crowd_labels
-    if y is None or y.size == 0 or params.rho.size == 0:
-        z = np.zeros(C)
-        return z, z.copy()
-    provided = y != -1
-    yf = y.astype(np.float64)
-    log_rho = np.log(np.clip(params.rho, _LOG_FLOOR, None))[:, None]
-    log_mis = np.log(np.clip(1.0 - params.rho, _LOG_FLOOR, None))[:, None]
-    ann1 = np.where(provided, yf * log_rho + (1.0 - yf) * log_mis, 0.0).sum(axis=0)
-    ann0 = np.where(provided, (1.0 - yf) * log_rho + yf * log_mis, 0.0).sum(axis=0)
-    return ann1, ann0
-
-
 def _dirichlet_block(conc, elog, scale=1):
     """Summed over rows: ``scale`` log Dirichlet normalizers plus (conc-1) * elog."""
     return float(dirichlet_objective(conc, elog, scale).sum())
@@ -177,10 +162,12 @@ def _gemm(a, b, ta=False):
 
     op swaps the last two axes of ``a`` when ``ta`` is set.  numpy hands a
     product with one row or one column to gemv, whose rounding depends on
-    the length of the padded document axis; gemm accumulates every output in
-    the same order whatever the padding.  So a one-row or one-column operand
-    gets a zero row or column, sliced off the result again.  It is added
-    before the swap, which keeps the memory layout that picks gemm's kernel.
+    the length of the padded document axis.  So a one-row or one-column
+    operand gets a zero row or column, sliced off the result again.  It is
+    added before the swap, which keeps the memory layout that picks gemm's
+    kernel.  gemm then rounds each output the same whatever the padding at
+    the small widths the tests check; at wider ones its blocking can follow
+    the padded size, and outputs agree to rounding only.
     """
     m_axis = -1 if ta else -2
     m, n = a.shape[m_axis], b.shape[-1]
@@ -198,7 +185,9 @@ def _responsibilities(delta, counts, phi):
 
     The sum runs over the padded term axis, so both operands go in as
     row-major (B, U, .) copies: BLAS rounds a product whose summed axis is
-    the contiguous one according to its padded length.
+    the contiguous one according to its padded length.  That keeps the
+    sums exact against unpadded ones at the small widths the tests check,
+    not at every width.
     """
     weighted = np.multiply(delta.transpose(0, 2, 1), counts[..., None], order="C")
     return _gemm(weighted, phi.transpose(0, 2, 1).copy(), ta=True)
@@ -229,6 +218,111 @@ def _length_sorted_chunks(lengths, width):
     return chunks
 
 
+@dataclass
+class _Chunk:
+    """Documents that run their inner loops in lockstep, and their states.
+
+    Column u of row b belongs to the u-th term of document ``docs[b]``.
+    Padding columns carry zero counts and finite values that no result
+    reads.  ``docs``, ``counts`` and ``votes`` are packed once per corpus
+    and shared by every E-pass over it; the rest is the state.
+    """
+
+    docs: np.ndarray      # (B,) corpus positions, ascending length
+    counts: np.ndarray    # (B, U) token counts, 0.0 on padding
+    votes: np.ndarray     # (B, K, C) judgments, -1 where none
+    delta: Optional[np.ndarray] = None   # (B, C, U)
+    phi: Optional[np.ndarray] = None     # (B, T, U)
+    Delta: Optional[np.ndarray] = None   # (B, C)
+    resp: Optional[np.ndarray] = None    # (B, C, T) count-weighted sums of delta x phi
+    gamma: Optional[np.ndarray] = None   # (B, C, 2, T)
+    sweeps: Optional[np.ndarray] = None  # (B,) inner sweeps
+
+
+class CorpusStates:
+    """Every document's variational state, held in the E-step's chunk arrays.
+
+    ``states[d]`` returns a copy of document d's state as a
+    :class:`DocVariational`.
+    """
+
+    def __init__(self, chunks, lengths, word_ids, pinned):
+        self.chunks = chunks
+        self.lengths = lengths    # (D,) terms per document
+        self.word_ids = word_ids  # (N,) every document's term ids, in corpus order
+        self.pinned = pinned      # the presence beliefs are the labels
+        self._offsets = np.concatenate([[0], np.cumsum(lengths)])
+        self._chunk_of = np.empty(len(lengths), dtype=np.int64)
+        self._row_of = np.empty(len(lengths), dtype=np.int64)
+        for i, chunk in enumerate(chunks):
+            self._chunk_of[chunk.docs] = i
+            self._row_of[chunk.docs] = np.arange(chunk.docs.size)
+
+    def __len__(self):
+        return self.lengths.size
+
+    def __getitem__(self, d) -> DocVariational:
+        chunk = self.chunks[self._chunk_of[d]]
+        b, u = self._row_of[d], self.lengths[d]
+        return DocVariational(
+            delta=chunk.delta[b, :, :u].T.copy(), Delta=chunk.Delta[b].copy(),
+            phi=chunk.phi[b, :, :u].T.copy(), gamma=chunk.gamma[b].copy(),
+            sweeps=int(chunk.sweeps[b]),
+        )
+
+    def __iter__(self):
+        return (self[d] for d in range(len(self)))
+
+    def _term_columns(self, chunk):
+        """``chunk``'s (B, U) term mask, and the row, column and position in
+        ``word_ids`` of each of its term columns, row by row."""
+        sizes = self.lengths[chunk.docs]
+        mask = np.arange(chunk.counts.shape[1]) < sizes[:, None]
+        rows, cols = np.nonzero(mask)
+        return mask, rows, cols, self._offsets[chunk.docs][rows] + cols
+
+
+def _pack(corpus, C, T, pinned=False) -> CorpusStates:
+    """Length-sorted chunks of ``corpus``'s words and votes, with no states yet."""
+    lengths = np.array([doc.word_ids.size for doc in corpus], dtype=np.int64)
+    word_ids = np.concatenate([doc.word_ids for doc in corpus] or [np.zeros(0, np.int64)])
+    counts = np.concatenate([doc.counts for doc in corpus] or [np.zeros(0)])
+    K = next((doc.crowd_labels.shape[0] for doc in corpus if doc.crowd_labels is not None), 0)
+    store = CorpusStates([
+        _Chunk(docs=docs, counts=np.zeros((docs.size, lengths[docs].max())),
+               votes=np.full((docs.size, K, C), -1, dtype=np.int8))
+        for docs in map(np.array, _length_sorted_chunks(lengths, max(C, T)))
+    ], lengths, word_ids, pinned)
+    for chunk in store.chunks:
+        _, rows, cols, slots = store._term_columns(chunk)
+        chunk.counts[rows, cols] = counts[slots]
+        for b, d in enumerate(chunk.docs if K else ()):
+            if corpus[d].crowd_labels is not None:
+                chunk.votes[b] = corpus[d].crowd_labels
+    return store
+
+
+def _start_arrays(chunk, corpus, states, C, T, params=None, pinned=False):
+    """``chunk``'s delta, phi and Delta from the per-document ``states``.
+
+    A document without a state starts cold: uniform responsibilities and
+    the :func:`initial_presence` beliefs under ``params``.  With ``pinned``
+    every document starts at its labels.
+    """
+    B, U = chunk.counts.shape
+    delta = np.full((B, C, U), 1.0 / C)
+    phi = np.full((B, T, U), 1.0 / T)
+    Delta = np.empty((B, C))
+    for b, d in enumerate(chunk.docs):
+        doc, state = corpus[d], states[d]
+        if state is not None:
+            u = doc.word_ids.size
+            delta[b, :, :u] = state.delta.T
+            phi[b, :, :u] = state.phi.T
+        Delta[b] = initial_presence(doc, params, pinned) if state is None or pinned else state.Delta
+    return delta, phi, Delta
+
+
 def e_step_corpus(
     corpus,
     params: ModelParams,
@@ -236,7 +330,7 @@ def e_step_corpus(
     estep: EStepConfig,
     states=None,
     pinned: bool = False,
-) -> list:
+) -> CorpusStates:
     """Coordinate-ascent inner loops for every document; one state each.
 
     Each document cycles gamma -> phi -> delta -> Delta until the largest
@@ -252,64 +346,86 @@ def e_step_corpus(
     working arrays class-major, one column per term, so every softmax runs
     down the outer axis.  Padded columns carry zero counts, so they add
     exact zeros to the responsibility sums, and a document leaves its chunk
-    at the sweep where its own change converges: every state equals the
-    one a single-document call returns.
+    at the sweep where its own change converges.  Against a one-document
+    call, a document's values agree to rounding after the same sweeps;
+    they are equal bit for bit at the small widths the tests check, but at
+    wider ones BLAS may round a product differently for a different padded
+    size.
+
+    The returned :class:`CorpusStates` keeps the states in those chunks.
+    Passed back as ``states`` for the same corpus, it is read, not changed,
+    and its packed words and votes are reused.
     """
-    if states is None:
-        states = [None] * len(corpus)
-    elog_beta = expected_log_word_given_topic(params, topics)
     C, _, T = params.alpha.shape
-    lengths = np.array([doc.word_ids.size for doc in corpus], dtype=np.int64)
-    out = [None] * len(corpus)
-    capped = 0
-    for chunk in _length_sorted_chunks(lengths, max(C, T)):
-        finished, hits = _e_step_chunk(
-            [corpus[d] for d in chunk], [states[d] for d in chunk], params, estep, elog_beta, pinned
-        )
-        for d, state in zip(chunk, finished):
-            out[d] = state
+    if isinstance(states, CorpusStates):
+        if len(states) != len(corpus) or states.pinned != pinned:
+            raise ValueError("e_step_corpus: states were computed for another corpus or mode")
+        store, starts = states, None
+    else:
+        store, starts = _pack(corpus, C, T, pinned), states or [None] * len(corpus)
+    elog_beta = expected_log_word_given_topic(params, topics)
+    chunks, capped = [], 0
+    for chunk in store.chunks:
+        chunk, hits = _e_step_chunk(store, chunk, starts, corpus, params, estep, elog_beta, pinned)
+        chunks.append(chunk)
         capped += hits
     if capped:
         logger.warning(
             "E-step: %d of %d documents were still changing after max_estep_iters=%d sweeps",
             capped, len(corpus), estep.max_iters,
         )
-    return out
+    return CorpusStates(chunks, store.lengths, store.word_ids, pinned)
 
 
-def _e_step_chunk(docs, states, params, estep, elog_beta, pinned):
-    """Lockstep inner loops for one chunk.
+def _annotator_log_terms(votes, rho):
+    """(B, C) expected judgment log-likelihoods for lambda=1 and lambda=0 from (B, K, C) votes."""
+    B, K, C = votes.shape
+    if K == 0 or rho.size == 0:
+        z = np.zeros((B, C))
+        return z, z.copy()
+    provided = votes != -1
+    yf = votes.astype(np.float64)
+    log_rho = np.log(np.clip(rho, _LOG_FLOOR, None))[:, None]
+    log_mis = np.log(np.clip(1.0 - rho, _LOG_FLOOR, None))[:, None]
+    ann1 = np.where(provided, yf * log_rho + (1.0 - yf) * log_mis, 0.0).sum(axis=1)
+    ann0 = np.where(provided, (1.0 - yf) * log_rho + yf * log_mis, 0.0).sum(axis=1)
+    return ann1, ann0
 
-    ``delta`` is (B, C, U) and ``phi`` (B, T, U): column u of document b
-    belongs to its u-th term.  A cold document keeps the uniform columns
-    the arrays start with.  Returns the documents' final states, in order,
-    and how many of them were still changing at the inner cap.
+
+def _mixed_log_theta(Delta, elog):
+    """(..., C, T) presence-weighted E[log theta]."""
+    return Delta[..., None] * elog[..., 1, :] + (1.0 - Delta)[..., None] * elog[..., 0, :]
+
+
+def _e_step_chunk(store, chunk, starts, corpus, params, estep, elog_beta, pinned):
+    """Lockstep inner loops for one chunk of ``store``.
+
+    The documents start from the states the chunk holds, or from their
+    entries of the per-document ``starts`` when those are given.  Returns
+    a chunk with the same words and the new states, and how many of its
+    documents were still changing at the inner cap.  Each state is written
+    back at the sweep where its document leaves, and the trailing gamma
+    refresh runs once over the whole chunk.
     """
     C, _, T = params.alpha.shape
-    B = len(docs)
-    sizes = np.array([doc.word_ids.size for doc in docs])
-    U = int(sizes.max())
-
-    delta = np.full((B, C, U), 1.0 / C)
-    phi = np.full((B, T, U), 1.0 / T)
-    log_wt = np.zeros((B, T, U))
-    counts = np.zeros((B, U))
-    Delta = np.empty((B, C))
-    ann1 = np.empty((B, C))
-    ann0 = np.empty((B, C))
-    for k, (doc, state) in enumerate(zip(docs, states)):
-        u = sizes[k]
-        if state is not None:
-            delta[k, :, :u] = state.delta.T
-            phi[k, :, :u] = state.phi.T
-        Delta[k] = initial_presence(doc, params, pinned) if state is None or pinned else state.Delta
-        log_wt[k, :, :u] = elog_beta[:, doc.word_ids]
-        counts[k, :u] = doc.counts
-        ann1[k], ann0[k] = _annotator_log_terms(doc, params)
-
-    terms = (np.arange(U) < sizes[:, None]).astype(np.float64)  # (B, U), 0.0 on padding
-    live = np.arange(B)                   # chunk position of each working row
-    finished = [None] * B
+    B, U = chunk.counts.shape
+    if starts is None:
+        delta, phi, Delta = chunk.delta, chunk.phi, chunk.Delta
+    else:
+        delta, phi, Delta = _start_arrays(chunk, corpus, starts, C, T, params, pinned)
+    out = replace(
+        chunk, delta=np.empty_like(delta), phi=np.empty_like(phi), Delta=np.empty_like(Delta),
+        resp=np.empty((B, C, T)), gamma=None, sweeps=np.empty(B, dtype=np.int64),
+    )
+    mask, rows, cols, slots = store._term_columns(chunk)
+    ids = np.zeros((B, U), dtype=np.int64)
+    ids[rows, cols] = store.word_ids[slots]
+    log_wt = elog_beta[np.arange(T)[:, None], ids[:, None, :]]  # (B, T, U)
+    np.copyto(log_wt, 0.0, where=~mask[:, None, :])
+    terms = mask.astype(np.float64)
+    ann1, ann0 = _annotator_log_terms(chunk.votes, params.rho)
+    counts = chunk.counts
+    live = np.arange(B)                   # chunk row of each working row
     capped = 0
     resp = _responsibilities(delta, counts, phi)
     for sweep in range(1, estep.max_iters + 1):
@@ -320,9 +436,9 @@ def _e_step_chunk(docs, states, params, estep, elog_beta, pinned):
             elog = dirichlet_expected_log(gamma)  # (B, C, 2, T)
         except ValueError as exc:
             bad = ~np.all(np.isfinite(gamma) & (gamma > 0.0), axis=(1, 2, 3))
-            doc = docs[live[np.argmax(bad)]]
+            doc = corpus[chunk.docs[live[np.argmax(bad)]]]
             raise NumericalFailureError(f"document {doc.doc_id}: {exc}") from exc
-        mix = Delta[..., None] * elog[..., 1, :] + (1.0 - Delta)[..., None] * elog[..., 0, :]
+        mix = _mixed_log_theta(Delta, elog)
 
         logits = _gemm(mix, delta, ta=True)
         logits += log_wt
@@ -342,17 +458,25 @@ def _e_step_chunk(docs, states, params, estep, elog_beta, pinned):
             done[:] = True
         if not done.any():
             continue
-        for i in np.flatnonzero(done):
-            finished[live[i]] = _finished_state(
-                docs[live[i]], params.alpha, delta[i], phi[i], Delta[i], resp[i], sweep
-            )
+        leaving = live[done]
+        pick = slice(None) if done.all() else done  # no copy when every row leaves
+        out.delta[leaving], out.phi[leaving] = delta[pick], phi[pick]
+        out.Delta[leaving], out.resp[leaving] = Delta[pick], resp[pick]
+        out.sweeps[leaving] = sweep
         keep = ~done
         if not keep.any():
             break
         live, terms = live[keep], terms[keep]
         delta, phi, Delta, resp = delta[keep], phi[keep], Delta[keep], resp[keep]
         log_wt, counts, ann1, ann0 = log_wt[keep], counts[keep], ann1[keep], ann0[keep]
-    return finished, capped
+    out.gamma = _gamma_from(params.alpha, out.Delta, out.resp)
+    for name in ("delta", "phi", "Delta", "gamma"):
+        value = getattr(out, name)
+        bad = ~np.isfinite(value).reshape(B, -1).all(axis=1)
+        if bad.any():
+            doc = corpus[chunk.docs[np.argmax(bad)]]
+            raise NumericalFailureError(f"document {doc.doc_id}: non-finite {name}")
+    return out, capped
 
 
 def _largest_change(new, old, terms):
@@ -365,19 +489,6 @@ def _largest_change(new, old, terms):
     columns = diff.max(axis=-2)
     columns *= terms
     return columns.max(axis=-1)
-
-
-def _finished_state(doc, alpha, delta, phi, Delta, resp, sweeps):
-    """A document's state from its working columns, with the trailing gamma refresh."""
-    u = doc.word_ids.size
-    state = DocVariational(
-        delta=delta[:, :u].T.copy(), Delta=Delta.copy(), phi=phi[:, :u].T.copy(),
-        gamma=_gamma_from(alpha, Delta, resp), sweeps=sweeps,
-    )
-    for name in ("delta", "phi", "Delta", "gamma"):
-        if not np.all(np.isfinite(getattr(state, name))):
-            raise NumericalFailureError(f"document {doc.doc_id}: non-finite {name}")
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -398,51 +509,78 @@ class CorpusStats:
 
 
 def collect_stats(corpus, states, dims: Dimensions) -> CorpusStats:
-    """The M-step's statistics and the per-document part of the bound, in one pass.
+    """The M-step's statistics and the per-document part of the bound.
 
-    ``state_terms`` sums, over documents, every bound term that depends on
-    that document's variational state beyond the statistics above: the
-    expected log topic draws, the delta and phi entropies, minus the gamma
-    Dirichlet block, and the Delta entropy.
+    ``states`` holds one :class:`DocVariational` per document, in any
+    relation to each other (an E-step's result, or
+    :func:`~mlpalda.model.init_doc_variational` starts).  They are packed
+    into the E-step's chunks and reduced as ``train`` reduces an E-pass.
+    """
+    store = _pack(corpus, dims.C, dims.T)
+    states = list(states)
+    for chunk in store.chunks:
+        chunk.delta, chunk.phi, chunk.Delta = _start_arrays(chunk, corpus, states, dims.C, dims.T)
+        chunk.resp = _responsibilities(chunk.delta, chunk.counts, chunk.phi)
+        chunk.gamma = np.array([states[d].gamma for d in chunk.docs])
+    return _reduce_stats(store, dims)
+
+
+def _reduce_stats(store: CorpusStates, dims: Dimensions) -> CorpusStats:
+    """Sums of the states in ``store``, over documents in corpus order.
+
+    Each document's E[log theta], presence beliefs and judgment counts go
+    into corpus-indexed rows and ``topic_word`` comes from ``bincount``
+    over the corpus-order term ids, so every M-step statistic adds its
+    documents in corpus order whatever the chunking.  ``state_terms`` sums,
+    over documents, every bound term that depends on that document's
+    variational state beyond those statistics: the expected log topic
+    draws, the delta and phi entropies, minus the gamma Dirichlet block,
+    and the Delta entropy.
     """
     C, T, V, K = dims.C, dims.T, dims.V, dims.K
-    n_tokens = 0.0
-    sum_Delta = np.zeros(C)
-    rho_num = np.zeros(K)
-    rho_cnt = np.zeros(K)
-    topic_word = np.zeros((T, V))
-    sum_log_theta = np.zeros((C, 2, T))
+    D = len(store)
+    log_theta = np.empty((D, C, 2, T))
+    presence = np.empty((D, C))
+    agree = np.zeros((D, K))
+    judged = np.zeros((D, K))
     state_terms = 0.0
-    for doc, st in zip(corpus, states):
-        counts = doc.counts[:, None].astype(np.float64)
-        Delta = st.Delta
-        n_tokens += counts.sum()
-        sum_Delta += Delta
-        topic_word[:, doc.word_ids] += (st.phi * counts).T
-        elog = dirichlet_expected_log(st.gamma)
-        sum_log_theta += elog
-        y = doc.crowd_labels
-        if y is not None and K:
-            provided = y != -1
-            yf = y.astype(np.float64)
-            agree = yf * Delta[None, :] + (1.0 - yf) * (1.0 - Delta)[None, :]
-            rho_num += np.where(provided, agree, 0.0).sum(axis=1)
-            rho_cnt += provided.sum(axis=1)
-        resp = (st.delta * counts).T @ st.phi                    # (C, T)
-        mix = Delta[:, None] * elog[:, 1, :] + (1.0 - Delta)[:, None] * elog[:, 0, :]
-        state_terms += float((resp * mix).sum())
-        state_terms -= float((counts * xlogy(st.delta, st.delta)).sum())
-        state_terms -= float((counts * xlogy(st.phi, st.phi)).sum())
-        state_terms -= _dirichlet_block(st.gamma, elog)
+    for chunk in store.chunks:
+        elog = dirichlet_expected_log(chunk.gamma)  # (B, C, 2, T)
+        log_theta[chunk.docs] = elog
+        Delta = chunk.Delta
+        presence[chunk.docs] = Delta
+        if K and chunk.votes.shape[1]:
+            provided = chunk.votes != -1
+            yf = chunk.votes.astype(np.float64)
+            both = yf * Delta[:, None, :] + (1.0 - yf) * (1.0 - Delta)[:, None, :]
+            agree[chunk.docs] = np.where(provided, both, 0.0).sum(axis=-1)
+            judged[chunk.docs] = provided.sum(axis=-1)
+        counts = chunk.counts[:, None, :]
+        state_terms += float((chunk.resp * _mixed_log_theta(Delta, elog)).sum())
+        state_terms -= float((counts * xlogy(chunk.delta, chunk.delta)).sum())
+        state_terms -= float((counts * xlogy(chunk.phi, chunk.phi)).sum())
+        state_terms -= _dirichlet_block(chunk.gamma, elog)
         state_terms -= float((xlogy(Delta, Delta) + xlogy(1.0 - Delta, 1.0 - Delta)).sum())
+
+    columns = [(chunk, *store._term_columns(chunk)[1:]) for chunk in store.chunks]
+    counts = np.empty(store.word_ids.size)
+    for chunk, rows, cols, slots in columns:
+        counts[slots] = chunk.counts[rows, cols]
+    topic_word = np.empty((T, V))
+    weights = np.empty(counts.size)
+    for t in range(T):
+        for chunk, rows, cols, slots in columns:
+            weights[slots] = chunk.phi[rows, t, cols]
+        weights *= counts
+        topic_word[t] = np.bincount(store.word_ids, weights, minlength=V)
     return CorpusStats(
-        n_docs=len(corpus),
-        n_tokens=n_tokens,
-        sum_Delta=sum_Delta,
-        rho_num=rho_num,
-        rho_cnt=rho_cnt,
+        n_docs=D,
+        n_tokens=float(counts.sum()),
+        sum_Delta=presence.sum(axis=0),
+        rho_num=agree.sum(axis=0),
+        rho_cnt=judged.sum(axis=0),
         topic_word=topic_word,
-        sum_log_theta=sum_log_theta,
+        sum_log_theta=log_theta.sum(axis=0),
         state_terms=state_terms,
     )
 
@@ -461,13 +599,7 @@ def m_step(
 
     rho = params.rho.copy()
     if rho.size:
-        labeled = stats.rho_cnt > 0
-        if not np.all(labeled):
-            idle = np.flatnonzero(~labeled)
-            logger.warning(
-                "annotators %s provided no judgments; their quality is left unchanged",
-                idle.tolist(),
-            )
+        labeled = stats.rho_cnt > 0  # an idle annotator keeps its quality
         ratio = stats.rho_num[labeled] / stats.rho_cnt[labeled]
         rho[labeled] = clamp_probability(ratio, PROB_CLAMP)
 
@@ -501,7 +633,7 @@ def compute_elbo(stats: CorpusStats, params: ModelParams, topics: Optional[Smoot
     """Evidence lower bound of the variational states summarized in ``stats``.
 
     Every term is a corpus statistic paired with a parameter, except
-    ``stats.state_terms``, which :func:`collect_stats` sums per document.
+    ``stats.state_terms``, which sums one term per document's state.
     Includes every constant of the generative process (in particular the
     uniform word-to-class prior), so on tiny instances the value is directly
     comparable against the exact enumerated marginal.
@@ -575,7 +707,7 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
     _check_training_corpus(corpus, dims, cfg)
     params = init_params(dims, cfg.mode, cfg.smoothing, cfg.seed)
     topics = init_smoothed_state(params.eta, cfg.seed) if cfg.smoothing else None
-    states = [None] * len(corpus)
+    states = None
     trace = ElboTrace()
     prev_elbo = None
     last_change = 0.0
@@ -583,7 +715,7 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
     for iteration in range(1, cfg.max_em_iters + 1):
         states = e_step_corpus(corpus, params, topics, cfg.estep, states,
                                pinned=cfg.mode == "no-crowd")
-        stats = collect_stats(corpus, states, dims)
+        stats = _reduce_stats(states, dims)
         if cfg.smoothing:
             topics = SmoothedTopicState(chi=params.eta + stats.topic_word)
 
@@ -627,6 +759,7 @@ def predict_corpus(
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("predict: threshold must be in [0, 1]")
     words = [Document(doc.doc_id, doc.word_ids, doc.counts) for doc in corpus]
-    states = e_step_corpus(words, params, topics, estep)
-    beliefs = np.array([st.Delta for st in states]).reshape(len(corpus), params.alpha.shape[0])
+    beliefs = np.empty((len(corpus), params.alpha.shape[0]))
+    for chunk in e_step_corpus(words, params, topics, estep).chunks:
+        beliefs[chunk.docs] = chunk.Delta
     return beliefs, (beliefs >= threshold).astype(np.int64)

@@ -188,6 +188,21 @@ def test_evaluate_pool_needs_model_in(tmp_path, corpus, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--threshold", "0.99"), ("--max-estep-iters", "0"), ("--estep-tol", "-1"),
+])
+def test_evaluate_prediction_flags_need_model_in(tmp_path, corpus, capsys, flag, value):
+    """Read predictions are scored as they are: a flag that only shapes a
+    model's predictions is refused, not ignored."""
+    docs, _ = load_corpus(corpus)
+    preds, out = tmp_path / "p.txt", tmp_path / "eval.csv"
+    write_predictions(preds, [(d.doc_id, d.true_labels * 0.8 + 0.1, d.true_labels) for d in docs])
+    assert run("evaluate", "--corpus", str(corpus), "--predictions", str(preds),
+               "--out", str(out), flag, value) == 1
+    assert f"{flag} needs --model-in" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["predict", "evaluate", "sweep"])
 @pytest.mark.parametrize("flag,value,named", [
     ("--max-estep-iters", "0", "iteration cap"),
