@@ -224,12 +224,15 @@ class _Chunk:
 
     Column u of row b belongs to the u-th term of document ``docs[b]``.
     Padding columns carry zero counts and finite values that no result
-    reads.  ``docs``, ``counts`` and ``votes`` are packed once per corpus
-    and shared by every E-pass over it; the rest is the state.
+    reads.  The layout fields, ``docs`` to ``votes``, are packed once per
+    corpus and shared by every E-pass over it; the rest is the state.
     """
 
     docs: np.ndarray      # (B,) corpus positions, ascending length
+    ids: np.ndarray       # (B, U) term ids, 0 on padding
     counts: np.ndarray    # (B, U) token counts, 0.0 on padding
+    mask: np.ndarray      # (B, U) True on a document's term columns
+    slots: np.ndarray     # (n,) corpus-order position of each term column, row by row
     votes: np.ndarray     # (B, K, C) judgments, -1 where none
     delta: Optional[np.ndarray] = None   # (B, C, U)
     phi: Optional[np.ndarray] = None     # (B, T, U)
@@ -243,15 +246,16 @@ class CorpusStates:
     """Every document's variational state, held in the E-step's chunk arrays.
 
     ``states[d]`` returns a copy of document d's state as a
-    :class:`DocVariational`.
+    :class:`DocVariational`.  ``corpus`` is the document list the chunks
+    were packed from.
     """
 
-    def __init__(self, chunks, lengths, word_ids, pinned):
+    def __init__(self, corpus, chunks, lengths, word_ids, pinned):
+        self.corpus = corpus
         self.chunks = chunks
         self.lengths = lengths    # (D,) terms per document
         self.word_ids = word_ids  # (N,) every document's term ids, in corpus order
         self.pinned = pinned      # the presence beliefs are the labels
-        self._offsets = np.concatenate([[0], np.cumsum(lengths)])
         self._chunk_of = np.empty(len(lengths), dtype=np.int64)
         self._row_of = np.empty(len(lengths), dtype=np.int64)
         for i, chunk in enumerate(chunks):
@@ -273,33 +277,30 @@ class CorpusStates:
     def __iter__(self):
         return (self[d] for d in range(len(self)))
 
-    def _term_columns(self, chunk):
-        """``chunk``'s (B, U) term mask, and the row, column and position in
-        ``word_ids`` of each of its term columns, row by row."""
-        sizes = self.lengths[chunk.docs]
-        mask = np.arange(chunk.counts.shape[1]) < sizes[:, None]
-        rows, cols = np.nonzero(mask)
-        return mask, rows, cols, self._offsets[chunk.docs][rows] + cols
-
 
 def _pack(corpus, C, T, pinned=False) -> CorpusStates:
     """Length-sorted chunks of ``corpus``'s words and votes, with no states yet."""
     lengths = np.array([doc.word_ids.size for doc in corpus], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
     word_ids = np.concatenate([doc.word_ids for doc in corpus] or [np.zeros(0, np.int64)])
     counts = np.concatenate([doc.counts for doc in corpus] or [np.zeros(0)])
     K = next((doc.crowd_labels.shape[0] for doc in corpus if doc.crowd_labels is not None), 0)
-    store = CorpusStates([
-        _Chunk(docs=docs, counts=np.zeros((docs.size, lengths[docs].max())),
-               votes=np.full((docs.size, K, C), -1, dtype=np.int8))
-        for docs in map(np.array, _length_sorted_chunks(lengths, max(C, T)))
-    ], lengths, word_ids, pinned)
-    for chunk in store.chunks:
-        _, rows, cols, slots = store._term_columns(chunk)
-        chunk.counts[rows, cols] = counts[slots]
-        for b, d in enumerate(chunk.docs if K else ()):
+    chunks = []
+    for docs in map(np.array, _length_sorted_chunks(lengths, max(C, T))):
+        mask = np.arange(lengths[docs].max()) < lengths[docs][:, None]
+        rows, cols = np.nonzero(mask)
+        chunk = _Chunk(
+            docs=docs, ids=np.zeros(mask.shape, dtype=np.int64), counts=np.zeros(mask.shape),
+            mask=mask, slots=offsets[docs][rows] + cols,
+            votes=np.full((docs.size, K, C), -1, dtype=np.int8),
+        )
+        chunk.ids[mask] = word_ids[chunk.slots]
+        chunk.counts[mask] = counts[chunk.slots]
+        for b, d in enumerate(docs if K else ()):
             if corpus[d].crowd_labels is not None:
                 chunk.votes[b] = corpus[d].crowd_labels
-    return store
+        chunks.append(chunk)
+    return CorpusStates(corpus, chunks, lengths, word_ids, pinned)
 
 
 def _start_arrays(chunk, corpus, states, C, T, params=None, pinned=False):
@@ -353,20 +354,21 @@ def e_step_corpus(
     size.
 
     The returned :class:`CorpusStates` keeps the states in those chunks.
-    Passed back as ``states`` for the same corpus, it is read, not changed,
-    and its packed words and votes are reused.
+    Passed back as ``states`` with the same ``corpus`` object and
+    ``pinned``, it is read, not changed, and its packed words and votes are
+    reused.  Any other store is read as per-document starts, like a list.
     """
     C, _, T = params.alpha.shape
-    if isinstance(states, CorpusStates):
-        if len(states) != len(corpus) or states.pinned != pinned:
-            raise ValueError("e_step_corpus: states were computed for another corpus or mode")
+    if states is not None and len(states) != len(corpus):
+        raise ValueError(f"e_step_corpus: {len(states)} states for {len(corpus)} documents")
+    if isinstance(states, CorpusStates) and states.corpus is corpus and states.pinned == pinned:
         store, starts = states, None
     else:
         store, starts = _pack(corpus, C, T, pinned), states or [None] * len(corpus)
     elog_beta = expected_log_word_given_topic(params, topics)
     chunks, capped = [], 0
     for chunk in store.chunks:
-        chunk, hits = _e_step_chunk(store, chunk, starts, corpus, params, estep, elog_beta, pinned)
+        chunk, hits = _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned)
         chunks.append(chunk)
         capped += hits
     if capped:
@@ -374,7 +376,7 @@ def e_step_corpus(
             "E-step: %d of %d documents were still changing after max_estep_iters=%d sweeps",
             capped, len(corpus), estep.max_iters,
         )
-    return CorpusStates(chunks, store.lengths, store.word_ids, pinned)
+    return CorpusStates(corpus, chunks, store.lengths, store.word_ids, pinned)
 
 
 def _annotator_log_terms(votes, rho):
@@ -397,8 +399,8 @@ def _mixed_log_theta(Delta, elog):
     return Delta[..., None] * elog[..., 1, :] + (1.0 - Delta)[..., None] * elog[..., 0, :]
 
 
-def _e_step_chunk(store, chunk, starts, corpus, params, estep, elog_beta, pinned):
-    """Lockstep inner loops for one chunk of ``store``.
+def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
+    """Lockstep inner loops for one packed chunk of ``corpus``.
 
     The documents start from the states the chunk holds, or from their
     entries of the per-document ``starts`` when those are given.  Returns
@@ -408,7 +410,7 @@ def _e_step_chunk(store, chunk, starts, corpus, params, estep, elog_beta, pinned
     refresh runs once over the whole chunk.
     """
     C, _, T = params.alpha.shape
-    B, U = chunk.counts.shape
+    B = chunk.counts.shape[0]
     if starts is None:
         delta, phi, Delta = chunk.delta, chunk.phi, chunk.Delta
     else:
@@ -417,12 +419,9 @@ def _e_step_chunk(store, chunk, starts, corpus, params, estep, elog_beta, pinned
         chunk, delta=np.empty_like(delta), phi=np.empty_like(phi), Delta=np.empty_like(Delta),
         resp=np.empty((B, C, T)), gamma=None, sweeps=np.empty(B, dtype=np.int64),
     )
-    mask, rows, cols, slots = store._term_columns(chunk)
-    ids = np.zeros((B, U), dtype=np.int64)
-    ids[rows, cols] = store.word_ids[slots]
-    log_wt = elog_beta[np.arange(T)[:, None], ids[:, None, :]]  # (B, T, U)
-    np.copyto(log_wt, 0.0, where=~mask[:, None, :])
-    terms = mask.astype(np.float64)
+    log_wt = elog_beta[np.arange(T)[:, None], chunk.ids[:, None, :]]  # (B, T, U)
+    np.copyto(log_wt, 0.0, where=~chunk.mask[:, None, :])
+    terms = chunk.mask.astype(np.float64)
     ann1, ann0 = _annotator_log_terms(chunk.votes, params.rho)
     counts = chunk.counts
     live = np.arange(B)                   # chunk row of each working row
@@ -562,15 +561,14 @@ def _reduce_stats(store: CorpusStates, dims: Dimensions) -> CorpusStats:
         state_terms -= _dirichlet_block(chunk.gamma, elog)
         state_terms -= float((xlogy(Delta, Delta) + xlogy(1.0 - Delta, 1.0 - Delta)).sum())
 
-    columns = [(chunk, *store._term_columns(chunk)[1:]) for chunk in store.chunks]
     counts = np.empty(store.word_ids.size)
-    for chunk, rows, cols, slots in columns:
-        counts[slots] = chunk.counts[rows, cols]
+    for chunk in store.chunks:
+        counts[chunk.slots] = chunk.counts[chunk.mask]
     topic_word = np.empty((T, V))
     weights = np.empty(counts.size)
     for t in range(T):
-        for chunk, rows, cols, slots in columns:
-            weights[slots] = chunk.phi[rows, t, cols]
+        for chunk in store.chunks:
+            weights[chunk.slots] = chunk.phi[:, t][chunk.mask]
         weights *= counts
         topic_word[t] = np.bincount(store.word_ids, weights, minlength=V)
     return CorpusStats(

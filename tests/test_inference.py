@@ -354,11 +354,12 @@ def assert_equals_one_document_calls(docs, params, estep, starts, pinned):
 
 
 @ESTEP_MODES
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("warm", [None, "store", "list"], ids=["cold", "warm", "warm-list"])
 @pytest.mark.parametrize("budget", [40, 2 ** 30], ids=["many-chunks", "one-chunk"])
 def test_corpus_estep_equals_one_document_calls(monkeypatch, pinned, words_only, warm, budget):
     """Padding, chunking and per-document exits must not move a single bit:
-    every state equals the one-document call's, after the same sweep count."""
+    every state equals the one-document call's, after the same sweep count.
+    A warm start reuses the store's chunks, or reads a list of its states."""
     rng = np.random.default_rng(51)
     C, T, V, K = 3, 4, 120, 3
     params = random_params(rng, C, T, V, K=K)
@@ -366,11 +367,14 @@ def test_corpus_estep_equals_one_document_calls(monkeypatch, pinned, words_only,
     if words_only:
         docs = words_of(docs)
     estep = EStepConfig(max_iters=60, tol=1e-7)
+    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", budget)
     starts = [None] * len(docs)
     if warm:
         starts = e_step_corpus(docs, params, None, EStepConfig(max_iters=2), pinned=pinned)
+        assert (len(starts.chunks) > 1) == (budget == 40)
+        if warm == "list":
+            starts = list(starts)
 
-    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", budget)
     sweeps = assert_equals_one_document_calls(docs, params, estep, starts, pinned)
     assert len(set(sweeps)) > 1  # documents converge at different sweeps
     assert max(sweeps) < estep.max_iters
@@ -417,6 +421,29 @@ def test_corpus_estep_matches_one_document_calls_at_wide_widths(pinned, words_on
         for name in ("delta", "phi", "Delta", "gamma"):
             np.testing.assert_allclose(getattr(st, name), getattr(one, name), rtol=1e-12,
                                        atol=1e-14, err_msg=f"{doc.doc_id} {name}")
+
+
+def test_store_of_another_corpus_or_mode_is_read_as_per_document_starts(monkeypatch):
+    """A store's chunks are reused only for the corpus object and mode they
+    were packed for.  Word-only copies of its documents, or pinned presence,
+    warm-start from the list of its states instead, so the store's votes and
+    free presence beliefs do not come back."""
+    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 40)
+    rng = np.random.default_rng(55)
+    C, T, V, K = 3, 4, 120, 3
+    params = random_params(rng, C, T, V, K=K)
+    docs = mixed_length_corpus(rng, C, V, K=K)
+    estep = EStepConfig(max_iters=60, tol=1e-7)
+    store = e_step_corpus(docs, params, None, EStepConfig(max_iters=2))
+    for other, pinned in ((words_of(docs), False), (docs, True)):
+        got = e_step_corpus(other, params, None, estep, store, pinned)
+        want = e_step_corpus(other, params, None, estep, list(store), pinned)
+        for doc, a, b in zip(other, got, want):
+            for name in ("delta", "phi", "Delta", "gamma"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), (doc.doc_id, name)
+            assert a.sweeps == b.sweeps, doc.doc_id
+    with pytest.raises(ValueError, match="states for"):
+        e_step_corpus(docs[:-1], params, None, estep, store)
 
 
 def test_softmax_columns_stays_finite_below_exp_underflow():
