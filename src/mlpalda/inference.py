@@ -46,7 +46,7 @@ from .model import (
     init_smoothed_state,
     initial_presence,
     normalize_mode,
-    validate_document,
+    validate_corpus,
     validate_words,
 )
 from .numerics import dirichlet_expected_log, dirichlet_objective, solve_dirichlet_newton
@@ -129,11 +129,13 @@ def _softmax_columns(logits):
     """In place, each column of the last two axes becomes its softmax.
 
     The max-shift keeps a column finite even when all its logits lie below
-    the exp underflow point.
+    the exp underflow point.  Each column takes one reciprocal of its sum
+    and is then multiplied by it.
     """
     logits -= logits.max(axis=-2, keepdims=True)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-2, keepdims=True)
+    scale = logits.sum(axis=-2, keepdims=True)
+    logits *= np.reciprocal(scale, out=scale)
     return logits
 
 
@@ -150,47 +152,26 @@ def _presence_update(xi, ann1, ann0, elog, resp):
     return clamp_probability(expit(l1 - l0), DELTA_CLAMP)
 
 
-def _gamma_from(alpha, Delta, resp):
-    gamma = np.empty(Delta.shape + alpha.shape[1:])
-    gamma[..., 1, :] = alpha[:, 1, :] + Delta[..., None] * resp
-    gamma[..., 0, :] = alpha[:, 0, :] + (1.0 - Delta)[..., None] * resp
-    return gamma
+def _gamma_from(alpha, Delta, resp, out=None):
+    """(..., C, 2, T) topic posteriors alpha + presence-weighted ``resp``, into ``out``."""
+    if out is None:
+        out = np.empty(Delta.shape + alpha.shape[1:])
+    np.multiply(Delta[..., None], resp, out=out[..., 1, :])
+    out[..., 1, :] += alpha[:, 1, :]
+    np.multiply((1.0 - Delta)[..., None], resp, out=out[..., 0, :])
+    out[..., 0, :] += alpha[:, 0, :]
+    return out
 
 
-def _gemm(a, b, ta=False):
-    """op(a) @ b over the last two axes, always through BLAS gemm.
-
-    op swaps the last two axes of ``a`` when ``ta`` is set.  numpy hands a
-    product with one row or one column to gemv, whose rounding depends on
-    the length of the padded document axis.  So a one-row or one-column
-    operand gets a zero row or column, sliced off the result again.  It is
-    added before the swap, which keeps the memory layout that picks gemm's
-    kernel.  gemm then rounds each output the same whatever the padding at
-    the small widths the tests check; at wider ones its blocking can follow
-    the padded size, and outputs agree to rounding only.
-    """
-    m_axis = -1 if ta else -2
-    m, n = a.shape[m_axis], b.shape[-1]
-    if m == 1:
-        a = np.concatenate([a, np.zeros_like(a)], axis=m_axis)
-    if n == 1:
-        b = np.concatenate([b, np.zeros_like(b)], axis=-1)
-    if ta:
-        a = np.swapaxes(a, -1, -2)
-    return np.matmul(a, b)[..., :m, :n]
-
-
-def _responsibilities(delta, counts, phi):
+def _responsibilities(delta, counts, phi, weighted=None, out=None):
     """(B, C, T) count-weighted sums over each document's columns of delta x phi.
 
-    The sum runs over the padded term axis, so both operands go in as
-    row-major (B, U, .) copies: BLAS rounds a product whose summed axis is
-    the contiguous one according to its padded length.  That keeps the
-    sums exact against unpadded ones at the small widths the tests check,
-    not at every width.
+    ``weighted`` receives delta x counts, and ``out`` the product of that
+    with phi's transposed view.  Padding columns carry zero counts, so
+    they add exact zeros to every sum.
     """
-    weighted = np.multiply(delta.transpose(0, 2, 1), counts[..., None], order="C")
-    return _gemm(weighted, phi.transpose(0, 2, 1).copy(), ta=True)
+    weighted = np.multiply(delta, counts[:, None, :], out=weighted)
+    return np.matmul(weighted, phi.swapaxes(-1, -2), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +326,14 @@ def e_step_corpus(
     The documents run in lockstep, in length-sorted chunks padded to their
     longest document and bounded by ``CHUNK_ELEMENTS``.  A chunk holds its
     working arrays class-major, one column per term, so every softmax runs
-    down the outer axis.  Padded columns carry zero counts, so they add
-    exact zeros to the responsibility sums, and a document leaves its chunk
-    at the sweep where its own change converges.  Against a one-document
-    call, a document's values agree to rounding after the same sweeps;
-    they are equal bit for bit at the small widths the tests check, but at
-    wider ones BLAS may round a product differently for a different padded
-    size.
+    down the outer axis, and the responsibilities are one product of the
+    count-weighted delta with phi's transposed view.  Padded columns carry
+    zero counts, so they add exact zeros to the responsibility sums, and a
+    document leaves its chunk at the sweep where its own change converges.
+    Against a one-document call, a document takes the same sweeps and its
+    values agree to rounding (the tests hold them to 1e-12 relative): BLAS
+    may round a sum over the padded term axis differently from the same
+    sum over the unpadded one.
 
     The returned :class:`CorpusStates` keeps the states in those chunks.
     Passed back as ``states`` with the same ``corpus`` object and
@@ -394,9 +376,11 @@ def _annotator_log_terms(votes, rho):
     return ann1, ann0
 
 
-def _mixed_log_theta(Delta, elog):
-    """(..., C, T) presence-weighted E[log theta]."""
-    return Delta[..., None] * elog[..., 1, :] + (1.0 - Delta)[..., None] * elog[..., 0, :]
+def _mixed_log_theta(Delta, elog, out=None):
+    """(..., C, T) presence-weighted E[log theta], into ``out``."""
+    out = np.multiply(Delta[..., None], elog[..., 1, :], out=out)
+    out += (1.0 - Delta)[..., None] * elog[..., 0, :]
+    return out
 
 
 def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
@@ -405,14 +389,24 @@ def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
     The documents start from the states the chunk holds, or from their
     entries of the per-document ``starts`` when those are given.  Returns
     a chunk with the same words and the new states, and how many of its
-    documents were still changing at the inner cap.  Each state is written
-    back at the sweep where its document leaves, and the trailing gamma
-    refresh runs once over the whole chunk.
+    documents were still changing at the inner cap.  The chunk passed in
+    is not changed.
+
+    Every working array is allocated once per call, with one row per
+    document.  The n documents still running hold the leading n rows, in
+    chunk order; when some leave, their states are written back by index
+    and the rows behind them move up.  delta and phi have two buffers
+    each: a sweep writes its products into one, with ``np.matmul(...,
+    out=)``, and the change test then overwrites the other, which held
+    the previous sweep's values; the two swap for the next sweep.  gamma,
+    E[log theta], the mixed E[log theta], the responsibilities and the
+    count-weighted delta are filled in place.  The trailing gamma refresh
+    runs once over the whole chunk.
     """
     C, _, T = params.alpha.shape
     B = chunk.counts.shape[0]
     if starts is None:
-        delta, phi, Delta = chunk.delta, chunk.phi, chunk.Delta
+        delta, phi, Delta = chunk.delta.copy(), chunk.phi.copy(), chunk.Delta.copy()
     else:
         delta, phi, Delta = _start_arrays(chunk, corpus, starts, C, T, params, pinned)
     out = replace(
@@ -422,52 +416,58 @@ def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
     log_wt = elog_beta[np.arange(T)[:, None], chunk.ids[:, None, :]]  # (B, T, U)
     np.copyto(log_wt, 0.0, where=~chunk.mask[:, None, :])
     terms = chunk.mask.astype(np.float64)
+    counts = chunk.counts.copy()
     ann1, ann0 = _annotator_log_terms(chunk.votes, params.rho)
-    counts = chunk.counts
     live = np.arange(B)                   # chunk row of each working row
-    capped = 0
-    resp = _responsibilities(delta, counts, phi)
+    weighted = np.empty_like(delta)
+    resp = _responsibilities(delta, counts, phi, weighted)
+    delta_next, phi_next = np.empty_like(delta), np.empty_like(phi)
+    gamma, elog, mix = np.empty((B, C, 2, T)), np.empty((B, C, 2, T)), np.empty((B, C, T))
+    n, capped = B, 0
     for sweep in range(1, estep.max_iters + 1):
-        prev_delta, prev_phi, prev_Delta = delta, phi, Delta
+        old_delta, old_phi, Delta_n, resp_n = delta[:n], phi[:n], Delta[:n], resp[:n]
+        gamma_n, elog_n, mix_n = gamma[:n], elog[:n], mix[:n]
 
-        gamma = _gamma_from(params.alpha, Delta, resp)
+        _gamma_from(params.alpha, Delta_n, resp_n, out=gamma_n)
         try:
-            elog = dirichlet_expected_log(gamma)  # (B, C, 2, T)
+            dirichlet_expected_log(gamma_n, out=elog_n)
         except ValueError as exc:
-            bad = ~np.all(np.isfinite(gamma) & (gamma > 0.0), axis=(1, 2, 3))
+            bad = ~np.all(np.isfinite(gamma_n) & (gamma_n > 0.0), axis=(1, 2, 3))
             doc = corpus[chunk.docs[live[np.argmax(bad)]]]
             raise NumericalFailureError(f"document {doc.doc_id}: {exc}") from exc
-        mix = _mixed_log_theta(Delta, elog)
+        _mixed_log_theta(Delta_n, elog_n, out=mix_n)
 
-        logits = _gemm(mix, delta, ta=True)
-        logits += log_wt
-        phi = _softmax_columns(logits)
-        delta = _softmax_columns(_gemm(mix, phi))
-        resp = _responsibilities(delta, counts, phi)
+        new_phi = np.matmul(mix_n.swapaxes(-1, -2), old_delta, out=phi_next[:n])
+        new_phi += log_wt[:n]
+        _softmax_columns(new_phi)
+        new_delta = _softmax_columns(np.matmul(mix_n, new_phi, out=delta_next[:n]))
+        _responsibilities(new_delta, counts[:n], new_phi, weighted[:n], out=resp_n)
+
+        change = np.maximum(_largest_change(new_delta, old_delta, terms[:n]),
+                            _largest_change(new_phi, old_phi, terms[:n]))
         if not pinned:
-            Delta = _presence_update(params.xi, ann1, ann0, elog, resp)
+            new_Delta = _presence_update(params.xi, ann1[:n], ann0[:n], elog_n, resp_n)
+            np.maximum(change, np.abs(new_Delta - Delta_n).max(axis=-1), out=change)
+            Delta_n[...] = new_Delta
+        delta, delta_next, phi, phi_next = delta_next, delta, phi_next, phi
 
-        change = np.maximum(
-            np.maximum(_largest_change(delta, prev_delta, terms), _largest_change(phi, prev_phi, terms)),
-            np.abs(Delta - prev_Delta).max(axis=-1),
-        )
         done = change < estep.tol
         if sweep == estep.max_iters:
             capped = int(np.count_nonzero(~done))
             done[:] = True
         if not done.any():
             continue
-        leaving = live[done]
-        pick = slice(None) if done.all() else done  # no copy when every row leaves
+        leaving = live[:n][done]
+        pick = slice(None, n) if done.all() else np.flatnonzero(done)
         out.delta[leaving], out.phi[leaving] = delta[pick], phi[pick]
         out.Delta[leaving], out.resp[leaving] = Delta[pick], resp[pick]
         out.sweeps[leaving] = sweep
-        keep = ~done
-        if not keep.any():
+        keep = np.flatnonzero(~done)
+        if not keep.size:
             break
-        live, terms = live[keep], terms[keep]
-        delta, phi, Delta, resp = delta[keep], phi[keep], Delta[keep], resp[keep]
-        log_wt, counts, ann1, ann0 = log_wt[keep], counts[keep], ann1[keep], ann0[keep]
+        for rows in (delta, phi, Delta, resp, log_wt, terms, counts, ann1, ann0, live):
+            rows[:keep.size] = rows[keep]
+        n = keep.size
     out.gamma = _gamma_from(params.alpha, out.Delta, out.resp)
     for name in ("delta", "phi", "Delta", "gamma"):
         value = getattr(out, name)
@@ -482,8 +482,9 @@ def _largest_change(new, old, terms):
     """Per document, the largest |new - old| over its term columns, not its padding.
 
     ``terms`` is (B, U): 1.0 on a document's term columns, 0.0 on padding.
+    The differences are written over ``old``.
     """
-    diff = np.subtract(new, old)
+    diff = np.subtract(new, old, out=old)
     np.abs(diff, out=diff)
     columns = diff.max(axis=-2)
     columns *= terms
@@ -676,15 +677,12 @@ def _max_param_change(old: ModelParams, new: ModelParams) -> float:
 def _check_training_corpus(corpus, dims: Dimensions, cfg: TrainConfig) -> None:
     if not corpus:
         raise ValueError("train: empty corpus")
-    for doc in corpus:
-        validate_document(doc, dims)
+    validate_corpus(corpus, dims)
     if cfg.mode == "crowd":
         if dims.K < 1:
             raise ValueError("train: crowd mode requires K >= 1")
-        seen = np.zeros(dims.K, dtype=np.int64)
-        for doc in corpus:
-            if doc.crowd_labels is not None:
-                seen += (doc.crowd_labels != -1).sum(axis=1)
+        votes = [doc.crowd_labels for doc in corpus if doc.crowd_labels is not None]
+        seen = (np.stack(votes) != -1).sum(axis=(0, 2)) if votes else np.zeros(dims.K, dtype=np.int64)
         if seen.sum() == 0:
             raise ValueError("train: crowd mode but no judgments at all")
         if np.any(seen == 0):

@@ -168,6 +168,45 @@ def validate_document(doc: Document, dims: Dimensions) -> None:
             raise ValueError(f"document {doc.doc_id}: crowd labels must be 0, 1 or -1")
 
 
+def validate_corpus(corpus, dims: Dimensions) -> None:
+    """:func:`validate_document` on every document of ``corpus``, batched.
+
+    One vectorized pass over the concatenated term ids and counts and the
+    stacked labels and votes flags each document that breaks a rule; the
+    first flagged document is then checked on its own, so the error is
+    the one :func:`validate_document` raises for it.
+    """
+    for d in np.flatnonzero(_faulty_documents(corpus, dims)):
+        validate_document(corpus[d], dims)
+
+
+def _faulty_documents(corpus, dims: Dimensions) -> np.ndarray:
+    """(D,) True for every document that :func:`validate_document` rejects."""
+    ids = [doc.word_ids for doc in corpus]
+    counts = [doc.counts for doc in corpus]
+    bad = np.array([w.ndim != 1 or w.shape != c.shape or w.size == 0
+                    for w, c in zip(ids, counts)], dtype=bool)
+    whole = np.flatnonzero(~bad)
+    flat_ids = np.concatenate([ids[d] for d in whole] or [np.zeros(0, np.int64)])
+    flat_counts = np.concatenate([counts[d] for d in whole] or [np.zeros(0, np.int64)])
+    doc_of = np.repeat(whole, [ids[d].size for d in whole])
+    bad[doc_of[(flat_ids < 0) | (flat_ids >= dims.V) | (flat_counts < 1)]] = True
+    order = np.lexsort((flat_ids, doc_of))  # a duplicate sits next to its twin
+    twin = (np.diff(flat_ids[order]) == 0) & (np.diff(doc_of[order]) == 0)
+    bad[doc_of[order][1:][twin]] = True
+
+    for values, shape in (([doc.true_labels for doc in corpus], (dims.C,)),
+                          ([doc.crowd_labels for doc in corpus], (dims.K, dims.C) if dims.K else None)):
+        wrong = np.array([v is not None for v in values], dtype=bool)
+        fits = np.flatnonzero([v is not None and v.shape == shape for v in values])
+        wrong[fits] = False
+        if fits.size:
+            stacked = np.stack([values[d] for d in fits]).reshape(fits.size, -1)
+            wrong[fits[~np.isin(stacked, (-1, 0, 1)).all(axis=1)]] = True
+        bad |= wrong
+    return bad
+
+
 def _all_within(x, lo, hi) -> bool:
     """Every entry in [lo, hi]; unlike "none below lo or above hi", NaN fails."""
     return bool(np.all((x >= lo) & (x <= hi)))

@@ -17,33 +17,21 @@ NEWTON_MAX_HALVINGS = 30
 NEWTON_GAIN_ULPS = 8
 
 
-def log_sum_exp(v, axis=None):
-    """log(sum(exp(v))) with max-shift; -inf entries contribute nothing."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("log_sum_exp: empty input")
-    m = np.max(arr, axis=axis, keepdims=True)
-    # a row of all -inf must come out as -inf, not nan
-    safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(arr - safe), axis=axis, keepdims=True)) + safe
-    if axis is None:
-        return float(out.reshape(()))
-    return np.squeeze(out, axis=axis)
-
-
-def dirichlet_expected_log(gamma, axis=-1):
+def dirichlet_expected_log(gamma, axis=-1, out=None):
     """E[log theta] under Dirichlet(gamma): psi(gamma) - psi(sum gamma).
 
     Works on batched concentration arrays; the simplex axis is ``axis``.
+    The result is written into ``out`` when one is given.
     """
     arr = np.asarray(gamma, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("dirichlet_expected_log: empty input")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    if not (arr.min() > 0.0 and arr.max() < np.inf):  # NaN fails the first test
         raise ValueError("dirichlet_expected_log: argument must be finite and > 0")
-    total = np.sum(arr, axis=axis, keepdims=True)
-    return psi(arr) - psi(total)
+    total = psi(np.sum(arr, axis=axis, keepdims=True))
+    out = psi(arr, out=out)
+    out -= total
+    return out
 
 
 # ---------------------------------------------------------------------------

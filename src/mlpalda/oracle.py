@@ -9,8 +9,9 @@ integrate out in closed form as ratios of gamma functions, so the marginal
               prod_i DirMult(counts of class i | alpha_{i,lambda_i})
 
 is computed exactly (up to float rounding) with log-gamma arithmetic.
-Everything here deliberately runs on stdlib math.lgamma and plain loops —
-none of the engine's digamma/softmax code is on this path.
+Everything here deliberately runs on stdlib math.lgamma and plain loops,
+with scipy's logsumexp for the sums — none of the engine's digamma/softmax
+code is on this path.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .model import Dimensions, Document, ModelParams
-from .numerics import log_sum_exp
 
 ENUMERATION_LIMIT = 100_000
 
@@ -102,7 +103,7 @@ def _log_marginal_by_lambda(instance: TinyInstance):
                             log_dir += lgamma(a[i][t] + m[t]) - lgamma(a[i][t])
                 config_terms.append(log_inv_c + log_p_w + log_dir)
         patterns.append(lam)
-        totals.append(log_p_lambda + log_p_y + log_sum_exp(np.array(config_terms)))
+        totals.append(log_p_lambda + log_p_y + logsumexp(config_terms))
     return patterns, np.array(totals)
 
 
@@ -110,17 +111,14 @@ def exact_log_marginal(instance: TinyInstance) -> float:
     """log p(w, y) (log p(w) when the document carries no judgments)."""
     _check_instance(instance)
     _, totals = _log_marginal_by_lambda(instance)
-    return log_sum_exp(totals)
+    return float(logsumexp(totals))
 
 
 def exact_posterior_lambda(instance: TinyInstance) -> np.ndarray:
     """Exact per-class presence posterior p(lambda_i = 1 | w, y)."""
     _check_instance(instance)
     patterns, totals = _log_marginal_by_lambda(instance)
-    denom = log_sum_exp(totals)
-    C = instance.dims.C
-    post = np.empty(C)
-    for i in range(C):
-        hits = np.array([t for lam, t in zip(patterns, totals) if lam[i] == 1])
-        post[i] = math.exp(log_sum_exp(hits) - denom) if hits.size else 0.0
-    return post
+    denom = logsumexp(totals)
+    present = np.array(patterns, dtype=bool)  # (2^C, C)
+    return np.array([math.exp(logsumexp(totals[present[:, i]]) - denom)
+                     for i in range(instance.dims.C)])

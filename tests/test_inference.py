@@ -7,6 +7,7 @@ checked against the exact enumerated marginal from the oracle module, and
 the M-step against hand-computable statistics.
 """
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -340,15 +341,19 @@ def words_of(docs):
 
 
 def assert_equals_one_document_calls(docs, params, estep, starts, pinned):
-    """Every state of one corpus call equals the one-document call's, bit for
-    bit and after the same sweep count; returns the sweep counts."""
+    """Every state of one corpus call matches the one-document call's to
+    rounding, after exactly the same sweep count; returns the sweep counts.
+
+    BLAS may round a product summed over the padded term axis differently
+    from the unpadded one, so the values are not equal bit for bit."""
     states = e_step_corpus(docs, params, None, estep, starts, pinned)
     sweeps = []
     for doc, start, st in zip(docs, starts, states):
         one = e_step_corpus([doc], params, None, estep, [start], pinned)[0]
-        for name in ("delta", "phi", "Delta", "gamma"):
-            assert np.array_equal(getattr(st, name), getattr(one, name)), (doc.doc_id, name)
         assert st.sweeps == one.sweeps, doc.doc_id
+        for name in ("delta", "phi", "Delta", "gamma"):
+            np.testing.assert_allclose(getattr(st, name), getattr(one, name), rtol=1e-12,
+                                       atol=1e-14, err_msg=f"{doc.doc_id} {name}")
         sweeps.append(st.sweeps)
     return sweeps
 
@@ -357,8 +362,8 @@ def assert_equals_one_document_calls(docs, params, estep, starts, pinned):
 @pytest.mark.parametrize("warm", [None, "store", "list"], ids=["cold", "warm", "warm-list"])
 @pytest.mark.parametrize("budget", [40, 2 ** 30], ids=["many-chunks", "one-chunk"])
 def test_corpus_estep_equals_one_document_calls(monkeypatch, pinned, words_only, warm, budget):
-    """Padding, chunking and per-document exits must not move a single bit:
-    every state equals the one-document call's, after the same sweep count.
+    """Padding, chunking and per-document exits move nothing beyond rounding:
+    every state matches the one-document call's, after the same sweep count.
     A warm start reuses the store's chunks, or reads a list of its states."""
     rng = np.random.default_rng(51)
     C, T, V, K = 3, 4, 120, 3
@@ -384,7 +389,7 @@ def test_corpus_estep_equals_one_document_calls(monkeypatch, pinned, words_only,
 @pytest.mark.parametrize("C,T", [(1, 4), (3, 1), (1, 1)], ids=["C1", "T1", "C1-T1"])
 def test_corpus_estep_equals_one_document_calls_at_unit_widths(pinned, words_only, C, T):
     """One class, one topic and one-term documents, all in one chunk: the
-    products whose operand is one row or one column wide stay exact too."""
+    products whose operand is one row or one column wide match too."""
     rng = np.random.default_rng(52)
     V, K = 40, 2
     params = random_params(rng, C, T, V, K=K)
@@ -402,8 +407,7 @@ def test_corpus_estep_equals_one_document_calls_at_unit_widths(pinned, words_onl
 
 @ESTEP_MODES
 def test_corpus_estep_matches_one_document_calls_at_wide_widths(pinned, words_only):
-    """At benchmark widths BLAS may round a padded product differently, so
-    the values agree to rounding only; the sweep counts stay equal."""
+    """Benchmark widths, where BLAS blocks its products differently."""
     rng = np.random.default_rng(54)
     C, T, V, K = 10, 20, 1500, 3
     params = random_params(rng, C, T, V, K=K)
@@ -414,13 +418,30 @@ def test_corpus_estep_matches_one_document_calls_at_wide_widths(pinned, words_on
     if words_only:
         docs = words_of(docs)
     estep = EStepConfig(max_iters=60, tol=1e-7)
-    states = e_step_corpus(docs, params, None, estep, pinned=pinned)
-    for doc, st in zip(docs, states):
-        one = e_step_corpus([doc], params, None, estep, pinned=pinned)[0]
-        assert st.sweeps == one.sweeps, doc.doc_id
-        for name in ("delta", "phi", "Delta", "gamma"):
-            np.testing.assert_allclose(getattr(st, name), getattr(one, name), rtol=1e-12,
-                                       atol=1e-14, err_msg=f"{doc.doc_id} {name}")
+    assert_equals_one_document_calls(docs, params, estep, [None] * len(docs), pinned)
+
+
+@ESTEP_MODES
+def test_warm_start_leaves_the_store_unchanged(monkeypatch, pinned, words_only):
+    """The E-step works in its own buffers: every array of a store passed
+    back as ``states`` keeps its bits, layout and state alike."""
+    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 40)
+    rng = np.random.default_rng(56)
+    C, T, V, K = 3, 4, 120, 3
+    params = random_params(rng, C, T, V, K=K)
+    docs = mixed_length_corpus(rng, C, V, K=K)
+    if words_only:
+        docs = words_of(docs)
+    store = e_step_corpus(docs, params, None, EStepConfig(max_iters=2), pinned=pinned)
+    names = [f.name for f in dataclasses.fields(inference._Chunk)]
+    before = [{name: getattr(chunk, name).copy() for name in names} for chunk in store.chunks]
+    again = e_step_corpus(docs, params, None, EStepConfig(max_iters=60, tol=1e-7), store, pinned)
+    assert len(store.chunks) > 1 and max(st.sweeps for st in again) > 2
+    for chunk, saved in zip(store.chunks, before):
+        for name, value in saved.items():
+            now = getattr(chunk, name)
+            assert now.dtype == value.dtype and now.shape == value.shape, name
+            assert now.tobytes() == value.tobytes(), name
 
 
 def test_store_of_another_corpus_or_mode_is_read_as_per_document_starts(monkeypatch):

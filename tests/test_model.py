@@ -1,6 +1,7 @@
 """Tests for model containers, initialization, validation and model files."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mlpalda.model import (
     load_model,
     save_model,
     validate,
+    validate_corpus,
     validate_document,
 )
 
@@ -62,6 +64,75 @@ def test_document_checks():
         validate_document(_doc(word_ids=(), counts=()), dims)  # empty doc
     with pytest.raises(ValueError):
         validate_document(_doc(labels=(1, 0, 2)), dims)  # bad label value
+
+
+DOCUMENT_FAULTS = {
+    "past-vocabulary": dict(word_ids=(0, 5)),
+    "negative": dict(word_ids=(-1, 2)),
+    "zero-count": dict(counts=(0, 1)),
+    "empty": dict(word_ids=(), counts=()),
+    "duplicate": dict(word_ids=(2, 2)),
+    "ragged": dict(word_ids=(0, 1, 2)),
+    "two-dimensional": dict(word_ids=((0, 1), (2, 3)), counts=((1, 1), (1, 1))),
+    "label-length": dict(labels=(1, 0)),
+    "label-value": dict(labels=(1, 0, 2)),
+    "vote-shape": dict(crowd=((1, 0, 1),)),
+    "vote-value": dict(crowd=((1, 0, 1), (0, 3, -1))),
+    "two-faults": dict(word_ids=(0, 0), labels=(2, 2, 2)),
+}
+
+
+def _first_error(corpus, dims):
+    """The message of the first error validate_document raises over corpus, or None."""
+    for doc in corpus:
+        try:
+            validate_document(doc, dims)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("fault", DOCUMENT_FAULTS.values(), ids=DOCUMENT_FAULTS.keys())
+def test_corpus_check_raises_what_the_first_faulty_document_raises(fault):
+    dims = _dims()
+    good = _doc(crowd=((1, -1, 0), (-1, -1, 1)))
+    corpus = [replace(good, doc_id="a"), replace(_doc(**fault), doc_id="first"),
+              replace(good, doc_id="b"), replace(_doc(word_ids=(7, 1)), doc_id="later")]
+    message = _first_error(corpus, dims)
+    assert message.startswith("document first: ")
+    with pytest.raises(ValueError) as raised:
+        validate_corpus(corpus, dims)
+    assert str(raised.value) == message
+    validate_corpus([corpus[0], corpus[2]], dims)
+
+
+def test_corpus_check_rejects_votes_without_annotators():
+    corpus = [_doc(), replace(_doc(crowd=((1, 0, 1),)), doc_id="voted")]
+    with pytest.raises(ValueError, match="^document voted: crowd labels present but K=0$"):
+        validate_corpus(corpus, _dims(K=0))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_corpus_check_agrees_with_the_document_check(seed):
+    """Random corpora with a few faults: the same first error, or none."""
+    rng = np.random.default_rng(seed)
+    dims = _dims()
+    faults = list(DOCUMENT_FAULTS.values())
+    corpus = []
+    for d in range(30):
+        n = int(rng.integers(1, 5))
+        doc = _doc(word_ids=rng.permutation(dims.V)[:n], counts=rng.integers(1, 4, n),
+                   crowd=rng.integers(-1, 2, (dims.K, dims.C)))
+        if rng.random() < 0.1:
+            doc = _doc(**faults[rng.integers(len(faults))])
+        corpus.append(replace(doc, doc_id=f"r{d}"))
+    message = _first_error(corpus, dims)
+    if message is None:
+        validate_corpus(corpus, dims)
+    else:
+        with pytest.raises(ValueError) as raised:
+            validate_corpus(corpus, dims)
+        assert str(raised.value) == message
 
 
 # ---------------------------------------------------------------------------
