@@ -13,20 +13,47 @@ All formats are UTF-8 text with LF endings; every header count is >= 1.
   annotator pool  ``<annotator_idx> <rho>`` per line
   predictions     ``<doc_id> <belief_1> ... <belief_C> <bits>`` where bits
                   is the C thresholded labels as one contiguous 0/1 string
+
+The corpus and crowd readers work in one bulk pass: the numbers of every
+record in the form the writers produce (``_ROW``, ``_WORDS``, ``_VOTE``)
+are converted by whole-column numpy calls and checked together, which only
+flags faulty records.  A flagged record, or one in another form that
+``int`` still reads (extra blanks, ``+`` signs), goes through the
+per-record parser (``_labeled_record``, ``_word_record``,
+``_crowd_record``), which owns every message.  So a faulty file raises the
+same ``CorpusFormatError``, with the same text and line, as a row-by-row
+read: a corpus's structure, doc id and label faults in any row come before
+its word faults, the earliest line wins within each, and corpus faults
+come before crowd-file faults.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .atomic import CorpusFormatError, format_floats, read_records, write_text
-from .model import Dimensions, Document, validate_words
+from .model import Dimensions, Document, faulty_words, validate_words
 
 logger = logging.getLogger(__name__)
+
+
+# Records in the form the writers produce: one blank between fields, ASCII
+# digits, at most 18 of them so that every value fits in int64.  The bulk
+# readers convert only such records; any other goes to the per-record parser.
+_INT = "[0-9]{1,18}"
+_ROW = re.compile(rf"([^\s|]+) \| (-?{_INT}(?: -?{_INT})*) \| ([^\s|][^|]*)")
+_WORDS = re.compile(rf"{_INT}:{_INT}(?: {_INT}:{_INT})*")
+_VOTE = re.compile(rf"(\S+) ({_INT} {_INT} {_INT})")
+
+
+def _ints(text):
+    """The integers of ``text``, blank-separated and matched by a pattern above."""
+    return np.fromstring(text, dtype=np.int64, sep=" ")
 
 
 def _labeled_rows(path, tag, size_key):
@@ -35,33 +62,56 @@ def _labeled_rows(path, tag, size_key):
 
     Returns (size, C, rows) with rows of (lineno, doc_id, labels (C,), rest);
     doc ids are one token and unique, labels are C values in {-1, 0, 1}.
+    Rows in written form (``_ROW``) are read in bulk, with the labels as one
+    (rows, C) array, up to the first row that is not, has a label fault or
+    repeats a doc id.  From that row on, :func:`_labeled_record` reads each
+    row on its own and raises the first fault, so the message and line are
+    those of a row-by-row read.
     """
     (D, size, C), records = read_records(path, tag, ("D", size_key, "C"))
     if len(records) != D:
         raise CorpusFormatError(path, 1, f"header says D={D} but found {len(records)} rows")
+    matches = [_ROW.fullmatch(line) for _, line in records]
+    n = next((d for d, m in enumerate(matches) if m is None or m[2].count(" ") != C - 1), D)
+    # with no such row, C may be too large for an array shape
+    labels = _ints(" ".join(m[2] for m in matches[:n])).reshape(n, C if n else 0)
+    out_of_range = np.flatnonzero((np.abs(labels) > 1).any(axis=1))
+    if out_of_range.size:
+        n = out_of_range[0]
     rows = []
     seen = set()
-    for lineno, line in records:
-        parts = [p.strip() for p in line.split("|")]
-        if len(parts) != 3:
-            raise CorpusFormatError(path, lineno, "expected '<doc_id> | <labels> | <...>'")
-        doc_id = parts[0]
-        if len(doc_id.split()) != 1:
-            raise CorpusFormatError(path, lineno, "doc_id must be one token")
-        if doc_id in seen:
-            raise CorpusFormatError(path, lineno, f"duplicate doc_id {doc_id!r}")
-        seen.add(doc_id)
-        label_toks = parts[1].split()
-        if len(label_toks) != C:
-            raise CorpusFormatError(path, lineno, f"expected {C} labels, got {len(label_toks)}")
-        try:
-            labels = np.array([int(t) for t in label_toks], dtype=np.int64)
-        except (ValueError, OverflowError):
-            raise CorpusFormatError(path, lineno, "labels must be integers") from None
-        if not np.all(np.isin(labels, (-1, 0, 1))):
-            raise CorpusFormatError(path, lineno, "labels must be 0, 1 or -1")
-        rows.append((lineno, doc_id, labels, parts[2]))
+    for (lineno, _), m, lab in zip(records, matches[:n], labels[:n]):
+        if m[1] in seen:
+            break
+        seen.add(m[1])
+        rows.append((lineno, m[1], lab, m[3]))
+    for lineno, line in records[len(rows):]:
+        rows.append((lineno, *_labeled_record(path, lineno, line, C, seen)))
     return size, C, rows
+
+
+def _labeled_record(path, lineno, line, C, seen):
+    """(doc_id, labels, rest) of one row whose doc_id is not in ``seen``
+    (and is added to it), or the row's first fault."""
+    parts = [p.strip() for p in line.split("|")]
+    if len(parts) != 3:
+        raise CorpusFormatError(path, lineno, "expected '<doc_id> | <labels> | <...>'")
+    doc_id = parts[0]
+    if len(doc_id.split()) != 1:
+        raise CorpusFormatError(path, lineno, "doc_id must be one token")
+    if doc_id in seen:
+        raise CorpusFormatError(path, lineno, f"duplicate doc_id {doc_id!r}")
+    seen.add(doc_id)
+    label_toks = parts[1].split()
+    if len(label_toks) != C:
+        raise CorpusFormatError(path, lineno, f"expected {C} labels, got {len(label_toks)}")
+    try:
+        labels = np.array([int(t) for t in label_toks], dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise CorpusFormatError(path, lineno, "labels must be integers") from None
+    if not np.all(np.isin(labels, (-1, 0, 1))):
+        raise CorpusFormatError(path, lineno, "labels must be 0, 1 or -1")
+    return doc_id, labels, parts[2]
 
 
 # ---------------------------------------------------------------------------
@@ -75,50 +125,68 @@ def load_corpus(corpus_path, crowd_path=None):
     Returns (corpus, dims); dims carries a placeholder topic count of 1
     (topics are a training choice, not a corpus property) and K=0 unless a
     crowd file supplies judgments.
+
+    The words of all rows in written form (``_WORDS``) are converted in one
+    call and checked by :func:`model.faulty_words`; each row that is not in
+    written form or fails that check goes through :func:`_word_record`,
+    which raises the row's fault (or reads a row written differently, such
+    as with ``+`` signs or extra blanks).  The earliest faulty row wins,
+    after every fault of :func:`_labeled_rows` and before any of the crowd
+    file.
     """
     V, C, rows = _labeled_rows(corpus_path, "mlc", "V")
-    docs = []
-    for lineno, doc_id, labels, words in rows:
-        word_toks = words.split()
-        ids = np.empty(len(word_toks), dtype=np.int64)
-        cnts = np.empty(len(word_toks), dtype=np.int64)
-        for k, tok in enumerate(word_toks):
-            idx_s, sep, cnt_s = tok.partition(":")
-            if not sep:
-                raise CorpusFormatError(corpus_path, lineno, f"expected <idx>:<cnt>, got {tok!r}")
-            try:
-                ids[k], cnts[k] = int(idx_s), int(cnt_s)
-            except (ValueError, OverflowError):
-                raise CorpusFormatError(corpus_path, lineno, f"bad word token {tok!r}") from None
-        doc = Document(doc_id=doc_id, word_ids=ids, counts=cnts, true_labels=labels)
-        try:
-            validate_words(doc, V)
-        except ValueError as exc:
-            raise CorpusFormatError(corpus_path, lineno, str(exc)) from None
-        docs.append(doc)
+    words = [text for _, _, _, text in rows]
+    written = np.array([_WORDS.fullmatch(text) is not None for text in words], dtype=bool)
+    lengths = np.array([text.count(":") for text in words], dtype=np.int64) * written
+    pairs = _ints(" ".join(text for text, ok in zip(words, written) if ok).replace(":", " "))
+    flat_ids, flat_counts = pairs[0::2].copy(), pairs[1::2].copy()
+    bounds = np.cumsum(lengths)[:-1]
+    ids, counts = np.split(flat_ids, bounds), np.split(flat_counts, bounds)
+    for d in np.flatnonzero(~written | faulty_words(flat_ids, flat_counts, lengths, V)):
+        lineno, doc_id, _, text = rows[d]
+        ids[d], counts[d] = _word_record(corpus_path, lineno, doc_id, text, V)
 
     K = 0
+    votes = [None] * len(rows)
     if crowd_path is not None:
         judgments, K, crowd_C = read_crowd_file(crowd_path)
         if crowd_C != C:
             raise CorpusFormatError(crowd_path, 1, f"crowd C={crowd_C} does not match corpus C={C}")
-        unknown = set(judgments) - {d.doc_id for d in docs}
+        index = {doc_id: d for d, (_, doc_id, _, _) in enumerate(rows)}
+        unknown = set(judgments) - set(index)
         if unknown:
             raise CorpusFormatError(
                 crowd_path, 1, f"crowd file references unknown doc_id {sorted(unknown)[0]!r}"
             )
-        blank = np.full((K, C), -1, dtype=np.int64)
-        docs = [
-            Document(
-                doc_id=d.doc_id,
-                word_ids=d.word_ids,
-                counts=d.counts,
-                true_labels=d.true_labels,
-                crowd_labels=judgments.get(d.doc_id, blank).copy(),
-            )
-            for d in docs
-        ]
+        votes = np.full((len(rows), K, C), -1, dtype=np.int64)
+        for doc_id, mat in judgments.items():
+            votes[index[doc_id]] = mat
+    docs = [
+        Document(doc_id=doc_id, word_ids=ids[d], counts=counts[d], true_labels=labels,
+                 crowd_labels=votes[d])
+        for d, (_, doc_id, labels, _) in enumerate(rows)
+    ]
     return docs, Dimensions(D=len(docs), C=C, T=1, V=V, K=K)
+
+
+def _word_record(path, lineno, doc_id, text, V):
+    """(word_ids, counts) of one row's words, or the row's first fault."""
+    word_toks = text.split()
+    ids = np.empty(len(word_toks), dtype=np.int64)
+    cnts = np.empty(len(word_toks), dtype=np.int64)
+    for k, tok in enumerate(word_toks):
+        idx_s, sep, cnt_s = tok.partition(":")
+        if not sep:
+            raise CorpusFormatError(path, lineno, f"expected <idx>:<cnt>, got {tok!r}")
+        try:
+            ids[k], cnts[k] = int(idx_s), int(cnt_s)
+        except (ValueError, OverflowError):
+            raise CorpusFormatError(path, lineno, f"bad word token {tok!r}") from None
+    try:
+        validate_words(Document(doc_id=doc_id, word_ids=ids, counts=cnts), V)
+    except ValueError as exc:
+        raise CorpusFormatError(path, lineno, str(exc)) from None
+    return ids, cnts
 
 
 def save_corpus(path, corpus, dims: Dimensions):
@@ -139,35 +207,63 @@ def save_corpus(path, corpus, dims: Dimensions):
 
 
 def read_crowd_file(path):
-    """Returns ({doc_id: (K, C) judgment matrix}, K, C); absent means -1."""
+    """Returns ({doc_id: (K, C) judgment matrix}, K, C); absent means -1.
+
+    Lines in written form (``_VOTE``) are read in bulk, as one (lines, 3)
+    array of annotator, class and judgment, up to the first line that is
+    not, is out of range or repeats an earlier (doc_id, annotator, class)
+    (found by one ``np.unique`` over that key).  From that line on,
+    :func:`_crowd_record` reads each line on its own and raises the first
+    fault, so the message and line are those of a line-by-line read.
+    """
     (K, C), records = read_records(path, "crowd", ("K", "C"))
     try:
         blank = np.full((K, C), -1, dtype=np.int64)
     except (ValueError, MemoryError):  # numpy's "array is too big", or no memory
         raise CorpusFormatError(path, 1, f"a K={K} x C={C} judgment matrix does not fit in memory") from None
-    out = {}
-    for lineno, line in records:
-        toks = line.split()
-        if len(toks) != 4:
-            raise CorpusFormatError(path, lineno, "expected '<doc_id> <annotator> <class> <0|1>'")
-        doc_id = toks[0]
-        try:
-            j, i, y = int(toks[1]), int(toks[2]), int(toks[3])
-        except ValueError:
-            raise CorpusFormatError(path, lineno, "annotator/class/judgment must be integers") from None
-        if not 0 <= j < K:
-            raise CorpusFormatError(path, lineno, f"annotator index out of range [0, {K})")
-        if not 0 <= i < C:
-            raise CorpusFormatError(path, lineno, f"class index out of range [0, {C})")
-        if y not in (0, 1):
-            raise CorpusFormatError(path, lineno, "judgment must be 0 or 1")
-        mat = out.get(doc_id)
-        if mat is None:
-            mat = out[doc_id] = blank.copy()
-        if mat[j, i] != -1:
-            raise CorpusFormatError(path, lineno, f"duplicate judgment for ({doc_id}, {j}, {i})")
-        mat[j, i] = y
+    matches = [_VOTE.fullmatch(line) for _, line in records]
+    n = next((k for k, m in enumerate(matches) if m is None), len(records))
+    j, i, y = _ints(" ".join(m[2] for m in matches[:n])).reshape(n, 3).T
+    out_of_range = np.flatnonzero((j >= K) | (i >= C) | (y > 1))
+    if out_of_range.size:
+        n = out_of_range[0]
+    groups = {}  # doc_id -> its index in order of first appearance
+    g = np.array([groups.setdefault(m[1], len(groups)) for m in matches[:n]], dtype=np.int64)
+    mats = np.full((len(groups), K, C), -1, dtype=np.int64)
+    key = np.ravel_multi_index((g, j[:n], i[:n]), mats.shape)
+    first = np.zeros(n, dtype=bool)
+    first[np.unique(key, return_index=True)[1]] = True
+    if not first.all():
+        n = np.argmin(first)
+    mats[g[:n], j[:n], i[:n]] = y[:n]
+    out = dict(zip(groups, mats[: g[:n].max(initial=-1) + 1]))  # documents of lines [0, n)
+    for lineno, line in records[n:]:
+        _crowd_record(path, lineno, line, K, C, out, blank)
     return out, K, C
+
+
+def _crowd_record(path, lineno, line, K, C, out, blank):
+    """Store one line's judgment in ``out``, or raise the line's first fault."""
+    toks = line.split()
+    if len(toks) != 4:
+        raise CorpusFormatError(path, lineno, "expected '<doc_id> <annotator> <class> <0|1>'")
+    doc_id = toks[0]
+    try:
+        j, i, y = int(toks[1]), int(toks[2]), int(toks[3])
+    except ValueError:
+        raise CorpusFormatError(path, lineno, "annotator/class/judgment must be integers") from None
+    if not 0 <= j < K:
+        raise CorpusFormatError(path, lineno, f"annotator index out of range [0, {K})")
+    if not 0 <= i < C:
+        raise CorpusFormatError(path, lineno, f"class index out of range [0, {C})")
+    if y not in (0, 1):
+        raise CorpusFormatError(path, lineno, "judgment must be 0 or 1")
+    mat = out.get(doc_id)
+    if mat is None:
+        mat = out[doc_id] = blank.copy()
+    if mat[j, i] != -1:
+        raise CorpusFormatError(path, lineno, f"duplicate judgment for ({doc_id}, {j}, {i})")
+    mat[j, i] = y
 
 
 def write_crowd_file(path, corpus, K):
@@ -217,12 +313,17 @@ def load_pool_file(path):
 
 
 def write_predictions(path, rows):
-    """rows: iterable of (doc_id, beliefs (C,), labels (C,)); written atomically."""
+    """rows: iterable of (doc_id, beliefs (C,), labels (C,)); written atomically.
+
+    All beliefs are formatted in one :func:`format_floats` call and cut into rows.
+    """
+    rows = list(rows)
+    beliefs = format_floats([b for _, b, _ in rows]).split(" ")
+    labels = np.array([l for _, _, l in rows], dtype=np.int64).tolist()
     lines = []
-    for doc_id, beliefs, labels in rows:
-        vals = format_floats(beliefs)
-        bits = "".join(str(int(l)) for l in labels)
-        lines.append(f"{doc_id} {vals} {bits}\n")
+    for d, ((doc_id, _, _), bits) in enumerate(zip(rows, labels)):
+        C = len(bits)
+        lines.append(f"{doc_id} {' '.join(beliefs[d * C:(d + 1) * C])} {''.join(map(str, bits))}\n")
     write_text(path, "".join(lines))
 
 

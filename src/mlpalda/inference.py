@@ -47,7 +47,7 @@ from .model import (
     initial_presence,
     normalize_mode,
     validate_corpus,
-    validate_words,
+    validate_corpus_words,
 )
 from .numerics import dirichlet_expected_log, dirichlet_objective, solve_dirichlet_newton
 
@@ -749,9 +749,7 @@ def predict_corpus(
     document without its labels or judgments.  Ties at the threshold
     predict "present".
     """
-    V = (params.eta if params.smoothing else params.beta).shape[1]
-    for doc in corpus:
-        validate_words(doc, V)
+    validate_corpus_words(corpus, (params.eta if params.smoothing else params.beta).shape[1])
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("predict: threshold must be in [0, 1]")
     words = [Document(doc.doc_id, doc.word_ids, doc.counts) for doc in corpus]

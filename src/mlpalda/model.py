@@ -180,21 +180,49 @@ def validate_corpus(corpus, dims: Dimensions) -> None:
         validate_document(corpus[d], dims)
 
 
-def _faulty_documents(corpus, dims: Dimensions) -> np.ndarray:
-    """(D,) True for every document that :func:`validate_document` rejects."""
+def validate_corpus_words(corpus, V: int) -> None:
+    """:func:`validate_words` on every document of ``corpus``, batched as in
+    :func:`validate_corpus`: the error names the first offending document."""
+    for d in np.flatnonzero(_faulty_words(corpus, V)):
+        validate_words(corpus[d], V)
+
+
+def faulty_words(ids, counts, lengths, V: int) -> np.ndarray:
+    """(D,) True for every document whose words :func:`validate_words` rejects.
+
+    ``ids`` and ``counts`` are the documents' word ids and counts end to
+    end, ``lengths[d]`` of them for document d.
+    """
+    doc_of = np.repeat(np.arange(lengths.size), lengths)
+    inside = (ids >= 0) & (ids < V)
+    bad = lengths == 0
+    bad[doc_of[~inside | (counts < 1)]] = True
+    if lengths.size * V < 2 ** 63:  # one int64 key per (document, word)
+        key = np.sort(doc_of * V + np.where(inside, ids, 0), kind="stable")
+        bad[key[1:][key[1:] == key[:-1]] // V] = True
+    else:
+        order = np.lexsort((ids, doc_of))  # a duplicate sits next to its twin
+        twin = (np.diff(ids[order]) == 0) & (np.diff(doc_of[order]) == 0)
+        bad[doc_of[order][1:][twin]] = True
+    return bad
+
+
+def _faulty_words(corpus, V: int) -> np.ndarray:
+    """:func:`faulty_words` over ``corpus``'s documents, which may be malformed."""
     ids = [doc.word_ids for doc in corpus]
     counts = [doc.counts for doc in corpus]
-    bad = np.array([w.ndim != 1 or w.shape != c.shape or w.size == 0
-                    for w, c in zip(ids, counts)], dtype=bool)
+    bad = np.array([w.ndim != 1 or w.shape != c.shape for w, c in zip(ids, counts)], dtype=bool)
     whole = np.flatnonzero(~bad)
+    lengths = np.zeros(len(corpus), dtype=np.int64)
+    lengths[whole] = [ids[d].size for d in whole]
     flat_ids = np.concatenate([ids[d] for d in whole] or [np.zeros(0, np.int64)])
     flat_counts = np.concatenate([counts[d] for d in whole] or [np.zeros(0, np.int64)])
-    doc_of = np.repeat(whole, [ids[d].size for d in whole])
-    bad[doc_of[(flat_ids < 0) | (flat_ids >= dims.V) | (flat_counts < 1)]] = True
-    order = np.lexsort((flat_ids, doc_of))  # a duplicate sits next to its twin
-    twin = (np.diff(flat_ids[order]) == 0) & (np.diff(doc_of[order]) == 0)
-    bad[doc_of[order][1:][twin]] = True
+    return bad | faulty_words(flat_ids, flat_counts, lengths, V)
 
+
+def _faulty_documents(corpus, dims: Dimensions) -> np.ndarray:
+    """(D,) True for every document that :func:`validate_document` rejects."""
+    bad = _faulty_words(corpus, dims.V)
     for values, shape in (([doc.true_labels for doc in corpus], (dims.C,)),
                           ([doc.crowd_labels for doc in corpus], (dims.K, dims.C) if dims.K else None)):
         wrong = np.array([v is not None for v in values], dtype=bool)
@@ -446,7 +474,7 @@ def load_model(path):
         if i + 1 >= len(lines):
             raise _model_error(path, i + 2, f"array {name}: missing values line")
         try:
-            vals = np.array([float(t) for t in lines[i + 1].split()], dtype=np.float64)
+            vals = np.array(lines[i + 1].split(), dtype=np.float64)  # float() on each
         except ValueError:
             raise _model_error(path, i + 2, f"array {name}: non-numeric value") from None
         if vals.size != size:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mlpalda.atomic import format_floats
 from mlpalda.data import (
     CorpusFormatError,
     Discretizer,
@@ -189,6 +190,21 @@ def test_predictions_roundtrip(tmp_path):
     for belief in ("1.5", "nan"):
         with pytest.raises(CorpusFormatError, match="in \\[0, 1\\]"):
             read_predictions(write(tmp_path, "bad2.txt", f"d {belief} 0.5 10\n"))
+
+
+def test_predictions_file_equals_row_by_row_formatting(tmp_path):
+    rng = np.random.default_rng(11)
+    beliefs = rng.random((40, 7)) ** 9
+    beliefs.flat[rng.choice(beliefs.size, 30, replace=False)] = np.resize([0.0, 1.0, 5e-324], 30)
+    labels = (beliefs >= 0.5).astype(np.int64)
+    doc_ids = [f"doc-{d}" for d in range(40)]
+    write_predictions(tmp_path / "p.txt", zip(doc_ids, beliefs, labels))
+    want = "".join(f"{doc_id} {format_floats(b)} {''.join(str(int(l)) for l in bits)}\n"
+                   for doc_id, b, bits in zip(doc_ids, beliefs, labels))
+    assert (tmp_path / "p.txt").read_text() == want
+    assert "4.9406564584124654e-324" in want and " 0 " in want and " 1 " in want
+    write_predictions(tmp_path / "empty.txt", [])
+    assert (tmp_path / "empty.txt").read_text() == ""
 
 
 # ---------------------------------------------------------------------------

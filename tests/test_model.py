@@ -21,8 +21,10 @@ from mlpalda.model import (
     load_model,
     save_model,
     validate,
+    faulty_words,
     validate_corpus,
     validate_document,
+    validate_words,
 )
 
 
@@ -133,6 +135,39 @@ def test_corpus_check_agrees_with_the_document_check(seed):
         with pytest.raises(ValueError) as raised:
             validate_corpus(corpus, dims)
         assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("V", [12, 2 ** 62], ids=["key-sort", "lexsort"])
+@pytest.mark.parametrize("seed", range(3))
+def test_faulty_words_flags_exactly_the_documents_validate_words_rejects(seed, V):
+    """Concatenated words, a quarter of the documents faulty; at a V where one
+    int64 key per (document, word) would overflow, the same flags."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for d in range(40):
+        n = int(rng.integers(0 if d % 9 == 0 else 1, 6))
+        ids, counts = rng.permutation(12)[:n], rng.integers(1, 4, n)
+        if n and rng.random() < 0.25:
+            k = int(rng.integers(n))
+            fault = rng.integers(4)
+            if fault == 0:
+                ids[k] = rng.choice([-1, -12, V, V + 5])
+            elif fault == 1:
+                counts[k] = rng.choice([0, -3])
+            elif n > 1:
+                ids[k] = ids[(k + 1) % n]
+        docs.append(Document(f"r{d}", ids, counts))
+    want = []
+    for doc in docs:
+        try:
+            validate_words(doc, V)
+            want.append(False)
+        except ValueError:
+            want.append(True)
+    lengths = np.array([doc.word_ids.size for doc in docs])
+    got = faulty_words(np.concatenate([doc.word_ids for doc in docs]),
+                       np.concatenate([doc.counts for doc in docs]), lengths, V)
+    assert got.tolist() == want and any(want) and not all(want)
 
 
 # ---------------------------------------------------------------------------
