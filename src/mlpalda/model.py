@@ -194,16 +194,11 @@ def faulty_words(ids, counts, lengths, V: int) -> np.ndarray:
     end, ``lengths[d]`` of them for document d.
     """
     doc_of = np.repeat(np.arange(lengths.size), lengths)
-    inside = (ids >= 0) & (ids < V)
     bad = lengths == 0
-    bad[doc_of[~inside | (counts < 1)]] = True
-    if lengths.size * V < 2 ** 63:  # one int64 key per (document, word)
-        key = np.sort(doc_of * V + np.where(inside, ids, 0), kind="stable")
-        bad[key[1:][key[1:] == key[:-1]] // V] = True
-    else:
-        order = np.lexsort((ids, doc_of))  # a duplicate sits next to its twin
-        twin = (np.diff(ids[order]) == 0) & (np.diff(doc_of[order]) == 0)
-        bad[doc_of[order][1:][twin]] = True
+    bad[doc_of[(ids < 0) | (ids >= V) | (counts < 1)]] = True
+    order = np.lexsort((ids, doc_of))  # a duplicate sits next to its twin
+    twin = (np.diff(ids[order]) == 0) & (np.diff(doc_of[order]) == 0)
+    bad[doc_of[order][1:][twin]] = True
     return bad
 
 

@@ -137,11 +137,11 @@ def test_corpus_check_agrees_with_the_document_check(seed):
         assert str(raised.value) == message
 
 
-@pytest.mark.parametrize("V", [12, 2 ** 62], ids=["key-sort", "lexsort"])
+@pytest.mark.parametrize("V", [12, 2 ** 62], ids=["small-V", "huge-V"])
 @pytest.mark.parametrize("seed", range(3))
 def test_faulty_words_flags_exactly_the_documents_validate_words_rejects(seed, V):
-    """Concatenated words, a quarter of the documents faulty; at a V where one
-    int64 key per (document, word) would overflow, the same flags."""
+    """Concatenated words, a quarter of the documents faulty, at a small V
+    and at one near the top of int64: the same flags as the one-document check."""
     rng = np.random.default_rng(seed)
     docs = []
     for d in range(40):

@@ -218,8 +218,8 @@ def test_written_corpus_and_votes_read_as_the_reference_reads_them(tmp_path, see
     assert assert_same_corpus([tmp_path / "in.mlc", tmp_path / "in.crowd"]) is None
 
 
-def test_a_vocabulary_too_large_for_one_key_still_finds_duplicates(write):
-    V = 10 ** 19  # D x V does not fit in int64
+def test_a_vocabulary_beyond_int64_still_finds_duplicates(write):
+    V = 10 ** 19  # above the largest int64
     rows = ["a | 1 0 | 5:1 9999999999999999:2", "b | 0 1 | 7:1 7:2"]
     message = assert_same_corpus([write("in.mlc", corpus_text(rows, V=V))])
     assert message.endswith(":3: document b: duplicate word index")
