@@ -179,8 +179,12 @@ def _responsibilities(delta, counts, phi, weighted=None, out=None):
 # ---------------------------------------------------------------------------
 
 # Cap on the padded columns x max(C, T) of one chunk's widest working array
-# (256 KiB of float64), so the E-step's memory does not grow with the corpus.
-CHUNK_ELEMENTS = 2 ** 15
+# (512 KiB of float64), so the E-step's memory does not grow with the corpus.
+# A sweep costs a fixed number of numpy calls per chunk, so larger chunks
+# share it among more documents; of the budgets 2^14 to 2^18, 2^16 measured
+# best on the two benchmark workloads taken together, and larger ones cost
+# memory (see CHANGES.md).
+CHUNK_ELEMENTS = 2 ** 16
 
 
 def _length_sorted_chunks(lengths, width):
@@ -324,10 +328,14 @@ def e_step_corpus(
     documents that carry words only.
 
     The documents run in lockstep, in length-sorted chunks padded to their
-    longest document and bounded by ``CHUNK_ELEMENTS``.  A chunk holds its
-    working arrays class-major, one column per term, so every softmax runs
-    down the outer axis, and the responsibilities are one product of the
-    count-weighted delta with phi's transposed view.  Padded columns carry
+    longest document.  A chunk takes documents while its widest working
+    array (its documents x padded columns x max(C, T)) stays within
+    ``CHUNK_ELEMENTS`` elements; a document wider than that on its own
+    gets a chunk of its own.  So the budget, not the corpus, bounds the
+    E-step's working memory.  A chunk holds its working arrays
+    class-major, one column per term, so every softmax runs down the outer
+    axis, and the responsibilities are one product of the count-weighted
+    delta with phi's transposed view.  Padded columns carry
     zero counts, so they add exact zeros to the responsibility sums, and a
     document leaves its chunk at the sweep where its own change converges.
     Against a one-document call, a document takes the same sweeps and its
@@ -393,15 +401,20 @@ def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
     is not changed.
 
     Every working array is allocated once per call, with one row per
-    document.  The n documents still running hold the leading n rows, in
-    chunk order; when some leave, their states are written back by index
-    and the rows behind them move up.  delta and phi have two buffers
-    each: a sweep writes its products into one, with ``np.matmul(...,
-    out=)``, and the change test then overwrites the other, which held
-    the previous sweep's values; the two swap for the next sweep.  gamma,
-    E[log theta], the mixed E[log theta], the responsibilities and the
-    count-weighted delta are filled in place.  The trailing gamma refresh
-    runs once over the whole chunk.
+    document, and ``live`` maps each working row to its chunk row.  The
+    log E[beta] weights are one gather of ``elog_beta``'s columns.  The n
+    documents still running hold the leading n rows, in no fixed order;
+    when some leave, their states are written back by index, and the rows
+    they free inside the new leading block are filled from the running
+    rows behind it.  Only those rows move, and since every row's
+    arithmetic is its own, where a row sits changes no value.
+
+    delta and phi have two buffers each: a sweep writes its products into
+    one, with ``np.matmul(..., out=)``, and the change test then
+    overwrites the other, which held the previous sweep's values; the two
+    swap for the next sweep.  gamma, E[log theta], the mixed E[log theta],
+    the responsibilities and the count-weighted delta are filled in place.
+    The trailing gamma refresh runs once over the whole chunk.
     """
     C, _, T = params.alpha.shape
     B = chunk.counts.shape[0]
@@ -413,7 +426,7 @@ def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
         chunk, delta=np.empty_like(delta), phi=np.empty_like(phi), Delta=np.empty_like(Delta),
         resp=np.empty((B, C, T)), gamma=None, sweeps=np.empty(B, dtype=np.int64),
     )
-    log_wt = elog_beta[np.arange(T)[:, None], chunk.ids[:, None, :]]  # (B, T, U)
+    log_wt = np.take(elog_beta, chunk.ids, axis=1).transpose(1, 0, 2)  # (B, T, U) view
     np.copyto(log_wt, 0.0, where=~chunk.mask[:, None, :])
     terms = chunk.mask.astype(np.float64)
     counts = chunk.counts.copy()
@@ -465,9 +478,10 @@ def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
         keep = np.flatnonzero(~done)
         if not keep.size:
             break
-        for rows in (delta, phi, Delta, resp, log_wt, terms, counts, ann1, ann0, live):
-            rows[:keep.size] = rows[keep]
         n = keep.size
+        holes, tail = np.flatnonzero(done[:n]), keep[keep >= n]
+        for rows in (delta, phi, Delta, resp, log_wt, terms, counts, ann1, ann0, live):
+            rows[holes] = rows[tail]
     out.gamma = _gamma_from(params.alpha, out.Delta, out.resp)
     for name in ("delta", "phi", "Delta", "gamma"):
         value = getattr(out, name)

@@ -196,7 +196,8 @@ def faulty_words(ids, counts, lengths, V: int) -> np.ndarray:
     doc_of = np.repeat(np.arange(lengths.size), lengths)
     bad = lengths == 0
     bad[doc_of[(ids < 0) | (ids >= V) | (counts < 1)]] = True
-    order = np.lexsort((ids, doc_of))  # a duplicate sits next to its twin
+    # equal ids keep corpus order, so a document's duplicate sits next to its twin
+    order = np.argsort(ids, kind="stable")
     twin = (np.diff(ids[order]) == 0) & (np.diff(doc_of[order]) == 0)
     bad[doc_of[order][1:][twin]] = True
     return bad

@@ -422,6 +422,80 @@ def test_corpus_estep_matches_one_document_calls_at_wide_widths(pinned, words_on
 
 
 @ESTEP_MODES
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_chunk_budget_moves_nothing_beyond_rounding_at_benchmark_widths(
+        monkeypatch, pinned, words_only, warm):
+    """The budget before and after its re-measurement (2^15 and
+    ``CHUNK_ELEMENTS``) chunk the same C=10, T=20 documents of 20 to 600
+    terms differently; each document takes the same sweeps under both, and
+    its states agree to rounding."""
+    rng = np.random.default_rng(57)
+    C, T, V, K = 10, 20, 1500, 3
+    params = random_params(rng, C, T, V, K=K)
+    lengths = [int(rng.integers(20, 41) if d % 2 else rng.integers(450, 601)) for d in range(24)]
+    docs = [random_doc(rng, C, V, K=K, n_terms=n, max_count=4, doc_id=f"b{d}")
+            for d, n in enumerate(lengths)]
+    if words_only:
+        docs = words_of(docs)
+    estep = EStepConfig()  # the benchmark's settings
+    starts = [None] * len(docs)
+    if warm:
+        starts = list(e_step_corpus(docs, params, None, EStepConfig(max_iters=2), pinned=pinned))
+    runs = []
+    for budget in (2 ** 15, inference.CHUNK_ELEMENTS):
+        monkeypatch.setattr(inference, "CHUNK_ELEMENTS", budget)
+        runs.append(e_step_corpus(docs, params, None, estep, starts, pinned))
+    old, new = runs
+    assert len(old.chunks) > len(new.chunks) > 1
+    for doc, a, b in zip(docs, old, new):
+        assert a.sweeps == b.sweeps, doc.doc_id
+        for name in ("delta", "phi", "Delta", "gamma"):
+            np.testing.assert_allclose(getattr(b, name), getattr(a, name), rtol=1e-12,
+                                       atol=1e-14, err_msg=f"{doc.doc_id} {name}")
+    assert len({st.sweeps for st in new}) > 3  # documents leave at many different sweeps
+
+
+def test_rows_freed_by_leaving_documents_are_filled_from_the_tail(monkeypatch):
+    """One chunk in which documents leave together from the first, a middle
+    and the last working row (and from one just behind the new leading
+    block, so a fill from the rows right after it would take a leaving
+    one).  Every state still equals its one-document call's."""
+    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 2 ** 30)
+    rng = np.random.default_rng(58)
+    C, T, V, K = 3, 4, 120, 3
+    params = random_params(rng, C, T, V, K=K)
+    # distinct lengths in ascending order: document d is chunk row d, and a
+    # working row's term count names its document
+    docs = [random_doc(rng, C, V, K=K, n_terms=n, max_count=3, doc_id=f"t{d}")
+            for d, n in enumerate(range(3, 12))]
+    # converged starts leave at the first sweep, from chunk rows 0, 4, 6 and 8
+    tight = EStepConfig(max_iters=500, tol=1e-13)
+    starts = [e_step_corpus([doc], params, None, tight)[0] if d in (0, 4, 6, 8) else None
+              for d, doc in enumerate(docs)]
+    estep = EStepConfig(max_iters=60, tol=1e-7)
+
+    order, exact = [], inference._largest_change
+
+    def recording(new, old, terms):
+        if new.shape[-2] == C:  # the delta test, once per sweep
+            order.append([int(n) - 3 for n in terms.sum(axis=1)])
+        return exact(new, old, terms)
+
+    with monkeypatch.context() as m:
+        m.setattr(inference, "_largest_change", recording)
+        states = e_step_corpus(docs, params, None, estep, starts)
+    assert len(states.chunks) == 1
+    for doc, start, st in zip(docs, starts, states):
+        one = e_step_corpus([doc], params, None, estep, [start])[0]
+        assert st.sweeps == one.sweeps, doc.doc_id
+        for name in ("delta", "phi", "Delta", "gamma"):
+            np.testing.assert_allclose(getattr(st, name), getattr(one, name), rtol=1e-12,
+                                       atol=1e-14, err_msg=f"{doc.doc_id} {name}")
+    assert [row for row, d in enumerate(order[0]) if states[d].sweeps == 1] == [0, 4, 6, 8]
+    assert order[1][:5] != order[0][:5]  # the freed rows were refilled
+
+
+@ESTEP_MODES
 def test_warm_start_leaves_the_store_unchanged(monkeypatch, pinned, words_only):
     """The E-step works in its own buffers: every array of a store passed
     back as ``states`` keeps its bits, layout and state alike."""
