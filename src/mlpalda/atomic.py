@@ -1,9 +1,10 @@
 """Text files in and out.
 
 Every input file is decoded by ``read_text`` and, except the model file,
-split into records by ``read_records``; a malformed file raises
-``CorpusFormatError`` naming its path and line.  Every output file is
-written by ``write_text``, so it is either complete or not there at all.
+split into records by ``read_records``.  A malformed input file, the model
+file included, raises ``CorpusFormatError``, whose message starts with
+``<path>:<line>: ``.  Every output file is written by ``write_text``, so
+it is either complete or not there at all.
 """
 
 from __future__ import annotations

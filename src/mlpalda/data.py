@@ -14,17 +14,18 @@ All formats are UTF-8 text with LF endings; every header count is >= 1.
   predictions     ``<doc_id> <belief_1> ... <belief_C> <bits>`` where bits
                   is the C thresholded labels as one contiguous 0/1 string
 
-The corpus and crowd readers work in one bulk pass: the numbers of every
-record in the form the writers produce (``_ROW``, ``_WORDS``, ``_VOTE``)
-are converted by whole-column numpy calls and checked together, which only
-flags faulty records.  A flagged record, or one in another form that
-``int`` still reads (extra blanks, ``+`` signs), goes through the
-per-record parser (``_labeled_record``, ``_word_record``,
-``_crowd_record``), which owns every message.  So a faulty file raises the
-same ``CorpusFormatError``, with the same text and line, as a row-by-row
-read: a corpus's structure, doc id and label faults in any row come before
-its word faults, the earliest line wins within each, and corpus faults
-come before crowd-file faults.
+A corpus, features or crowd file is read one of two ways.  When every
+record is in the form the writers produce (``_ROW``, ``_WORDS``,
+``_VOTE``), its numbers are converted by whole-column numpy calls and
+checked together.  When any record is in another form (extra blanks, ``+``
+signs) or faulty, the per-record parsers (``_labeled_record``,
+``_crowd_record``) read every record and own every message, so a faulty
+file raises the same ``CorpusFormatError``, with the same text and line,
+as a row-by-row read.  Word lists share no state between rows, so
+``load_corpus`` sends just the rows whose words are not in written form or
+fail the bulk check to ``_word_record``.  A corpus's structure, doc id and
+label faults in any row come before its word faults, the earliest line
+wins within each, and corpus faults come before crowd-file faults.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ logger = logging.getLogger(__name__)
 
 
 # Records in the form the writers produce: one blank between fields, ASCII
-# digits, at most 18 of them so that every value fits in int64.  The bulk
-# readers convert only such records; any other goes to the per-record parser.
+# digits, at most 18 of them so that every value fits in int64.  A file is
+# read in bulk only when all its records are in this form.
 _INT = "[0-9]{1,18}"
 _ROW = re.compile(rf"([^\s|]+) \| (-?{_INT}(?: -?{_INT})*) \| ([^\s|][^|]*)")
 _WORDS = re.compile(rf"{_INT}:{_INT}(?: {_INT}:{_INT})*")
@@ -62,32 +63,23 @@ def _labeled_rows(path, tag, size_key):
 
     Returns (size, C, rows) with rows of (lineno, doc_id, labels (C,), rest);
     doc ids are one token and unique, labels are C values in {-1, 0, 1}.
-    Rows in written form (``_ROW``) are read in bulk, with the labels as one
-    (rows, C) array, up to the first row that is not, has a label fault or
-    repeats a doc id.  From that row on, :func:`_labeled_record` reads each
-    row on its own and raises the first fault, so the message and line are
-    those of a row-by-row read.
+    When every row is in written form (``_ROW``) with C labels, the labels
+    are read in bulk as one (D, C) array and checked together.  Otherwise,
+    or if that check fails, :func:`_labeled_record` reads every row and
+    raises the first fault.
     """
     (D, size, C), records = read_records(path, tag, ("D", size_key, "C"))
     if len(records) != D:
         raise CorpusFormatError(path, 1, f"header says D={D} but found {len(records)} rows")
     matches = [_ROW.fullmatch(line) for _, line in records]
-    n = next((d for d, m in enumerate(matches) if m is None or m[2].count(" ") != C - 1), D)
-    # with no such row, C may be too large for an array shape
-    labels = _ints(" ".join(m[2] for m in matches[:n])).reshape(n, C if n else 0)
-    out_of_range = np.flatnonzero((np.abs(labels) > 1).any(axis=1))
-    if out_of_range.size:
-        n = out_of_range[0]
-    rows = []
+    if all(m is not None and m[2].count(" ") == C - 1 for m in matches):
+        labels = _ints(" ".join(m[2] for m in matches)).reshape(D, C)
+        if (np.abs(labels) <= 1).all() and len({m[1] for m in matches}) == D:
+            return size, C, [
+                (lineno, m[1], lab, m[3]) for (lineno, _), m, lab in zip(records, matches, labels)
+            ]
     seen = set()
-    for (lineno, _), m, lab in zip(records, matches[:n], labels[:n]):
-        if m[1] in seen:
-            break
-        seen.add(m[1])
-        rows.append((lineno, m[1], lab, m[3]))
-    for lineno, line in records[len(rows):]:
-        rows.append((lineno, *_labeled_record(path, lineno, line, C, seen)))
-    return size, C, rows
+    return size, C, [(lineno, *_labeled_record(path, lineno, line, C, seen)) for lineno, line in records]
 
 
 def _labeled_record(path, lineno, line, C, seen):
@@ -209,12 +201,11 @@ def save_corpus(path, corpus, dims: Dimensions):
 def read_crowd_file(path):
     """Returns ({doc_id: (K, C) judgment matrix}, K, C); absent means -1.
 
-    Lines in written form (``_VOTE``) are read in bulk, as one (lines, 3)
-    array of annotator, class and judgment, up to the first line that is
-    not, is out of range or repeats an earlier (doc_id, annotator, class)
-    (found by one ``np.unique`` over that key).  From that line on,
-    :func:`_crowd_record` reads each line on its own and raises the first
-    fault, so the message and line are those of a line-by-line read.
+    When every line is in written form (``_VOTE``), the lines are read in
+    bulk as one (lines, 3) array of annotator, class and judgment, and
+    checked together: the index ranges, and no repeated (doc_id, annotator,
+    class) key (one ``np.unique``).  Otherwise, or if that check fails,
+    :func:`_crowd_record` reads every line and raises the first fault.
     """
     (K, C), records = read_records(path, "crowd", ("K", "C"))
     try:
@@ -222,22 +213,18 @@ def read_crowd_file(path):
     except (ValueError, MemoryError):  # numpy's "array is too big", or no memory
         raise CorpusFormatError(path, 1, f"a K={K} x C={C} judgment matrix does not fit in memory") from None
     matches = [_VOTE.fullmatch(line) for _, line in records]
-    n = next((k for k, m in enumerate(matches) if m is None), len(records))
-    j, i, y = _ints(" ".join(m[2] for m in matches[:n])).reshape(n, 3).T
-    out_of_range = np.flatnonzero((j >= K) | (i >= C) | (y > 1))
-    if out_of_range.size:
-        n = out_of_range[0]
-    groups = {}  # doc_id -> its index in order of first appearance
-    g = np.array([groups.setdefault(m[1], len(groups)) for m in matches[:n]], dtype=np.int64)
-    mats = np.full((len(groups), K, C), -1, dtype=np.int64)
-    key = np.ravel_multi_index((g, j[:n], i[:n]), mats.shape)
-    first = np.zeros(n, dtype=bool)
-    first[np.unique(key, return_index=True)[1]] = True
-    if not first.all():
-        n = np.argmin(first)
-    mats[g[:n], j[:n], i[:n]] = y[:n]
-    out = dict(zip(groups, mats[: g[:n].max(initial=-1) + 1]))  # documents of lines [0, n)
-    for lineno, line in records[n:]:
+    if all(m is not None for m in matches):
+        j, i, y = _ints(" ".join(m[2] for m in matches)).reshape(-1, 3).T
+        groups = {}  # doc_id -> its index in order of first appearance
+        g = np.array([groups.setdefault(m[1], len(groups)) for m in matches], dtype=np.int64)
+        if not ((j >= K) | (i >= C) | (y > 1)).any():
+            mats = np.full((len(groups), K, C), -1, dtype=np.int64)
+            key = np.ravel_multi_index((g, j, i), mats.shape)
+            if np.unique(key).size == key.size:
+                mats[g, j, i] = y
+                return dict(zip(groups, mats)), K, C
+    out = {}
+    for lineno, line in records:
         _crowd_record(path, lineno, line, K, C, out, blank)
     return out, K, C
 
@@ -382,17 +369,21 @@ def _nearest_center(values, centers):
     return np.where(take_hi, hi, lo)
 
 
+KMEANS_MAX_ITERS = 300
+
+
 def _kmeans_objective(values, centers):
     return float(((values - centers[_nearest_center(values, centers)]) ** 2).sum())
 
 
-def fit_discretizer(values, V, seed, max_iters=300, return_trace=False):
+def fit_discretizer(values, V, seed, return_trace=False):
     """Pool all real values, k-means them into V centers (1-D Lloyd).
 
     Seeding is distance-weighted from the given seed; empty clusters are
     re-seeded to the point farthest from its current center; iteration
-    stops when no center moves more than 1e-9.  Asking for more centers
-    than distinct values falls back to the distinct values with a warning.
+    stops when no center moves more than 1e-9, or after ``KMEANS_MAX_ITERS``
+    Lloyd steps.  Asking for more centers than distinct values falls back
+    to the distinct values with a warning.
     """
     vals = np.asarray(values, dtype=np.float64).ravel()
     if vals.size < 1:
@@ -426,7 +417,7 @@ def fit_discretizer(values, V, seed, max_iters=300, return_trace=False):
     centers = np.sort(centers)
 
     trace = [_kmeans_objective(vals_sorted, centers)]
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         assign = _nearest_center(vals_sorted, centers)
         new_centers = centers.copy()
         for k in range(V):

@@ -235,11 +235,12 @@ class CorpusStates:
     were packed from.
     """
 
-    def __init__(self, corpus, chunks, lengths, word_ids, pinned):
+    def __init__(self, corpus, chunks, lengths, word_ids, counts, pinned):
         self.corpus = corpus
         self.chunks = chunks
         self.lengths = lengths    # (D,) terms per document
         self.word_ids = word_ids  # (N,) every document's term ids, in corpus order
+        self.counts = counts      # (N,) their token counts as floats, in corpus order
         self.pinned = pinned      # the presence beliefs are the labels
         self._chunk_of = np.empty(len(lengths), dtype=np.int64)
         self._row_of = np.empty(len(lengths), dtype=np.int64)
@@ -268,7 +269,7 @@ def _pack(corpus, C, T, pinned=False) -> CorpusStates:
     lengths = np.array([doc.word_ids.size for doc in corpus], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     word_ids = np.concatenate([doc.word_ids for doc in corpus] or [np.zeros(0, np.int64)])
-    counts = np.concatenate([doc.counts for doc in corpus] or [np.zeros(0)])
+    counts = np.concatenate([doc.counts for doc in corpus] or [np.zeros(0)]).astype(np.float64)
     K = next((doc.crowd_labels.shape[0] for doc in corpus if doc.crowd_labels is not None), 0)
     chunks = []
     for docs in map(np.array, _length_sorted_chunks(lengths, max(C, T))):
@@ -285,7 +286,7 @@ def _pack(corpus, C, T, pinned=False) -> CorpusStates:
             if corpus[d].crowd_labels is not None:
                 chunk.votes[b] = corpus[d].crowd_labels
         chunks.append(chunk)
-    return CorpusStates(corpus, chunks, lengths, word_ids, pinned)
+    return CorpusStates(corpus, chunks, lengths, word_ids, counts, pinned)
 
 
 def _start_arrays(chunk, corpus, states, C, T, params=None, pinned=False):
@@ -366,7 +367,7 @@ def e_step_corpus(
             "E-step: %d of %d documents were still changing after max_estep_iters=%d sweeps",
             capped, len(corpus), estep.max_iters,
         )
-    return CorpusStates(corpus, chunks, store.lengths, store.word_ids, pinned)
+    return CorpusStates(corpus, chunks, store.lengths, store.word_ids, store.counts, pinned)
 
 
 def _annotator_log_terms(votes, rho):
@@ -576,19 +577,16 @@ def _reduce_stats(store: CorpusStates, dims: Dimensions) -> CorpusStats:
         state_terms -= _dirichlet_block(chunk.gamma, elog)
         state_terms -= float((xlogy(Delta, Delta) + xlogy(1.0 - Delta, 1.0 - Delta)).sum())
 
-    counts = np.empty(store.word_ids.size)
+    phi = np.empty((store.word_ids.size, T))  # every term column's phi, in corpus order
     for chunk in store.chunks:
-        counts[chunk.slots] = chunk.counts[chunk.mask]
+        phi[chunk.slots] = chunk.phi.transpose(0, 2, 1)[chunk.mask]
+    phi *= store.counts[:, None]
     topic_word = np.empty((T, V))
-    weights = np.empty(counts.size)
     for t in range(T):
-        for chunk in store.chunks:
-            weights[chunk.slots] = chunk.phi[:, t][chunk.mask]
-        weights *= counts
-        topic_word[t] = np.bincount(store.word_ids, weights, minlength=V)
+        topic_word[t] = np.bincount(store.word_ids, phi[:, t], minlength=V)
     return CorpusStats(
         n_docs=D,
-        n_tokens=float(counts.sum()),
+        n_tokens=float(store.counts.sum()),
         sum_Delta=presence.sum(axis=0),
         rho_num=agree.sum(axis=0),
         rho_cnt=judged.sum(axis=0),
@@ -616,9 +614,7 @@ def m_step(
         ratio = stats.rho_num[labeled] / stats.rho_cnt[labeled]
         rho[labeled] = clamp_probability(ratio, PROB_CLAMP)
 
-    alpha, stalled = solve_dirichlet_newton(
-        params.alpha, stats.sum_log_theta, stats.n_docs, return_stalled=True
-    )
+    alpha, stalled = solve_dirichlet_newton(params.alpha, stats.sum_log_theta, stats.n_docs)
     if stalled.any():
         logger.warning(
             "M-step: Newton stalled on %d of %d alpha rows; they keep their last accepted value",

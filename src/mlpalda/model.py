@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .atomic import format_floats, read_text, write_text
+from .atomic import CorpusFormatError, format_floats, read_text, write_text
 
 PROB_CLAMP = 1e-6   # xi, rho live in [PROB_CLAMP, 1 - PROB_CLAMP]
 DELTA_CLAMP = 1e-9  # Delta lives in [DELTA_CLAMP, 1 - DELTA_CLAMP]
@@ -423,37 +423,34 @@ def save_model(path, params: ModelParams, dims: Dimensions,
     write_text(path, "\n".join(lines) + "\n")
 
 
-def _model_error(path, lineno, message):
-    return ValueError(f"model file {path}: line {lineno}: {message}")
-
-
 def load_model(path):
     """Read and validate a model file; returns (params, dims, smoothed_state_or_None, mode).
 
-    Every malformed or invariant-violating file raises ValueError naming the
+    Every malformed or invariant-violating file raises
+    :class:`~mlpalda.atomic.CorpusFormatError` (a ValueError) naming the
     path and the offending line.
     """
     lines = read_text(path).splitlines()
     if not lines or lines[0] != MODEL_FILE_HEADER:
-        raise _model_error(path, 1, f"missing '{MODEL_FILE_HEADER}' header")
+        raise CorpusFormatError(path, 1, f"missing '{MODEL_FILE_HEADER}' header")
     if len(lines) < 4:
-        raise _model_error(path, len(lines) + 1, "truncated header block")
+        raise CorpusFormatError(path, len(lines) + 1, "truncated header block")
 
     try:
         fields = dict(part.split("=") for part in lines[1].split()[1:])
         dims = Dimensions(D=int(fields["D"]), C=int(fields["C"]), T=int(fields["T"]),
                           V=int(fields["V"]), K=int(fields["K"]))
     except (KeyError, ValueError, IndexError):
-        raise _model_error(path, 2, f"bad dims line: {lines[1]!r}") from None
+        raise CorpusFormatError(path, 2, f"bad dims line: {lines[1]!r}") from None
     head = lines[2].split()
     if len(head) != 2 or head[0] != "mode":
-        raise _model_error(path, 3, f"bad mode line: {lines[2]!r}")
+        raise CorpusFormatError(path, 3, f"bad mode line: {lines[2]!r}")
     try:
         mode = normalize_mode(head[1])
     except ValueError as exc:
-        raise _model_error(path, 3, str(exc)) from None
+        raise CorpusFormatError(path, 3, str(exc)) from None
     if lines[3] not in ("smoothing on", "smoothing off"):
-        raise _model_error(path, 4, f"bad smoothing line: {lines[3]!r}")
+        raise CorpusFormatError(path, 4, f"bad smoothing line: {lines[3]!r}")
     smoothing = lines[3].endswith("on")
 
     arrays = {}
@@ -465,18 +462,18 @@ def load_model(path):
             continue
         head = lines[i].split()
         if len(head) != 3 or head[0] != "array" or not head[2].isdecimal():
-            raise _model_error(path, i + 1, "expected 'array <name> <size>'")
+            raise CorpusFormatError(path, i + 1, "expected 'array <name> <size>'")
         name, size = head[1], int(head[2])
         if i + 1 >= len(lines):
-            raise _model_error(path, i + 2, f"array {name}: missing values line")
+            raise CorpusFormatError(path, i + 2, f"array {name}: missing values line")
         try:
             vals = np.array(lines[i + 1].split(), dtype=np.float64)  # float() on each
         except ValueError:
-            raise _model_error(path, i + 2, f"array {name}: non-numeric value") from None
+            raise CorpusFormatError(path, i + 2, f"array {name}: non-numeric value") from None
         if vals.size != size:
-            raise _model_error(path, i + 2, f"array {name}: expected {size} values, got {vals.size}")
+            raise CorpusFormatError(path, i + 2, f"array {name}: expected {size} values, got {vals.size}")
         if not np.all(np.isfinite(vals)):
-            raise _model_error(path, i + 2, f"array {name}: non-finite value")
+            raise CorpusFormatError(path, i + 2, f"array {name}: non-finite value")
         arrays[name] = vals
         where[name] = i + 1
         i += 2
@@ -484,14 +481,14 @@ def load_model(path):
     expected = {"alpha", "xi", "rho"} | ({"eta", "chi"} if smoothing else {"beta"})
     missing = expected - set(arrays)
     if missing:
-        raise _model_error(path, len(lines), f"missing arrays: {sorted(missing)}")
+        raise CorpusFormatError(path, len(lines), f"missing arrays: {sorted(missing)}")
     C, T, V = dims.C, dims.T, dims.V
     sizes = {"alpha": C * 2 * T, "xi": C, "rho": dims.K if mode == "crowd" else 0,
              "beta": T * V, "eta": T * V, "chi": T * V}
     for name in sorted(expected):
         if arrays[name].size != sizes[name]:
-            raise _model_error(path, where[name],
-                               f"array {name}: {arrays[name].size} values, dims need {sizes[name]}")
+            raise CorpusFormatError(path, where[name],
+                                    f"array {name}: {arrays[name].size} values, dims need {sizes[name]}")
 
     alpha = arrays["alpha"].reshape(C, 2, T)
     xi = arrays["xi"]
@@ -505,5 +502,5 @@ def load_model(path):
     problems = validate(params, dims, smoothed=smoothed)
     if problems:
         # with shapes checked above, every message starts with its array's name
-        raise _model_error(path, where[problems[0].split()[0]], "; ".join(problems))
+        raise CorpusFormatError(path, where[problems[0].split()[0]], "; ".join(problems))
     return params, dims, smoothed, mode

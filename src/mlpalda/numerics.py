@@ -17,10 +17,10 @@ NEWTON_MAX_HALVINGS = 30
 NEWTON_GAIN_ULPS = 8
 
 
-def dirichlet_expected_log(gamma, axis=-1, out=None):
+def dirichlet_expected_log(gamma, out=None):
     """E[log theta] under Dirichlet(gamma): psi(gamma) - psi(sum gamma).
 
-    Works on batched concentration arrays; the simplex axis is ``axis``.
+    Works on batched concentration arrays; the simplex axis is the last.
     The result is written into ``out`` when one is given.
     """
     arr = np.asarray(gamma, dtype=np.float64)
@@ -28,7 +28,7 @@ def dirichlet_expected_log(gamma, axis=-1, out=None):
         raise ValueError("dirichlet_expected_log: empty input")
     if not (arr.min() > 0.0 and arr.max() < np.inf):  # NaN fails the first test
         raise ValueError("dirichlet_expected_log: argument must be finite and > 0")
-    total = psi(np.sum(arr, axis=axis, keepdims=True))
+    total = psi(np.sum(arr, axis=-1, keepdims=True))
     out = psi(arr, out=out)
     out -= total
     return out
@@ -119,15 +119,15 @@ def _newton_rows(conc, stats, scale, tol):
     return new, residual, stalled, flat
 
 
-def solve_dirichlet_newton(conc, stats, scale, max_iters=50, tol=1e-8, return_stalled=False):
+def solve_dirichlet_newton(conc, stats, scale, max_iters=50, tol=1e-8):
     """Damped Newton for every concentration row of ``conc`` (..., N) at once.
 
     A row stops when max |g_r - c| < tol (without taking that step), after
     a step that promised a gain below the objective's rounding, on a stall
     (it keeps its last accepted value) or after ``max_iters`` steps; a
     finished row leaves the working arrays.  A (N,) vector is a one-row
-    batch.  With ``return_stalled`` the per-row stall mask (shape
-    ``conc.shape[:-1]``) is returned as well.
+    batch.  Returns ``(out, stalled)``: the solved rows, shaped like
+    ``conc``, and the per-row stall mask, shaped ``conc.shape[:-1]``.
     """
     conc = np.asarray(conc, dtype=np.float64)
     stats = np.asarray(stats, dtype=np.float64)
@@ -156,7 +156,4 @@ def solve_dirichlet_newton(conc, stats, scale, max_iters=50, tol=1e-8, return_st
             if idx.size == 0:
                 break
     out[idx] = cur
-    out = out.reshape(conc.shape)
-    if return_stalled:
-        return out, stalled.reshape(conc.shape[:-1])
-    return out
+    return out.reshape(conc.shape), stalled.reshape(conc.shape[:-1])

@@ -68,7 +68,7 @@ def returns_or_names_a_line(read, *paths):
     except ValueError as exc:
         message = str(exc)
         assert any(
-            re.search(re.escape(str(p)) + r"(:\d+: |: line \d+: )", message) for p in paths
+            re.search(re.escape(str(p)) + r":\d+: ", message) for p in paths
         ), message
 
 

@@ -701,7 +701,7 @@ def test_mstep_alpha_matches_direct_newton_solve():
     new = m_step(stats, params)
     for i in range(2):
         for j in range(2):
-            direct = solve_dirichlet_newton(
+            direct, _ = solve_dirichlet_newton(
                 params.alpha[i, j], stats.sum_log_theta[i, j], stats.n_docs
             )
             np.testing.assert_array_equal(new.alpha[i, j], direct)

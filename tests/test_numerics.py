@@ -112,8 +112,7 @@ def _random_problem(seed, dim=4, scale=25):
 
 def _one_step(conc, stats, scale, tol=0.0):
     """One damped Newton step: (new concentrations, stalled)."""
-    new, stalled = solve_dirichlet_newton(conc, stats, scale, max_iters=1, tol=tol,
-                                          return_stalled=True)
+    new, stalled = solve_dirichlet_newton(conc, stats, scale, max_iters=1, tol=tol)
     return new, bool(stalled)
 
 
@@ -195,7 +194,7 @@ def _gradient_ascent_oracle(conc0, stats, scale, tol=5e-10, max_iters=100_000):
 def test_full_solve_matches_gradient_ascent_oracle():
     for seed in (0, 1, 2):
         stats = _random_problem(seed, dim=4, scale=25)
-        ours = solve_dirichlet_newton(np.ones(4), stats, 25)
+        ours, _ = solve_dirichlet_newton(np.ones(4), stats, 25)
         ref = _gradient_ascent_oracle(np.ones(4), stats, 25)
         # the curvature here is O(scale), so a 5e-6 gradient residual keeps
         # the oracle's argmax within ~1e-7 of the true maximiser
@@ -214,13 +213,13 @@ def test_full_solve_matches_scipy_optimizer():
         bounds=[(1e-8, None)] * 3,
         options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 5000},
     )
-    ours = solve_dirichlet_newton(np.ones(3), stats, 15)
+    ours, _ = solve_dirichlet_newton(np.ones(3), stats, 15)
     assert np.allclose(ours, res.x, atol=1e-6)
 
 
 def test_solve_converges_to_small_residual():
     stats = _random_problem(9, dim=6, scale=60)
-    out = solve_dirichlet_newton(np.ones(6), stats, 60)
+    out, _ = solve_dirichlet_newton(np.ones(6), stats, 60)
     assert np.abs(dirichlet_gradient(out, stats, 60)).max() <= 1e-6
 
 
@@ -237,7 +236,7 @@ def test_newton_stalls_gracefully_when_optimum_is_at_infinity():
     # sum(exp(stats/scale)) >= 1 means no finite maximizer exists; the solver
     # must stop on its own and hand back finite positive concentrations
     stats = np.array([-0.05, -0.05])
-    out = solve_dirichlet_newton(np.ones(2), stats, 1)
+    out, _ = solve_dirichlet_newton(np.ones(2), stats, 1)
     assert np.all(np.isfinite(out)) and np.all(out > 0)
 
 
@@ -277,11 +276,10 @@ def test_batched_solve_rows_equal_their_one_row_solves(monkeypatch):
         np.full(4, scale * np.log(0.3)),
     ])
     calls = _record_newton_rows(monkeypatch)
-    batch, stalled = solve_dirichlet_newton(conc, stats, scale, return_stalled=True)
+    batch, stalled = solve_dirichlet_newton(conc, stats, scale)
     assert np.any([flat.any() for _, _, flat in calls])
     for r in range(len(conc)):
-        alone, alone_stalled = solve_dirichlet_newton(conc[r], stats[r], scale,
-                                                      return_stalled=True)
+        alone, alone_stalled = solve_dirichlet_newton(conc[r], stats[r], scale)
         assert np.array_equal(batch[r], alone), r
         assert stalled[r] == alone_stalled
     assert np.array_equal(batch[0], fixed)
@@ -295,7 +293,7 @@ def test_solve_stops_once_the_gain_is_below_rounding(monkeypatch, seed, dim):
     # 50-iteration cap before the rounding stop rule
     stats = _random_problem(seed, dim=dim, scale=100)
     calls = _record_newton_rows(monkeypatch)
-    out = solve_dirichlet_newton(np.ones(dim), stats, 100)
+    out, _ = solve_dirichlet_newton(np.ones(dim), stats, 100)
     assert len(calls) <= 12
     assert all(np.all(after >= before) for before, after, _ in calls)
     assert calls[-1][2].all()
@@ -312,5 +310,5 @@ def test_one_observation_of_expected_logs_is_maximized_at_its_own_chi(seed, dim)
     np.testing.assert_allclose(dirichlet_gradient(chi, stats, 1), 0.0, rtol=0, atol=1e-12)
     # Newton finds the same point to the accuracy its f-based stop rules
     # resolve: up to 5.7e-7 relative on these rows
-    out = solve_dirichlet_newton(np.ones_like(chi), stats, 1)
+    out, _ = solve_dirichlet_newton(np.ones_like(chi), stats, 1)
     np.testing.assert_allclose(out, chi, rtol=1e-6, atol=0)

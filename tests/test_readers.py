@@ -12,6 +12,7 @@ from hypothesis import given
 
 import reader_reference as reference
 from mlpalda import data
+from mlpalda.atomic import format_floats
 from mlpalda.model import Dimensions, Document
 from test_fuzz import FUZZ, MUTATIONS, VALID, mutate
 
@@ -231,3 +232,39 @@ def test_a_vocabulary_beyond_int64_still_finds_duplicates(write):
 def test_extreme_headers_read_as_the_reference_reads_them(write, header):
     text = f"#mlc v1 {header}\na | 1 0 | 0:1 9:2\nb | 0 1 | 3:1\n"
     assert_same_corpus([write("in.mlc", text)])
+
+
+def test_files_in_written_form_never_reach_the_per_record_parsers(tmp_path, monkeypatch):
+    rng = np.random.default_rng(7)
+    K, C, V, F = 3, 2, 20, 4
+    docs = [
+        Document(f"d{d}", rng.permutation(V)[:n], rng.integers(1, 9, n), true_labels=rng.integers(-1, 2, C),
+                 crowd_labels=np.where(rng.random((K, C)) < 0.5, rng.integers(0, 2, (K, C)), -1))
+        for d, n in enumerate([1, 5, 12, 3])
+    ]
+    values = rng.normal(size=(len(docs), F))
+    paths = [tmp_path / "in.mlc", tmp_path / "in.crowd"]
+    data.save_corpus(paths[0], docs, Dimensions(D=len(docs), C=C, T=1, V=V))
+    data.write_crowd_file(paths[1], docs, K)
+    # no writer makes feature files; this one is in the form the corpus writer uses
+    mlf = tmp_path / "in.mlf"
+    mlf.write_text(f"#mlf v1 D={len(docs)} F={F} C={C}\n" + "".join(
+        f"{doc.doc_id} | {' '.join(map(str, doc.true_labels))} | {format_floats(v)}\n"
+        for doc, v in zip(docs, values)
+    ))
+
+    def refuse(*args):
+        raise AssertionError("a record in written form reached a per-record parser")
+
+    for name in ("_labeled_record", "_word_record", "_crowd_record"):
+        monkeypatch.setattr(data, name, refuse)
+    got, dims = data.load_corpus(*paths)
+    want, want_dims = reference.load_corpus(*paths)
+    assert dims == want_dims
+    assert_same_documents(got, want)
+    assert_same_votes(paths[1])
+    rows, F_read, C_read = data.load_features(mlf)
+    assert (F_read, C_read) == (F, C)
+    for (doc_id, labels, vals), doc, v in zip(rows, docs, values):
+        assert doc_id == doc.doc_id and np.array_equal(labels, doc.true_labels)
+        assert np.array_equal(vals, v)
