@@ -40,16 +40,18 @@ from .model import (
     DocVariational,
     Document,
     ModelParams,
-    SmoothedTopicState,
     clamp_probability,
+    corpus_words,
     init_params,
     init_smoothed_state,
     initial_presence,
+    known_labels,
     normalize_mode,
     validate_corpus,
-    validate_corpus_words,
+    validate_words,
 )
-from .numerics import dirichlet_expected_log, dirichlet_objective, solve_dirichlet_newton
+from .numerics import (dirichlet_expected_log, dirichlet_gradient, dirichlet_objective,
+                       solve_dirichlet_newton)
 
 logger = logging.getLogger(__name__)
 
@@ -113,10 +115,10 @@ class ElboTrace:
 # ---------------------------------------------------------------------------
 
 
-def expected_log_word_given_topic(params: ModelParams, topics: Optional[SmoothedTopicState]):
-    """(T, V): log beta, or E[log beta] under the chi posterior when smoothing."""
+def expected_log_word_given_topic(params: ModelParams, topics: Optional[np.ndarray]):
+    """(T, V): log beta, or E[log beta] under the (T, V) chi posterior ``topics``."""
     if topics is not None:
-        return dirichlet_expected_log(topics.chi)
+        return dirichlet_expected_log(topics)
     return np.log(np.clip(params.beta, _LOG_FLOOR, None))
 
 
@@ -264,12 +266,18 @@ class CorpusStates:
         return (self[d] for d in range(len(self)))
 
 
-def _pack(corpus, C, T, pinned=False) -> CorpusStates:
-    """Length-sorted chunks of ``corpus``'s words and votes, with no states yet."""
-    lengths = np.array([doc.word_ids.size for doc in corpus], dtype=np.int64)
+def _pack(corpus, C, T, V, pinned=False) -> CorpusStates:
+    """Length-sorted chunks of ``corpus``'s words and votes, with no states yet.
+
+    The first document in corpus order with faulty words, or with ``pinned``
+    an unknown label, raises its ValueError."""
+    word_ids, counts, lengths, faulty = corpus_words(corpus, V)
+    for d in np.flatnonzero(faulty):
+        validate_words(corpus[d], V)
+    for doc in corpus if pinned else ():
+        known_labels(doc)
     offsets = np.concatenate([[0], np.cumsum(lengths)])
-    word_ids = np.concatenate([doc.word_ids for doc in corpus] or [np.zeros(0, np.int64)])
-    counts = np.concatenate([doc.counts for doc in corpus] or [np.zeros(0)]).astype(np.float64)
+    counts = counts.astype(np.float64)
     K = next((doc.crowd_labels.shape[0] for doc in corpus if doc.crowd_labels is not None), 0)
     chunks = []
     for docs in map(np.array, _length_sorted_chunks(lengths, max(C, T))):
@@ -313,7 +321,7 @@ def _start_arrays(chunk, corpus, states, C, T, params=None, pinned=False):
 def e_step_corpus(
     corpus,
     params: ModelParams,
-    topics: Optional[SmoothedTopicState],
+    topics: Optional[np.ndarray],
     estep: EStepConfig,
     states=None,
     pinned: bool = False,
@@ -326,7 +334,10 @@ def e_step_corpus(
     one is given.  With ``pinned`` (no-crowd training) the presence beliefs
     are the observed labels and stay there.  Otherwise they are free, and a
     document's judgments enter wherever it carries them; prediction passes
-    documents that carry words only.
+    documents that carry words only.  ``topics`` is the (T, V) chi
+    posterior of a smoothed model, None otherwise.  Before any sweep, the
+    first document in corpus order whose words are faulty, or with
+    ``pinned`` whose labels are not all known, raises ValueError.
 
     The documents run in lockstep, in length-sorted chunks padded to their
     longest document.  A chunk takes documents while its widest working
@@ -352,11 +363,11 @@ def e_step_corpus(
     C, _, T = params.alpha.shape
     if states is not None and len(states) != len(corpus):
         raise ValueError(f"e_step_corpus: {len(states)} states for {len(corpus)} documents")
+    elog_beta = expected_log_word_given_topic(params, topics)
     if isinstance(states, CorpusStates) and states.corpus is corpus and states.pinned == pinned:
         store, starts = states, None
     else:
-        store, starts = _pack(corpus, C, T, pinned), states or [None] * len(corpus)
-    elog_beta = expected_log_word_given_topic(params, topics)
+        store, starts = _pack(corpus, C, T, elog_beta.shape[1], pinned), states or [None] * len(corpus)
     chunks, capped = [], 0
     for chunk in store.chunks:
         chunk, hits = _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned)
@@ -531,7 +542,7 @@ def collect_stats(corpus, states, dims: Dimensions) -> CorpusStats:
     :func:`~mlpalda.model.init_doc_variational` starts).  They are packed
     into the E-step's chunks and reduced as ``train`` reduces an E-pass.
     """
-    store = _pack(corpus, dims.C, dims.T)
+    store = _pack(corpus, dims.C, dims.T, dims.V)
     states = list(states)
     for chunk in store.chunks:
         chunk.delta, chunk.phi, chunk.Delta = _start_arrays(chunk, corpus, states, dims.C, dims.T)
@@ -599,7 +610,7 @@ def _reduce_stats(store: CorpusStates, dims: Dimensions) -> CorpusStats:
 def m_step(
     stats: CorpusStats,
     params: ModelParams,
-    topics: Optional[SmoothedTopicState] = None,
+    topics: Optional[np.ndarray] = None,
 ) -> ModelParams:
     """Maximize each parameter block given the E-step statistics.
 
@@ -616,15 +627,19 @@ def m_step(
 
     alpha, stalled = solve_dirichlet_newton(params.alpha, stats.sum_log_theta, stats.n_docs)
     if stalled.any():
+        # each stalled row's largest gradient entry, at the value it keeps
+        residual = np.abs(dirichlet_gradient(alpha, stats.sum_log_theta, stats.n_docs)).max(-1)
+        rows = ", ".join(f"class {c} {('absent', 'present')[j]} (residual {residual[c, j]:.2g})"
+                         for c, j in zip(*np.nonzero(stalled)))
         logger.warning(
-            "M-step: Newton stalled on %d of %d alpha rows; they keep their last accepted value",
-            int(stalled.sum()), stalled.size,
+            "M-step: Newton stalled on %d of %d alpha rows, %s; they keep their last accepted value",
+            int(stalled.sum()), stalled.size, rows,
         )
 
     if params.eta is not None:
         if topics is None:
             raise ValueError("m_step: smoothed mode needs the chi state")
-        return ModelParams(alpha=alpha, xi=xi, rho=rho, beta=None, eta=topics.chi.copy())
+        return ModelParams(alpha=alpha, xi=xi, rho=rho, beta=None, eta=topics.copy())
 
     row_sums = stats.topic_word.sum(axis=1, keepdims=True)
     if np.any(row_sums <= 0.0):
@@ -638,7 +653,7 @@ def m_step(
 # ---------------------------------------------------------------------------
 
 
-def compute_elbo(stats: CorpusStats, params: ModelParams, topics: Optional[SmoothedTopicState] = None) -> float:
+def compute_elbo(stats: CorpusStats, params: ModelParams, topics: Optional[np.ndarray] = None) -> float:
     """Evidence lower bound of the variational states summarized in ``stats``.
 
     Every term is a corpus statistic paired with a parameter, except
@@ -667,7 +682,7 @@ def compute_elbo(stats: CorpusStats, params: ModelParams, topics: Optional[Smoot
 
     if topics is not None:
         total += _dirichlet_block(params.eta, elog_beta)
-        total -= _dirichlet_block(topics.chi, elog_beta)
+        total -= _dirichlet_block(topics, elog_beta)
 
     if not np.isfinite(total):
         raise NumericalFailureError("compute_elbo: bound is not finite")
@@ -703,7 +718,7 @@ def _check_training_corpus(corpus, dims: Dimensions, cfg: TrainConfig) -> None:
 
 
 def train(corpus, dims: Dimensions, cfg: TrainConfig):
-    """Run variational EM; returns (params, smoothed_state_or_None, trace).
+    """Run variational EM; returns (params, chi_or_None, trace).
 
     The bound is evaluated after every E-pass (and chi refresh); because
     each E-step warm-starts from the previous state and every M-step block
@@ -723,7 +738,7 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
                                pinned=cfg.mode == "no-crowd")
         stats = _reduce_stats(states, dims)
         if cfg.smoothing:
-            topics = SmoothedTopicState(chi=params.eta + stats.topic_word)
+            topics = params.eta + stats.topic_word
 
         elbo = compute_elbo(stats, params, topics)
         trace.rows.append((iteration, elbo, last_change))
@@ -749,7 +764,7 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
 def predict_corpus(
     corpus,
     params: ModelParams,
-    topics: Optional[SmoothedTopicState] = None,
+    topics: Optional[np.ndarray] = None,
     estep: EStepConfig = EStepConfig(),
     threshold: float = 0.5,
 ):
@@ -759,7 +774,6 @@ def predict_corpus(
     document without its labels or judgments.  Ties at the threshold
     predict "present".
     """
-    validate_corpus_words(corpus, (params.eta if params.smoothing else params.beta).shape[1])
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("predict: threshold must be in [0, 1]")
     words = [Document(doc.doc_id, doc.word_ids, doc.counts) for doc in corpus]

@@ -21,7 +21,8 @@ U distinct terms in one document):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,6 +34,8 @@ DELTA_CLAMP = 1e-9  # Delta lives in [DELTA_CLAMP, 1 - DELTA_CLAMP]
 ROW_SUM_TOL = 1e-9
 
 MODEL_FILE_HEADER = "mlpa-model v1"
+# a model file's arrays in written order, without and with smoothing
+MODEL_ARRAYS = {False: ("alpha", "xi", "rho", "beta"), True: ("alpha", "xi", "rho", "eta", "chi")}
 
 
 def clamp_probability(x, eps):
@@ -113,10 +116,6 @@ class ModelParams:
         if self.eta is not None:
             self.eta = np.asarray(self.eta, dtype=np.float64)
 
-    @property
-    def smoothing(self) -> bool:
-        return self.eta is not None
-
 
 @dataclass
 class DocVariational:
@@ -125,11 +124,6 @@ class DocVariational:
     phi: np.ndarray     # (U, T)
     gamma: np.ndarray   # (C, 2, T)
     sweeps: int = 0     # inner sweeps of the E-step that produced it (0: none)
-
-
-@dataclass
-class SmoothedTopicState:
-    chi: np.ndarray     # (T, V)
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +174,6 @@ def validate_corpus(corpus, dims: Dimensions) -> None:
         validate_document(corpus[d], dims)
 
 
-def validate_corpus_words(corpus, V: int) -> None:
-    """:func:`validate_words` on every document of ``corpus``, batched as in
-    :func:`validate_corpus`: the error names the first offending document."""
-    for d in np.flatnonzero(_faulty_words(corpus, V)):
-        validate_words(corpus[d], V)
-
-
 def faulty_words(ids, counts, lengths, V: int) -> np.ndarray:
     """(D,) True for every document whose words :func:`validate_words` rejects.
 
@@ -203,8 +190,11 @@ def faulty_words(ids, counts, lengths, V: int) -> np.ndarray:
     return bad
 
 
-def _faulty_words(corpus, V: int) -> np.ndarray:
-    """:func:`faulty_words` over ``corpus``'s documents, which may be malformed."""
+def corpus_words(corpus, V: int):
+    """``(ids, counts, lengths, faulty)``: ``corpus``'s word ids and counts end to
+    end, ``lengths[d]`` of them for document d, and the (D,) :func:`faulty_words`
+    flags; a document whose ids and counts are not equal-length vectors adds
+    no words and is flagged."""
     ids = [doc.word_ids for doc in corpus]
     counts = [doc.counts for doc in corpus]
     bad = np.array([w.ndim != 1 or w.shape != c.shape for w, c in zip(ids, counts)], dtype=bool)
@@ -213,12 +203,12 @@ def _faulty_words(corpus, V: int) -> np.ndarray:
     lengths[whole] = [ids[d].size for d in whole]
     flat_ids = np.concatenate([ids[d] for d in whole] or [np.zeros(0, np.int64)])
     flat_counts = np.concatenate([counts[d] for d in whole] or [np.zeros(0, np.int64)])
-    return bad | faulty_words(flat_ids, flat_counts, lengths, V)
+    return flat_ids, flat_counts, lengths, bad | faulty_words(flat_ids, flat_counts, lengths, V)
 
 
 def _faulty_documents(corpus, dims: Dimensions) -> np.ndarray:
     """(D,) True for every document that :func:`validate_document` rejects."""
-    bad = _faulty_words(corpus, dims.V)
+    bad = corpus_words(corpus, dims.V)[3]
     for values, shape in (([doc.true_labels for doc in corpus], (dims.C,)),
                           ([doc.crowd_labels for doc in corpus], (dims.K, dims.C) if dims.K else None)):
         wrong = np.array([v is not None for v in values], dtype=bool)
@@ -240,9 +230,9 @@ def validate(
     params: ModelParams,
     dims: Dimensions,
     state: Optional[DocVariational] = None,
-    smoothed: Optional[SmoothedTopicState] = None,
+    smoothed: Optional[np.ndarray] = None,
 ) -> list:
-    """Collect invariant violations as human-readable strings (empty = clean)."""
+    """Invariant violations as human-readable strings (empty = clean); ``smoothed`` is chi."""
     C, T, V = dims.C, dims.T, dims.V
     msgs = []
 
@@ -296,11 +286,11 @@ def validate(
     if smoothed is not None:
         if params.eta is None:
             msgs.append("smoothed state without eta")
-        elif smoothed.chi.shape != params.eta.shape:
+        elif smoothed.shape != params.eta.shape:
             msgs.append("chi shape mismatch with eta")
-        elif not np.all(np.isfinite(smoothed.chi)):
+        elif not np.all(np.isfinite(smoothed)):
             msgs.append("chi has non-finite entries")
-        elif np.any(smoothed.chi < params.eta - 1e-12):
+        elif np.any(smoothed < params.eta - 1e-12):
             msgs.append("chi below eta")
 
     return msgs
@@ -332,14 +322,22 @@ def init_params(dims: Dimensions, mode: str, smoothing: bool, seed: int) -> Mode
     return ModelParams(alpha=alpha, xi=xi, rho=rho, beta=beta, eta=None)
 
 
-def init_smoothed_state(eta: np.ndarray, seed: int) -> SmoothedTopicState:
-    """Seeded chi start: eta plus a small positive jitter.
+def init_smoothed_state(eta: np.ndarray, seed: int) -> np.ndarray:
+    """Seeded (T, V) chi start: eta plus a small positive jitter.
 
     Without the jitter every topic row is identical and the word-to-topic
     responsibilities stay exactly uniform forever.
     """
     rng = np.random.default_rng(seed)
-    return SmoothedTopicState(chi=eta + 0.5 * rng.random(eta.shape))
+    return eta + 0.5 * rng.random(eta.shape)
+
+
+def known_labels(doc: Document) -> np.ndarray:
+    """``doc``'s labels as floats; ValueError unless every one is known (0 or 1)."""
+    lab = doc.true_labels
+    if lab is None or not np.all((lab == 0) | (lab == 1)):
+        raise ValueError(f"document {doc.doc_id}: no-crowd training needs fully known labels")
+    return lab.astype(np.float64)
 
 
 def initial_presence(doc: Document, params: ModelParams, pinned: bool = False) -> np.ndarray:
@@ -351,12 +349,7 @@ def initial_presence(doc: Document, params: ModelParams, pinned: bool = False) -
     without annotator qualities leave votes out, as the E-step does.
     """
     if pinned:
-        lab = doc.true_labels
-        if lab is None or not np.all(np.isin(lab, (0, 1))):
-            raise ValueError(
-                f"document {doc.doc_id}: no-crowd training needs fully known labels"
-            )
-        Delta = lab.astype(np.float64)
+        Delta = known_labels(doc)
     else:
         Delta = params.xi.astype(np.float64).copy()
         y = doc.crowd_labels
@@ -395,10 +388,11 @@ def init_doc_variational(
 
 
 def save_model(path, params: ModelParams, dims: Dimensions,
-               smoothed: Optional[SmoothedTopicState] = None) -> None:
+               smoothed: Optional[np.ndarray] = None) -> None:
     """Write the versioned text model file (17 significant digits, row-major).
 
-    The mode line reads ``crowd`` exactly when the params carry annotator
+    ``smoothed`` is the (T, V) chi posterior, required with smoothing.  The
+    mode line reads ``crowd`` exactly when the params carry annotator
     qualities, so the file always matches the ``rho`` array it holds.  The
     file is replaced atomically: a failed save leaves any earlier file.
     """
@@ -406,27 +400,26 @@ def save_model(path, params: ModelParams, dims: Dimensions,
     smoothing = params.eta is not None
     if smoothing and smoothed is None:
         raise ValueError("save_model: smoothed mode requires the chi state")
-    arrays = [("alpha", params.alpha), ("xi", params.xi), ("rho", params.rho)]
-    if smoothing:
-        arrays += [("eta", params.eta), ("chi", smoothed.chi)]
-    else:
-        arrays += [("beta", params.beta)]
+    values = {"alpha": params.alpha, "xi": params.xi, "rho": params.rho,
+              "beta": params.beta, "eta": params.eta, "chi": smoothed}
     lines = [
         MODEL_FILE_HEADER,
         f"dims D={dims.D} C={dims.C} T={dims.T} V={dims.V} K={dims.K}",
         f"mode {mode}",
         f"smoothing {'on' if smoothing else 'off'}",
     ]
-    for name, arr in arrays:
-        lines.append(f"array {name} {arr.size}")
-        lines.append(format_floats(arr))
+    for name in MODEL_ARRAYS[smoothing]:
+        lines.append(f"array {name} {values[name].size}")
+        lines.append(format_floats(values[name]))
     write_text(path, "\n".join(lines) + "\n")
 
 
 def load_model(path):
-    """Read and validate a model file; returns (params, dims, smoothed_state_or_None, mode).
+    """Read and validate a model file; returns (params, dims, chi_or_None, mode).
 
-    Every malformed or invariant-violating file raises
+    The arrays come in written order, each header ``array <name> <size>``
+    with the size the dims give; only blank lines may come between or after
+    them.  Every malformed or invariant-violating file raises
     :class:`~mlpalda.atomic.CorpusFormatError` (a ValueError) naming the
     path and the offending line.
     """
@@ -453,18 +446,20 @@ def load_model(path):
         raise CorpusFormatError(path, 4, f"bad smoothing line: {lines[3]!r}")
     smoothing = lines[3].endswith("on")
 
-    arrays = {}
-    where = {}  # array name -> line of its 'array' header
+    C, T, V = dims.C, dims.T, dims.V
+    shapes = {"alpha": (C, 2, T), "xi": (C,), "rho": (dims.K if mode == "crowd" else 0,),
+              "beta": (T, V), "eta": (T, V), "chi": (T, V)}
+    arrays, where = {}, {}  # name -> values, and the line of its 'array' header
     i = 4
-    while i < len(lines):
-        if not lines[i].strip():
+    for name in MODEL_ARRAYS[smoothing]:
+        while i < len(lines) and not lines[i].strip():
             i += 1
-            continue
-        head = lines[i].split()
-        if len(head) != 3 or head[0] != "array" or not head[2].isdecimal():
-            raise CorpusFormatError(path, i + 1, "expected 'array <name> <size>'")
-        name, size = head[1], int(head[2])
-        if i + 1 >= len(lines):
+        size = math.prod(shapes[name])
+        header = f"array {name} {size}"
+        if i == len(lines) or lines[i].split() != header.split():
+            got = repr(lines[i].strip()) if i < len(lines) else "the end of the file"
+            raise CorpusFormatError(path, i + 1, f"expected '{header}', got {got}")
+        if i + 1 == len(lines):
             raise CorpusFormatError(path, i + 2, f"array {name}: missing values line")
         try:
             vals = np.array(lines[i + 1].split(), dtype=np.float64)  # float() on each
@@ -474,33 +469,17 @@ def load_model(path):
             raise CorpusFormatError(path, i + 2, f"array {name}: expected {size} values, got {vals.size}")
         if not np.all(np.isfinite(vals)):
             raise CorpusFormatError(path, i + 2, f"array {name}: non-finite value")
-        arrays[name] = vals
+        arrays[name] = vals.reshape(shapes[name])
         where[name] = i + 1
         i += 2
+    for j in range(i, len(lines)):
+        if lines[j].strip():
+            raise CorpusFormatError(path, j + 1, "unexpected line after the last array")
 
-    expected = {"alpha", "xi", "rho"} | ({"eta", "chi"} if smoothing else {"beta"})
-    missing = expected - set(arrays)
-    if missing:
-        raise CorpusFormatError(path, len(lines), f"missing arrays: {sorted(missing)}")
-    C, T, V = dims.C, dims.T, dims.V
-    sizes = {"alpha": C * 2 * T, "xi": C, "rho": dims.K if mode == "crowd" else 0,
-             "beta": T * V, "eta": T * V, "chi": T * V}
-    for name in sorted(expected):
-        if arrays[name].size != sizes[name]:
-            raise CorpusFormatError(path, where[name],
-                                    f"array {name}: {arrays[name].size} values, dims need {sizes[name]}")
-
-    alpha = arrays["alpha"].reshape(C, 2, T)
-    xi = arrays["xi"]
-    rho = arrays["rho"]
-    if smoothing:
-        params = ModelParams(alpha=alpha, xi=xi, rho=rho, beta=None, eta=arrays["eta"].reshape(T, V))
-        smoothed = SmoothedTopicState(chi=arrays["chi"].reshape(T, V))
-    else:
-        params = ModelParams(alpha=alpha, xi=xi, rho=rho, beta=arrays["beta"].reshape(T, V), eta=None)
-        smoothed = None
-    problems = validate(params, dims, smoothed=smoothed)
+    params = ModelParams(alpha=arrays["alpha"], xi=arrays["xi"], rho=arrays["rho"],
+                         beta=arrays.get("beta"), eta=arrays.get("eta"))
+    problems = validate(params, dims, smoothed=arrays.get("chi"))
     if problems:
-        # with shapes checked above, every message starts with its array's name
+        # every message starts with its array's name
         raise CorpusFormatError(path, where[problems[0].split()[0]], "; ".join(problems))
-    return params, dims, smoothed, mode
+    return params, dims, arrays.get("chi"), mode

@@ -36,7 +36,6 @@ from mlpalda.model import (
     Dimensions,
     Document,
     ModelParams,
-    SmoothedTopicState,
     clamp_probability,
     init_doc_variational,
     init_params,
@@ -196,16 +195,21 @@ def test_grouped_and_expanded_documents_agree():
     C, T, V, K = 3, 4, 12, 2
     params = random_params(rng, C, T, V, K=K)
     doc = random_doc(rng, C, V, K=K, n_terms=5, max_count=4)
+    tokens = np.repeat(doc.word_ids, doc.counts)
+    # each token gets its own vocabulary entry holding a copy of its term's
+    # beta column, since a document may not repeat a word id
+    per_token = ModelParams(alpha=params.alpha, xi=params.xi, rho=params.rho,
+                            beta=params.beta[:, tokens])
     expanded = Document(
         doc_id=doc.doc_id,
-        word_ids=np.repeat(doc.word_ids, doc.counts),
-        counts=np.ones(int(doc.counts.sum()), dtype=np.int64),
+        word_ids=np.arange(tokens.size),
+        counts=np.ones(tokens.size, dtype=np.int64),
         true_labels=doc.true_labels,
         crowd_labels=doc.crowd_labels,
     )
     estep = EStepConfig(max_iters=6, tol=0.0)
     grouped = e_step_corpus([doc], params, None, estep)[0]
-    flat = e_step_corpus([expanded], params, None, estep)[0]
+    flat = e_step_corpus([expanded], per_token, None, estep)[0]
 
     np.testing.assert_allclose(flat.Delta, grouped.Delta, rtol=0, atol=1e-12)
     np.testing.assert_allclose(flat.gamma, grouped.gamma, rtol=0, atol=1e-12)
@@ -299,10 +303,10 @@ def test_estep_smoothed_uses_chi_not_beta():
     chi = rng.uniform(0.5, 3.0, size=(T, V))
     doc = random_doc(rng, C, V)
     estep = EStepConfig(max_iters=4)
-    st = e_step_corpus([doc], smoothed, SmoothedTopicState(chi=chi), estep, pinned=True)[0]
+    st = e_step_corpus([doc], smoothed, chi, estep, pinned=True)[0]
     assert np.all(np.isfinite(st.phi))
     # different chi must change the answer
-    st2 = e_step_corpus([doc], smoothed, SmoothedTopicState(chi=chi * 3.0), estep, pinned=True)[0]
+    st2 = e_step_corpus([doc], smoothed, chi * 3.0, estep, pinned=True)[0]
     assert np.abs(st.phi - st2.phi).max() > 1e-6
 
 
@@ -721,7 +725,7 @@ def test_mstep_warns_once_about_stalled_alpha_rows(caplog):
         new = m_step(stats, base_params())
     warnings = _newton_stall_warnings(caplog)
     assert len(warnings) == 1
-    assert "1 of 4 alpha rows" in warnings[0].getMessage()
+    assert "1 of 4 alpha rows, class 1 absent (residual " in warnings[0].getMessage()
     assert np.all(np.isfinite(new.alpha)) and np.all(new.alpha > 0)
 
 
@@ -744,7 +748,7 @@ def test_mstep_smoothed_updates_eta_and_drops_beta():
     stats.rho_num = np.zeros(0)
     stats.rho_cnt = np.zeros(0)
     chi = np.array([[3.0, 7.0, 1.0], [2.0, 2.0, 3.0]])
-    new = m_step(stats, params, topics=SmoothedTopicState(chi=chi))
+    new = m_step(stats, params, topics=chi)
     assert new.beta is None
     # the exact maximizer of each eta row's block is its chi row
     np.testing.assert_array_equal(new.eta, chi)
@@ -932,7 +936,7 @@ def per_document_bound(corpus, params, states, topics=None):
     C = params.alpha.shape[0]
     xi = clamp_probability(params.xi, PROB_CLAMP)
     if topics is not None:
-        log_wt_full = _expected_log(topics.chi)
+        log_wt_full = _expected_log(topics)
     else:
         log_wt_full = np.log(np.clip(params.beta, 1e-300, None))
     total = 0.0
@@ -963,9 +967,9 @@ def per_document_bound(corpus, params, states, topics=None):
         total -= float((xlogy(Delta, Delta) + xlogy(1.0 - Delta, 1.0 - Delta)).sum())
 
     if topics is not None:
-        elog_beta = _expected_log(topics.chi)
+        elog_beta = _expected_log(topics)
         total += _dirichlet_terms(params.eta, elog_beta)
-        total -= _dirichlet_terms(topics.chi, elog_beta)
+        total -= _dirichlet_terms(topics, elog_beta)
     return total
 
 
@@ -981,7 +985,7 @@ def test_elbo_from_stats_matches_per_document_bound(mode, smoothing, stepped):
     if smoothing:
         eta = rng.uniform(0.3, 2.0, size=(T, V))
         params = ModelParams(alpha=params.alpha, xi=params.xi, rho=params.rho, eta=eta)
-        topics = SmoothedTopicState(chi=eta + rng.uniform(0.0, 3.0, size=(T, V)))
+        topics = eta + rng.uniform(0.0, 3.0, size=(T, V))
     docs = mixed_length_corpus(rng, C, V, K=K)
     dims = Dimensions(D=len(docs), C=C, T=T, V=V, K=K)
     pinned = mode == "no-crowd"
@@ -1194,3 +1198,45 @@ def test_predict_checks_words_like_training(word_ids, counts, message):
     stray = Document("stray", np.array(word_ids), np.array(counts))
     with pytest.raises(ValueError, match=f"document stray: {message}"):
         predict_corpus([docs[0], stray], params, topics)
+
+
+@pytest.mark.parametrize("entry", ["e_step_corpus", "collect_stats"])
+@pytest.mark.parametrize(
+    "word_ids, counts, message",
+    [
+        ([0, -1], [1, 1], r"word index out of range \[0, 5\)"),
+        ([0, 7], [1, 1], r"word index out of range \[0, 5\)"),
+        ([3, 3], [1, 1], "duplicate word index"),
+        ([3, 4], [1, 0], "word counts must be >= 1"),
+    ],
+    ids=["negative", "past-vocabulary", "duplicate", "zero-count"],
+)
+def test_estep_and_stats_check_words_in_corpus_order(entry, word_ids, counts, message):
+    rng = np.random.default_rng(2)
+    C, T, V = 2, 3, 5
+    params = random_params(rng, C, T, V)
+    docs = [random_doc(rng, C, V, n_terms=4, doc_id="long"),
+            Document("stray", np.array(word_ids), np.array(counts), true_labels=np.array([1, 0])),
+            Document("later", np.array([9]), np.array([1]), true_labels=np.array([0, 1]))]
+    with pytest.raises(ValueError, match=f"^document stray: {message}$"):
+        if entry == "e_step_corpus":
+            e_step_corpus(docs, params, None, EStepConfig())
+        else:
+            states = [init_doc_variational(doc, params) for doc in docs]
+            collect_stats(docs, states, Dimensions(D=3, C=C, T=T, V=V))
+
+
+def test_nocrowd_training_names_the_first_unlabelled_document():
+    """The E-step runs documents in length order; the error still names the
+    first unlabelled document in corpus order."""
+    docs, _ = make_training_corpus(D=3, seed=1)
+    long_first = max(docs, key=lambda doc: doc.word_ids.size)
+    short_third = min(docs, key=lambda doc: doc.word_ids.size)
+    ok = next(doc for doc in docs if doc is not long_first and doc is not short_third)
+    corpus = [dataclasses.replace(long_first, doc_id="long-first", true_labels=np.array([-1, 1])),
+              dataclasses.replace(ok, doc_id="ok", true_labels=np.array([1, 0])),
+              dataclasses.replace(short_third, doc_id="short-third", true_labels=np.array([1, -1]))]
+    assert corpus[0].word_ids.size > corpus[2].word_ids.size
+    dims = Dimensions(D=3, C=2, T=3, V=12)
+    with pytest.raises(ValueError, match="^document long-first: no-crowd training needs fully known labels$"):
+        train(corpus, dims, TrainConfig(mode="no-crowd", max_em_iters=2))

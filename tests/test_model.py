@@ -13,7 +13,6 @@ from mlpalda.model import (
     DocVariational,
     Document,
     ModelParams,
-    SmoothedTopicState,
     clamp_probability,
     init_doc_variational,
     init_params,
@@ -214,9 +213,9 @@ def test_init_smoothed_state_breaks_topic_symmetry():
     p = init_params(dims, mode="no-crowd", smoothing=True, seed=5)
     s1 = init_smoothed_state(p.eta, seed=5)
     s2 = init_smoothed_state(p.eta, seed=5)
-    assert np.array_equal(s1.chi, s2.chi)
-    assert np.all(s1.chi >= p.eta - 1e-12)
-    assert not np.allclose(s1.chi[0], s1.chi[1])
+    assert np.array_equal(s1, s2)
+    assert np.all(s1 >= p.eta - 1e-12)
+    assert not np.allclose(s1[0], s1[1])
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +332,7 @@ def test_validate_flags_nan(where):
     state = init_doc_variational(_doc(crowd=[[1, 0, 1], [0, -1, 1]]), p)
     assert validate(p, dims, state=state, smoothed=smoothed) == []
 
-    target = {"xi": p.xi, "rho": p.rho, "Delta": state.Delta, "chi": smoothed.chi}[where]
+    target = {"xi": p.xi, "rho": p.rho, "Delta": state.Delta, "chi": smoothed}[where]
     target.flat[0] = np.nan
     msgs = validate(p, dims, state=state, smoothed=smoothed)
     assert any(m.startswith(where) for m in msgs), msgs
@@ -345,9 +344,9 @@ def test_validate_flags_bad_chi(value):
     p = init_params(dims, mode="crowd", smoothing=True, seed=0)
     smoothed = init_smoothed_state(p.eta, seed=0)
     if value == "shape":
-        smoothed = SmoothedTopicState(chi=smoothed.chi[:, 1:])
+        smoothed = smoothed[:, 1:]
     else:
-        smoothed.chi[0, 0] = value
+        smoothed[0, 0] = value
     msgs = validate(p, dims, smoothed=smoothed)
     assert any(m.startswith("chi") for m in msgs), msgs
 
@@ -407,7 +406,7 @@ def test_model_file_round_trip(tmp_path, mode, smoothing):
     if smoothing:
         assert q.beta is None
         assert np.array_equal(q.eta, p.eta)
-        assert np.array_equal(smoothed2.chi, smoothed.chi)
+        assert np.array_equal(smoothed2, smoothed)
     else:
         assert q.eta is None
         assert smoothed2 is None
@@ -452,6 +451,46 @@ def test_model_file_rejects_garbage(tmp_path):
                     "smoothing off\narray alpha \u00b2\n1 1\n", encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}:5: ")):
         load_model(path)
+
+
+def _insert(lines, i, new):
+    """``lines`` with ``new`` inserted before line ``i`` (1-based)."""
+    return lines[:i - 1] + new + lines[i - 1:]
+
+
+# a smoothed crowd model file: alpha on lines 5-6, xi 7-8, rho 9-10, eta 11-12, chi 13-14
+@pytest.mark.parametrize("edit,line", [
+    (lambda ls: _insert(ls, 9, ls[6:8]), 9),
+    (lambda ls: _insert(ls, 9, ["array junk 2", "1 2"]), 9),
+    (lambda ls: ls[:4] + ls[6:8] + ls[4:6] + ls[8:], 5),
+    (lambda ls: ls + ["1 2 3"], 15),
+    (lambda ls: ls + ["", ls[12], ls[13]], 16),
+    (lambda ls: ls[:12], 13),
+    (lambda ls: ls[:6] + ["array xi 4", ls[7] + " 0.5"] + ls[8:], 7),
+    (lambda ls: ls[:13], 14),
+], ids=["duplicate", "unknown", "reordered", "trailing-line", "trailing-array",
+        "missing", "mis-sized", "missing-values"])
+def test_model_file_arrays_come_in_written_order(tmp_path, edit, line):
+    dims = _dims()
+    p = init_params(dims, mode="crowd", smoothing=True, seed=0)
+    path = tmp_path / "m.model"
+    save_model(path, p, dims, smoothed=init_smoothed_state(p.eta, seed=0))
+    lines = path.read_text().splitlines()
+    assert [ls.split()[1] for ls in lines[4::2]] == ["alpha", "xi", "rho", "eta", "chi"]
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ")):
+        load_model(path)
+
+
+def test_model_file_skips_blank_lines_between_arrays(tmp_path):
+    dims = _dims()
+    p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
+    path = tmp_path / "m.model"
+    save_model(path, p, dims)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:6] + ["", "  "] + lines[6:] + [""]) + "\n")
+    q = load_model(path)[0]
+    assert np.array_equal(q.alpha, p.alpha) and np.array_equal(q.beta, p.beta)
 
 
 def test_failed_save_keeps_the_old_model_file(tmp_path, monkeypatch):
