@@ -73,7 +73,7 @@ class EStepConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("E-step iteration cap (max_estep_iters) must be >= 1")
-        if self.tol < 0.0:
+        if not self.tol >= 0.0:  # NaN fails too
             raise ValueError(
                 "E-step tolerance (estep_tol) must be >= 0 (0 runs to the iteration cap)"
             )
@@ -92,7 +92,7 @@ class TrainConfig:
         self.mode = normalize_mode(self.mode)
         if self.max_em_iters < 1:
             raise ValueError("iteration caps must be >= 1")
-        if self.em_rel_tol < 0.0:
+        if not self.em_rel_tol >= 0.0:  # NaN fails too
             raise ValueError("tolerances must be >= 0 (0 runs to the iteration cap)")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
@@ -127,31 +127,42 @@ def _dirichlet_block(conc, elog, scale=1):
     return float(dirichlet_objective(conc, elog, scale).sum())
 
 
-def _softmax_columns(logits):
+# Largest spread of a column's logits below 0 that a softmax may take
+# without its max-shift: exp(-700) ~ 1e-304 is still a normal float64, so a
+# column whose largest logit lies in [-SHIFT_FREE_SPREAD, 0] neither
+# overflows nor underflows its sum.
+SHIFT_FREE_SPREAD = 700.0
+
+
+def _softmax_columns(logits, shifted):
     """In place, each column of the last two axes becomes its softmax.
 
-    The max-shift keeps a column finite even when all its logits lie below
-    the exp underflow point.  Each column takes one reciprocal of its sum
-    and is then multiplied by it.
+    With ``shifted`` the caller guarantees that every column's largest
+    logit lies in [-SHIFT_FREE_SPREAD, 0], and the logits are exponentiated
+    as they are.  Otherwise each column is first shifted by its own
+    maximum, which keeps it finite even when all its logits lie below the
+    exp underflow point.  Each column takes one reciprocal of its sum and
+    is then multiplied by it.
     """
-    logits -= logits.max(axis=-2, keepdims=True)
+    if not shifted:
+        logits -= logits.max(axis=-2, keepdims=True)
     np.exp(logits, out=logits)
     scale = logits.sum(axis=-2, keepdims=True)
     logits *= np.reciprocal(scale, out=scale)
     return logits
 
 
-def _presence_update(xi, ann1, ann0, elog, resp):
+def _presence_update(prior, gap, resp):
     """Exact coordinate update of the presence beliefs.
 
-    ``resp`` is the (..., C, T) count-weighted responsibility matrix
-    sum_n delta_ni phi_nt; ``elog`` the (..., C, 2, T) expected log topic
-    probabilities.
+    ``prior`` is the (..., C) log-odds of presence before the words (see
+    :func:`_presence_log_odds`), ``gap`` the (..., C, T) E[log theta] of
+    the present pair minus that of the absent pair, and ``resp`` the
+    count-weighted responsibility matrix sum_n delta_ni phi_nt.
     """
-    xi = clamp_probability(xi, PROB_CLAMP)
-    l1 = np.log(xi) + ann1 + (resp * elog[..., 1, :]).sum(axis=-1)
-    l0 = np.log(1.0 - xi) + ann0 + (resp * elog[..., 0, :]).sum(axis=-1)
-    return clamp_probability(expit(l1 - l0), DELTA_CLAMP)
+    logit = (resp * gap).sum(axis=-1)
+    logit += prior
+    return clamp_probability(expit(logit), DELTA_CLAMP)
 
 
 def _gamma_from(alpha, Delta, resp, out=None):
@@ -347,13 +358,23 @@ def e_step_corpus(
     E-step's working memory.  A chunk holds its working arrays
     class-major, one column per term, so every softmax runs down the outer
     axis, and the responsibilities are one product of the count-weighted
-    delta with phi's transposed view.  Padded columns carry
-    zero counts, so they add exact zeros to the responsibility sums, and a
-    document leaves its chunk at the sweep where its own change converges.
+    delta with phi's transposed view.  Padded columns carry zero counts,
+    so they add exact zeros to the responsibility sums, and a document
+    leaves its chunk at the sweep where its own change converges.
     Against a one-document call, a document takes the same sweeps and its
     values agree to rounding (the tests hold them to 1e-12 relative): BLAS
     may round a sum over the padded term axis differently from the same
     sum over the unpadded one.
+
+    Two shifts, to which a softmax is blind, spare most softmaxes their
+    max-shift: each word's largest E[log beta] over topics is subtracted
+    once per call, and each sweep subtracts each document's largest mixed
+    E[log theta].  Every delta and phi logit is then <= 0, and every
+    column's largest is >= -(its document's spread of mixed E[log theta]).
+    While the largest spread among a chunk's running documents is within
+    ``SHIFT_FREE_SPREAD``, the softmaxes exponentiate the logits as they
+    are; beyond it (a topic whose E[log theta] lies near -1e8, say) they
+    run the max-shift.
 
     The returned :class:`CorpusStates` keeps the states in those chunks.
     Passed back as ``states`` with the same ``corpus`` object and
@@ -364,6 +385,7 @@ def e_step_corpus(
     if states is not None and len(states) != len(corpus):
         raise ValueError(f"e_step_corpus: {len(states)} states for {len(corpus)} documents")
     elog_beta = expected_log_word_given_topic(params, topics)
+    elog_beta -= elog_beta.max(axis=0)  # each word's largest E[log beta] over topics becomes 0
     if isinstance(states, CorpusStates) and states.corpus is corpus and states.pinned == pinned:
         store, starts = states, None
     else:
@@ -381,25 +403,34 @@ def e_step_corpus(
     return CorpusStates(corpus, chunks, store.lengths, store.word_ids, store.counts, pinned)
 
 
-def _annotator_log_terms(votes, rho):
-    """(B, C) expected judgment log-likelihoods for lambda=1 and lambda=0 from (B, K, C) votes."""
+def _presence_log_odds(xi, rho, votes):
+    """(B, C) log-odds of presence before the words, from (B, K, C) votes.
+
+    logit xi plus the judgments' log-likelihood of lambda=1 minus that of
+    lambda=0; a vote of -1 (none) adds nothing.
+    """
+    xi = clamp_probability(xi, PROB_CLAMP)
+    prior = np.log(xi) - np.log(1.0 - xi)
     B, K, C = votes.shape
     if K == 0 or rho.size == 0:
-        z = np.zeros((B, C))
-        return z, z.copy()
+        return np.tile(prior, (B, 1))
     provided = votes != -1
     yf = votes.astype(np.float64)
     log_rho = np.log(np.clip(rho, _LOG_FLOOR, None))[:, None]
     log_mis = np.log(np.clip(1.0 - rho, _LOG_FLOOR, None))[:, None]
     ann1 = np.where(provided, yf * log_rho + (1.0 - yf) * log_mis, 0.0).sum(axis=1)
     ann0 = np.where(provided, (1.0 - yf) * log_rho + yf * log_mis, 0.0).sum(axis=1)
-    return ann1, ann0
+    return prior + ann1 - ann0
 
 
-def _mixed_log_theta(Delta, elog, out=None):
-    """(..., C, T) presence-weighted E[log theta], into ``out``."""
-    out = np.multiply(Delta[..., None], elog[..., 1, :], out=out)
-    out += (1.0 - Delta)[..., None] * elog[..., 0, :]
+def _mixed_log_theta(Delta, elog, gap, out=None):
+    """(..., C, T) presence-weighted E[log theta], into ``out``.
+
+    ``elog`` is the (..., C, 2, T) E[log theta] and ``gap`` its present
+    minus its absent pair; the mix is the absent pair plus Delta * gap.
+    """
+    out = np.multiply(Delta[..., None], gap, out=out)
+    out += elog[..., 0, :]
     return out
 
 
@@ -412,9 +443,18 @@ def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
     documents were still changing at the inner cap.  The chunk passed in
     is not changed.
 
+    The log E[beta] weights are one gather of ``elog_beta``'s columns,
+    which arrive shifted so that each word's largest is 0.  The presence
+    prior (logit xi plus the judgments' log-likelihood ratio) is computed
+    once per call.  Each sweep computes gap = E[log theta | present] -
+    E[log theta | absent] once; the mix is E[log theta | absent] +
+    Delta * gap, less each document's largest entry, and the presence
+    update is expit(prior + sum_t resp * gap).  When the smallest shifted
+    mix of the running documents is >= -``SHIFT_FREE_SPREAD``, both
+    softmaxes skip their max-shift (see :func:`e_step_corpus`).
+
     Every working array is allocated once per call, with one row per
-    document, and ``live`` maps each working row to its chunk row.  The
-    log E[beta] weights are one gather of ``elog_beta``'s columns.  The n
+    document, and ``live`` maps each working row to its chunk row.  The n
     documents still running hold the leading n rows, in no fixed order;
     when some leave, their states are written back by index, and the rows
     they free inside the new leading block are filled from the running
@@ -424,8 +464,9 @@ def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
     delta and phi have two buffers each: a sweep writes its products into
     one, with ``np.matmul(..., out=)``, and the change test then
     overwrites the other, which held the previous sweep's values; the two
-    swap for the next sweep.  gamma, E[log theta], the mixed E[log theta],
-    the responsibilities and the count-weighted delta are filled in place.
+    swap for the next sweep.  gamma, E[log theta], the gap, the mixed
+    E[log theta], the responsibilities and the count-weighted delta are
+    filled in place.
     The trailing gamma refresh runs once over the whole chunk.
     """
     C, _, T = params.alpha.shape
@@ -442,16 +483,17 @@ def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
     np.copyto(log_wt, 0.0, where=~chunk.mask[:, None, :])
     terms = chunk.mask.astype(np.float64)
     counts = chunk.counts.copy()
-    ann1, ann0 = _annotator_log_terms(chunk.votes, params.rho)
+    prior = _presence_log_odds(params.xi, params.rho, chunk.votes)
     live = np.arange(B)                   # chunk row of each working row
     weighted = np.empty_like(delta)
     resp = _responsibilities(delta, counts, phi, weighted)
     delta_next, phi_next = np.empty_like(delta), np.empty_like(phi)
-    gamma, elog, mix = np.empty((B, C, 2, T)), np.empty((B, C, 2, T)), np.empty((B, C, T))
+    gamma, elog = np.empty((B, C, 2, T)), np.empty((B, C, 2, T))
+    gap, mix = np.empty((B, C, T)), np.empty((B, C, T))
     n, capped = B, 0
     for sweep in range(1, estep.max_iters + 1):
         old_delta, old_phi, Delta_n, resp_n = delta[:n], phi[:n], Delta[:n], resp[:n]
-        gamma_n, elog_n, mix_n = gamma[:n], elog[:n], mix[:n]
+        gamma_n, elog_n, gap_n, mix_n = gamma[:n], elog[:n], gap[:n], mix[:n]
 
         _gamma_from(params.alpha, Delta_n, resp_n, out=gamma_n)
         try:
@@ -460,18 +502,21 @@ def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
             bad = ~np.all(np.isfinite(gamma_n) & (gamma_n > 0.0), axis=(1, 2, 3))
             doc = corpus[chunk.docs[live[np.argmax(bad)]]]
             raise NumericalFailureError(f"document {doc.doc_id}: {exc}") from exc
-        _mixed_log_theta(Delta_n, elog_n, out=mix_n)
+        np.subtract(elog_n[:, :, 1], elog_n[:, :, 0], out=gap_n)
+        _mixed_log_theta(Delta_n, elog_n, gap_n, out=mix_n)
+        mix_n -= mix_n.max(axis=(1, 2), keepdims=True)
+        shifted = mix_n.min() >= -SHIFT_FREE_SPREAD
 
         new_phi = np.matmul(mix_n.swapaxes(-1, -2), old_delta, out=phi_next[:n])
         new_phi += log_wt[:n]
-        _softmax_columns(new_phi)
-        new_delta = _softmax_columns(np.matmul(mix_n, new_phi, out=delta_next[:n]))
+        _softmax_columns(new_phi, shifted)
+        new_delta = _softmax_columns(np.matmul(mix_n, new_phi, out=delta_next[:n]), shifted)
         _responsibilities(new_delta, counts[:n], new_phi, weighted[:n], out=resp_n)
 
         change = np.maximum(_largest_change(new_delta, old_delta, terms[:n]),
                             _largest_change(new_phi, old_phi, terms[:n]))
         if not pinned:
-            new_Delta = _presence_update(params.xi, ann1[:n], ann0[:n], elog_n, resp_n)
+            new_Delta = _presence_update(prior[:n], gap_n, resp_n)
             np.maximum(change, np.abs(new_Delta - Delta_n).max(axis=-1), out=change)
             Delta_n[...] = new_Delta
         delta, delta_next, phi, phi_next = delta_next, delta, phi_next, phi
@@ -492,7 +537,7 @@ def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
             break
         n = keep.size
         holes, tail = np.flatnonzero(done[:n]), keep[keep >= n]
-        for rows in (delta, phi, Delta, resp, log_wt, terms, counts, ann1, ann0, live):
+        for rows in (delta, phi, Delta, resp, log_wt, terms, counts, prior, live):
             rows[holes] = rows[tail]
     out.gamma = _gamma_from(params.alpha, out.Delta, out.resp)
     for name in ("delta", "phi", "Delta", "gamma"):
@@ -582,7 +627,8 @@ def _reduce_stats(store: CorpusStates, dims: Dimensions) -> CorpusStats:
             agree[chunk.docs] = np.where(provided, both, 0.0).sum(axis=-1)
             judged[chunk.docs] = provided.sum(axis=-1)
         counts = chunk.counts[:, None, :]
-        state_terms += float((chunk.resp * _mixed_log_theta(Delta, elog)).sum())
+        gap = elog[:, :, 1] - elog[:, :, 0]
+        state_terms += float((chunk.resp * _mixed_log_theta(Delta, elog, gap)).sum())
         state_terms -= float((counts * xlogy(chunk.delta, chunk.delta)).sum())
         state_terms -= float((counts * xlogy(chunk.phi, chunk.phi)).sum())
         state_terms -= _dirichlet_block(chunk.gamma, elog)

@@ -209,7 +209,8 @@ def test_evaluate_prediction_flags_need_model_in(tmp_path, corpus, capsys, flag,
 @pytest.mark.parametrize("flag,value,named", [
     ("--max-estep-iters", "0", "iteration cap"),
     ("--estep-tol", "-1", "tolerance"),
-], ids=["estep-iters", "estep-tol"])
+    ("--estep-tol", "nan", "tolerance"),
+], ids=["estep-iters", "estep-tol", "estep-tol-nan"])
 def test_bad_estep_setting_exits_1_before_writing(tmp_path, corpus, capsys, command, flag,
                                                   value, named):
     model, out = tmp_path / "m.model", tmp_path / "out"
@@ -394,3 +395,16 @@ def test_usage_and_help_exit_codes(capsys):
     assert run("--help") == 0
     assert run("train") == 1  # missing required flags
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--tol", "-1"), ("--tol", "nan"), ("--estep-tol", "-1"), ("--estep-tol", "nan"),
+])
+def test_train_rejects_negative_and_nan_tolerances(tmp_path, corpus, capsys, flag, value):
+    """A NaN tolerance is refused like a negative one, before any training:
+    no comparison with NaN is true, so a NaN would never stop a loop."""
+    model = tmp_path / "m.model"
+    assert run("train", "--corpus", str(corpus), "--topics", "2", "--model-out", str(model),
+               "--max-iters", "1", flag, value) == 1
+    assert "tolerance" in capsys.readouterr().err
+    assert not model.exists()

@@ -22,6 +22,7 @@ from mlpalda.inference import (
     EStepConfig,
     NumericalFailureError,
     TrainConfig,
+    _presence_log_odds,
     _presence_update,
     _softmax_columns,
     collect_stats,
@@ -222,23 +223,26 @@ def test_grouped_and_expanded_documents_agree():
 
 
 def test_presence_update_returns_prior_when_topics_uninformative():
-    # identical expected log-topic rows for present and absent cancel out
+    # identical expected log-topic rows for present and absent leave no gap
     rng = np.random.default_rng(3)
     C, T = 4, 3
     half = rng.uniform(-2.0, -0.1, size=(C, T))
     elog = np.stack([half, half], axis=1)
     resp = rng.uniform(0.0, 5.0, size=(C, T))
     xi = np.array([0.2, 0.5, 0.9, 0.31])
-    Delta = _presence_update(xi, np.zeros(C), np.zeros(C), elog, resp)
+    prior = _presence_log_odds(xi, np.empty(0), np.full((1, 0, C), -1, dtype=np.int8))[0]
+    Delta = _presence_update(prior, elog[:, 1] - elog[:, 0], resp)
     np.testing.assert_allclose(Delta, xi, rtol=0, atol=1e-14)
 
 
 def test_presence_update_follows_annotator_evidence():
+    # one annotator whose judgments carry log-odds 3 votes yes, then no
     C, T = 2, 2
-    elog = np.full((C, 2, T), -0.7)
     xi = np.full(C, 0.5)
-    up = _presence_update(xi, np.full(C, 3.0), np.zeros(C), elog, np.zeros((C, T)))
-    down = _presence_update(xi, np.zeros(C), np.full(C, 3.0), elog, np.zeros((C, T)))
+    rho = np.array([1.0 / (1.0 + np.exp(-3.0))])
+    votes = np.stack([np.ones((1, C)), np.zeros((1, C))]).astype(np.int8)
+    no_words = np.zeros((2, C, T))
+    up, down = _presence_update(_presence_log_odds(xi, rho, votes), no_words, no_words)
     assert np.all(up > 0.95) and np.all(down < 0.05)
     np.testing.assert_allclose(up, 1.0 / (1.0 + np.exp(-3.0)), atol=1e-12)
 
@@ -426,6 +430,37 @@ def test_corpus_estep_matches_one_document_calls_at_wide_widths(pinned, words_on
 
 
 @ESTEP_MODES
+def test_estep_softmaxes_fall_back_to_the_max_shift_past_the_spread_bound(
+        monkeypatch, pinned, words_only):
+    """A topic with alpha 1e-8 and no beta mass on any of the documents'
+    words drives its E[log theta] towards digamma(1e-8) ~ -1e8, far past
+    ``SHIFT_FREE_SPREAD``: the softmaxes take their max-shift, the states
+    stay finite, and they still match the one-document calls."""
+    rng = np.random.default_rng(58)
+    C, T, V, K, t = 3, 4, 600, 3, 2
+    params = random_params(rng, C, T, V, K=K)
+    docs = mixed_length_corpus(rng, C, V, K=K)
+    if words_only:
+        docs = words_of(docs)
+    params.alpha[:, :, t] = 1e-8
+    params.beta[t, np.concatenate([doc.word_ids for doc in docs])] = 0.0
+    params.beta[t] /= params.beta[t].sum()
+    shift_free = []
+
+    def recording_softmax(logits, shifted, softmax=inference._softmax_columns):
+        shift_free.append(shifted)
+        return softmax(logits, shifted)
+
+    monkeypatch.setattr(inference, "_softmax_columns", recording_softmax)
+    estep = EStepConfig(max_iters=60, tol=1e-7)
+    for st in e_step_corpus(docs, params, None, estep, pinned=pinned):
+        for name in ("delta", "phi", "Delta", "gamma"):
+            assert np.all(np.isfinite(getattr(st, name))), name
+    assert shift_free.count(False) > len(shift_free) // 2  # the max-shift ran
+    assert_equals_one_document_calls(docs, params, estep, [None] * len(docs), pinned)
+
+
+@ESTEP_MODES
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_chunk_budget_moves_nothing_beyond_rounding_at_benchmark_widths(
         monkeypatch, pinned, words_only, warm):
@@ -548,13 +583,24 @@ def test_store_of_another_corpus_or_mode_is_read_as_per_document_starts(monkeypa
 def test_softmax_columns_stays_finite_below_exp_underflow():
     logits = np.full((2, 5, 3), -1e4)
     logits[1, :, 2] += np.arange(5.0)
-    out = _softmax_columns(logits)
+    out = _softmax_columns(logits, False)
     assert out is logits  # in place
     assert np.all(np.isfinite(out))
     np.testing.assert_allclose(out.sum(axis=-2), 1.0, rtol=0, atol=1e-15)
     np.testing.assert_allclose(out[0], 0.2, rtol=0, atol=1e-15)
     np.testing.assert_allclose(out[1, :, 2], np.exp(np.arange(5.0)) / np.exp(np.arange(5.0)).sum(),
                                rtol=1e-14)
+
+    # logits within the shift-free spread need no max-shift, down to the bound itself
+    rng = np.random.default_rng(8)
+    logits = rng.uniform(-inference.SHIFT_FREE_SPREAD, 0.0, size=(3, 6, 40))
+    logits[0, :, 0] = -inference.SHIFT_FREE_SPREAD
+    logits[1, :, 1] = 0.0
+    want = _softmax_columns(logits.copy(), False)
+    out = _softmax_columns(logits, True)
+    assert out is logits
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(out[0, :, 0], 1.0 / 6.0, rtol=1e-14)
 
 
 def test_chunks_are_length_sorted_and_within_budget(monkeypatch):
@@ -1107,6 +1153,14 @@ def test_training_input_validation():
         train(stripped, dims, TrainConfig(mode="no-crowd"))
     with pytest.raises(ValueError, match="no judgments"):
         train(stripped, Dimensions(D=4, C=2, T=3, V=12, K=2), TrainConfig(mode="crowd"))
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan], ids=["negative", "nan"])
+def test_configs_reject_negative_and_nan_tolerances(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        EStepConfig(tol=tol)
+    with pytest.raises(ValueError, match="tolerances must be >= 0"):
+        TrainConfig(em_rel_tol=tol)
 
 
 def test_training_warns_about_idle_annotator(caplog):
