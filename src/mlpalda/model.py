@@ -27,13 +27,15 @@ from typing import Optional
 
 import numpy as np
 
-from .atomic import CorpusFormatError, format_floats, read_text, write_text
+from .atomic import CorpusFormatError, read_text, write_text
 
 PROB_CLAMP = 1e-6   # xi, rho live in [PROB_CLAMP, 1 - PROB_CLAMP]
 DELTA_CLAMP = 1e-9  # Delta lives in [DELTA_CLAMP, 1 - DELTA_CLAMP]
 ROW_SUM_TOL = 1e-9
 
-MODEL_FILE_HEADER = "mlpa-model v1"
+MODEL_FILE_HEADER = "mlpa-model v2"
+# the header of the earlier format, whose arrays were written as decimal text
+OLD_MODEL_FILE_HEADER = "mlpa-model v1"
 # a model file's arrays in written order, without and with smoothing
 MODEL_ARRAYS = {False: ("alpha", "xi", "rho", "beta"), True: ("alpha", "xi", "rho", "eta", "chi")}
 
@@ -389,12 +391,15 @@ def init_doc_variational(
 
 def save_model(path, params: ModelParams, dims: Dimensions,
                smoothed: Optional[np.ndarray] = None) -> None:
-    """Write the versioned text model file (17 significant digits, row-major).
+    """Write the versioned text model file.
 
-    ``smoothed`` is the (T, V) chi posterior, required with smoothing.  The
-    mode line reads ``crowd`` exactly when the params carry annotator
-    qualities, so the file always matches the ``rho`` array it holds.  The
-    file is replaced atomically: a failed save leaves any earlier file.
+    Each array's values line is its IEEE-754 binary64 bytes, little-endian
+    and row-major, in lowercase hex: 16 digits a value and nothing between
+    values, so every float reads back bit for bit.  ``smoothed`` is the
+    (T, V) chi posterior, required with smoothing.  The mode line reads
+    ``crowd`` exactly when the params carry annotator qualities, so the file
+    always matches the ``rho`` array it holds.  The file is replaced
+    atomically: a failed save leaves any earlier file.
     """
     mode = "crowd" if params.rho.size else "no-crowd"
     smoothing = params.eta is not None
@@ -410,7 +415,7 @@ def save_model(path, params: ModelParams, dims: Dimensions,
     ]
     for name in MODEL_ARRAYS[smoothing]:
         lines.append(f"array {name} {values[name].size}")
-        lines.append(format_floats(values[name]))
+        lines.append(np.ascontiguousarray(values[name], dtype="<f8").tobytes().hex())
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -419,11 +424,17 @@ def load_model(path):
 
     The arrays come in written order, each header ``array <name> <size>``
     with the size the dims give; only blank lines may come between or after
-    them.  Every malformed or invariant-violating file raises
+    them.  Each values line holds 16 hex digits a value (see
+    :func:`save_model`), with blanks allowed only around it.  A v1 file,
+    whose values were decimal text, is refused at line 1.  Every malformed
+    or invariant-violating file raises
     :class:`~mlpalda.atomic.CorpusFormatError` (a ValueError) naming the
     path and the offending line.
     """
     lines = read_text(path).splitlines()
+    if lines and lines[0] == OLD_MODEL_FILE_HEADER:
+        raise CorpusFormatError(path, 1, f"'{OLD_MODEL_FILE_HEADER}' files (decimal values) are "
+                                f"no longer read; retrain to write a '{MODEL_FILE_HEADER}' file")
     if not lines or lines[0] != MODEL_FILE_HEADER:
         raise CorpusFormatError(path, 1, f"missing '{MODEL_FILE_HEADER}' header")
     if len(lines) < 4:
@@ -461,12 +472,17 @@ def load_model(path):
             raise CorpusFormatError(path, i + 1, f"expected '{header}', got {got}")
         if i + 1 == len(lines):
             raise CorpusFormatError(path, i + 2, f"array {name}: missing values line")
+        text = lines[i + 1].strip()
+        # the length first: fromhex skips blanks, and a huge size allocates nothing
+        if len(text) != 16 * size:
+            raise CorpusFormatError(path, i + 2, f"array {name}: expected {size} values "
+                                    f"({16 * size} hex digits), got {len(text)} characters")
         try:
-            vals = np.array(lines[i + 1].split(), dtype=np.float64)  # float() on each
-        except ValueError:
-            raise CorpusFormatError(path, i + 2, f"array {name}: non-numeric value") from None
-        if vals.size != size:
-            raise CorpusFormatError(path, i + 2, f"array {name}: expected {size} values, got {vals.size}")
+            vals = np.frombuffer(bytes.fromhex(text), "<f8").astype(np.float64)  # owned, writable
+        except ValueError:  # a non-hex character, or blanks in place of an odd number of digits
+            vals = None
+        if vals is None or vals.size != size:  # or of an even number
+            raise CorpusFormatError(path, i + 2, f"array {name}: non-numeric value")
         if not np.all(np.isfinite(vals)):
             raise CorpusFormatError(path, i + 2, f"array {name}: non-finite value")
         arrays[name] = vals.reshape(shapes[name])

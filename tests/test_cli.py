@@ -244,28 +244,34 @@ def test_predict_rejects_mismatched_corpus(tmp_path, corpus):
     ) == 1
 
 
-@pytest.mark.parametrize("array,edit", [
-    ("alpha", lambda vals: ["-0.05"] + vals[1:]),
-    ("beta", lambda vals: [repr(3.0 * float(v)) for v in vals]),
-    ("beta", lambda vals: ["nan"] + vals[1:]),
-    ("xi", lambda vals: ["abc"] + vals[1:]),
+def _edit_values(change):
+    """An edit of a model values line: decode the values, ``change`` them, re-encode."""
+    return lambda line: change(np.frombuffer(bytes.fromhex(line), "<f8")).astype("<f8").tobytes().hex()
+
+
+# an invariant names the array's header line (offset 0), a bad value its values line (1)
+@pytest.mark.parametrize("array,edit,offset,message", [
+    ("alpha", _edit_values(lambda v: np.r_[-0.05, v[1:]]), 0, "alpha positivity violated"),
+    ("beta", _edit_values(lambda v: 3.0 * v), 0, "beta row not stochastic"),
+    ("beta", _edit_values(lambda v: np.r_[np.nan, v[1:]]), 1, "array beta: non-finite value"),
+    ("xi", lambda line: "zz" + line[2:], 1, "array xi: non-numeric value"),
 ], ids=["negative-alpha", "unnormalised-beta", "nan-value", "non-numeric-value"])
-def test_predict_rejects_malformed_model(tmp_path, corpus, capsys, array, edit):
+def test_predict_rejects_malformed_model(tmp_path, corpus, capsys, array, edit, offset, message):
     model = tmp_path / "m.model"
     run("train", "--corpus", str(corpus), "--topics", "2", "--model-out", str(model),
         "--max-iters", "3", "--tol", "0.0")
     lines = model.read_text().splitlines()
-    for i, line in enumerate(lines):
-        if line.startswith(f"array {array} "):
-            lines[i + 1] = " ".join(edit(lines[i + 1].split()))
+    i = lines.index(next(line for line in lines if line.startswith(f"array {array} ")))
+    lines[i + 1] = edit(lines[i + 1])
     model.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
     code = run(
         "predict", "--model-in", str(model), "--corpus", str(corpus),
         "--out", str(tmp_path / "p.txt"),
     )
     assert code == 1
     err = capsys.readouterr().err
-    assert re.search(re.escape(f"{model}:") + r"\d+: ", err), err
+    assert f"{model}:{i + 1 + offset}: {message}" in err, err
     assert not (tmp_path / "p.txt").exists()
 
 
@@ -301,10 +307,11 @@ NOT_UTF8 = [(kind, b"\n", b"\n\xff", 2) for kind in READERS]
     ("crowd", b"K=2", b"K=1000000000000000000", 1),
     ("mlf", b"F=2", b"F=0", 1),
     ("model", b"array alpha 8", "array alpha \u00b2".encode(), 5),
+    ("model", b"mlpa-model v2", b"mlpa-model v1", 1),
     ("predictions", b"0.75", b"nan", 1),
 ] + NOT_UTF8, ids=[
     "huge-word-count", "D=0", "V=0", "C=0", "K=0", "huge-V", "huge-K", "F=0",
-    "superscript-array-size",
+    "superscript-array-size", "model-v1",
     "nan-belief",
 ] + [f"{kind}-not-utf8" for kind, *_ in NOT_UTF8])
 def test_malformed_input_exits_1_naming_path_and_line(tmp_path, capsys, kind, old, new, line):

@@ -1,9 +1,9 @@
 """Property tests for every text reader.
 
 Each reader gets a valid file with a few mutations: whole tokens swapped for
-ones from ``ALPHABET``, lines dropped or duplicated.  Whatever the result,
-the reader either returns or raises a ValueError whose message names the
-file and a line.
+ones from ``ALPHABET`` or overwritten by them from their start, lines dropped
+or duplicated.  Whatever the result, the reader either returns or raises a
+ValueError whose message names the file and a line.
 """
 
 import re
@@ -25,6 +25,8 @@ from mlpalda.model import Dimensions, init_params, init_smoothed_state, load_mod
 ALPHABET = [
     b"99999999999999999999", b"-99999999999999999999", b"-1", b"0", b"1", b"2",
     b"nan", b"inf", "²".encode(), b"|", b":", b"0:1", b"", b"\xff",
+    # model values: +inf, a NaN, a digit short of one value, 1.0 in uppercase
+    b"000000000000f07f", b"000000000000f87f", b"000000000000f03", b"000000000000F03F",
 ]
 
 VALID = {
@@ -37,7 +39,7 @@ VALID = {
 
 MUTATIONS = st.lists(
     st.tuples(
-        st.sampled_from(["swap", "swap", "drop", "duplicate"]),
+        st.sampled_from(["swap", "swap", "overwrite", "drop", "duplicate"]),
         st.integers(0, 50),
         st.integers(0, 50),
         st.sampled_from(ALPHABET),
@@ -55,6 +57,9 @@ def mutate(data, ops):
         i %= len(lines)
         if kind == "swap":
             lines[i][j % len(lines[i])] = token
+        elif kind == "overwrite":  # a model values line is one token: this changes its values
+            old = lines[i][j % len(lines[i])]
+            lines[i][j % len(lines[i])] = token + old[len(token):]
         elif kind == "drop" and len(lines) > 1:
             del lines[i]
         elif kind == "duplicate":
@@ -76,7 +81,8 @@ def returns_or_names_a_line(read, *paths):
 def files(tmp_path_factory):
     base = tmp_path_factory.mktemp("fuzz")
     paths = {kind: base / f"in.{kind}" for kind in [*VALID, "model"]}
-    dims = Dimensions(D=3, C=2, T=2, V=4, K=2)
+    # one annotator: rho's values line is one value, which a single token can replace
+    dims = Dimensions(D=3, C=2, T=2, V=4, K=1)
     params = init_params(dims, mode="crowd", smoothing=True, seed=0)
     save_model(paths["model"], params, dims, init_smoothed_state(params.eta, seed=0))
     return paths, {**VALID, "model": paths["model"].read_bytes()}

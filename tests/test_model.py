@@ -6,6 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mlpalda.crowd import annotate_corpus, sample_pool
+from mlpalda.data import write_predictions
+from mlpalda.inference import TrainConfig, predict_corpus, train
 from mlpalda.model import (
     DELTA_CLAMP,
     PROB_CLAMP,
@@ -25,6 +28,7 @@ from mlpalda.model import (
     validate_document,
     validate_words,
 )
+from synth import sample_corpus, separable_params
 
 
 def _dims(D=4, C=3, T=2, V=5, K=2):
@@ -400,6 +404,8 @@ def test_model_file_round_trip(tmp_path, mode, smoothing):
 
     assert mode2 == mode
     assert dims2 == dims
+    for arr in (q.alpha, q.xi, q.rho, q.beta, q.eta, smoothed2):
+        assert arr is None or arr.flags.writeable
     assert np.array_equal(q.alpha, p.alpha)
     assert np.array_equal(q.xi, p.xi)
     assert np.array_equal(q.rho, p.rho)
@@ -427,13 +433,39 @@ def test_model_file_mode_follows_the_annotator_qualities(tmp_path, mode):
     assert np.array_equal(q.rho, p.rho) and q.rho.size == (2 if mode == "crowd" else 0)
 
 
+# a hand-written v2 file: C = T = V = 1, alpha = (1, 2), xi = 0.5, no rho, beta = 1
+HAND_WRITTEN = [
+    "mlpa-model v2", "dims D=1 C=1 T=1 V=1 K=0", "mode no-crowd", "smoothing off",
+    "array alpha 2", "000000000000f03f0000000000000040",
+    "array xi 1", "000000000000e03f",
+    "array rho 0", "",
+    "array beta 1", "000000000000f03f",
+]
+
+
+def _write(path, lines):
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def test_model_file_is_versioned_text(tmp_path):
     dims = _dims(K=0)
     p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
     path = tmp_path / "m.model"
     save_model(path, p, dims)
-    first = path.read_text().splitlines()[0]
-    assert first == "mlpa-model v1"
+    lines = path.read_text().splitlines()
+    assert lines[0] == "mlpa-model v2"
+    # alpha starts all-ones; 1.0 pins the byte order: little-endian binary64
+    assert lines[4:6] == [f"array alpha {p.alpha.size}", "000000000000f03f" * p.alpha.size]
+
+    _write(path, HAND_WRITTEN)
+    q, dims2, chi, mode = load_model(path)
+    assert (dims2, chi, mode) == (Dimensions(D=1, C=1, T=1, V=1, K=0), None, "no-crowd")
+    assert q.alpha.tolist() == [[[1.0], [2.0]]] and q.xi.tolist() == [0.5]
+    assert q.rho.shape == (0,) and q.beta.tolist() == [[1.0]]
+
+    # blanks around a values line and uppercase digits read the same
+    _write(path, HAND_WRITTEN[:5] + [" \t000000000000F03F0000000000000040  "] + HAND_WRITTEN[6:])
+    assert load_model(path)[0].alpha.tolist() == [[[1.0], [2.0]]]
 
 
 def test_model_file_rejects_garbage(tmp_path):
@@ -442,15 +474,75 @@ def test_model_file_rejects_garbage(tmp_path):
     with pytest.raises(ValueError):
         load_model(path)
 
-    path.write_text("mlpa-model v1\ndims D=1 C=1 T=1 V=1 K=0\nmode no-crowd\n")
+    _write(path, HAND_WRITTEN[:3])
     with pytest.raises(ValueError):
         load_model(path)
 
     # '²' passes str.isdigit() but is no integer
-    path.write_text("mlpa-model v1\ndims D=1 C=1 T=1 V=1 K=0\nmode no-crowd\n"
-                    "smoothing off\narray alpha \u00b2\n1 1\n", encoding="utf-8")
+    _write(path, HAND_WRITTEN[:4] + ["array alpha \u00b2"] + HAND_WRITTEN[5:])
     with pytest.raises(ValueError, match=re.escape(f"{path}:5: ")):
         load_model(path)
+
+    # a v1 file, whose values were decimal text, is refused at its header
+    _write(path, ["mlpa-model v1"] + HAND_WRITTEN[1:5] + ["1 2"] + HAND_WRITTEN[6:])
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: 'mlpa-model v1'") + ".*retrain"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("values,message", [
+    ("000000000000f03f000000000000004", "expected 2 values (32 hex digits), got 31 characters"),
+    ("000000000000f03f 0000000000000040", "got 33 characters"),
+    ("00000000" + " " * 16 + "00000040", "non-numeric value"),
+    ("000000000000f03f  00000000000040", "non-numeric value"),
+    ("zz0000000000f03f0000000000000040", "non-numeric value"),
+    ("\u00b200000000000f03f0000000000000040", "non-numeric value"),
+    ("000000000000f03f", "expected 2 values (32 hex digits), got 16 characters"),
+    ("000000000000f03f" * 3, "got 48 characters"),
+    ("000000000000f03f000000000000f07f", "non-finite value"),
+    ("000000000000f87f0000000000000040", "non-finite value"),
+], ids=["odd-length", "embedded-blank", "blanks-for-a-value", "blanks-for-digits",
+        "non-hex", "non-ascii", "too-few", "too-many", "inf", "nan"])
+def test_model_values_line_names_its_line(tmp_path, values, message):
+    path = tmp_path / "bad.model"
+    _write(path, HAND_WRITTEN[:5] + [values] + HAND_WRITTEN[6:])
+    with pytest.raises(ValueError, match=re.escape(f"{path}:6: array alpha: ") + ".*"
+                       + re.escape(message)):
+        load_model(path)
+
+
+def test_model_file_round_trips_special_values_bit_for_bit(tmp_path):
+    dims = _dims(D=1, C=1, T=2, V=4, K=0)
+    p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
+    p.alpha = np.array([5e-324, np.finfo(np.float64).max, 0.1 + 0.2, 1.0]).reshape(1, 2, 2)
+    p.beta = np.array([[-0.0, 5e-324, 0.1 + 0.2, 0.7], [0.25] * 4])
+    path = tmp_path / "m.model"
+    save_model(path, p, dims)
+    q = load_model(path)[0]
+    assert q.alpha.tobytes() == p.alpha.tobytes() and q.beta.tobytes() == p.beta.tobytes()
+    assert np.signbit(q.beta[0, 0])
+
+
+@pytest.mark.parametrize("mode,smoothing", [("crowd", True), ("no-crowd", False)])
+def test_predictions_match_after_a_model_file_round_trip(tmp_path, mode, smoothing):
+    """The file loses nothing: predictions from the trained params and from
+    the params read back are the same bytes."""
+    truth = separable_params(3, 4, 30)
+    docs, _ = sample_corpus(truth, 24, mean_words=40, seed=2)
+    dims = Dimensions(D=16, C=3, T=4, V=30, K=0)
+    if mode == "crowd":
+        docs, _ = annotate_corpus(docs, sample_pool(((6, 0.6, 0.95),), seed=2, per_doc_count=3), seed=2)
+        dims = replace(dims, K=6)
+    cfg = TrainConfig(mode=mode, smoothing=smoothing, max_em_iters=5, em_rel_tol=0.0, seed=3)
+    params, chi, _ = train(docs[:16], dims, cfg)
+    path = tmp_path / "m.model"
+    save_model(path, params, dims, smoothed=chi)
+    loaded, _, loaded_chi, _ = load_model(path)
+    outputs = []
+    for name, (ps, topics) in {"memory": (params, chi), "file": (loaded, loaded_chi)}.items():
+        beliefs, bits = predict_corpus(docs[16:], ps, topics, cfg.estep)
+        write_predictions(tmp_path / name, [(d.doc_id, b, l) for d, b, l in zip(docs[16:], beliefs, bits)])
+        outputs.append((tmp_path / name).read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def _insert(lines, i, new):
