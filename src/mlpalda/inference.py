@@ -133,6 +133,13 @@ def _dirichlet_block(conc, elog, scale=1):
 # overflows nor underflows its sum.
 SHIFT_FREE_SPREAD = 700.0
 
+# Per-token slack of the E-step's early-out (see :func:`_e_step_chunk`).
+# It covers the rounding of a document's class and topic totals, each a sum
+# over its U padded term columns of count-weighted delta x phi products whose
+# other factor's columns sum to one: about (U + C + T) * eps per token,
+# 2.2e-12 at U = 10^4, so 1e-9 is far above it.
+TOTALS_SLACK = 1e-9
+
 
 def _softmax_columns(logits, shifted):
     """In place, each column of the last two axes becomes its softmax.
@@ -223,7 +230,8 @@ class _Chunk:
     Column u of row b belongs to the u-th term of document ``docs[b]``.
     Padding columns carry zero counts and finite values that no result
     reads.  The layout fields, ``docs`` to ``votes``, are packed once per
-    corpus and shared by every E-pass over it; the rest is the state.
+    corpus and shared by every E-pass over it; the rest is the state.  With
+    pinned presence, packing sets ``Delta`` too: the clamped labels.
     """
 
     docs: np.ndarray      # (B,) corpus positions, ascending length
@@ -280,13 +288,16 @@ class CorpusStates:
 def _pack(corpus, C, T, V, pinned=False) -> CorpusStates:
     """Length-sorted chunks of ``corpus``'s words and votes, with no states yet.
 
-    The first document in corpus order with faulty words, or with ``pinned``
-    an unknown label, raises its ValueError."""
+    With ``pinned`` each chunk's ``Delta`` is set to its documents' clamped
+    labels, the presence beliefs they keep.  The first document in corpus
+    order with faulty words, or with ``pinned`` an unknown label, raises
+    its ValueError."""
     word_ids, counts, lengths, faulty = corpus_words(corpus, V)
     for d in np.flatnonzero(faulty):
         validate_words(corpus[d], V)
-    for doc in corpus if pinned else ():
-        known_labels(doc)
+    labels = None
+    if pinned:
+        labels = clamp_probability(np.array([known_labels(doc) for doc in corpus]), DELTA_CLAMP)
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     counts = counts.astype(np.float64)
     K = next((doc.crowd_labels.shape[0] for doc in corpus if doc.crowd_labels is not None), 0)
@@ -298,6 +309,7 @@ def _pack(corpus, C, T, V, pinned=False) -> CorpusStates:
             docs=docs, ids=np.zeros(mask.shape, dtype=np.int64), counts=np.zeros(mask.shape),
             mask=mask, slots=offsets[docs][rows] + cols,
             votes=np.full((docs.size, K, C), -1, dtype=np.int8),
+            Delta=None if labels is None else labels[docs],
         )
         chunk.ids[mask] = word_ids[chunk.slots]
         chunk.counts[mask] = counts[chunk.slots]
@@ -308,24 +320,33 @@ def _pack(corpus, C, T, V, pinned=False) -> CorpusStates:
     return CorpusStates(corpus, chunks, lengths, word_ids, counts, pinned)
 
 
-def _start_arrays(chunk, corpus, states, C, T, params=None, pinned=False):
+def _start_arrays(chunk, corpus, states, C, T, params=None):
     """``chunk``'s delta, phi and Delta from the per-document ``states``.
 
     A document without a state starts cold: uniform responsibilities and
-    the :func:`initial_presence` beliefs under ``params``.  With ``pinned``
-    every document starts at its labels.
+    the :func:`initial_presence` beliefs of its packed votes under
+    ``params``, one call for all such documents.  A chunk packed with
+    pinned presence holds its labels as ``Delta``, and every document
+    starts there.
     """
     B, U = chunk.counts.shape
     delta = np.full((B, C, U), 1.0 / C)
     phi = np.full((B, T, U), 1.0 / T)
-    Delta = np.empty((B, C))
+    free = chunk.Delta is None
+    Delta = np.empty((B, C)) if free else chunk.Delta.copy()
+    cold = np.zeros(B, dtype=bool)
     for b, d in enumerate(chunk.docs):
-        doc, state = corpus[d], states[d]
-        if state is not None:
-            u = doc.word_ids.size
-            delta[b, :, :u] = state.delta.T
-            phi[b, :, :u] = state.phi.T
-        Delta[b] = initial_presence(doc, params, pinned) if state is None or pinned else state.Delta
+        state = states[d]
+        if state is None:
+            cold[b] = True
+            continue
+        u = corpus[d].word_ids.size
+        delta[b, :, :u] = state.delta.T
+        phi[b, :, :u] = state.phi.T
+        if free:
+            Delta[b] = state.Delta
+    if free and cold.any():
+        Delta[cold] = initial_presence(chunk.votes[cold], params.xi, params.rho)
     return delta, phi, Delta
 
 
@@ -342,8 +363,12 @@ def e_step_corpus(
     Each document cycles gamma -> phi -> delta -> Delta until the largest
     change across its delta, Delta and phi drops below ``estep.tol`` (or
     the inner cap is hit), warm-starting from its entry of ``states`` when
-    one is given.  With ``pinned`` (no-crowd training) the presence beliefs
-    are the observed labels and stay there.  Otherwise they are free, and a
+    one is given.  That full test runs only when the document's class and
+    topic totals (its responsibilities summed over topics and over classes)
+    moved by at most about tol per token since the last sweep; a larger move
+    proves the change is at least tol, so this early-out changes no stop
+    (see :func:`_e_step_chunk`).  With ``pinned`` (no-crowd training) the
+    presence beliefs are the observed labels and stay there.  Otherwise they are free, and a
     document's judgments enter wherever it carries them; prediction passes
     documents that carry words only.  ``topics`` is the (T, V) chi
     posterior of a smoothed model, None otherwise.  Before any sweep, the
@@ -461,9 +486,28 @@ def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
     rows behind it.  Only those rows move, and since every row's
     arithmetic is its own, where a row sits changes no value.
 
-    delta and phi have two buffers each: a sweep writes its products into
-    one, with ``np.matmul(..., out=)``, and the change test then
-    overwrites the other, which held the previous sweep's values; the two
+    A document stops once the largest change of its delta, phi and (when
+    free) Delta over its term columns is below ``estep.tol``.  Each sweep
+    first tries an exact early-out.  delta's and phi's columns each sum to
+    one, so a document's class totals m_c = sum_t resp_ct equal
+    sum_u c_u delta_cu and its topic totals n_t = sum_c resp_ct equal
+    sum_u c_u phi_tu, padding carrying c_u = 0.  Hence |m_c - m'_c| is at
+    most N_d times its largest delta change and |n_t - n'_t| at most N_d
+    times its largest phi change, N_d being its token count.  A document
+    whose totals moved from the last sweep's by more than (tol +
+    ``TOTALS_SLACK``) * N_d, the slack bounding their rounding, therefore
+    has a change of at least tol and cannot stop.  Only when some document
+    can still stop (not moving, and in free mode its Delta change below
+    tol) does the full phi test run, on all running rows, and only when
+    some document passes that, the full delta test.  So every document
+    stops at the same sweep as under the full test alone.  A start the
+    E-step did not produce itself need not have normalised columns, so the
+    last totals start as NaN, which no move exceeds, and the first sweep
+    runs the full tests.
+
+    delta, phi and the totals have two buffers each: a sweep writes its
+    products into one, with ``np.matmul(..., out=)``, and the tests then
+    overwrite the other, which held the previous sweep's values; the two
     swap for the next sweep.  gamma, E[log theta], the gap, the mixed
     E[log theta], the responsibilities and the count-weighted delta are
     filled in place.
@@ -474,7 +518,7 @@ def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
     if starts is None:
         delta, phi, Delta = chunk.delta.copy(), chunk.phi.copy(), chunk.Delta.copy()
     else:
-        delta, phi, Delta = _start_arrays(chunk, corpus, starts, C, T, params, pinned)
+        delta, phi, Delta = _start_arrays(chunk, corpus, starts, C, T, params)
     out = replace(
         chunk, delta=np.empty_like(delta), phi=np.empty_like(phi), Delta=np.empty_like(Delta),
         resp=np.empty((B, C, T)), gamma=None, sweeps=np.empty(B, dtype=np.int64),
@@ -483,6 +527,7 @@ def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
     np.copyto(log_wt, 0.0, where=~chunk.mask[:, None, :])
     terms = chunk.mask.astype(np.float64)
     counts = chunk.counts.copy()
+    limit = (estep.tol + TOTALS_SLACK) * counts.sum(axis=1)  # the early-out's bar on a move
     prior = _presence_log_odds(params.xi, params.rho, chunk.votes)
     live = np.arange(B)                   # chunk row of each working row
     weighted = np.empty_like(delta)
@@ -490,6 +535,7 @@ def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
     delta_next, phi_next = np.empty_like(delta), np.empty_like(phi)
     gamma, elog = np.empty((B, C, 2, T)), np.empty((B, C, 2, T))
     gap, mix = np.empty((B, C, T)), np.empty((B, C, T))
+    totals, totals_next = np.full((B, C + T), np.nan), np.empty((B, C + T))
     n, capped = B, 0
     for sweep in range(1, estep.max_iters + 1):
         old_delta, old_phi, Delta_n, resp_n = delta[:n], phi[:n], Delta[:n], resp[:n]
@@ -513,15 +559,22 @@ def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
         new_delta = _softmax_columns(np.matmul(mix_n, new_phi, out=delta_next[:n]), shifted)
         _responsibilities(new_delta, counts[:n], new_phi, weighted[:n], out=resp_n)
 
-        change = np.maximum(_largest_change(new_delta, old_delta, terms[:n]),
-                            _largest_change(new_phi, old_phi, terms[:n]))
+        new_totals = totals_next[:n]
+        resp_n.sum(axis=2, out=new_totals[:, :C])
+        resp_n.sum(axis=1, out=new_totals[:, C:])
+        move = np.subtract(new_totals, totals[:n], out=totals[:n])
+        done = ~(np.abs(move, out=move).max(axis=1) > limit[:n])  # a NaN move fails ">"
         if not pinned:
             new_Delta = _presence_update(prior[:n], gap_n, resp_n)
-            np.maximum(change, np.abs(new_Delta - Delta_n).max(axis=-1), out=change)
+            done &= np.abs(new_Delta - Delta_n).max(axis=-1) < estep.tol
             Delta_n[...] = new_Delta
+        if done.any():
+            done &= _largest_change(new_phi, old_phi, terms[:n]) < estep.tol
+        if done.any():
+            done &= _largest_change(new_delta, old_delta, terms[:n]) < estep.tol
         delta, delta_next, phi, phi_next = delta_next, delta, phi_next, phi
+        totals, totals_next = totals_next, totals
 
-        done = change < estep.tol
         if sweep == estep.max_iters:
             capped = int(np.count_nonzero(~done))
             done[:] = True
@@ -537,7 +590,7 @@ def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
             break
         n = keep.size
         holes, tail = np.flatnonzero(done[:n]), keep[keep >= n]
-        for rows in (delta, phi, Delta, resp, log_wt, terms, counts, prior, live):
+        for rows in (delta, phi, Delta, resp, totals, log_wt, terms, counts, limit, prior, live):
             rows[holes] = rows[tail]
     out.gamma = _gamma_from(params.alpha, out.Delta, out.resp)
     for name in ("delta", "phi", "Delta", "gamma"):

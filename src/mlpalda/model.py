@@ -342,39 +342,40 @@ def known_labels(doc: Document) -> np.ndarray:
     return lab.astype(np.float64)
 
 
-def initial_presence(doc: Document, params: ModelParams, pinned: bool = False) -> np.ndarray:
-    """Starting presence beliefs, clamped.
+def initial_presence(votes, xi, rho) -> np.ndarray:
+    """(..., C) starting presence beliefs, clamped, from (..., K, C) ``votes``.
 
-    Pinned (no-crowd training): the observed labels, which must all be
-    known.  Otherwise the prior ``xi``, moved for each judged class to the
-    mean of its votes mapped through the annotators' quality ``rho``; params
-    without annotator qualities leave votes out, as the E-step does.
+    The prior ``xi``, moved for each judged class to the mean of its votes
+    (-1 where none) mapped through the annotators' quality ``rho``.  K = 0,
+    or params without annotator qualities, leave the votes out, as the
+    E-step does.
     """
-    if pinned:
-        Delta = known_labels(doc)
-    else:
-        Delta = params.xi.astype(np.float64).copy()
-        y = doc.crowd_labels
-        if y is not None and y.size and params.rho.size:
-            provided = y != -1
-            yf = y.astype(np.float64)
-            rho = params.rho[:, None]
-            mapped = yf * rho + (1.0 - yf) * (1.0 - rho)
-            votes = provided.sum(axis=0)
-            num = np.where(provided, mapped, 0.0).sum(axis=0)
-            with np.errstate(invalid="ignore"):
-                Delta = np.where(votes > 0, num / np.maximum(votes, 1), Delta)
+    votes, xi = np.asarray(votes), np.asarray(xi, dtype=np.float64)
+    Delta = np.broadcast_to(xi, votes.shape[:-2] + xi.shape)
+    if votes.shape[-2] and rho.size:
+        provided = votes != -1
+        yf = votes.astype(np.float64)
+        q = rho[:, None]
+        mapped = yf * q + (1.0 - yf) * (1.0 - q)
+        count = provided.sum(axis=-2)
+        num = np.where(provided, mapped, 0.0).sum(axis=-2)
+        Delta = np.where(count > 0, num / np.maximum(count, 1), Delta)
     return clamp_probability(Delta, DELTA_CLAMP)
 
 
 def init_doc_variational(
     doc: Document, params: ModelParams, pinned: bool = False
 ) -> DocVariational:
-    """Starting per-document state: uniform responsibilities, the
-    :func:`initial_presence` beliefs, and gamma set by one update from that point."""
+    """Starting per-document state: uniform responsibilities, the presence
+    beliefs (the clamped labels with ``pinned``, else :func:`initial_presence`
+    of its votes), and gamma set by one update from that point."""
     C, _, T = params.alpha.shape
     U = doc.word_ids.size
-    Delta = initial_presence(doc, params, pinned)
+    if pinned:
+        Delta = clamp_probability(known_labels(doc), DELTA_CLAMP)
+    else:
+        votes = doc.crowd_labels if doc.crowd_labels is not None else np.empty((0, C))
+        Delta = initial_presence(votes, params.xi, params.rho)
     per_pair = doc.n_words / (C * T)
     gamma = np.empty_like(params.alpha)
     gamma[:, 1, :] = params.alpha[:, 1, :] + Delta[:, None] * per_pair

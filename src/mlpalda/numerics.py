@@ -26,12 +26,15 @@ def dirichlet_expected_log(gamma, out=None):
     arr = np.asarray(gamma, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("dirichlet_expected_log: empty input")
-    if not (arr.min() > 0.0 and arr.max() < np.inf):  # NaN fails the first test
-        raise ValueError("dirichlet_expected_log: argument must be finite and > 0")
-    total = psi(np.sum(arr, axis=-1, keepdims=True))
-    out = psi(arr, out=out)
-    out -= total
-    return out
+    if arr.min() > 0.0:  # NaN fails too
+        total = np.sum(arr, axis=-1, keepdims=True)
+        # with every entry > 0, a row sum is finite exactly when the row's
+        # entries are (finite entries whose sum overflows are refused too)
+        if total.max() < np.inf:
+            out = psi(arr, out=out)
+            out -= psi(total, out=total)
+            return out
+    raise ValueError("dirichlet_expected_log: argument must be finite and > 0")
 
 
 # ---------------------------------------------------------------------------

@@ -534,6 +534,110 @@ def test_rows_freed_by_leaving_documents_are_filled_from_the_tail(monkeypatch):
     assert order[1][:5] != order[0][:5]  # the freed rows were refilled
 
 
+def counting_largest_change(monkeypatch):
+    """Patch ``_largest_change`` to count its calls; returns the count list."""
+    calls, exact = [], inference._largest_change
+
+    def counting(new, old, terms):
+        calls.append(new.shape[0])
+        return exact(new, old, terms)
+
+    monkeypatch.setattr(inference, "_largest_change", counting)
+    return calls
+
+
+@ESTEP_MODES
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("budget", [40, 2 ** 30], ids=["many-chunks", "one-chunk"])
+def test_early_out_changes_no_bit(monkeypatch, pinned, words_only, warm, budget):
+    """The totals only prove a document is still moving: with the early-out
+    off (an infinite slack), every state and sweep count is the same bit for
+    bit, while the full tests run more often."""
+    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", budget)
+    rng = np.random.default_rng(59)
+    C, T, V, K = 3, 4, 120, 3
+    params = random_params(rng, C, T, V, K=K)
+    docs = mixed_length_corpus(rng, C, V, K=K)
+    if words_only:
+        docs = words_of(docs)
+    estep = EStepConfig(max_iters=60, tol=1e-7)
+    starts = None
+    if warm:
+        starts = e_step_corpus(docs, params, None, EStepConfig(max_iters=2), pinned=pinned)
+    runs, calls = [], []
+    for slack in (inference.TOTALS_SLACK, np.inf):
+        with monkeypatch.context() as m:
+            m.setattr(inference, "TOTALS_SLACK", slack)
+            counted = counting_largest_change(m)
+            runs.append(e_step_corpus(docs, params, None, estep, starts, pinned))
+        calls.append(len(counted))
+    assert (len(runs[0].chunks) > 1) == (budget == 40)
+    for doc, a, b in zip(docs, *runs):
+        assert a.sweeps == b.sweeps, doc.doc_id
+        for name in ("delta", "phi", "Delta", "gamma"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (doc.doc_id, name)
+    assert calls[0] < calls[1]
+
+
+@pytest.mark.parametrize("mode", ["no-crowd", "crowd"])
+def test_early_out_leaves_the_training_trace_unchanged(monkeypatch, mode):
+    votes = (3, [0.9, 0.8, 0.7], 5) if mode == "crowd" else None
+    docs, _ = make_training_corpus(D=12, votes_from=votes)
+    dims = Dimensions(D=12, C=2, T=3, V=12, K=3 if votes else 0)
+    cfg = TrainConfig(mode=mode, max_em_iters=5, em_rel_tol=0.0, seed=3)
+    traces = []
+    for slack in (inference.TOTALS_SLACK, np.inf):
+        monkeypatch.setattr(inference, "TOTALS_SLACK", slack)
+        params, _, trace = train(docs, dims, cfg)
+        traces.append((trace.to_csv(), params.alpha.tobytes(), params.beta.tobytes()))
+    assert traces[0] == traces[1]
+
+
+def test_totals_move_per_token_at_most_the_full_change():
+    """The bound behind the early-out: between two normalised delta/phi
+    pairs, no class or topic total moves by more per token than the larger
+    full change plus ``TOTALS_SLACK``, for changes large and tiny alike.
+    Padding columns hold junk and zero counts.  On one-term documents the
+    bound is tight: the move per token is the change."""
+    rng = np.random.default_rng(60)
+    B, C, T, U = 40, 10, 20, 300
+    lengths = rng.integers(1, U + 1, size=B)
+    lengths[:4] = 1
+    terms = (np.arange(U) < lengths[:, None]).astype(np.float64)
+    counts = rng.integers(1, 50, size=(B, U)) * terms
+
+    def normalised(shape):
+        x = rng.dirichlet(np.full(shape[1], 0.3), size=(shape[0], shape[2])).transpose(0, 2, 1)
+        return np.where(terms[:, None, :] > 0, x, rng.uniform(-5, 5, size=shape))
+
+    def totals(delta, phi):
+        resp = inference._responsibilities(delta, counts, phi)
+        return np.concatenate([resp.sum(axis=2), resp.sum(axis=1)], axis=1)
+
+    for scale in (1.0, 1e-3, 1e-7, 1e-10):
+        delta, phi = normalised((B, C, U)), normalised((B, T, U))
+        delta2 = delta + scale * (normalised((B, C, U)) - delta)
+        phi2 = phi + scale * (normalised((B, T, U)) - phi)
+        move = np.abs(totals(delta2, phi2) - totals(delta, phi)).max(axis=1) / counts.sum(axis=1)
+        change = np.maximum(inference._largest_change(delta2, delta.copy(), terms),
+                            inference._largest_change(phi2, phi.copy(), terms))
+        assert np.all(move <= change + inference.TOTALS_SLACK), scale
+        np.testing.assert_allclose(move[:4], change[:4], rtol=0, atol=inference.TOTALS_SLACK)
+
+
+def test_early_out_skips_most_full_tests_on_a_long_document(monkeypatch):
+    """Without the early-out each sweep runs two full tests; on a long
+    document most sweeps end at the totals instead."""
+    rng = np.random.default_rng(61)
+    C, T, V = 10, 20, 1500
+    params = random_params(rng, C, T, V)
+    doc = words_of([random_doc(rng, C, V, n_terms=600, max_count=4)])
+    calls = counting_largest_change(monkeypatch)
+    state = e_step_corpus(doc, params, None, EStepConfig())[0]
+    assert state.sweeps > 10
+    assert len(calls) < 2 * state.sweeps
+
+
 @ESTEP_MODES
 def test_warm_start_leaves_the_store_unchanged(monkeypatch, pinned, words_only):
     """The E-step works in its own buffers: every array of a store passed

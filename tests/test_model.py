@@ -19,6 +19,7 @@ from mlpalda.model import (
     clamp_probability,
     init_doc_variational,
     init_params,
+    initial_presence,
     init_smoothed_state,
     load_model,
     save_model,
@@ -276,6 +277,23 @@ def test_init_doc_leaves_votes_out_without_annotator_qualities():
     doc = _doc(labels=None, crowd=[[1, 0, -1], [1, -1, 0]])
     dv = init_doc_variational(doc, p)
     assert np.array_equal(dv.Delta, p.xi)
+
+
+def test_initial_presence_of_a_batch_equals_each_row_alone():
+    """One call over (B, K, C) votes gives, bit for bit, each document's
+    (K, C) call; K = 0, or no annotator qualities, gives the prior."""
+    rng = np.random.default_rng(3)
+    B, K, C = 7, 4, 5
+    votes = rng.integers(-1, 2, size=(B, K, C)).astype(np.int8)
+    votes[2] = -1  # a document nobody judged
+    xi, rho = rng.uniform(0.2, 0.8, size=C), rng.uniform(0.55, 0.95, size=K)
+    batch = initial_presence(votes, xi, rho)
+    assert batch.shape == (B, C)
+    for b in range(B):
+        assert batch[b].tobytes() == initial_presence(votes[b], xi, rho).tobytes()
+    assert np.array_equal(batch[2], clamp_probability(xi, DELTA_CLAMP))
+    for none in (initial_presence(votes[:, :0], xi, rho), initial_presence(votes, xi, rho[:0])):
+        assert np.array_equal(none, np.tile(clamp_probability(xi, DELTA_CLAMP), (B, 1)))
 
 
 def test_init_doc_nocrowd_requires_known_labels():

@@ -92,8 +92,20 @@ def test_dirichlet_expected_log_is_negative_and_batched():
 
 
 def test_dirichlet_expected_log_domain():
-    with pytest.raises(ValueError):
-        dirichlet_expected_log(np.array([1.0, 0.0]))
+    """A zero, negative, NaN or infinite entry anywhere in the batch raises."""
+    for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            dirichlet_expected_log(np.array([1.0, bad]))
+        arr = np.ones((3, 2, 4))
+        arr[2, 1, 3] = bad
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            dirichlet_expected_log(arr)
+
+
+def test_dirichlet_expected_log_refuses_a_row_sum_that_overflows():
+    """Finite entries whose sum overflows raise like an infinite entry."""
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite and > 0"):
+        dirichlet_expected_log(np.array([[1.0, 2.0], [1e308, 1e308]]))
 
 
 # ---------------------------------------------------------------------------
