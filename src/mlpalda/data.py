@@ -315,16 +315,18 @@ def write_predictions(path, rows):
 
 
 def read_predictions(path):
-    """Returns list of (doc_id, beliefs, labels); C inferred from the lines."""
+    """Returns list of (doc_id, beliefs, labels); C inferred from the lines, doc ids unique."""
     _, records = read_records(path)
-    rows = []
-    C = None
+    rows, seen, C = [], set(), None
     for lineno, line in records:
         toks = line.split()
         if C is None:
             C = len(toks) - 2
         if C < 1 or len(toks) != C + 2:
             raise CorpusFormatError(path, lineno, "expected '<doc_id> <beliefs...> <bits>'")
+        if toks[0] in seen:
+            raise CorpusFormatError(path, lineno, f"duplicate doc_id {toks[0]!r}")
+        seen.add(toks[0])
         try:
             beliefs = np.array([float(t) for t in toks[1 : 1 + C]])
         except ValueError:

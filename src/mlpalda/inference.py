@@ -21,7 +21,8 @@ beyond its vocabulary index.
 
 Corpus-level coordinates: in smoothed mode the topic-word posterior ``chi``
 is refreshed once per E-pass after all documents; the M-step then maximizes
-each parameter block (xi, rho, beta or eta, alpha) given the E-states.
+each parameter block (xi, rho, alpha, beta) given the E-states, and with
+smoothing ``train`` sets the prior eta to chi.
 """
 
 from __future__ import annotations
@@ -706,16 +707,9 @@ def _reduce_stats(store: CorpusStates, dims: Dimensions) -> CorpusStats:
     )
 
 
-def m_step(
-    stats: CorpusStats,
-    params: ModelParams,
-    topics: Optional[np.ndarray] = None,
-) -> ModelParams:
-    """Maximize each parameter block given the E-step statistics.
-
-    With smoothing, eta = chi: eta_t's block of the bound is
-    -H(Dir(chi_t)) - KL(Dir(chi_t) || Dir(eta_t)), largest at eta_t = chi_t.
-    """
+def m_step(stats: CorpusStats, params: ModelParams) -> ModelParams:
+    """Maximize each parameter block given the E-step statistics; params
+    without beta are smoothed, and :func:`train` updates their prior eta."""
     xi = clamp_probability(stats.sum_Delta / stats.n_docs, PROB_CLAMP)
 
     rho = params.rho.copy()
@@ -735,16 +729,14 @@ def m_step(
             int(stalled.sum()), stalled.size, rows,
         )
 
-    if params.eta is not None:
-        if topics is None:
-            raise ValueError("m_step: smoothed mode needs the chi state")
-        return ModelParams(alpha=alpha, xi=xi, rho=rho, beta=None, eta=topics.copy())
+    if params.beta is None:
+        return ModelParams(alpha=alpha, xi=xi, rho=rho)
 
     row_sums = stats.topic_word.sum(axis=1, keepdims=True)
     if np.any(row_sums <= 0.0):
         raise NumericalFailureError("m_step: empty topic row in word statistics")
     beta = stats.topic_word / row_sums
-    return ModelParams(alpha=alpha, xi=xi, rho=rho, beta=beta, eta=None)
+    return ModelParams(alpha=alpha, xi=xi, rho=rho, beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -752,9 +744,11 @@ def m_step(
 # ---------------------------------------------------------------------------
 
 
-def compute_elbo(stats: CorpusStats, params: ModelParams, topics: Optional[np.ndarray] = None) -> float:
+def compute_elbo(stats: CorpusStats, params: ModelParams, topics: Optional[np.ndarray] = None,
+                 eta: Optional[np.ndarray] = None) -> float:
     """Evidence lower bound of the variational states summarized in ``stats``.
 
+    Smoothed, ``topics`` is the (T, V) chi posterior and ``eta`` its prior.
     Every term is a corpus statistic paired with a parameter, except
     ``stats.state_terms``, which sums one term per document's state.
     Includes every constant of the generative process (in particular the
@@ -780,7 +774,7 @@ def compute_elbo(stats: CorpusStats, params: ModelParams, topics: Optional[np.nd
     total += stats.state_terms
 
     if topics is not None:
-        total += _dirichlet_block(params.eta, elog_beta)
+        total += _dirichlet_block(eta, elog_beta)
         total -= _dirichlet_block(topics, elog_beta)
 
     if not np.isfinite(total):
@@ -794,7 +788,7 @@ def compute_elbo(stats: CorpusStats, params: ModelParams, topics: Optional[np.nd
 
 
 def _max_param_change(old: ModelParams, new: ModelParams) -> float:
-    pairs = [(getattr(old, n), getattr(new, n)) for n in ("xi", "alpha", "rho", "beta", "eta")]
+    pairs = [(getattr(old, n), getattr(new, n)) for n in ("xi", "alpha", "rho", "beta")]
     return max(float(np.abs(a - b).max()) for a, b in pairs if a is not None and a.size)
 
 
@@ -823,10 +817,14 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
     each E-step warm-starts from the previous state and every M-step block
     maximizes its own additive piece of the bound, the recorded ELBO series
     never decreases beyond float rounding; a larger fall logs a warning.
+    Smoothed, the prior eta starts at ones and after each M-step becomes chi
+    (eta_t's block, -H(Dir(chi_t)) - KL(Dir(chi_t) || Dir(eta_t)), is largest
+    at eta_t = chi_t); the trace's parameter change includes that move.
     """
     _check_training_corpus(corpus, dims, cfg)
     params = init_params(dims, cfg.mode, cfg.smoothing, cfg.seed)
-    topics = init_smoothed_state(params.eta, cfg.seed) if cfg.smoothing else None
+    eta = np.ones((dims.T, dims.V)) if cfg.smoothing else None
+    topics = init_smoothed_state(eta, cfg.seed) if cfg.smoothing else None
     states = None
     trace = ElboTrace()
     prev_elbo = None
@@ -837,9 +835,9 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
                                pinned=cfg.mode == "no-crowd")
         stats = _reduce_stats(states, dims)
         if cfg.smoothing:
-            topics = params.eta + stats.topic_word
+            topics = eta + stats.topic_word  # a new array, so eta = topics needs no copy
 
-        elbo = compute_elbo(stats, params, topics)
+        elbo = compute_elbo(stats, params, topics, eta)
         trace.rows.append((iteration, elbo, last_change))
         if prev_elbo is not None:
             drop = prev_elbo - elbo
@@ -853,9 +851,12 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
         if iteration == cfg.max_em_iters:
             break
 
-        new_params = m_step(stats, params, topics)
+        new_params = m_step(stats, params)
         last_change = _max_param_change(params, new_params)
         params = new_params
+        if cfg.smoothing:
+            last_change = max(last_change, float(np.abs(topics - eta).max()))
+            eta = topics
 
     return params, topics, trace
 

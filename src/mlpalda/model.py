@@ -9,8 +9,8 @@ U distinct terms in one document):
 * ``xi``     (C,)       prior presence probabilities.
 * ``rho``    (K,)       annotator quality (probability of reporting the truth).
 * ``beta``   (T, V)     topic-word distributions (point estimate, unsmoothed).
-* ``eta``    (T, V)     Dirichlet prior over topic rows (smoothed mode).
-* ``chi``    (T, V)     variational posterior over topic rows (smoothed mode).
+* ``chi``    (T, V)     variational posterior over topic rows (smoothed mode,
+  with ``beta=None``); its prior ``eta`` is the trainer's and is not saved.
 * per-document state: ``delta`` (U, C) word-to-class responsibilities,
   ``phi`` (U, T) word-to-topic responsibilities, ``Delta`` (C,) presence
   beliefs, ``gamma`` (C, 2, T) topic posteriors.  Rows are stored per
@@ -33,11 +33,11 @@ PROB_CLAMP = 1e-6   # xi, rho live in [PROB_CLAMP, 1 - PROB_CLAMP]
 DELTA_CLAMP = 1e-9  # Delta lives in [DELTA_CLAMP, 1 - DELTA_CLAMP]
 ROW_SUM_TOL = 1e-9
 
-MODEL_FILE_HEADER = "mlpa-model v2"
-# the header of the earlier format, whose arrays were written as decimal text
-OLD_MODEL_FILE_HEADER = "mlpa-model v1"
+MODEL_FILE_HEADER = "mlpa-model v3"
+# the headers of earlier formats: v1 wrote decimal values, v2 also wrote eta
+OLD_MODEL_FILE_HEADERS = ("mlpa-model v1", "mlpa-model v2")
 # a model file's arrays in written order, without and with smoothing
-MODEL_ARRAYS = {False: ("alpha", "xi", "rho", "beta"), True: ("alpha", "xi", "rho", "eta", "chi")}
+MODEL_ARRAYS = {False: ("alpha", "xi", "rho", "beta"), True: ("alpha", "xi", "rho", "chi")}
 
 
 def clamp_probability(x, eps):
@@ -106,8 +106,7 @@ class ModelParams:
     alpha: np.ndarray
     xi: np.ndarray
     rho: np.ndarray
-    beta: Optional[np.ndarray] = None
-    eta: Optional[np.ndarray] = None
+    beta: Optional[np.ndarray] = None  # None in smoothed mode, whose topics are chi
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
@@ -115,8 +114,6 @@ class ModelParams:
         self.rho = np.asarray(self.rho, dtype=np.float64)
         if self.beta is not None:
             self.beta = np.asarray(self.beta, dtype=np.float64)
-        if self.eta is not None:
-            self.eta = np.asarray(self.eta, dtype=np.float64)
 
 
 @dataclass
@@ -234,7 +231,8 @@ def validate(
     state: Optional[DocVariational] = None,
     smoothed: Optional[np.ndarray] = None,
 ) -> list:
-    """Invariant violations as human-readable strings (empty = clean); ``smoothed`` is chi."""
+    """Invariant violations, each starting with its array's name (empty =
+    clean); a model has exactly one of ``params.beta`` and ``smoothed`` (chi)."""
     C, T, V = dims.C, dims.T, dims.V
     msgs = []
 
@@ -251,10 +249,8 @@ def validate(
     if not _all_within(params.rho, PROB_CLAMP, 1.0 - PROB_CLAMP):
         msgs.append("rho out of clamp range")
 
-    if params.beta is None and params.eta is None:
-        msgs.append("params carry neither beta nor eta")
-    if params.beta is not None and params.eta is not None:
-        msgs.append("params carry both beta and eta")
+    if (params.beta is None) == (smoothed is None):
+        msgs.append("beta or chi: a model needs exactly one of them")
 
     if params.beta is not None:
         if params.beta.shape != (T, V):
@@ -265,11 +261,11 @@ def validate(
             if np.any(np.abs(params.beta.sum(axis=1) - 1.0) > ROW_SUM_TOL):
                 msgs.append("beta row not stochastic")
 
-    if params.eta is not None:
-        if params.eta.shape != (T, V):
-            msgs.append(f"eta shape {params.eta.shape} != {(T, V)}")
-        if not np.all(np.isfinite(params.eta)) or np.any(params.eta <= 0.0):
-            msgs.append("eta positivity violated")
+    if smoothed is not None:
+        if smoothed.shape != (T, V):
+            msgs.append(f"chi shape {smoothed.shape} != {(T, V)}")
+        if not np.all(np.isfinite(smoothed)) or np.any(smoothed <= 0.0):
+            msgs.append("chi positivity violated")
 
     if state is not None:
         for name, rows in (("delta", state.delta), ("phi", state.phi)):
@@ -284,16 +280,6 @@ def validate(
         for name, arr in (("delta", state.delta), ("phi", state.phi), ("gamma", state.gamma)):
             if not np.all(np.isfinite(arr)):
                 msgs.append(f"{name} has non-finite entries")
-
-    if smoothed is not None:
-        if params.eta is None:
-            msgs.append("smoothed state without eta")
-        elif smoothed.shape != params.eta.shape:
-            msgs.append("chi shape mismatch with eta")
-        elif not np.all(np.isfinite(smoothed)):
-            msgs.append("chi has non-finite entries")
-        elif np.any(smoothed < params.eta - 1e-12):
-            msgs.append("chi below eta")
 
     return msgs
 
@@ -318,10 +304,10 @@ def init_params(dims: Dimensions, mode: str, smoothing: bool, seed: int) -> Mode
     xi = np.full(dims.C, 0.5)
     rho = np.full(dims.K, 0.7) if mode == "crowd" else np.empty(0)
     if smoothing:
-        return ModelParams(alpha=alpha, xi=xi, rho=rho, beta=None, eta=np.ones((dims.T, dims.V)))
+        return ModelParams(alpha=alpha, xi=xi, rho=rho)
     rng = np.random.default_rng(seed)
     beta = rng.dirichlet(np.ones(dims.V), size=dims.T)
-    return ModelParams(alpha=alpha, xi=xi, rho=rho, beta=beta, eta=None)
+    return ModelParams(alpha=alpha, xi=xi, rho=rho, beta=beta)
 
 
 def init_smoothed_state(eta: np.ndarray, seed: int) -> np.ndarray:
@@ -397,17 +383,17 @@ def save_model(path, params: ModelParams, dims: Dimensions,
     Each array's values line is its IEEE-754 binary64 bytes, little-endian
     and row-major, in lowercase hex: 16 digits a value and nothing between
     values, so every float reads back bit for bit.  ``smoothed`` is the
-    (T, V) chi posterior, required with smoothing.  The mode line reads
-    ``crowd`` exactly when the params carry annotator qualities, so the file
-    always matches the ``rho`` array it holds.  The file is replaced
+    (T, V) chi of a smoothed model, whose params carry no beta.  The mode
+    line reads ``crowd`` exactly when the params carry annotator qualities,
+    so the file always matches the ``rho`` array it holds.  The file is replaced
     atomically: a failed save leaves any earlier file.
     """
     mode = "crowd" if params.rho.size else "no-crowd"
-    smoothing = params.eta is not None
-    if smoothing and smoothed is None:
-        raise ValueError("save_model: smoothed mode requires the chi state")
+    smoothing = smoothed is not None
+    if (params.beta is None) != smoothing:
+        raise ValueError("save_model: a model needs exactly one of beta and chi")
     values = {"alpha": params.alpha, "xi": params.xi, "rho": params.rho,
-              "beta": params.beta, "eta": params.eta, "chi": smoothed}
+              "beta": params.beta, "chi": smoothed}
     lines = [
         MODEL_FILE_HEADER,
         f"dims D={dims.D} C={dims.C} T={dims.T} V={dims.V} K={dims.K}",
@@ -426,26 +412,27 @@ def load_model(path):
     The arrays come in written order, each header ``array <name> <size>``
     with the size the dims give; only blank lines may come between or after
     them.  Each values line holds 16 hex digits a value (see
-    :func:`save_model`), with blanks allowed only around it.  A v1 file,
-    whose values were decimal text, is refused at line 1.  Every malformed
-    or invariant-violating file raises
+    :func:`save_model`), with blanks allowed only around it; the dims line
+    is exactly the writer's.  v1 and v2 files are refused at line 1.
+    Every malformed or invariant-violating file raises
     :class:`~mlpalda.atomic.CorpusFormatError` (a ValueError) naming the
     path and the offending line.
     """
     lines = read_text(path).splitlines()
-    if lines and lines[0] == OLD_MODEL_FILE_HEADER:
-        raise CorpusFormatError(path, 1, f"'{OLD_MODEL_FILE_HEADER}' files (decimal values) are "
-                                f"no longer read; retrain to write a '{MODEL_FILE_HEADER}' file")
+    if lines and lines[0] in OLD_MODEL_FILE_HEADERS:
+        raise CorpusFormatError(path, 1, f"'{lines[0]}' files are no longer read; "
+                                f"retrain to write a '{MODEL_FILE_HEADER}' file")
     if not lines or lines[0] != MODEL_FILE_HEADER:
         raise CorpusFormatError(path, 1, f"missing '{MODEL_FILE_HEADER}' header")
     if len(lines) < 4:
         raise CorpusFormatError(path, len(lines) + 1, "truncated header block")
 
     try:
-        fields = dict(part.split("=") for part in lines[1].split()[1:])
-        dims = Dimensions(D=int(fields["D"]), C=int(fields["C"]), T=int(fields["T"]),
-                          V=int(fields["V"]), K=int(fields["K"]))
-    except (KeyError, ValueError, IndexError):
+        word, *pairs = lines[1].split()
+        if word != "dims" or [p.partition("=")[0] for p in pairs] != list("DCTVK"):
+            raise ValueError
+        dims = Dimensions(*(int(p.partition("=")[2]) for p in pairs))
+    except ValueError:
         raise CorpusFormatError(path, 2, f"bad dims line: {lines[1]!r}") from None
     head = lines[2].split()
     if len(head) != 2 or head[0] != "mode":
@@ -460,7 +447,7 @@ def load_model(path):
 
     C, T, V = dims.C, dims.T, dims.V
     shapes = {"alpha": (C, 2, T), "xi": (C,), "rho": (dims.K if mode == "crowd" else 0,),
-              "beta": (T, V), "eta": (T, V), "chi": (T, V)}
+              "beta": (T, V), "chi": (T, V)}
     arrays, where = {}, {}  # name -> values, and the line of its 'array' header
     i = 4
     for name in MODEL_ARRAYS[smoothing]:
@@ -494,7 +481,7 @@ def load_model(path):
             raise CorpusFormatError(path, j + 1, "unexpected line after the last array")
 
     params = ModelParams(alpha=arrays["alpha"], xi=arrays["xi"], rho=arrays["rho"],
-                         beta=arrays.get("beta"), eta=arrays.get("eta"))
+                         beta=arrays.get("beta"))
     problems = validate(params, dims, smoothed=arrays.get("chi"))
     if problems:
         # every message starts with its array's name

@@ -92,10 +92,10 @@ def _newton_rows(conc, stats, scale, tol):
     """One damped Newton step on every (R, N) row whose residual is >= ``tol``.
 
     Returns ``(new, residual, stalled, flat)``: ``residual`` is max |g_r - c|
-    at the input; a row below ``tol`` is returned as it is; ``stalled`` marks
-    rows whose direction was not finite or whose halving ran out (returned
-    as they are); ``flat`` marks rows whose step promised a gain of at most
-    NEWTON_GAIN_ULPS rounding units of f.
+    at the input (|g| on one-entry rows); a row below ``tol`` is returned as
+    it is; ``stalled`` marks rows whose direction was not finite or whose
+    halving ran out (returned as they are); ``flat`` marks rows whose step
+    promised a gain of at most NEWTON_GAIN_ULPS rounding units of f.
     """
     # stats outside the achievable mean range (sum exp(stats/scale) >= 1) push
     # the maximizer to infinity; the curvature then underflows and the pieces
@@ -106,6 +106,8 @@ def _newton_rows(conc, stats, scale, tol):
         z = scale * zeta(2, conc.sum(-1, keepdims=True))
         c = (g / h).sum(-1, keepdims=True) / (1.0 / z + (1.0 / h).sum(-1, keepdims=True))
         residual = np.where(np.isfinite(c[:, 0]), np.abs(g - c).max(-1), np.inf)
+        if conc.shape[-1] == 1:  # f = (a - 1) S is linear and c = 0/0: g alone tells
+            residual = np.abs(g[:, 0])
         direction = -(g - c) / h
         finite = np.all(np.isfinite(direction), axis=-1)
 

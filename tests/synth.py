@@ -31,7 +31,7 @@ def separable_params(C, T, V, xi=0.45, strength=8.0, base=0.3):
         alpha[i, 0, T - 1] = strength
 
     xi_vec = np.full(C, float(xi))
-    return ModelParams(alpha=alpha, xi=xi_vec, rho=np.zeros(0), beta=beta, eta=None)
+    return ModelParams(alpha=alpha, xi=xi_vec, rho=np.zeros(0), beta=beta)
 
 
 def sample_corpus(params, n_docs, mean_words=60, seed=0, doc_prefix="d"):

@@ -307,12 +307,16 @@ NOT_UTF8 = [(kind, b"\n", b"\n\xff", 2) for kind in READERS]
     ("crowd", b"K=2", b"K=1000000000000000000", 1),
     ("mlf", b"F=2", b"F=0", 1),
     ("model", b"array alpha 8", "array alpha \u00b2".encode(), 5),
-    ("model", b"mlpa-model v2", b"mlpa-model v1", 1),
+    ("model", b"mlpa-model v3", b"mlpa-model v1", 1),
+    ("model", b"mlpa-model v3", b"mlpa-model v2", 1),
+    ("model", b"dims D=", b"sizes D=", 2),
+    ("model", b" K=0", b" K=0 Z=9", 2),
     ("predictions", b"0.75", b"nan", 1),
+    ("predictions", b"\nb ", b"\na ", 2),
 ] + NOT_UTF8, ids=[
     "huge-word-count", "D=0", "V=0", "C=0", "K=0", "huge-V", "huge-K", "F=0",
-    "superscript-array-size", "model-v1",
-    "nan-belief",
+    "superscript-array-size", "model-v1", "model-v2", "dims-first-word", "dims-unknown-key",
+    "nan-belief", "duplicate-prediction",
 ] + [f"{kind}-not-utf8" for kind, *_ in NOT_UTF8])
 def test_malformed_input_exits_1_naming_path_and_line(tmp_path, capsys, kind, old, new, line):
     paths = {"out": tmp_path / "out"}

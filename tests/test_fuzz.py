@@ -84,7 +84,7 @@ def files(tmp_path_factory):
     # one annotator: rho's values line is one value, which a single token can replace
     dims = Dimensions(D=3, C=2, T=2, V=4, K=1)
     params = init_params(dims, mode="crowd", smoothing=True, seed=0)
-    save_model(paths["model"], params, dims, init_smoothed_state(params.eta, seed=0))
+    save_model(paths["model"], params, dims, init_smoothed_state(np.ones((dims.T, dims.V)), seed=0))
     return paths, {**VALID, "model": paths["model"].read_bytes()}
 
 

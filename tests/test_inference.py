@@ -52,7 +52,7 @@ def random_params(rng, C, T, V, K=0):
     xi = rng.uniform(0.2, 0.8, size=C)
     rho = rng.uniform(0.55, 0.95, size=K)
     beta = rng.dirichlet(np.ones(V) * 0.7, size=T)
-    return ModelParams(alpha=alpha, xi=xi, rho=rho, beta=beta, eta=None)
+    return ModelParams(alpha=alpha, xi=xi, rho=rho, beta=beta)
 
 
 def random_doc(rng, C, V, K=0, n_terms=4, max_count=3, doc_id="doc0"):
@@ -256,7 +256,6 @@ def test_near_perfect_annotator_pins_presence():
         xi=params.xi,
         rho=np.array([1.0 - 1e-12]),
         beta=params.beta,
-        eta=None,
     )
     doc = Document(
         doc_id="d",
@@ -302,7 +301,7 @@ def test_estep_smoothed_uses_chi_not_beta():
     C, T, V = 2, 3, 7
     params = random_params(rng, C, T, V)
     smoothed = ModelParams(
-        alpha=params.alpha, xi=params.xi, rho=params.rho, beta=None, eta=np.ones((T, V))
+        alpha=params.alpha, xi=params.xi, rho=params.rho, beta=None
     )
     chi = rng.uniform(0.5, 3.0, size=(T, V))
     doc = random_doc(rng, C, V)
@@ -807,7 +806,6 @@ def base_params():
         xi=np.array([0.5, 0.5]),
         rho=np.array([0.7, 0.7]),
         beta=np.full((2, 3), 1.0 / 3.0),
-        eta=None,
     )
 
 
@@ -885,26 +883,36 @@ def test_converging_mstep_logs_no_newton_stall(caplog):
     assert _newton_stall_warnings(caplog) == []
 
 
-def test_mstep_smoothed_updates_eta_and_drops_beta():
-    T, V = 2, 3
-    params = ModelParams(
-        alpha=np.ones((2, 2, 2)),
-        xi=np.array([0.5, 0.5]),
-        rho=np.zeros(0),
-        beta=None,
-        eta=np.ones((T, V)),
-    )
-    stats = simple_stats()
-    stats.rho_num = np.zeros(0)
-    stats.rho_cnt = np.zeros(0)
-    chi = np.array([[3.0, 7.0, 1.0], [2.0, 2.0, 3.0]])
-    new = m_step(stats, params, topics=chi)
+def test_mstep_smoothed_keeps_beta_none():
+    plain = base_params()
+    smoothed = dataclasses.replace(plain, beta=None)
+    new, ref = m_step(simple_stats(), smoothed), m_step(simple_stats(), plain)
     assert new.beta is None
-    # the exact maximizer of each eta row's block is its chi row
-    np.testing.assert_array_equal(new.eta, chi)
-    assert not np.shares_memory(new.eta, chi)
-    with pytest.raises(ValueError):
-        m_step(stats, params)
+    for name in ("alpha", "xi", "rho"):
+        np.testing.assert_array_equal(getattr(new, name), getattr(ref, name))
+
+
+def test_smoothed_train_sets_eta_to_the_last_chi_and_traces_its_move(monkeypatch):
+    """eta starts at ones and becomes each E-pass's chi; each trace row's
+    parameter change covers that move, so the trace cannot lose it."""
+    docs, _ = make_training_corpus(D=12)
+    dims = Dimensions(D=12, C=2, T=3, V=12)
+    seen = []  # (chi, eta, topic_word) of every bound evaluation
+    exact_elbo = inference.compute_elbo
+
+    def recording_elbo(stats, params, topics, eta):
+        seen.append((topics, eta, stats.topic_word))
+        return exact_elbo(stats, params, topics, eta)
+
+    monkeypatch.setattr(inference, "compute_elbo", recording_elbo)
+    _, chi, trace = train(docs, dims, TrainConfig(mode="no-crowd", smoothing=True,
+                                                  max_em_iters=5, em_rel_tol=0.0, seed=2))
+    assert len(seen) == len(trace.rows) == 5 and chi is seen[-1][0]
+    assert np.array_equal(seen[0][1], np.ones((dims.T, dims.V)))
+    for (prev_chi, prev_eta, _), (now_chi, eta, words), row in zip(seen, seen[1:], trace.rows[1:]):
+        assert eta is prev_chi
+        assert np.array_equal(now_chi, eta + words)
+        assert row[2] >= np.abs(prev_chi - prev_eta).max() > 0
 
 
 def test_collect_stats_counts_judgments():
@@ -999,9 +1007,9 @@ def test_training_stats_equal_collect_stats_of_its_states(monkeypatch, mode, smo
         passes.append(exact_e_step(*args, **kwargs))
         return passes[-1]
 
-    def recording_elbo(stats, params, topics=None):
+    def recording_elbo(stats, *args):
         bounds.append(stats)
-        return exact_elbo(stats, params, topics)
+        return exact_elbo(stats, *args)
 
     monkeypatch.setattr(inference, "e_step_corpus", recording_e_step)
     monkeypatch.setattr(inference, "compute_elbo", recording_elbo)
@@ -1028,7 +1036,6 @@ def test_elbo_of_degenerate_model_is_log_presence_rate():
         xi=np.array([0.3]),
         rho=np.zeros(0),
         beta=np.array([[1.0]]),
-        eta=None,
     )
     doc = Document(
         doc_id="d", word_ids=np.array([0]), counts=np.array([1]), true_labels=np.array([1])
@@ -1080,7 +1087,7 @@ def _dirichlet_terms(conc, elog):
                   + ((conc - 1.0) * elog).sum(-1)).sum())
 
 
-def per_document_bound(corpus, params, states, topics=None):
+def per_document_bound(corpus, params, states, topics=None, eta=None):
     """Reference transcription: the bound summed document by document, with
     every term evaluated from that document's own state."""
     C = params.alpha.shape[0]
@@ -1118,7 +1125,7 @@ def per_document_bound(corpus, params, states, topics=None):
 
     if topics is not None:
         elog_beta = _expected_log(topics)
-        total += _dirichlet_terms(params.eta, elog_beta)
+        total += _dirichlet_terms(eta, elog_beta)
         total -= _dirichlet_terms(topics, elog_beta)
     return total
 
@@ -1131,10 +1138,10 @@ def test_elbo_from_stats_matches_per_document_bound(mode, smoothing, stepped):
     C, T, V = 3, 4, 120
     K = 3 if mode == "crowd" else 0
     params = random_params(rng, C, T, V, K=K)
-    topics = None
+    topics = eta = None
     if smoothing:
         eta = rng.uniform(0.3, 2.0, size=(T, V))
-        params = ModelParams(alpha=params.alpha, xi=params.xi, rho=params.rho, eta=eta)
+        params = ModelParams(alpha=params.alpha, xi=params.xi, rho=params.rho)
         topics = eta + rng.uniform(0.0, 3.0, size=(T, V))
     docs = mixed_length_corpus(rng, C, V, K=K)
     dims = Dimensions(D=len(docs), C=C, T=T, V=V, K=K)
@@ -1144,8 +1151,8 @@ def test_elbo_from_stats_matches_per_document_bound(mode, smoothing, stepped):
     else:
         states = [init_doc_variational(doc, params, pinned=pinned) for doc in docs]
 
-    ours = compute_elbo(collect_stats(docs, states, dims), params, topics)
-    ref = per_document_bound(docs, params, states, topics)
+    ours = compute_elbo(collect_stats(docs, states, dims), params, topics, eta)
+    ref = per_document_bound(docs, params, states, topics, eta)
     assert abs(ours - ref) <= 1e-12 * abs(ref)
 
 
@@ -1202,8 +1209,8 @@ def test_training_warns_once_when_the_bound_falls(monkeypatch, caplog):
     exact_m_step = inference.m_step
     calls = []
 
-    def worse_once(stats, params, topics=None):
-        new = exact_m_step(stats, params, topics)
+    def worse_once(stats, params):
+        new = exact_m_step(stats, params)
         calls.append(new)
         if len(calls) == 2:
             # the labels are pinned, so presence rates at the clamp floor

@@ -1,7 +1,7 @@
 """Tests for model containers, initialization, validation and model files."""
 
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -186,7 +186,6 @@ def test_init_params_defaults_nocrowd():
     assert np.all(p.alpha == 1.0)
     assert np.all(p.xi == 0.5)
     assert p.rho.size == 0
-    assert p.eta is None
     assert p.beta.shape == (2, 5)
     assert np.allclose(p.beta.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(p.beta > 0)
@@ -198,8 +197,8 @@ def test_init_params_defaults_crowd_smoothed():
     assert np.all(p.rho == 0.7)
     assert p.rho.shape == (4,)
     assert p.beta is None
-    assert np.all(p.eta == 1.0)
-    assert p.eta.shape == (2, 5)
+    # a smoothed model's topics are chi; its prior eta is the trainer's, never a field
+    assert [f.name for f in fields(p)] == ["alpha", "xi", "rho", "beta"]
 
 
 def test_init_params_deterministic_and_seed_sensitive():
@@ -216,10 +215,11 @@ def test_init_params_deterministic_and_seed_sensitive():
 def test_init_smoothed_state_breaks_topic_symmetry():
     dims = _dims(K=0)
     p = init_params(dims, mode="no-crowd", smoothing=True, seed=5)
-    s1 = init_smoothed_state(p.eta, seed=5)
-    s2 = init_smoothed_state(p.eta, seed=5)
+    eta = np.ones((dims.T, dims.V))
+    s1 = init_smoothed_state(eta, seed=5)
+    s2 = init_smoothed_state(eta, seed=5)
     assert np.array_equal(s1, s2)
-    assert np.all(s1 >= p.eta - 1e-12)
+    assert np.all(s1 >= eta - 1e-12)
     assert not np.allclose(s1[0], s1[1])
 
 
@@ -257,7 +257,7 @@ def test_init_doc_crowd_warm_start_maps_votes_through_quality():
     dims = _dims(K=3)
     p = init_params(dims, mode="crowd", smoothing=False, seed=0)
     p = ModelParams(
-        alpha=p.alpha, xi=p.xi, rho=np.array([0.9, 0.9, 0.9]), beta=p.beta, eta=None
+        alpha=p.alpha, xi=p.xi, rho=np.array([0.9, 0.9, 0.9]), beta=p.beta
     )
     # all three annotators vote "present" on class 0; class 1 gets a single
     # "absent" vote; class 2 gets no votes at all
@@ -328,19 +328,19 @@ def test_validate_flags_violations():
     p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
 
     bad_alpha = ModelParams(
-        alpha=np.zeros_like(p.alpha), xi=p.xi, rho=p.rho, beta=p.beta, eta=None
+        alpha=np.zeros_like(p.alpha), xi=p.xi, rho=p.rho, beta=p.beta
     )
     assert any("alpha" in m for m in validate(bad_alpha, dims))
 
     bad_beta = p.beta.copy()
     bad_beta[0, 0] += 0.5
     msgs = validate(
-        ModelParams(alpha=p.alpha, xi=p.xi, rho=p.rho, beta=bad_beta, eta=None), dims
+        ModelParams(alpha=p.alpha, xi=p.xi, rho=p.rho, beta=bad_beta), dims
     )
     assert any("beta" in m and "stochastic" in m for m in msgs)
 
     bad_xi = ModelParams(
-        alpha=p.alpha, xi=np.array([0.0, 0.5, 0.5]), rho=p.rho, beta=p.beta, eta=None
+        alpha=p.alpha, xi=np.array([0.0, 0.5, 0.5]), rho=p.rho, beta=p.beta
     )
     assert any("xi" in m for m in validate(bad_xi, dims))
 
@@ -350,7 +350,7 @@ def test_validate_flags_nan(where):
     """NaN compares false both ways, so each range check must reject it."""
     dims = _dims(K=2)
     p = init_params(dims, mode="crowd", smoothing=True, seed=0)
-    smoothed = init_smoothed_state(p.eta, seed=0)
+    smoothed = init_smoothed_state(np.ones((dims.T, dims.V)), seed=0)
     state = init_doc_variational(_doc(crowd=[[1, 0, 1], [0, -1, 1]]), p)
     assert validate(p, dims, state=state, smoothed=smoothed) == []
 
@@ -364,13 +364,26 @@ def test_validate_flags_nan(where):
 def test_validate_flags_bad_chi(value):
     dims = _dims(K=2)
     p = init_params(dims, mode="crowd", smoothing=True, seed=0)
-    smoothed = init_smoothed_state(p.eta, seed=0)
+    smoothed = init_smoothed_state(np.ones((dims.T, dims.V)), seed=0)
     if value == "shape":
         smoothed = smoothed[:, 1:]
     else:
         smoothed[0, 0] = value
     msgs = validate(p, dims, smoothed=smoothed)
     assert any(m.startswith("chi") for m in msgs), msgs
+
+
+def test_a_model_has_exactly_one_of_beta_and_chi(tmp_path):
+    dims = _dims(K=0)
+    plain = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
+    smoothed = init_params(dims, mode="no-crowd", smoothing=True, seed=0)
+    chi = init_smoothed_state(np.ones((dims.T, dims.V)), seed=0)
+    assert validate(plain, dims) == [] and validate(smoothed, dims, smoothed=chi) == []
+    for params, topics in ((plain, chi), (smoothed, None)):
+        assert [m for m in validate(params, dims, smoothed=topics) if m.startswith("beta or chi")]
+        with pytest.raises(ValueError, match="exactly one of beta and chi"):
+            save_model(tmp_path / "m.model", params, dims, smoothed=topics)
+    assert not (tmp_path / "m.model").exists()
 
 
 def test_validate_doc_state():
@@ -412,9 +425,8 @@ def test_model_file_round_trip(tmp_path, mode, smoothing):
         xi=clamp_probability(rng.random(dims.C), PROB_CLAMP),
         rho=clamp_probability(rng.random(p.rho.shape), PROB_CLAMP),
         beta=p.beta,
-        eta=None if p.eta is None else p.eta + rng.random(p.eta.shape),
     )
-    smoothed = init_smoothed_state(p.eta, seed=11) if smoothing else None
+    smoothed = init_smoothed_state(np.ones((dims.T, dims.V)), seed=11) if smoothing else None
 
     path = tmp_path / "m.model"
     save_model(path, p, dims, smoothed=smoothed)
@@ -422,17 +434,15 @@ def test_model_file_round_trip(tmp_path, mode, smoothing):
 
     assert mode2 == mode
     assert dims2 == dims
-    for arr in (q.alpha, q.xi, q.rho, q.beta, q.eta, smoothed2):
+    for arr in (q.alpha, q.xi, q.rho, q.beta, smoothed2):
         assert arr is None or arr.flags.writeable
     assert np.array_equal(q.alpha, p.alpha)
     assert np.array_equal(q.xi, p.xi)
     assert np.array_equal(q.rho, p.rho)
     if smoothing:
         assert q.beta is None
-        assert np.array_equal(q.eta, p.eta)
         assert np.array_equal(smoothed2, smoothed)
     else:
-        assert q.eta is None
         assert smoothed2 is None
         assert np.array_equal(q.beta, p.beta)
 
@@ -451,9 +461,9 @@ def test_model_file_mode_follows_the_annotator_qualities(tmp_path, mode):
     assert np.array_equal(q.rho, p.rho) and q.rho.size == (2 if mode == "crowd" else 0)
 
 
-# a hand-written v2 file: C = T = V = 1, alpha = (1, 2), xi = 0.5, no rho, beta = 1
+# a hand-written v3 file: C = T = V = 1, alpha = (1, 2), xi = 0.5, no rho, beta = 1
 HAND_WRITTEN = [
-    "mlpa-model v2", "dims D=1 C=1 T=1 V=1 K=0", "mode no-crowd", "smoothing off",
+    "mlpa-model v3", "dims D=1 C=1 T=1 V=1 K=0", "mode no-crowd", "smoothing off",
     "array alpha 2", "000000000000f03f0000000000000040",
     "array xi 1", "000000000000e03f",
     "array rho 0", "",
@@ -471,7 +481,7 @@ def test_model_file_is_versioned_text(tmp_path):
     path = tmp_path / "m.model"
     save_model(path, p, dims)
     lines = path.read_text().splitlines()
-    assert lines[0] == "mlpa-model v2"
+    assert lines[0] == "mlpa-model v3"
     # alpha starts all-ones; 1.0 pins the byte order: little-endian binary64
     assert lines[4:6] == [f"array alpha {p.alpha.size}", "000000000000f03f" * p.alpha.size]
 
@@ -505,6 +515,20 @@ def test_model_file_rejects_garbage(tmp_path):
     _write(path, ["mlpa-model v1"] + HAND_WRITTEN[1:5] + ["1 2"] + HAND_WRITTEN[6:])
     with pytest.raises(ValueError, match=re.escape(f"{path}:1: 'mlpa-model v1'") + ".*retrain"):
         load_model(path)
+    # and so is a v2 file, which held the same arrays (and eta with smoothing)
+    _write(path, ["mlpa-model v2"] + HAND_WRITTEN[1:])
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: 'mlpa-model v2'") + ".*retrain"):
+        load_model(path)
+
+    # only the writer's dims line: no other first word, unknown, repeated,
+    # missing or reordered key, or value without its key
+    for dims_line in ["sizes D=1 C=1 T=1 V=1 K=0", "dims D=1 C=1 T=1 V=1 K=0 Z=9",
+                      "dims D=1 C=1 T=1 V=1 K=0 D=2", "dims D=1 C=1 T=1 V=1",
+                      "dims C=1 D=1 T=1 V=1 K=0", "dims D=1 C=1 T=1 V=1 K0", "dims",
+                      "dims D=1 C=1 T=1 V=1 K=0=0"]:
+        _write(path, HAND_WRITTEN[:1] + [dims_line] + HAND_WRITTEN[2:])
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad dims line")):
+            load_model(path)
 
 
 @pytest.mark.parametrize("values,message", [
@@ -568,25 +592,25 @@ def _insert(lines, i, new):
     return lines[:i - 1] + new + lines[i - 1:]
 
 
-# a smoothed crowd model file: alpha on lines 5-6, xi 7-8, rho 9-10, eta 11-12, chi 13-14
+# a smoothed crowd model file: alpha on lines 5-6, xi 7-8, rho 9-10, chi 11-12
 @pytest.mark.parametrize("edit,line", [
     (lambda ls: _insert(ls, 9, ls[6:8]), 9),
     (lambda ls: _insert(ls, 9, ["array junk 2", "1 2"]), 9),
     (lambda ls: ls[:4] + ls[6:8] + ls[4:6] + ls[8:], 5),
-    (lambda ls: ls + ["1 2 3"], 15),
-    (lambda ls: ls + ["", ls[12], ls[13]], 16),
-    (lambda ls: ls[:12], 13),
+    (lambda ls: ls + ["1 2 3"], 13),
+    (lambda ls: ls + ["", ls[10], ls[11]], 14),
+    (lambda ls: ls[:10], 11),
     (lambda ls: ls[:6] + ["array xi 4", ls[7] + " 0.5"] + ls[8:], 7),
-    (lambda ls: ls[:13], 14),
+    (lambda ls: ls[:11], 12),
 ], ids=["duplicate", "unknown", "reordered", "trailing-line", "trailing-array",
         "missing", "mis-sized", "missing-values"])
 def test_model_file_arrays_come_in_written_order(tmp_path, edit, line):
     dims = _dims()
     p = init_params(dims, mode="crowd", smoothing=True, seed=0)
     path = tmp_path / "m.model"
-    save_model(path, p, dims, smoothed=init_smoothed_state(p.eta, seed=0))
+    save_model(path, p, dims, smoothed=init_smoothed_state(np.ones((dims.T, dims.V)), seed=0))
     lines = path.read_text().splitlines()
-    assert [ls.split()[1] for ls in lines[4::2]] == ["alpha", "xi", "rho", "eta", "chi"]
+    assert [ls.split()[1] for ls in lines[4::2]] == ["alpha", "xi", "rho", "chi"]
     path.write_text("\n".join(edit(lines)) + "\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ")):
         load_model(path)

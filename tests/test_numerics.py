@@ -252,6 +252,17 @@ def test_newton_stalls_gracefully_when_optimum_is_at_infinity():
     assert np.all(np.isfinite(out)) and np.all(out > 0)
 
 
+def test_newton_on_one_component_rows_stalls_only_when_unbounded():
+    # one component: f(a) = (a - 1) S is linear and its Hessian singular, so
+    # a row with S = 0 (one topic: E[log theta] = 0) is flat and converged
+    conc = np.array([[0.5], [1.0], [3.0]])
+    out, stalled = solve_dirichlet_newton(conc, np.zeros_like(conc), 7)
+    assert np.array_equal(out, conc) and not stalled.any()
+    # a gradient S at or above tol leaves f unbounded: that row stalls
+    out, stalled = solve_dirichlet_newton(conc, np.array([[0.0], [0.5], [-1e-9]]), 7)
+    assert np.array_equal(out, conc) and stalled.tolist() == [False, True, False]
+
+
 def test_trigamma_through_zeta_is_polygamma_bit_for_bit():
     x = np.geomspace(1e-10, 1e8, 300_001)
     assert np.array_equal(scipy.special.zeta(2, x), scipy.special.polygamma(1, x))
@@ -316,7 +327,7 @@ def test_solve_stops_once_the_gain_is_below_rounding(monkeypatch, seed, dim):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_one_observation_of_expected_logs_is_maximized_at_its_own_chi(seed, dim):
     # f(a) = E_{Dir(chi)}[log Dir(beta; a)] = -H(Dir(chi)) - KL(Dir(chi) || Dir(a)),
-    # so a = chi is its unique maximizer: the smoothed M-step sets eta = chi
+    # so a = chi is its unique maximizer: the smoothed trainer sets eta = chi
     chi = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, size=(6, dim))
     stats = dirichlet_expected_log(chi)
     np.testing.assert_allclose(dirichlet_gradient(chi, stats, 1), 0.0, rtol=0, atol=1e-12)

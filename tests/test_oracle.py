@@ -23,7 +23,6 @@ def _params(C, T, V, K, seed=0, xi=None, rho=None):
         xi=np.full(C, 0.4) if xi is None else np.asarray(xi, dtype=float),
         rho=np.empty(0) if rho is None else np.asarray(rho, dtype=float),
         beta=beta,
-        eta=None,
     )
 
 
@@ -95,7 +94,6 @@ def test_topic_permutation_invariance():
             xi=inst.params.xi,
             rho=inst.params.rho,
             beta=inst.params.beta[perm, :],
-            eta=None,
         ),
         dims=inst.dims,
     )
@@ -119,7 +117,6 @@ def test_class_permutation_invariance():
             xi=inst.params.xi[perm],
             rho=inst.params.rho,
             beta=inst.params.beta,
-            eta=None,
         ),
         dims=inst.dims,
     )

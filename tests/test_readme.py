@@ -1,5 +1,6 @@
 """The README's Quick start and Python API blocks run as written on its toy corpus."""
 
+import logging
 import re
 import shlex
 from pathlib import Path
@@ -48,3 +49,13 @@ def test_readme_quick_start_commands_run_on_the_toy_corpus(tmp_path, monkeypatch
     preds = (tmp_path / "preds.txt").read_text(encoding="utf-8").splitlines()
     assert [line.split()[0] for line in preds] == [f"d{i}" for i in range(6)]
     assert re.search(r"^ann_rmse,\S", out[-1], re.M), out[-1]
+
+
+def test_one_topic_training_on_the_toy_corpus_logs_no_newton_stall(tmp_path, monkeypatch, caplog):
+    """With one topic E[log theta] is 0 and every alpha row is flat: converged, not stalled."""
+    _write_toy(README.read_text(encoding="utf-8"), tmp_path)
+    monkeypatch.chdir(tmp_path)
+    with caplog.at_level(logging.WARNING):
+        assert main(["train", "--corpus", "toy.mlc", "--topics", "1", "--max-iters", "3",
+                     "--model-out", "toy.model"]) == 0
+    assert not [r for r in caplog.records if "Newton stalled" in r.getMessage()]
