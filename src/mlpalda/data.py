@@ -49,7 +49,8 @@ logger = logging.getLogger(__name__)
 _INT = "[0-9]{1,18}"
 _ROW = re.compile(rf"([^\s|]+) \| (-?{_INT}(?: -?{_INT})*) \| ([^\s|][^|]*)")
 _WORDS = re.compile(rf"{_INT}:{_INT}(?: {_INT}:{_INT})*")
-_VOTE = re.compile(rf"(\S+) ({_INT} {_INT} {_INT})")
+_VOTE = rf"\S+ {_INT} {_INT} {_INT}"
+_VOTES = re.compile(rf"{_VOTE}(?:\n{_VOTE})*")  # the lines of a crowd file, joined by newlines
 
 
 def _ints(text):
@@ -201,27 +202,30 @@ def save_corpus(path, corpus, dims: Dimensions):
 def read_crowd_file(path):
     """Returns ({doc_id: (K, C) judgment matrix}, K, C); absent means -1.
 
-    When every line is in written form (``_VOTE``), the lines are read in
-    bulk as one (lines, 3) array of annotator, class and judgment, and
-    checked together: the index ranges, and no repeated (doc_id, annotator,
-    class) key (one ``np.unique``).  Otherwise, or if that check fails,
-    :func:`_crowd_record` reads every line and raises the first fault.
+    When every line is in written form (``_VOTE``; one ``fullmatch`` of
+    ``_VOTES`` over the lines joined), the lines are read in bulk: one
+    ``split`` gives every token, and one conversion the annotator, class
+    and judgment columns, which are checked together: the index ranges,
+    and no repeated (doc_id, annotator, class) key (as many judged cells
+    as lines once they are scattered).
+    Otherwise, or if that check fails, :func:`_crowd_record` reads every
+    line and raises the first fault.
     """
     (K, C), records = read_records(path, "crowd", ("K", "C"))
     try:
         blank = np.full((K, C), -1, dtype=np.int64)
     except (ValueError, MemoryError):  # numpy's "array is too big", or no memory
         raise CorpusFormatError(path, 1, f"a K={K} x C={C} judgment matrix does not fit in memory") from None
-    matches = [_VOTE.fullmatch(line) for _, line in records]
-    if all(m is not None for m in matches):
-        j, i, y = _ints(" ".join(m[2] for m in matches)).reshape(-1, 3).T
+    body = "\n".join(line for _, line in records)
+    if _VOTES.fullmatch(body):
+        toks = body.split()  # doc_id, annotator, class, judgment of each line in turn
+        j, i, y = _ints(" ".join(toks[1::4] + toks[2::4] + toks[3::4])).reshape(3, -1)
         groups = {}  # doc_id -> its index in order of first appearance
-        g = np.array([groups.setdefault(m[1], len(groups)) for m in matches], dtype=np.int64)
+        g = np.array([groups.setdefault(doc_id, len(groups)) for doc_id in toks[0::4]], dtype=np.int64)
         if not ((j >= K) | (i >= C) | (y > 1)).any():
             mats = np.full((len(groups), K, C), -1, dtype=np.int64)
-            key = np.ravel_multi_index((g, j, i), mats.shape)
-            if np.unique(key).size == key.size:
-                mats[g, j, i] = y
+            mats[g, j, i] = y
+            if np.count_nonzero(mats != -1) == y.size:  # a repeated key fills fewer cells
                 return dict(zip(groups, mats)), K, C
     out = {}
     for lineno, line in records:

@@ -15,6 +15,11 @@ parameters, so one E-step runs them in lockstep over chunks of documents
 (``e_step_corpus``).  The states stay in those chunks between E-passes,
 and the M-step statistics are reduced from them (``_reduce_stats``).
 
+Everything an EM iteration computes besides the sweeps is computed once per
+thing that changes: the words and judgments once per corpus (``_pack``),
+and E[log beta] once per topic table, shared by the E-pass and the bound
+that read the same table (``train``).
+
 Rows are kept per distinct term and weighted by token count; tokens of the
 same term provably share a row because no update depends on the token
 beyond its vocabulary index.
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit, xlogy
+from scipy.special import expit
 
 from .model import (
     DELTA_CLAMP,
@@ -51,8 +56,8 @@ from .model import (
     validate_corpus,
     validate_words,
 )
-from .numerics import (dirichlet_expected_log, dirichlet_gradient, dirichlet_objective,
-                       solve_dirichlet_newton)
+from .numerics import (dirichlet_expected_log, dirichlet_gradient, dirichlet_log_normalizer,
+                       dirichlet_objective, solve_dirichlet_newton)
 
 logger = logging.getLogger(__name__)
 
@@ -126,6 +131,28 @@ def expected_log_word_given_topic(params: ModelParams, topics: Optional[np.ndarr
 def _dirichlet_block(conc, elog, scale=1):
     """Summed over rows: ``scale`` log Dirichlet normalizers plus (conc-1) * elog."""
     return float(dirichlet_objective(conc, elog, scale).sum())
+
+
+def _topic_block(table, elog_beta):
+    """:func:`_dirichlet_block` of a (concentrations, log normalizer rows) pair."""
+    conc, log_norm = table
+    return float((log_norm + ((conc - 1.0) * elog_beta).sum(-1)).sum())
+
+
+# The smallest positive float64 (a subnormal): its log, about -744.4, is finite.
+_TINY = np.nextafter(0.0, 1.0)
+
+
+def _xlogx(p):
+    """p log p of every entry of ``p`` >= 0, with 0 log 0 = 0.
+
+    numpy's vectorised log runs on ``p`` raised to ``_TINY``, which moves
+    only the exact zeros; they then add 0 x (a finite log) = 0.
+    """
+    out = np.maximum(p, _TINY)
+    np.log(out, out=out)
+    out *= p
+    return out
 
 
 # Largest spread of a column's logits below 0 that a softmax may take
@@ -230,7 +257,7 @@ class _Chunk:
 
     Column u of row b belongs to the u-th term of document ``docs[b]``.
     Padding columns carry zero counts and finite values that no result
-    reads.  The layout fields, ``docs`` to ``votes``, are packed once per
+    reads.  The layout fields, ``docs`` to ``no``, are packed once per
     corpus and shared by every E-pass over it; the rest is the state.  With
     pinned presence, packing sets ``Delta`` too: the clamped labels.
     """
@@ -240,7 +267,8 @@ class _Chunk:
     counts: np.ndarray    # (B, U) token counts, 0.0 on padding
     mask: np.ndarray      # (B, U) True on a document's term columns
     slots: np.ndarray     # (n,) corpus-order position of each term column, row by row
-    votes: np.ndarray     # (B, K, C) judgments, -1 where none
+    yes: np.ndarray       # (B, K, C) 1 where an annotator judged the class present, else 0
+    no: np.ndarray        # (B, K, C) 1 where an annotator judged the class absent, else 0
     delta: Optional[np.ndarray] = None   # (B, C, U)
     phi: Optional[np.ndarray] = None     # (B, T, U)
     Delta: Optional[np.ndarray] = None   # (B, C)
@@ -254,15 +282,17 @@ class CorpusStates:
 
     ``states[d]`` returns a copy of document d's state as a
     :class:`DocVariational`.  ``corpus`` is the document list the chunks
-    were packed from.
+    were packed from.  A store that :func:`_pack` made holds no states
+    yet, and an E-pass over it starts every document cold.
     """
 
-    def __init__(self, corpus, chunks, lengths, word_ids, counts, pinned):
+    def __init__(self, corpus, chunks, lengths, word_ids, counts, judged, pinned):
         self.corpus = corpus
         self.chunks = chunks
         self.lengths = lengths    # (D,) terms per document
         self.word_ids = word_ids  # (N,) every document's term ids, in corpus order
         self.counts = counts      # (N,) their token counts as floats, in corpus order
+        self.judged = judged      # (K,) judgments each annotator gave, as floats
         self.pinned = pinned      # the presence beliefs are the labels
         self._chunk_of = np.empty(len(lengths), dtype=np.int64)
         self._row_of = np.empty(len(lengths), dtype=np.int64)
@@ -286,49 +316,70 @@ class CorpusStates:
         return (self[d] for d in range(len(self)))
 
 
-def _pack(corpus, C, T, V, pinned=False) -> CorpusStates:
-    """Length-sorted chunks of ``corpus``'s words and votes, with no states yet.
+def _checked_words(corpus, V):
+    """``corpus``'s :func:`~mlpalda.model.corpus_words` ids, counts and lengths.
 
-    With ``pinned`` each chunk's ``Delta`` is set to its documents' clamped
-    labels, the presence beliefs they keep.  The first document in corpus
-    order with faulty words, or with ``pinned`` an unknown label, raises
-    its ValueError."""
+    The first document in corpus order with faulty words raises its
+    ValueError.
+    """
     word_ids, counts, lengths, faulty = corpus_words(corpus, V)
     for d in np.flatnonzero(faulty):
         validate_words(corpus[d], V)
+    return word_ids, counts, lengths
+
+
+def _judgment_masks(votes):
+    """The 0/1 masks of the yes and of the no votes among ``votes`` (-1: none)."""
+    return (votes == 1).astype(np.int8), (votes == 0).astype(np.int8)
+
+
+def _pack(corpus, C, T, words, pinned=False) -> CorpusStates:
+    """Length-sorted chunks of ``corpus``'s words and judgments, with no states yet.
+
+    ``words`` are the corpus's checked (ids, counts, lengths), from
+    :func:`_checked_words` or :func:`~mlpalda.model.validate_corpus`.  The
+    judgments are packed as the :func:`_judgment_masks` of each chunk, and
+    the store counts each annotator's judgments once.  With ``pinned``
+    each chunk's ``Delta`` is set to its documents' clamped labels, the
+    presence beliefs they keep, and the first document in corpus order
+    with an unknown label raises its ValueError."""
+    word_ids, counts, lengths = words
     labels = None
     if pinned:
         labels = clamp_probability(np.array([known_labels(doc) for doc in corpus]), DELTA_CLAMP)
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     counts = counts.astype(np.float64)
     K = next((doc.crowd_labels.shape[0] for doc in corpus if doc.crowd_labels is not None), 0)
+    judged = np.zeros(K)
     chunks = []
     for docs in map(np.array, _length_sorted_chunks(lengths, max(C, T))):
         mask = np.arange(lengths[docs].max()) < lengths[docs][:, None]
         rows, cols = np.nonzero(mask)
+        votes = np.full((docs.size, K, C), -1, dtype=np.int8)
+        for b, d in enumerate(docs if K else ()):
+            if corpus[d].crowd_labels is not None:
+                votes[b] = corpus[d].crowd_labels
+        yes, no = _judgment_masks(votes)
+        judged += (yes + no).sum(axis=(0, 2))
         chunk = _Chunk(
             docs=docs, ids=np.zeros(mask.shape, dtype=np.int64), counts=np.zeros(mask.shape),
-            mask=mask, slots=offsets[docs][rows] + cols,
-            votes=np.full((docs.size, K, C), -1, dtype=np.int8),
+            mask=mask, slots=offsets[docs][rows] + cols, yes=yes, no=no,
             Delta=None if labels is None else labels[docs],
         )
         chunk.ids[mask] = word_ids[chunk.slots]
         chunk.counts[mask] = counts[chunk.slots]
-        for b, d in enumerate(docs if K else ()):
-            if corpus[d].crowd_labels is not None:
-                chunk.votes[b] = corpus[d].crowd_labels
         chunks.append(chunk)
-    return CorpusStates(corpus, chunks, lengths, word_ids, counts, pinned)
+    return CorpusStates(corpus, chunks, lengths, word_ids, counts, judged, pinned)
 
 
 def _start_arrays(chunk, corpus, states, C, T, params=None):
     """``chunk``'s delta, phi and Delta from the per-document ``states``.
 
-    A document without a state starts cold: uniform responsibilities and
-    the :func:`initial_presence` beliefs of its packed votes under
-    ``params``, one call for all such documents.  A chunk packed with
-    pinned presence holds its labels as ``Delta``, and every document
-    starts there.
+    A document without a state, or every document when ``states`` is
+    None, starts cold: uniform responsibilities and the
+    :func:`initial_presence` beliefs of its packed votes under ``params``,
+    one call for all such documents.  A chunk packed with pinned presence
+    holds its labels as ``Delta``, and every document starts there.
     """
     B, U = chunk.counts.shape
     delta = np.full((B, C, U), 1.0 / C)
@@ -337,7 +388,7 @@ def _start_arrays(chunk, corpus, states, C, T, params=None):
     Delta = np.empty((B, C)) if free else chunk.Delta.copy()
     cold = np.zeros(B, dtype=bool)
     for b, d in enumerate(chunk.docs):
-        state = states[d]
+        state = None if states is None else states[d]
         if state is None:
             cold[b] = True
             continue
@@ -347,14 +398,15 @@ def _start_arrays(chunk, corpus, states, C, T, params=None):
         if free:
             Delta[b] = state.Delta
     if free and cold.any():
-        Delta[cold] = initial_presence(chunk.votes[cold], params.xi, params.rho)
+        votes = 2.0 * chunk.yes[cold] + chunk.no[cold] - 1.0  # 1 yes, 0 no, -1 none
+        Delta[cold] = initial_presence(votes, params.xi, params.rho)
     return delta, phi, Delta
 
 
 def e_step_corpus(
     corpus,
     params: ModelParams,
-    topics: Optional[np.ndarray],
+    elog_beta: np.ndarray,
     estep: EStepConfig,
     states=None,
     pinned: bool = False,
@@ -371,10 +423,11 @@ def e_step_corpus(
     (see :func:`_e_step_chunk`).  With ``pinned`` (no-crowd training) the
     presence beliefs are the observed labels and stay there.  Otherwise they are free, and a
     document's judgments enter wherever it carries them; prediction passes
-    documents that carry words only.  ``topics`` is the (T, V) chi
-    posterior of a smoothed model, None otherwise.  Before any sweep, the
-    first document in corpus order whose words are faulty, or with
-    ``pinned`` whose labels are not all known, raises ValueError.
+    documents that carry words only.  ``elog_beta`` is the model's (T, V)
+    :func:`expected_log_word_given_topic`, which is read, not changed.
+    Before any sweep, the first document in corpus order whose words are
+    faulty, or with ``pinned`` whose labels are not all known, raises
+    ValueError.
 
     The documents run in lockstep, in length-sorted chunks padded to their
     longest document.  A chunk takes documents while its widest working
@@ -393,9 +446,9 @@ def e_step_corpus(
     sum over the unpadded one.
 
     Two shifts, to which a softmax is blind, spare most softmaxes their
-    max-shift: each word's largest E[log beta] over topics is subtracted
-    once per call, and each sweep subtracts each document's largest mixed
-    E[log theta].  Every delta and phi logit is then <= 0, and every
+    max-shift: each word's largest E[log beta] over topics is subtracted,
+    in a copy, once per call, and each sweep subtracts each document's
+    largest mixed E[log theta].  Every delta and phi logit is then <= 0, and every
     column's largest is >= -(its document's spread of mixed E[log theta]).
     While the largest spread among a chunk's running documents is within
     ``SHIFT_FREE_SPREAD``, the softmaxes exponentiate the logits as they
@@ -404,21 +457,23 @@ def e_step_corpus(
 
     The returned :class:`CorpusStates` keeps the states in those chunks.
     Passed back as ``states`` with the same ``corpus`` object and
-    ``pinned``, it is read, not changed, and its packed words and votes are
-    reused.  Any other store is read as per-document starts, like a list.
+    ``pinned``, it is read, not changed, and its packed words and
+    judgments are reused; so are those of a store that :func:`_pack` made
+    for them, whose documents all start cold.  Any other store is read as
+    per-document starts, like a list.
     """
     C, _, T = params.alpha.shape
     if states is not None and len(states) != len(corpus):
         raise ValueError(f"e_step_corpus: {len(states)} states for {len(corpus)} documents")
-    elog_beta = expected_log_word_given_topic(params, topics)
-    elog_beta -= elog_beta.max(axis=0)  # each word's largest E[log beta] over topics becomes 0
+    shifted = elog_beta - elog_beta.max(axis=0)  # each word's largest over topics becomes 0
     if isinstance(states, CorpusStates) and states.corpus is corpus and states.pinned == pinned:
         store, starts = states, None
     else:
-        store, starts = _pack(corpus, C, T, elog_beta.shape[1], pinned), states or [None] * len(corpus)
+        words = _checked_words(corpus, elog_beta.shape[1])
+        store, starts = _pack(corpus, C, T, words, pinned), states
     chunks, capped = [], 0
     for chunk in store.chunks:
-        chunk, hits = _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned)
+        chunk, hits = _e_step_chunk(chunk, starts, corpus, params, estep, shifted, pinned)
         chunks.append(chunk)
         capped += hits
     if capped:
@@ -426,27 +481,25 @@ def e_step_corpus(
             "E-step: %d of %d documents were still changing after max_estep_iters=%d sweeps",
             capped, len(corpus), estep.max_iters,
         )
-    return CorpusStates(corpus, chunks, store.lengths, store.word_ids, store.counts, pinned)
+    return CorpusStates(corpus, chunks, store.lengths, store.word_ids, store.counts,
+                        store.judged, pinned)
 
 
-def _presence_log_odds(xi, rho, votes):
-    """(B, C) log-odds of presence before the words, from (B, K, C) votes.
+def _presence_log_odds(xi, rho, yes, no):
+    """(B, C) log-odds of presence before the words, from the (B, K, C)
+    :func:`_judgment_masks` of the votes.
 
     logit xi plus the judgments' log-likelihood of lambda=1 minus that of
-    lambda=0; a vote of -1 (none) adds nothing.
+    lambda=0: a yes vote adds its annotator's logit rho, a no vote
+    subtracts it, and no vote adds nothing.
     """
     xi = clamp_probability(xi, PROB_CLAMP)
     prior = np.log(xi) - np.log(1.0 - xi)
-    B, K, C = votes.shape
+    B, K, _ = yes.shape
     if K == 0 or rho.size == 0:
         return np.tile(prior, (B, 1))
-    provided = votes != -1
-    yf = votes.astype(np.float64)
-    log_rho = np.log(np.clip(rho, _LOG_FLOOR, None))[:, None]
-    log_mis = np.log(np.clip(1.0 - rho, _LOG_FLOOR, None))[:, None]
-    ann1 = np.where(provided, yf * log_rho + (1.0 - yf) * log_mis, 0.0).sum(axis=1)
-    ann0 = np.where(provided, (1.0 - yf) * log_rho + yf * log_mis, 0.0).sum(axis=1)
-    return prior + ann1 - ann0
+    logit_rho = np.log(np.clip(rho, _LOG_FLOOR, None)) - np.log(np.clip(1.0 - rho, _LOG_FLOOR, None))
+    return prior + np.matmul(logit_rho, yes - no)
 
 
 def _mixed_log_theta(Delta, elog, gap, out=None):
@@ -464,7 +517,8 @@ def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
     """Lockstep inner loops for one packed chunk of ``corpus``.
 
     The documents start from the states the chunk holds, or from their
-    entries of the per-document ``starts`` when those are given.  Returns
+    entries of the per-document ``starts`` when those are given; with
+    neither, they start cold.  Returns
     a chunk with the same words and the new states, and how many of its
     documents were still changing at the inner cap.  The chunk passed in
     is not changed.
@@ -516,7 +570,7 @@ def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
     """
     C, _, T = params.alpha.shape
     B = chunk.counts.shape[0]
-    if starts is None:
+    if starts is None and chunk.delta is not None:
         delta, phi, Delta = chunk.delta.copy(), chunk.phi.copy(), chunk.Delta.copy()
     else:
         delta, phi, Delta = _start_arrays(chunk, corpus, starts, C, T, params)
@@ -529,7 +583,7 @@ def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
     terms = chunk.mask.astype(np.float64)
     counts = chunk.counts.copy()
     limit = (estep.tol + TOTALS_SLACK) * counts.sum(axis=1)  # the early-out's bar on a move
-    prior = _presence_log_odds(params.xi, params.rho, chunk.votes)
+    prior = _presence_log_odds(params.xi, params.rho, chunk.yes, chunk.no)
     live = np.arange(B)                   # chunk row of each working row
     weighted = np.empty_like(delta)
     resp = _responsibilities(delta, counts, phi, weighted)
@@ -641,7 +695,7 @@ def collect_stats(corpus, states, dims: Dimensions) -> CorpusStats:
     :func:`~mlpalda.model.init_doc_variational` starts).  They are packed
     into the E-step's chunks and reduced as ``train`` reduces an E-pass.
     """
-    store = _pack(corpus, dims.C, dims.T, dims.V)
+    store = _pack(corpus, dims.C, dims.T, _checked_words(corpus, dims.V))
     states = list(states)
     for chunk in store.chunks:
         chunk.delta, chunk.phi, chunk.Delta = _start_arrays(chunk, corpus, states, dims.C, dims.T)
@@ -653,40 +707,41 @@ def collect_stats(corpus, states, dims: Dimensions) -> CorpusStats:
 def _reduce_stats(store: CorpusStates, dims: Dimensions) -> CorpusStats:
     """Sums of the states in ``store``, over documents in corpus order.
 
-    Each document's E[log theta], presence beliefs and judgment counts go
-    into corpus-indexed rows and ``topic_word`` comes from ``bincount``
+    Each document's E[log theta], presence beliefs and expected agreements
+    go into corpus-indexed rows and ``topic_word`` comes from ``bincount``
     over the corpus-order term ids, so every M-step statistic adds its
-    documents in corpus order whatever the chunking.  ``state_terms`` sums,
-    over documents, every bound term that depends on that document's
-    variational state beyond those statistics: the expected log topic
-    draws, the delta and phi entropies, minus the gamma Dirichlet block,
-    and the Delta entropy.
+    documents in corpus order whatever the chunking.  The agreements are
+    the products of the packed judgment masks with Delta and 1 - Delta,
+    summed over classes, and the judgment counts are the store's.
+    ``state_terms`` sums, over documents, every bound term that depends on
+    that document's variational state beyond those statistics: the
+    expected log topic draws, the delta and phi entropies (from
+    :func:`_xlogx`), minus the gamma Dirichlet block, and the Delta
+    entropy.
     """
     C, T, V, K = dims.C, dims.T, dims.V, dims.K
     D = len(store)
     log_theta = np.empty((D, C, 2, T))
     presence = np.empty((D, C))
     agree = np.zeros((D, K))
-    judged = np.zeros((D, K))
+    voted = K > 0 and store.judged.size == K  # the packed votes are K x C
     state_terms = 0.0
     for chunk in store.chunks:
         elog = dirichlet_expected_log(chunk.gamma)  # (B, C, 2, T)
         log_theta[chunk.docs] = elog
         Delta = chunk.Delta
         presence[chunk.docs] = Delta
-        if K and chunk.votes.shape[1]:
-            provided = chunk.votes != -1
-            yf = chunk.votes.astype(np.float64)
-            both = yf * Delta[:, None, :] + (1.0 - yf) * (1.0 - Delta)[:, None, :]
-            agree[chunk.docs] = np.where(provided, both, 0.0).sum(axis=-1)
-            judged[chunk.docs] = provided.sum(axis=-1)
+        if voted:
+            both = chunk.yes * Delta[:, None, :]
+            both += chunk.no * (1.0 - Delta)[:, None, :]
+            agree[chunk.docs] = both.sum(axis=-1)
         counts = chunk.counts[:, None, :]
         gap = elog[:, :, 1] - elog[:, :, 0]
         state_terms += float((chunk.resp * _mixed_log_theta(Delta, elog, gap)).sum())
-        state_terms -= float((counts * xlogy(chunk.delta, chunk.delta)).sum())
-        state_terms -= float((counts * xlogy(chunk.phi, chunk.phi)).sum())
+        state_terms -= float((counts * _xlogx(chunk.delta)).sum())
+        state_terms -= float((counts * _xlogx(chunk.phi)).sum())
         state_terms -= _dirichlet_block(chunk.gamma, elog)
-        state_terms -= float((xlogy(Delta, Delta) + xlogy(1.0 - Delta, 1.0 - Delta)).sum())
+        state_terms -= float((_xlogx(Delta) + _xlogx(1.0 - Delta)).sum())
 
     phi = np.empty((store.word_ids.size, T))  # every term column's phi, in corpus order
     for chunk in store.chunks:
@@ -700,7 +755,7 @@ def _reduce_stats(store: CorpusStates, dims: Dimensions) -> CorpusStats:
         n_tokens=float(store.counts.sum()),
         sum_Delta=presence.sum(axis=0),
         rho_num=agree.sum(axis=0),
-        rho_cnt=judged.sum(axis=0),
+        rho_cnt=store.judged.copy() if voted else np.zeros(K),
         topic_word=topic_word,
         sum_log_theta=log_theta.sum(axis=0),
         state_terms=state_terms,
@@ -744,11 +799,14 @@ def m_step(stats: CorpusStats, params: ModelParams) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def compute_elbo(stats: CorpusStats, params: ModelParams, topics: Optional[np.ndarray] = None,
-                 eta: Optional[np.ndarray] = None) -> float:
+def compute_elbo(stats: CorpusStats, params: ModelParams, elog_beta: np.ndarray,
+                 topics: Optional[tuple] = None, eta: Optional[tuple] = None) -> float:
     """Evidence lower bound of the variational states summarized in ``stats``.
 
-    Smoothed, ``topics`` is the (T, V) chi posterior and ``eta`` its prior.
+    ``elog_beta`` is the model's (T, V) :func:`expected_log_word_given_topic`.
+    Smoothed, ``topics`` is the chi posterior and ``eta`` its prior, each
+    a pair of its (T, V) concentrations and their (T,)
+    :func:`~mlpalda.numerics.dirichlet_log_normalizer` rows.
     Every term is a corpus statistic paired with a parameter, except
     ``stats.state_terms``, which sums one term per document's state.
     Includes every constant of the generative process (in particular the
@@ -767,15 +825,14 @@ def compute_elbo(stats: CorpusStats, params: ModelParams, topics: Optional[np.nd
         total += float((stats.rho_num * log_rho + (stats.rho_cnt - stats.rho_num) * log_mis).sum())
 
     total -= stats.n_tokens * np.log(C)                          # uniform class pick
-    elog_beta = expected_log_word_given_topic(params, topics)
     total += float((stats.topic_word * elog_beta).sum())
 
     total += _dirichlet_block(params.alpha, stats.sum_log_theta, stats.n_docs)
     total += stats.state_terms
 
     if topics is not None:
-        total += _dirichlet_block(eta, elog_beta)
-        total -= _dirichlet_block(topics, elog_beta)
+        total += _topic_block(eta, elog_beta)
+        total -= _topic_block(topics, elog_beta)
 
     if not np.isfinite(total):
         raise NumericalFailureError("compute_elbo: bound is not finite")
@@ -792,15 +849,16 @@ def _max_param_change(old: ModelParams, new: ModelParams) -> float:
     return max(float(np.abs(a - b).max()) for a, b in pairs if a is not None and a.size)
 
 
-def _check_training_corpus(corpus, dims: Dimensions, cfg: TrainConfig) -> None:
+def _pack_training_corpus(corpus, dims: Dimensions, cfg: TrainConfig) -> CorpusStates:
+    """``corpus`` checked as ``train`` needs it, then packed once (no states yet)."""
     if not corpus:
         raise ValueError("train: empty corpus")
-    validate_corpus(corpus, dims)
+    words = validate_corpus(corpus, dims)
+    if cfg.mode == "crowd" and dims.K < 1:
+        raise ValueError("train: crowd mode requires K >= 1")
+    store = _pack(corpus, dims.C, dims.T, words, pinned=cfg.mode == "no-crowd")
     if cfg.mode == "crowd":
-        if dims.K < 1:
-            raise ValueError("train: crowd mode requires K >= 1")
-        votes = [doc.crowd_labels for doc in corpus if doc.crowd_labels is not None]
-        seen = (np.stack(votes) != -1).sum(axis=(0, 2)) if votes else np.zeros(dims.K, dtype=np.int64)
+        seen = store.judged if store.judged.size else np.zeros(dims.K)
         if seen.sum() == 0:
             raise ValueError("train: crowd mode but no judgments at all")
         if np.any(seen == 0):
@@ -808,6 +866,7 @@ def _check_training_corpus(corpus, dims: Dimensions, cfg: TrainConfig) -> None:
                 "annotators %s never judged anything; their quality will stay at its start value",
                 np.flatnonzero(seen == 0).tolist(),
             )
+    return store
 
 
 def train(corpus, dims: Dimensions, cfg: TrainConfig):
@@ -820,24 +879,35 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
     Smoothed, the prior eta starts at ones and after each M-step becomes chi
     (eta_t's block, -H(Dir(chi_t)) - KL(Dir(chi_t) || Dir(eta_t)), is largest
     at eta_t = chi_t); the trace's parameter change includes that move.
+
+    The corpus is checked and packed once.  E[log beta] is computed once
+    per topic table and shared: unsmoothed, the E-pass and the bound of an
+    iteration both read beta; smoothed, the bound of an iteration and the
+    next E-pass both read its chi.  Each chi's log normalizer rows are
+    computed for its bound and carried over as the next eta's.
     """
-    _check_training_corpus(corpus, dims, cfg)
+    pinned = cfg.mode == "no-crowd"
+    states = _pack_training_corpus(corpus, dims, cfg)  # no states yet: E-pass 1 starts cold
     params = init_params(dims, cfg.mode, cfg.smoothing, cfg.seed)
-    eta = np.ones((dims.T, dims.V)) if cfg.smoothing else None
-    topics = init_smoothed_state(eta, cfg.seed) if cfg.smoothing else None
-    states = None
+    chi = topics = eta = None  # smoothed, topics and eta pair chi and eta with their normalizers
+    if cfg.smoothing:
+        ones = np.ones((dims.T, dims.V))
+        eta = (ones, dirichlet_log_normalizer(ones))
+        chi = init_smoothed_state(ones, cfg.seed)
+    elog_beta = expected_log_word_given_topic(params, chi)
     trace = ElboTrace()
     prev_elbo = None
     last_change = 0.0
 
     for iteration in range(1, cfg.max_em_iters + 1):
-        states = e_step_corpus(corpus, params, topics, cfg.estep, states,
-                               pinned=cfg.mode == "no-crowd")
+        states = e_step_corpus(corpus, params, elog_beta, cfg.estep, states, pinned)
         stats = _reduce_stats(states, dims)
         if cfg.smoothing:
-            topics = eta + stats.topic_word  # a new array, so eta = topics needs no copy
+            chi = eta[0] + stats.topic_word  # a new array, so eta = topics needs no copy
+            topics = (chi, dirichlet_log_normalizer(chi))
+            elog_beta = expected_log_word_given_topic(params, chi)
 
-        elbo = compute_elbo(stats, params, topics, eta)
+        elbo = compute_elbo(stats, params, elog_beta, topics, eta)
         trace.rows.append((iteration, elbo, last_change))
         if prev_elbo is not None:
             drop = prev_elbo - elbo
@@ -855,10 +925,12 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
         last_change = _max_param_change(params, new_params)
         params = new_params
         if cfg.smoothing:
-            last_change = max(last_change, float(np.abs(topics - eta).max()))
+            last_change = max(last_change, float(np.abs(chi - eta[0]).max()))
             eta = topics
+        else:
+            elog_beta = expected_log_word_given_topic(params, None)
 
-    return params, topics, trace
+    return params, chi, trace
 
 
 def predict_corpus(
@@ -878,6 +950,7 @@ def predict_corpus(
         raise ValueError("predict: threshold must be in [0, 1]")
     words = [Document(doc.doc_id, doc.word_ids, doc.counts) for doc in corpus]
     beliefs = np.empty((len(corpus), params.alpha.shape[0]))
-    for chunk in e_step_corpus(words, params, topics, estep).chunks:
+    elog_beta = expected_log_word_given_topic(params, topics)
+    for chunk in e_step_corpus(words, params, elog_beta, estep).chunks:
         beliefs[chunk.docs] = chunk.Delta
     return beliefs, (beliefs >= threshold).astype(np.int64)

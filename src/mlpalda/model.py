@@ -161,16 +161,29 @@ def validate_document(doc: Document, dims: Dimensions) -> None:
             raise ValueError(f"document {doc.doc_id}: crowd labels must be 0, 1 or -1")
 
 
-def validate_corpus(corpus, dims: Dimensions) -> None:
+def validate_corpus(corpus, dims: Dimensions):
     """:func:`validate_document` on every document of ``corpus``, batched.
 
     One vectorized pass over the concatenated term ids and counts and the
     stacked labels and votes flags each document that breaks a rule; the
     first flagged document is then checked on its own, so the error is
-    the one :func:`validate_document` raises for it.
+    the one :func:`validate_document` raises for it.  Returns the
+    :func:`corpus_words` ids, counts and lengths that it checked, so that
+    a caller can use them without a second pass.
     """
-    for d in np.flatnonzero(_faulty_documents(corpus, dims)):
+    ids, counts, lengths, bad = corpus_words(corpus, dims.V)
+    for values, shape in (([doc.true_labels for doc in corpus], (dims.C,)),
+                          ([doc.crowd_labels for doc in corpus], (dims.K, dims.C) if dims.K else None)):
+        wrong = np.array([v is not None for v in values], dtype=bool)
+        fits = np.flatnonzero([v is not None and v.shape == shape for v in values])
+        wrong[fits] = False
+        if fits.size:
+            stacked = np.stack([values[d] for d in fits]).reshape(fits.size, -1)
+            wrong[fits[~np.isin(stacked, (-1, 0, 1)).all(axis=1)]] = True
+        bad |= wrong
+    for d in np.flatnonzero(bad):
         validate_document(corpus[d], dims)
+    return ids, counts, lengths
 
 
 def faulty_words(ids, counts, lengths, V: int) -> np.ndarray:
@@ -182,10 +195,13 @@ def faulty_words(ids, counts, lengths, V: int) -> np.ndarray:
     doc_of = np.repeat(np.arange(lengths.size), lengths)
     bad = lengths == 0
     bad[doc_of[(ids < 0) | (ids >= V) | (counts < 1)]] = True
-    # equal ids keep corpus order, so a document's duplicate sits next to its twin
-    order = np.argsort(ids, kind="stable")
-    twin = (np.diff(ids[order]) == 0) & (np.diff(doc_of[order]) == 0)
-    bad[doc_of[order][1:][twin]] = True
+    # ids that rise within every document (as written files hold them) repeat
+    # none; otherwise a stable sort keeps equal ids in corpus order, so a
+    # document's duplicate sits next to its twin
+    if (np.diff(ids)[np.diff(doc_of) == 0] <= 0).any():
+        order = np.argsort(ids, kind="stable")
+        twin = (np.diff(ids[order]) == 0) & (np.diff(doc_of[order]) == 0)
+        bad[doc_of[order][1:][twin]] = True
     return bad
 
 
@@ -203,21 +219,6 @@ def corpus_words(corpus, V: int):
     flat_ids = np.concatenate([ids[d] for d in whole] or [np.zeros(0, np.int64)])
     flat_counts = np.concatenate([counts[d] for d in whole] or [np.zeros(0, np.int64)])
     return flat_ids, flat_counts, lengths, bad | faulty_words(flat_ids, flat_counts, lengths, V)
-
-
-def _faulty_documents(corpus, dims: Dimensions) -> np.ndarray:
-    """(D,) True for every document that :func:`validate_document` rejects."""
-    bad = corpus_words(corpus, dims.V)[3]
-    for values, shape in (([doc.true_labels for doc in corpus], (dims.C,)),
-                          ([doc.crowd_labels for doc in corpus], (dims.K, dims.C) if dims.K else None)):
-        wrong = np.array([v is not None for v in values], dtype=bool)
-        fits = np.flatnonzero([v is not None and v.shape == shape for v in values])
-        wrong[fits] = False
-        if fits.size:
-            stacked = np.stack([values[d] for d in fits]).reshape(fits.size, -1)
-            wrong[fits[~np.isin(stacked, (-1, 0, 1)).all(axis=1)]] = True
-        bad |= wrong
-    return bad
 
 
 def _all_within(x, lo, hi) -> bool:

@@ -55,10 +55,16 @@ def dirichlet_expected_log(gamma, out=None):
 # ---------------------------------------------------------------------------
 
 
+def dirichlet_log_normalizer(conc):
+    """lgamma(sum a) - sum lgamma(a_r) for every row of ``conc``."""
+    conc = np.asarray(conc, dtype=np.float64)
+    return gammaln(conc.sum(-1)) - gammaln(conc).sum(-1)
+
+
 def dirichlet_objective(conc, stats, scale):
     """f(a) for every row of ``conc`` (a scalar for one vector)."""
     conc = np.asarray(conc, dtype=np.float64)
-    return scale * (gammaln(conc.sum(-1)) - gammaln(conc).sum(-1)) + ((conc - 1.0) * stats).sum(-1)
+    return scale * dirichlet_log_normalizer(conc) + ((conc - 1.0) * stats).sum(-1)
 
 
 def dirichlet_gradient(conc, stats, scale):

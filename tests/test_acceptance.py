@@ -37,6 +37,7 @@ from mlpalda.numerics import dirichlet_gradient
 from mlpalda.oracle import TinyInstance, exact_log_marginal
 from synth import sample_corpus, separable_params
 from test_inference import (
+    elog_of,
     oracle_annotator_terms,
     random_doc,
     random_params,
@@ -101,9 +102,10 @@ def test_criterion_2_oracle_bound():
         dims = Dimensions(D=1, C=C, T=T, V=V, K=K)
         exact = exact_log_marginal(TinyInstance(doc=doc, params=params, dims=dims))
         fresh = init_doc_variational(doc, params)
-        worst = max(worst, compute_elbo(collect_stats([doc], [fresh], dims), params) - exact)
-        settled = e_step_corpus([doc], params, None, estep)[0]
-        worst = max(worst, compute_elbo(collect_stats([doc], [settled], dims), params) - exact)
+        elog_beta = elog_of(params)
+        worst = max(worst, compute_elbo(collect_stats([doc], [fresh], dims), params, elog_beta) - exact)
+        settled = e_step_corpus([doc], params, elog_beta, estep)[0]
+        worst = max(worst, compute_elbo(collect_stats([doc], [settled], dims), params, elog_beta) - exact)
     elapsed = time.monotonic() - t0
     gate(2, "oracle-bound", worst <= 1e-9 and elapsed < 60.0,
          f"max elbo-exact {worst:.3e}, {elapsed:.1f}s for 200 instances")
@@ -298,7 +300,7 @@ def test_criterion_8_consistency_and_regrouping():
         rng = np.random.default_rng(800 + seed)
         params = random_params(rng, 2, 3, 10, K=2)
         doc = random_doc(rng, 2, 10, K=2, n_terms=4, max_count=3, doc_id=f"reg{seed}")
-        grouped = e_step_corpus([doc], params, None, EStepConfig(max_iters=3, tol=0.0))[0]
+        grouped = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=3, tol=0.0))[0]
         init = init_doc_variational(doc, params)
         ann1, ann0 = oracle_annotator_terms(doc, params)
         tokens = np.repeat(doc.word_ids, doc.counts)

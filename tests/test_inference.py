@@ -16,18 +16,21 @@ from scipy.special import gammaln, xlogy
 from scipy.special import psi as sp_digamma
 
 import mlpalda.inference as inference
+import mlpalda.numerics as numerics
 from mlpalda.inference import (
     CorpusStats,
     ElboTrace,
     EStepConfig,
     NumericalFailureError,
     TrainConfig,
+    _judgment_masks,
     _presence_log_odds,
     _presence_update,
     _softmax_columns,
     collect_stats,
     compute_elbo,
     e_step_corpus,
+    expected_log_word_given_topic,
     m_step,
     predict_corpus,
     train,
@@ -42,9 +45,14 @@ from mlpalda.model import (
     init_params,
     validate,
 )
-from mlpalda.numerics import solve_dirichlet_newton
+from mlpalda.numerics import dirichlet_log_normalizer, solve_dirichlet_newton
 from mlpalda.oracle import TinyInstance, exact_log_marginal
 from synth import sample_corpus, separable_params
+
+
+def elog_of(params, topics=None):
+    """The (T, V) E[log beta] that ``e_step_corpus`` and ``compute_elbo`` take."""
+    return expected_log_word_given_topic(params, topics)
 
 
 def random_params(rng, C, T, V, K=0):
@@ -166,7 +174,7 @@ def test_estep_matches_token_loop_transcription(mode, with_votes):
     doc = random_doc(rng, C, V, K=K, n_terms=4, max_count=3)
 
     pinned = mode == "no-crowd"
-    state = e_step_corpus([doc], params, None, EStepConfig(max_iters=3, tol=0.0), pinned=pinned)[0]
+    state = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=3, tol=0.0), pinned=pinned)[0]
 
     init = init_doc_variational(doc, params, pinned=pinned)
     ann1, ann0 = oracle_annotator_terms(doc, params) if mode == "crowd" else (
@@ -209,8 +217,8 @@ def test_grouped_and_expanded_documents_agree():
         crowd_labels=doc.crowd_labels,
     )
     estep = EStepConfig(max_iters=6, tol=0.0)
-    grouped = e_step_corpus([doc], params, None, estep)[0]
-    flat = e_step_corpus([expanded], per_token, None, estep)[0]
+    grouped = e_step_corpus([doc], params, elog_of(params), estep)[0]
+    flat = e_step_corpus([expanded], per_token, elog_of(per_token), estep)[0]
 
     np.testing.assert_allclose(flat.Delta, grouped.Delta, rtol=0, atol=1e-12)
     np.testing.assert_allclose(flat.gamma, grouped.gamma, rtol=0, atol=1e-12)
@@ -230,7 +238,7 @@ def test_presence_update_returns_prior_when_topics_uninformative():
     elog = np.stack([half, half], axis=1)
     resp = rng.uniform(0.0, 5.0, size=(C, T))
     xi = np.array([0.2, 0.5, 0.9, 0.31])
-    prior = _presence_log_odds(xi, np.empty(0), np.full((1, 0, C), -1, dtype=np.int8))[0]
+    prior = _presence_log_odds(xi, np.empty(0), *_judgment_masks(np.full((1, 0, C), -1)))[0]
     Delta = _presence_update(prior, elog[:, 1] - elog[:, 0], resp)
     np.testing.assert_allclose(Delta, xi, rtol=0, atol=1e-14)
 
@@ -242,7 +250,7 @@ def test_presence_update_follows_annotator_evidence():
     rho = np.array([1.0 / (1.0 + np.exp(-3.0))])
     votes = np.stack([np.ones((1, C)), np.zeros((1, C))]).astype(np.int8)
     no_words = np.zeros((2, C, T))
-    up, down = _presence_update(_presence_log_odds(xi, rho, votes), no_words, no_words)
+    up, down = _presence_update(_presence_log_odds(xi, rho, *_judgment_masks(votes)), no_words, no_words)
     assert np.all(up > 0.95) and np.all(down < 0.05)
     np.testing.assert_allclose(up, 1.0 / (1.0 + np.exp(-3.0)), atol=1e-12)
 
@@ -263,7 +271,7 @@ def test_near_perfect_annotator_pins_presence():
         counts=np.array([1, 2]),
         crowd_labels=np.array([[1, 0]]),
     )
-    state = e_step_corpus([doc], params, None, EStepConfig(max_iters=20))[0]
+    state = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=20))[0]
     assert state.Delta[0] > 1.0 - 1e-6
     assert state.Delta[1] < 1e-6
 
@@ -273,7 +281,7 @@ def test_estep_state_is_self_consistent():
     C, T, V, K = 3, 2, 10, 2
     params = random_params(rng, C, T, V, K=K)
     doc = random_doc(rng, C, V, K=K, n_terms=6)
-    st = e_step_corpus([doc], params, None, EStepConfig(max_iters=15))[0]
+    st = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=15))[0]
 
     assert np.all(np.abs(st.delta.sum(axis=1) - 1.0) < 1e-9)
     assert np.all(np.abs(st.phi.sum(axis=1) - 1.0) < 1e-9)
@@ -290,7 +298,7 @@ def test_estep_pins_observed_labels_in_no_crowd_mode():
     rng = np.random.default_rng(2)
     params = random_params(rng, 3, 2, 9)
     doc = random_doc(rng, 3, 9)
-    st = e_step_corpus([doc], params, None, EStepConfig(max_iters=8), pinned=True)[0]
+    st = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=8), pinned=True)[0]
     np.testing.assert_allclose(
         st.Delta, np.clip(doc.true_labels.astype(float), 1e-9, 1 - 1e-9), atol=0
     )
@@ -306,10 +314,10 @@ def test_estep_smoothed_uses_chi_not_beta():
     chi = rng.uniform(0.5, 3.0, size=(T, V))
     doc = random_doc(rng, C, V)
     estep = EStepConfig(max_iters=4)
-    st = e_step_corpus([doc], smoothed, chi, estep, pinned=True)[0]
+    st = e_step_corpus([doc], smoothed, elog_of(smoothed, chi), estep, pinned=True)[0]
     assert np.all(np.isfinite(st.phi))
     # different chi must change the answer
-    st2 = e_step_corpus([doc], smoothed, chi * 3.0, estep, pinned=True)[0]
+    st2 = e_step_corpus([doc], smoothed, elog_of(smoothed, chi * 3.0), estep, pinned=True)[0]
     assert np.abs(st.phi - st2.phi).max() > 1e-6
 
 
@@ -319,7 +327,7 @@ def test_estep_raises_on_nan_parameters():
     params.beta[0, 0] = np.nan
     doc = random_doc(rng, 2, 5, doc_id="bad-doc")
     with pytest.raises(NumericalFailureError, match="bad-doc"):
-        e_step_corpus([doc], params, None, EStepConfig(), pinned=True)
+        e_step_corpus([doc], params, elog_of(params), EStepConfig(), pinned=True)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +361,10 @@ def assert_equals_one_document_calls(docs, params, estep, starts, pinned):
 
     BLAS may round a product summed over the padded term axis differently
     from the unpadded one, so the values are not equal bit for bit."""
-    states = e_step_corpus(docs, params, None, estep, starts, pinned)
+    states = e_step_corpus(docs, params, elog_of(params), estep, starts, pinned)
     sweeps = []
     for doc, start, st in zip(docs, starts, states):
-        one = e_step_corpus([doc], params, None, estep, [start], pinned)[0]
+        one = e_step_corpus([doc], params, elog_of(params), estep, [start], pinned)[0]
         assert st.sweeps == one.sweeps, doc.doc_id
         for name in ("delta", "phi", "Delta", "gamma"):
             np.testing.assert_allclose(getattr(st, name), getattr(one, name), rtol=1e-12,
@@ -382,7 +390,7 @@ def test_corpus_estep_equals_one_document_calls(monkeypatch, pinned, words_only,
     monkeypatch.setattr(inference, "CHUNK_ELEMENTS", budget)
     starts = [None] * len(docs)
     if warm:
-        starts = e_step_corpus(docs, params, None, EStepConfig(max_iters=2), pinned=pinned)
+        starts = e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=2), pinned=pinned)
         assert (len(starts.chunks) > 1) == (budget == 40)
         if warm == "list":
             starts = list(starts)
@@ -452,7 +460,7 @@ def test_estep_softmaxes_fall_back_to_the_max_shift_past_the_spread_bound(
 
     monkeypatch.setattr(inference, "_softmax_columns", recording_softmax)
     estep = EStepConfig(max_iters=60, tol=1e-7)
-    for st in e_step_corpus(docs, params, None, estep, pinned=pinned):
+    for st in e_step_corpus(docs, params, elog_of(params), estep, pinned=pinned):
         for name in ("delta", "phi", "Delta", "gamma"):
             assert np.all(np.isfinite(getattr(st, name))), name
     assert shift_free.count(False) > len(shift_free) // 2  # the max-shift ran
@@ -478,11 +486,11 @@ def test_chunk_budget_moves_nothing_beyond_rounding_at_benchmark_widths(
     estep = EStepConfig()  # the benchmark's settings
     starts = [None] * len(docs)
     if warm:
-        starts = list(e_step_corpus(docs, params, None, EStepConfig(max_iters=2), pinned=pinned))
+        starts = list(e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=2), pinned=pinned))
     runs = []
     for budget in (2 ** 15, inference.CHUNK_ELEMENTS):
         monkeypatch.setattr(inference, "CHUNK_ELEMENTS", budget)
-        runs.append(e_step_corpus(docs, params, None, estep, starts, pinned))
+        runs.append(e_step_corpus(docs, params, elog_of(params), estep, starts, pinned))
     old, new = runs
     assert len(old.chunks) > len(new.chunks) > 1
     for doc, a, b in zip(docs, old, new):
@@ -508,7 +516,7 @@ def test_rows_freed_by_leaving_documents_are_filled_from_the_tail(monkeypatch):
             for d, n in enumerate(range(3, 12))]
     # converged starts leave at the first sweep, from chunk rows 0, 4, 6 and 8
     tight = EStepConfig(max_iters=500, tol=1e-13)
-    starts = [e_step_corpus([doc], params, None, tight)[0] if d in (0, 4, 6, 8) else None
+    starts = [e_step_corpus([doc], params, elog_of(params), tight)[0] if d in (0, 4, 6, 8) else None
               for d, doc in enumerate(docs)]
     estep = EStepConfig(max_iters=60, tol=1e-7)
 
@@ -521,10 +529,10 @@ def test_rows_freed_by_leaving_documents_are_filled_from_the_tail(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(inference, "_largest_change", recording)
-        states = e_step_corpus(docs, params, None, estep, starts)
+        states = e_step_corpus(docs, params, elog_of(params), estep, starts)
     assert len(states.chunks) == 1
     for doc, start, st in zip(docs, starts, states):
-        one = e_step_corpus([doc], params, None, estep, [start])[0]
+        one = e_step_corpus([doc], params, elog_of(params), estep, [start])[0]
         assert st.sweeps == one.sweeps, doc.doc_id
         for name in ("delta", "phi", "Delta", "gamma"):
             np.testing.assert_allclose(getattr(st, name), getattr(one, name), rtol=1e-12,
@@ -562,13 +570,13 @@ def test_early_out_changes_no_bit(monkeypatch, pinned, words_only, warm, budget)
     estep = EStepConfig(max_iters=60, tol=1e-7)
     starts = None
     if warm:
-        starts = e_step_corpus(docs, params, None, EStepConfig(max_iters=2), pinned=pinned)
+        starts = e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=2), pinned=pinned)
     runs, calls = [], []
     for slack in (inference.TOTALS_SLACK, np.inf):
         with monkeypatch.context() as m:
             m.setattr(inference, "TOTALS_SLACK", slack)
             counted = counting_largest_change(m)
-            runs.append(e_step_corpus(docs, params, None, estep, starts, pinned))
+            runs.append(e_step_corpus(docs, params, elog_of(params), estep, starts, pinned))
         calls.append(len(counted))
     assert (len(runs[0].chunks) > 1) == (budget == 40)
     for doc, a, b in zip(docs, *runs):
@@ -632,7 +640,7 @@ def test_early_out_skips_most_full_tests_on_a_long_document(monkeypatch):
     params = random_params(rng, C, T, V)
     doc = words_of([random_doc(rng, C, V, n_terms=600, max_count=4)])
     calls = counting_largest_change(monkeypatch)
-    state = e_step_corpus(doc, params, None, EStepConfig())[0]
+    state = e_step_corpus(doc, params, elog_of(params), EStepConfig())[0]
     assert state.sweeps > 10
     assert len(calls) < 2 * state.sweeps
 
@@ -648,10 +656,10 @@ def test_warm_start_leaves_the_store_unchanged(monkeypatch, pinned, words_only):
     docs = mixed_length_corpus(rng, C, V, K=K)
     if words_only:
         docs = words_of(docs)
-    store = e_step_corpus(docs, params, None, EStepConfig(max_iters=2), pinned=pinned)
+    store = e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=2), pinned=pinned)
     names = [f.name for f in dataclasses.fields(inference._Chunk)]
     before = [{name: getattr(chunk, name).copy() for name in names} for chunk in store.chunks]
-    again = e_step_corpus(docs, params, None, EStepConfig(max_iters=60, tol=1e-7), store, pinned)
+    again = e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=60, tol=1e-7), store, pinned)
     assert len(store.chunks) > 1 and max(st.sweeps for st in again) > 2
     for chunk, saved in zip(store.chunks, before):
         for name, value in saved.items():
@@ -671,16 +679,16 @@ def test_store_of_another_corpus_or_mode_is_read_as_per_document_starts(monkeypa
     params = random_params(rng, C, T, V, K=K)
     docs = mixed_length_corpus(rng, C, V, K=K)
     estep = EStepConfig(max_iters=60, tol=1e-7)
-    store = e_step_corpus(docs, params, None, EStepConfig(max_iters=2))
+    store = e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=2))
     for other, pinned in ((words_of(docs), False), (docs, True)):
-        got = e_step_corpus(other, params, None, estep, store, pinned)
-        want = e_step_corpus(other, params, None, estep, list(store), pinned)
+        got = e_step_corpus(other, params, elog_of(params), estep, store, pinned)
+        want = e_step_corpus(other, params, elog_of(params), estep, list(store), pinned)
         for doc, a, b in zip(other, got, want):
             for name in ("delta", "phi", "Delta", "gamma"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), (doc.doc_id, name)
             assert a.sweeps == b.sweeps, doc.doc_id
     with pytest.raises(ValueError, match="states for"):
-        e_step_corpus(docs[:-1], params, None, estep, store)
+        e_step_corpus(docs[:-1], params, elog_of(params), estep, store)
 
 
 def test_softmax_columns_stays_finite_below_exp_underflow():
@@ -728,7 +736,7 @@ def test_corpus_estep_names_the_failing_document():
     docs.insert(1, Document("bad-doc", np.array([0, 4]), np.array([2, 1]),
                             true_labels=np.array([0, 1])))
     with pytest.raises(NumericalFailureError, match="bad-doc"):
-        e_step_corpus(docs, params, None, EStepConfig(), pinned=True)
+        e_step_corpus(docs, params, elog_of(params), EStepConfig(), pinned=True)
 
 
 def _cap_warnings(caplog):
@@ -743,7 +751,7 @@ def test_estep_cap_hits_are_logged_once_per_pass(caplog):
     docs = [random_doc(rng, C, V, K=K, n_terms=6, doc_id=f"c{d}") for d in range(5)]
     capped = EStepConfig(max_iters=1)
     with caplog.at_level(logging.WARNING, logger="mlpalda.inference"):
-        e_step_corpus(docs, params, None, capped)
+        e_step_corpus(docs, params, elog_of(params), capped)
         predict_corpus(docs, params, None, capped)
     assert _cap_warnings(caplog) == [
         "E-step: 5 of 5 documents were still changing after max_estep_iters=1 sweeps"
@@ -897,22 +905,22 @@ def test_smoothed_train_sets_eta_to_the_last_chi_and_traces_its_move(monkeypatch
     parameter change covers that move, so the trace cannot lose it."""
     docs, _ = make_training_corpus(D=12)
     dims = Dimensions(D=12, C=2, T=3, V=12)
-    seen = []  # (chi, eta, topic_word) of every bound evaluation
+    seen = []  # ((chi, its normalizers), (eta, its normalizers), topic_word) of every bound
     exact_elbo = inference.compute_elbo
 
-    def recording_elbo(stats, params, topics, eta):
+    def recording_elbo(stats, params, elog_beta, topics, eta):
         seen.append((topics, eta, stats.topic_word))
-        return exact_elbo(stats, params, topics, eta)
+        return exact_elbo(stats, params, elog_beta, topics, eta)
 
     monkeypatch.setattr(inference, "compute_elbo", recording_elbo)
     _, chi, trace = train(docs, dims, TrainConfig(mode="no-crowd", smoothing=True,
                                                   max_em_iters=5, em_rel_tol=0.0, seed=2))
-    assert len(seen) == len(trace.rows) == 5 and chi is seen[-1][0]
-    assert np.array_equal(seen[0][1], np.ones((dims.T, dims.V)))
+    assert len(seen) == len(trace.rows) == 5 and chi is seen[-1][0][0]
+    assert np.array_equal(seen[0][1][0], np.ones((dims.T, dims.V)))
     for (prev_chi, prev_eta, _), (now_chi, eta, words), row in zip(seen, seen[1:], trace.rows[1:]):
         assert eta is prev_chi
-        assert np.array_equal(now_chi, eta + words)
-        assert row[2] >= np.abs(prev_chi - prev_eta).max() > 0
+        assert np.array_equal(now_chi[0], eta[0] + words)
+        assert row[2] >= np.abs(prev_chi[0] - prev_eta[0]).max() > 0
 
 
 def test_collect_stats_counts_judgments():
@@ -925,7 +933,7 @@ def test_collect_stats_counts_judgments():
         counts=np.array([2, 1]),
         crowd_labels=np.array([[1, -1], [0, 1]]),
     )
-    st = e_step_corpus([doc], params, None, EStepConfig(max_iters=4))[0]
+    st = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=4))[0]
     stats = collect_stats([doc], [st], Dimensions(D=1, C=C, T=T, V=V, K=K))
     np.testing.assert_array_equal(stats.rho_cnt, [1, 2])
     # annotator 0 said "present" for class 0 only
@@ -936,7 +944,7 @@ def test_collect_stats_counts_judgments():
     # statistics of 2 annotators cannot be scored against 3
     three = ModelParams(alpha=params.alpha, xi=params.xi, rho=np.full(3, 0.8), beta=params.beta)
     with pytest.raises(ValueError, match="annotator count"):
-        compute_elbo(stats, three)
+        compute_elbo(stats, three, elog_of(three))
 
 
 MSTEP_FIELDS = ("n_docs", "n_tokens", "sum_Delta", "rho_num", "rho_cnt", "topic_word",
@@ -982,7 +990,7 @@ def test_collect_stats_adds_documents_in_corpus_order(monkeypatch, mode, budget)
     params = random_params(rng, C, T, V, K=K)
     docs = mixed_length_corpus(rng, C, 30, K=K)
     dims = Dimensions(D=len(docs), C=C, T=T, V=V, K=K)
-    states = list(e_step_corpus(docs, params, None, EStepConfig(max_iters=6),
+    states = list(e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=6),
                                 pinned=mode == "no-crowd"))
     monkeypatch.setattr(inference, "CHUNK_ELEMENTS", budget)
     assert_same_mstep_stats(collect_stats(docs, states, dims), corpus_order_stats(docs, states, dims))
@@ -1040,8 +1048,8 @@ def test_elbo_of_degenerate_model_is_log_presence_rate():
     doc = Document(
         doc_id="d", word_ids=np.array([0]), counts=np.array([1]), true_labels=np.array([1])
     )
-    st = e_step_corpus([doc], params, None, EStepConfig(max_iters=5), pinned=True)[0]
-    elbo = compute_elbo(collect_stats([doc], [st], Dimensions(D=1, C=1, T=1, V=1)), params)
+    st = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=5), pinned=True)[0]
+    elbo = compute_elbo(collect_stats([doc], [st], Dimensions(D=1, C=1, T=1, V=1)), params, elog_of(params))
     assert abs(elbo - np.log(0.3)) < 1e-7
 
 
@@ -1061,9 +1069,9 @@ def test_elbo_never_exceeds_exact_marginal():
         exact = exact_log_marginal(TinyInstance(doc=doc, params=params, dims=dims))
 
         fresh = init_doc_variational(doc, params)
-        assert compute_elbo(collect_stats([doc], [fresh], dims), params) <= exact + 1e-9
-        st = e_step_corpus([doc], params, None, estep)[0]
-        assert compute_elbo(collect_stats([doc], [st], dims), params) <= exact + 1e-9
+        assert compute_elbo(collect_stats([doc], [fresh], dims), params, elog_of(params)) <= exact + 1e-9
+        st = e_step_corpus([doc], params, elog_of(params), estep)[0]
+        assert compute_elbo(collect_stats([doc], [st], dims), params, elog_of(params)) <= exact + 1e-9
 
 
 def test_estep_increases_elbo():
@@ -1073,9 +1081,9 @@ def test_estep_increases_elbo():
     doc = random_doc(rng, C, V, K=K, n_terms=5)
     dims = Dimensions(D=1, C=C, T=T, V=V, K=K)
     before = init_doc_variational(doc, params)
-    after = e_step_corpus([doc], params, None, EStepConfig(max_iters=30))[0]
-    assert (compute_elbo(collect_stats([doc], [after], dims), params)
-            >= compute_elbo(collect_stats([doc], [before], dims), params) - 1e-10)
+    after = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=30))[0]
+    assert (compute_elbo(collect_stats([doc], [after], dims), params, elog_of(params))
+            >= compute_elbo(collect_stats([doc], [before], dims), params, elog_of(params)) - 1e-10)
 
 
 def _expected_log(conc):
@@ -1146,12 +1154,14 @@ def test_elbo_from_stats_matches_per_document_bound(mode, smoothing, stepped):
     docs = mixed_length_corpus(rng, C, V, K=K)
     dims = Dimensions(D=len(docs), C=C, T=T, V=V, K=K)
     pinned = mode == "no-crowd"
+    elog_beta = elog_of(params, topics)
     if stepped:
-        states = e_step_corpus(docs, params, topics, EStepConfig(max_iters=30), pinned=pinned)
+        states = e_step_corpus(docs, params, elog_beta, EStepConfig(max_iters=30), pinned=pinned)
     else:
         states = [init_doc_variational(doc, params, pinned=pinned) for doc in docs]
 
-    ours = compute_elbo(collect_stats(docs, states, dims), params, topics, eta)
+    pairs = () if topics is None else [(conc, dirichlet_log_normalizer(conc)) for conc in (topics, eta)]
+    ours = compute_elbo(collect_stats(docs, states, dims), params, elog_beta, *pairs)
     ref = per_document_bound(docs, params, states, topics, eta)
     assert abs(ours - ref) <= 1e-12 * abs(ref)
 
@@ -1385,7 +1395,7 @@ def test_estep_and_stats_check_words_in_corpus_order(entry, word_ids, counts, me
             Document("later", np.array([9]), np.array([1]), true_labels=np.array([0, 1]))]
     with pytest.raises(ValueError, match=f"^document stray: {message}$"):
         if entry == "e_step_corpus":
-            e_step_corpus(docs, params, None, EStepConfig())
+            e_step_corpus(docs, params, elog_of(params), EStepConfig())
         else:
             states = [init_doc_variational(doc, params) for doc in docs]
             collect_stats(docs, states, Dimensions(D=3, C=C, T=T, V=V))
@@ -1405,3 +1415,158 @@ def test_nocrowd_training_names_the_first_unlabelled_document():
     dims = Dimensions(D=3, C=2, T=3, V=12)
     with pytest.raises(ValueError, match="^document long-first: no-crowd training needs fully known labels$"):
         train(corpus, dims, TrainConfig(mode="no-crowd", max_em_iters=2))
+
+
+# ---------------------------------------------------------------------------
+# per-iteration bookkeeping: computed once per thing that changes
+# ---------------------------------------------------------------------------
+
+
+def test_xlogx_equals_xlogy_with_zeros_and_an_underflowed_column():
+    """numpy's log on p raised to the smallest subnormal gives xlogy(p, p):
+    exact zeros add 0, and a column whose softmax underflowed stays finite."""
+    rng = np.random.default_rng(71)
+    logits = rng.normal(0.0, 3.0, size=(4, 6, 9))
+    logits[1, 2:, 3] = -800.0   # exp underflows to exactly 0
+    logits[2, 1:, 5] = -742.0   # exp lands among the subnormals
+    p = np.exp(logits - logits.max(axis=-2, keepdims=True))
+    p /= p.sum(axis=-2, keepdims=True)
+    p[3, :, 0] = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert (p == 0.0).sum() > 5 and ((p > 0.0) & (p < np.finfo(float).tiny)).any()
+    got, want = inference._xlogx(p), xlogy(p, p)
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got == 0.0, want == 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    counts = rng.integers(1, 5, size=(4, 1, 9)).astype(float)
+    total, ref = float((counts * got).sum()), float((counts * want).sum())
+    assert abs(total - ref) <= 1e-12 * abs(ref)
+
+
+def _count_table_calls(monkeypatch, T, V):
+    """Counts of numerics' psi and gammaln calls on (T, V) arrays."""
+    calls = {"psi": 0, "gammaln": 0}
+    for name in calls:
+        exact = getattr(numerics, name)
+
+        def counting(x, *args, _exact=exact, _name=name, **kwargs):
+            calls[_name] += np.shape(x) == (T, V)
+            return _exact(x, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["crowd", "no-crowd"])
+def test_train_takes_each_topic_tables_expectations_once(monkeypatch, mode):
+    """Four smoothed EM iterations read five chi: the start and one per
+    E-pass.  Each gets one psi and one gammaln over its (T, V) table, and
+    the ones eta gets its gammaln; the E-step and the bound share the rest.
+    Unsmoothed, beta is read once per iteration."""
+    if mode == "crowd":
+        docs, _ = make_training_corpus(votes_from=(3, [0.9, 0.8, 0.85], 5))
+        dims = Dimensions(D=len(docs), C=2, T=3, V=12, K=3)
+    else:
+        docs, _ = make_training_corpus()
+        dims = Dimensions(D=len(docs), C=2, T=3, V=12)
+    calls = _count_table_calls(monkeypatch, dims.T, dims.V)
+    tables = []
+    exact_table = inference.expected_log_word_given_topic
+    monkeypatch.setattr(inference, "expected_log_word_given_topic",
+                        lambda params, topics: tables.append(topics) or exact_table(params, topics))
+    cfg = TrainConfig(mode=mode, smoothing=True, max_em_iters=4, em_rel_tol=0.0, seed=1)
+    train(docs, dims, cfg)
+    assert calls == {"psi": 5, "gammaln": 5}
+    assert len(tables) == 5 and len({id(chi) for chi in tables}) == 5
+    tables.clear()
+    train(docs, dims, dataclasses.replace(cfg, smoothing=False))
+    assert len(tables) == 4 and all(chi is None for chi in tables)
+
+
+def test_carried_eta_normalizer_gives_the_recomputed_bound(monkeypatch):
+    """eta's log normalizer rows are chi's from the bound before; the bound
+    they give equals, bit for bit, the one from normalizers computed anew."""
+    docs, _ = make_training_corpus(D=12)
+    dims = Dimensions(D=12, C=2, T=3, V=12)
+    checked = []
+    exact_elbo = inference.compute_elbo
+
+    def recomputing_elbo(stats, params, elog_beta, topics, eta):
+        got = exact_elbo(stats, params, elog_beta, topics, eta)
+        fresh = [(conc, dirichlet_log_normalizer(conc)) for conc in (topics[0], eta[0])]
+        checked.append(got == exact_elbo(stats, params, elog_beta, *fresh))
+        return got
+
+    monkeypatch.setattr(inference, "compute_elbo", recomputing_elbo)
+    train(docs, dims, TrainConfig(mode="no-crowd", smoothing=True, max_em_iters=4,
+                                  em_rel_tol=0.0, seed=2))
+    assert checked == [True] * 4
+
+
+def parent_presence_log_odds(xi, rho, votes):
+    """Reference transcription: logit xi plus the votes' log-likelihood of
+    presence minus that of absence, summed over annotators; and the sum of
+    its terms' sizes."""
+    xi = clamp_probability(xi, PROB_CLAMP)
+    prior = np.log(xi) - np.log(1.0 - xi)
+    if votes.shape[1] == 0 or rho.size == 0:
+        prior = np.tile(prior, (votes.shape[0], 1))
+        return prior, np.abs(prior)
+    provided, yf = votes != -1, votes.astype(np.float64)
+    log_rho = np.log(np.clip(rho, 1e-300, None))[:, None]
+    log_mis = np.log(np.clip(1.0 - rho, 1e-300, None))[:, None]
+    ann1 = np.where(provided, yf * log_rho + (1.0 - yf) * log_mis, 0.0).sum(axis=1)
+    ann0 = np.where(provided, (1.0 - yf) * log_rho + yf * log_mis, 0.0).sum(axis=1)
+    return prior + ann1 - ann0, np.abs(prior) + np.abs(ann1) + np.abs(ann0)
+
+
+@pytest.mark.parametrize("K", [0, 1, 7])
+def test_packed_judgments_give_the_votes_prior_agreements_and_counts(K):
+    """The masks packed once per corpus give the vote-by-vote prior to 1e-12
+    of its terms' size, and the agreements and counts of every vote given,
+    with votes of -1, documents without votes and annotators at 0 and 1."""
+    rng = np.random.default_rng(73 + K)
+    C, T, V = 3, 2, 15
+    params = random_params(rng, C, T, V, K=K)
+    if K:
+        params.rho[0] = 1.0
+        params.rho[-1] = 0.0 if K > 1 else params.rho[-1]
+    docs = mixed_length_corpus(rng, C, V, K=K)
+    if K:
+        docs[1].crowd_labels[:] = -1
+        docs[4] = Document(docs[4].doc_id, docs[4].word_ids, docs[4].counts, docs[4].true_labels)
+    store = inference._pack(docs, C, T, inference._checked_words(docs, V))
+    for chunk in store.chunks:
+        votes = np.full((chunk.docs.size, K, C), -1)
+        for b, d in enumerate(chunk.docs):
+            if docs[d].crowd_labels is not None:
+                votes[b] = docs[d].crowd_labels
+        want, scale = parent_presence_log_odds(params.xi, params.rho, votes)
+        got = _presence_log_odds(params.xi, params.rho, chunk.yes, chunk.no)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    given = [doc.crowd_labels != -1 for doc in docs if doc.crowd_labels is not None]
+    assert np.array_equal(store.judged, np.sum(given, axis=(0, 2)) if K else np.zeros(0))
+
+    dims = Dimensions(D=len(docs), C=C, T=T, V=V, K=K)
+    states = e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=3))
+    stats = collect_stats(docs, list(states), dims)
+    ref = corpus_order_stats(docs, list(states), dims)
+    np.testing.assert_allclose(stats.rho_num, ref["rho_num"], rtol=1e-12, atol=0)
+    assert np.array_equal(stats.rho_cnt, ref["rho_cnt"])
+
+
+def test_train_checks_the_words_of_its_corpus_once(monkeypatch):
+    """``train`` packs the words that ``validate_corpus`` checked."""
+    import mlpalda.model as model
+    docs, _ = make_training_corpus(D=10)
+    dims = Dimensions(D=10, C=2, T=3, V=12)
+    passes = []
+    exact = model.corpus_words
+
+    def counting(*args):
+        passes.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(model, "corpus_words", counting)
+    monkeypatch.setattr(inference, "corpus_words", counting)
+    train(docs, dims, TrainConfig(mode="no-crowd", max_em_iters=3, em_rel_tol=0.0))
+    assert len(passes) == 1

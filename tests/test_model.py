@@ -174,6 +174,30 @@ def test_faulty_words_flags_exactly_the_documents_validate_words_rejects(seed, V
     assert got.tolist() == want and any(want) and not all(want)
 
 
+@pytest.mark.parametrize("repeat", [False, True], ids=["rising", "one-repeat"])
+def test_faulty_words_on_documents_with_rising_ids(repeat):
+    """Ids that rise within every document repeat none, and the other faults
+    are still flagged; one repeated id anywhere is found as well."""
+    V = 12
+    words = [([0, 3, 7], [1, 2, 1]), ([2, 5, 12], [1, 1, 1]), ([], []), ([1, 4], [2, 0]),
+             ([6, 9, 11], [3, 1, 1]), ([-1, 8], [1, 1]), ([0, 11], [1, 4])]
+    if repeat:
+        words[4] = ([6, 9, 9], [3, 1, 1])
+    docs = [Document(f"w{d}", np.array(ids, dtype=np.int64), np.array(counts, dtype=np.int64))
+            for d, (ids, counts) in enumerate(words)]
+    want = []
+    for doc in docs:
+        try:
+            validate_words(doc, V)
+            want.append(False)
+        except ValueError:
+            want.append(True)
+    got = faulty_words(np.concatenate([doc.word_ids for doc in docs]),
+                       np.concatenate([doc.counts for doc in docs]),
+                       np.array([doc.word_ids.size for doc in docs]), V)
+    assert got.tolist() == want == [False, True, True, True, repeat, True, False]
+
+
 # ---------------------------------------------------------------------------
 # init_params
 # ---------------------------------------------------------------------------
