@@ -76,12 +76,16 @@ def _train_config(args) -> TrainConfig:
 
 
 def _known_truth(corpus):
-    rows = []
-    for doc in corpus:
-        if doc.true_labels is None or not np.all(np.isin(doc.true_labels, (0, 1))):
-            raise ValueError(f"document {doc.doc_id} has unknown labels; cannot evaluate")
-        rows.append(doc.true_labels)
-    return np.stack(rows)
+    """(D, C) labels of ``corpus``, one stack and one 0/1 test; the first
+    document in corpus order whose labels are None or hold a -1 raises."""
+    labels = [doc.true_labels for doc in corpus]
+    C = next((lab.size for lab in labels if lab is not None), 0)
+    truth = np.stack([np.full(C, -1) if lab is None else lab for lab in labels])
+    unknown = ((truth != 0) & (truth != 1)).any(axis=1) | [lab is None for lab in labels]
+    if unknown.any():
+        doc = corpus[np.argmax(unknown)]
+        raise ValueError(f"document {doc.doc_id} has unknown labels; cannot evaluate")
+    return truth
 
 
 def _predict_with_model(args, corpus, cdims):

@@ -12,8 +12,10 @@ delta/phi/Delta).
 
 The inner loops are independent across documents given the global
 parameters, so one E-step runs them in lockstep over chunks of documents
-(``e_step_corpus``).  The states stay in those chunks between E-passes,
-and the M-step statistics are reduced from them (``_reduce_stats``).
+(``e_step_corpus``).  Those chunks are the only form a state takes: the
+states stay in them between E-passes, the M-step statistics are reduced
+from them (``_reduce_stats``), and :func:`~mlpalda.model.validate_states`
+checks them.
 
 Everything an EM iteration computes besides the sweeps is computed once per
 thing that changes: the words and judgments once per corpus (``_pack``),
@@ -43,7 +45,6 @@ from .model import (
     DELTA_CLAMP,
     PROB_CLAMP,
     Dimensions,
-    DocVariational,
     Document,
     ModelParams,
     clamp_probability,
@@ -280,10 +281,11 @@ class _Chunk:
 class CorpusStates:
     """Every document's variational state, held in the E-step's chunk arrays.
 
-    ``states[d]`` returns a copy of document d's state as a
-    :class:`DocVariational`.  ``corpus`` is the document list the chunks
-    were packed from.  A store that :func:`_pack` made holds no states
-    yet, and an E-pass over it starts every document cold.
+    Document d's values are the row of ``chunks`` whose ``docs`` entry is
+    d, over its first ``lengths[d]`` columns.  ``corpus`` is the document
+    list the chunks were packed from, and ``pinned`` the presence mode they
+    were packed for.  A store that :func:`_pack` made holds no states yet,
+    and an E-pass over it starts every document cold.
     """
 
     def __init__(self, corpus, chunks, lengths, word_ids, counts, judged, pinned):
@@ -294,26 +296,6 @@ class CorpusStates:
         self.counts = counts      # (N,) their token counts as floats, in corpus order
         self.judged = judged      # (K,) judgments each annotator gave, as floats
         self.pinned = pinned      # the presence beliefs are the labels
-        self._chunk_of = np.empty(len(lengths), dtype=np.int64)
-        self._row_of = np.empty(len(lengths), dtype=np.int64)
-        for i, chunk in enumerate(chunks):
-            self._chunk_of[chunk.docs] = i
-            self._row_of[chunk.docs] = np.arange(chunk.docs.size)
-
-    def __len__(self):
-        return self.lengths.size
-
-    def __getitem__(self, d) -> DocVariational:
-        chunk = self.chunks[self._chunk_of[d]]
-        b, u = self._row_of[d], self.lengths[d]
-        return DocVariational(
-            delta=chunk.delta[b, :, :u].T.copy(), Delta=chunk.Delta[b].copy(),
-            phi=chunk.phi[b, :, :u].T.copy(), gamma=chunk.gamma[b].copy(),
-            sweeps=int(chunk.sweeps[b]),
-        )
-
-    def __iter__(self):
-        return (self[d] for d in range(len(self)))
 
 
 def _checked_words(corpus, V):
@@ -372,35 +354,21 @@ def _pack(corpus, C, T, words, pinned=False) -> CorpusStates:
     return CorpusStates(corpus, chunks, lengths, word_ids, counts, judged, pinned)
 
 
-def _start_arrays(chunk, corpus, states, C, T, params=None):
-    """``chunk``'s delta, phi and Delta from the per-document ``states``.
+def _start_arrays(chunk, C, T, params):
+    """``chunk``'s cold delta, phi and Delta.
 
-    A document without a state, or every document when ``states`` is
-    None, starts cold: uniform responsibilities and the
+    Every document starts with uniform responsibilities and the
     :func:`initial_presence` beliefs of its packed votes under ``params``,
-    one call for all such documents.  A chunk packed with pinned presence
-    holds its labels as ``Delta``, and every document starts there.
+    one call for the chunk; a chunk packed with pinned presence holds its
+    labels as ``Delta``, and its documents start there.
     """
     B, U = chunk.counts.shape
     delta = np.full((B, C, U), 1.0 / C)
     phi = np.full((B, T, U), 1.0 / T)
-    free = chunk.Delta is None
-    Delta = np.empty((B, C)) if free else chunk.Delta.copy()
-    cold = np.zeros(B, dtype=bool)
-    for b, d in enumerate(chunk.docs):
-        state = None if states is None else states[d]
-        if state is None:
-            cold[b] = True
-            continue
-        u = corpus[d].word_ids.size
-        delta[b, :, :u] = state.delta.T
-        phi[b, :, :u] = state.phi.T
-        if free:
-            Delta[b] = state.Delta
-    if free and cold.any():
-        votes = 2.0 * chunk.yes[cold] + chunk.no[cold] - 1.0  # 1 yes, 0 no, -1 none
-        Delta[cold] = initial_presence(votes, params.xi, params.rho)
-    return delta, phi, Delta
+    if chunk.Delta is not None:
+        return delta, phi, chunk.Delta.copy()
+    votes = 2.0 * chunk.yes + chunk.no - 1.0  # 1 yes, 0 no, -1 none
+    return delta, phi, initial_presence(votes, params.xi, params.rho)
 
 
 def e_step_corpus(
@@ -415,8 +383,8 @@ def e_step_corpus(
 
     Each document cycles gamma -> phi -> delta -> Delta until the largest
     change across its delta, Delta and phi drops below ``estep.tol`` (or
-    the inner cap is hit), warm-starting from its entry of ``states`` when
-    one is given.  That full test runs only when the document's class and
+    the inner cap is hit), warm-starting from its state in ``states`` when
+    they hold one.  That full test runs only when the document's class and
     topic totals (its responsibilities summed over topics and over classes)
     moved by at most about tol per token since the last sweep; a larger move
     proves the change is at least tol, so this early-out changes no stop
@@ -459,21 +427,25 @@ def e_step_corpus(
     Passed back as ``states`` with the same ``corpus`` object and
     ``pinned``, it is read, not changed, and its packed words and
     judgments are reused; so are those of a store that :func:`_pack` made
-    for them, whose documents all start cold.  Any other store is read as
-    per-document starts, like a list.
+    for them, whose documents all start cold.  ``states`` is None or such
+    a store: anything else (a store packed for another corpus object or
+    the other ``pinned`` mode, or any other object) raises ValueError.
     """
     C, _, T = params.alpha.shape
-    if states is not None and len(states) != len(corpus):
-        raise ValueError(f"e_step_corpus: {len(states)} states for {len(corpus)} documents")
-    shifted = elog_beta - elog_beta.max(axis=0)  # each word's largest over topics becomes 0
-    if isinstance(states, CorpusStates) and states.corpus is corpus and states.pinned == pinned:
-        store, starts = states, None
+    if states is None:
+        store = _pack(corpus, C, T, _checked_words(corpus, elog_beta.shape[1]), pinned)
+    elif not isinstance(states, CorpusStates):
+        raise ValueError(f"e_step_corpus: states must be a CorpusStates, not {type(states).__name__}")
+    elif states.corpus is not corpus:
+        raise ValueError("e_step_corpus: the states were packed for another corpus object")
+    elif states.pinned != pinned:
+        raise ValueError(f"e_step_corpus: the states were packed with pinned={states.pinned}")
     else:
-        words = _checked_words(corpus, elog_beta.shape[1])
-        store, starts = _pack(corpus, C, T, words, pinned), states
+        store = states
+    shifted = elog_beta - elog_beta.max(axis=0)  # each word's largest over topics becomes 0
     chunks, capped = [], 0
     for chunk in store.chunks:
-        chunk, hits = _e_step_chunk(chunk, starts, corpus, params, estep, shifted, pinned)
+        chunk, hits = _e_step_chunk(chunk, corpus, params, estep, shifted, pinned)
         chunks.append(chunk)
         capped += hits
     if capped:
@@ -513,15 +485,13 @@ def _mixed_log_theta(Delta, elog, gap, out=None):
     return out
 
 
-def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
+def _e_step_chunk(chunk, corpus, params, estep, elog_beta, pinned):
     """Lockstep inner loops for one packed chunk of ``corpus``.
 
-    The documents start from the states the chunk holds, or from their
-    entries of the per-document ``starts`` when those are given; with
-    neither, they start cold.  Returns
-    a chunk with the same words and the new states, and how many of its
-    documents were still changing at the inner cap.  The chunk passed in
-    is not changed.
+    The documents start from the states the chunk holds, or cold
+    (:func:`_start_arrays`) when it holds none.  Returns a chunk with the
+    same words and the new states, and how many of its documents were
+    still changing at the inner cap.  The chunk passed in is not changed.
 
     The log E[beta] weights are one gather of ``elog_beta``'s columns,
     which arrive shifted so that each word's largest is 0.  The presence
@@ -555,10 +525,9 @@ def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
     can still stop (not moving, and in free mode its Delta change below
     tol) does the full phi test run, on all running rows, and only when
     some document passes that, the full delta test.  So every document
-    stops at the same sweep as under the full test alone.  A start the
-    E-step did not produce itself need not have normalised columns, so the
-    last totals start as NaN, which no move exceeds, and the first sweep
-    runs the full tests.
+    stops at the same sweep as under the full test alone.  There are no
+    last totals before the first sweep, so they start as NaN, which no move
+    exceeds, and the first sweep runs the full tests.
 
     delta, phi and the totals have two buffers each: a sweep writes its
     products into one, with ``np.matmul(..., out=)``, and the tests then
@@ -570,10 +539,10 @@ def _e_step_chunk(chunk, starts, corpus, params, estep, elog_beta, pinned):
     """
     C, _, T = params.alpha.shape
     B = chunk.counts.shape[0]
-    if starts is None and chunk.delta is not None:
+    if chunk.delta is not None:
         delta, phi, Delta = chunk.delta.copy(), chunk.phi.copy(), chunk.Delta.copy()
     else:
-        delta, phi, Delta = _start_arrays(chunk, corpus, starts, C, T, params)
+        delta, phi, Delta = _start_arrays(chunk, C, T, params)
     out = replace(
         chunk, delta=np.empty_like(delta), phi=np.empty_like(phi), Delta=np.empty_like(Delta),
         resp=np.empty((B, C, T)), gamma=None, sweeps=np.empty(B, dtype=np.int64),
@@ -687,23 +656,6 @@ class CorpusStats:
     state_terms: float           # the bound's terms that need one document's state
 
 
-def collect_stats(corpus, states, dims: Dimensions) -> CorpusStats:
-    """The M-step's statistics and the per-document part of the bound.
-
-    ``states`` holds one :class:`DocVariational` per document, in any
-    relation to each other (an E-step's result, or
-    :func:`~mlpalda.model.init_doc_variational` starts).  They are packed
-    into the E-step's chunks and reduced as ``train`` reduces an E-pass.
-    """
-    store = _pack(corpus, dims.C, dims.T, _checked_words(corpus, dims.V))
-    states = list(states)
-    for chunk in store.chunks:
-        chunk.delta, chunk.phi, chunk.Delta = _start_arrays(chunk, corpus, states, dims.C, dims.T)
-        chunk.resp = _responsibilities(chunk.delta, chunk.counts, chunk.phi)
-        chunk.gamma = np.array([states[d].gamma for d in chunk.docs])
-    return _reduce_stats(store, dims)
-
-
 def _reduce_stats(store: CorpusStates, dims: Dimensions) -> CorpusStats:
     """Sums of the states in ``store``, over documents in corpus order.
 
@@ -720,7 +672,7 @@ def _reduce_stats(store: CorpusStates, dims: Dimensions) -> CorpusStats:
     entropy.
     """
     C, T, V, K = dims.C, dims.T, dims.V, dims.K
-    D = len(store)
+    D = store.lengths.size
     log_theta = np.empty((D, C, 2, T))
     presence = np.empty((D, C))
     agree = np.zeros((D, K))

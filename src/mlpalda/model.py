@@ -11,10 +11,12 @@ U distinct terms in one document):
 * ``beta``   (T, V)     topic-word distributions (point estimate, unsmoothed).
 * ``chi``    (T, V)     variational posterior over topic rows (smoothed mode,
   with ``beta=None``); its prior ``eta`` is the trainer's and is not saved.
-* per-document state: ``delta`` (U, C) word-to-class responsibilities,
-  ``phi`` (U, T) word-to-topic responsibilities, ``Delta`` (C,) presence
-  beliefs, ``gamma`` (C, 2, T) topic posteriors.  Rows are stored per
-  distinct term; tokens of the same term share one row, which is exact
+* variational state, held in the E-step's chunks
+  (:class:`mlpalda.inference.CorpusStates`) with one row per document and
+  one column per distinct term: ``delta`` (B, C, U) word-to-class
+  responsibilities, ``phi`` (B, T, U) word-to-topic responsibilities,
+  ``Delta`` (B, C) presence beliefs, ``gamma`` (B, C, 2, T) topic
+  posteriors.  Tokens of the same term share one column, which is exact
   because every word-level update depends on the token only through its
   vocabulary index.
 """
@@ -114,15 +116,6 @@ class ModelParams:
         self.rho = np.asarray(self.rho, dtype=np.float64)
         if self.beta is not None:
             self.beta = np.asarray(self.beta, dtype=np.float64)
-
-
-@dataclass
-class DocVariational:
-    delta: np.ndarray   # (U, C)
-    Delta: np.ndarray   # (C,)
-    phi: np.ndarray     # (U, T)
-    gamma: np.ndarray   # (C, 2, T)
-    sweeps: int = 0     # inner sweeps of the E-step that produced it (0: none)
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +219,7 @@ def _all_within(x, lo, hi) -> bool:
     return bool(np.all((x >= lo) & (x <= hi)))
 
 
-def validate(
-    params: ModelParams,
-    dims: Dimensions,
-    state: Optional[DocVariational] = None,
-    smoothed: Optional[np.ndarray] = None,
-) -> list:
+def validate(params: ModelParams, dims: Dimensions, smoothed: Optional[np.ndarray] = None) -> list:
     """Invariant violations, each starting with its array's name (empty =
     clean); a model has exactly one of ``params.beta`` and ``smoothed`` (chi)."""
     C, T, V = dims.C, dims.T, dims.V
@@ -268,20 +256,38 @@ def validate(
         if not np.all(np.isfinite(smoothed)) or np.any(smoothed <= 0.0):
             msgs.append("chi positivity violated")
 
-    if state is not None:
-        for name, rows in (("delta", state.delta), ("phi", state.phi)):
-            if np.any(rows < 0.0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > ROW_SUM_TOL):
-                msgs.append(f"{name} rows not stochastic")
-        if not _all_within(state.Delta, DELTA_CLAMP, 1.0 - DELTA_CLAMP):
-            msgs.append("Delta out of clamp range")
-        if state.gamma.shape != params.alpha.shape:
-            msgs.append("gamma shape mismatch with alpha")
-        elif np.any(state.gamma < params.alpha - 1e-12):
-            msgs.append("gamma below alpha")
-        for name, arr in (("delta", state.delta), ("phi", state.phi), ("gamma", state.gamma)):
-            if not np.all(np.isfinite(arr)):
-                msgs.append(f"{name} has non-finite entries")
+    return msgs
 
+
+def validate_states(params: ModelParams, states) -> list:
+    """Invariant violations of the E-step states in the chunks of ``states``
+    (a :class:`mlpalda.inference.CorpusStates`), in :func:`validate`'s style.
+
+    delta's and phi's columns must be stochastic over each document's term
+    columns (padding is not read), Delta within the ``DELTA_CLAMP`` range,
+    gamma at least alpha, and all of them finite.
+    """
+    chunks = states.chunks
+    if not chunks:
+        return []
+    # each term column as a row, chunk by chunk
+    delta = np.concatenate([c.delta.transpose(0, 2, 1)[c.mask] for c in chunks])
+    phi = np.concatenate([c.phi.transpose(0, 2, 1)[c.mask] for c in chunks])
+    Delta = np.concatenate([c.Delta for c in chunks])
+    gamma = np.concatenate([c.gamma for c in chunks])
+    msgs = []
+    for name, rows in (("delta", delta), ("phi", phi)):
+        if np.any(rows < 0.0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > ROW_SUM_TOL):
+            msgs.append(f"{name} columns not stochastic")
+    if not _all_within(Delta, DELTA_CLAMP, 1.0 - DELTA_CLAMP):
+        msgs.append("Delta out of clamp range")
+    if gamma.shape[1:] != params.alpha.shape:
+        msgs.append("gamma shape mismatch with alpha")
+    elif np.any(gamma < params.alpha - 1e-12):
+        msgs.append("gamma below alpha")
+    for name, arr in (("delta", delta), ("phi", phi), ("gamma", gamma)):
+        if not np.all(np.isfinite(arr)):
+            msgs.append(f"{name} has non-finite entries")
     return msgs
 
 
@@ -348,28 +354,6 @@ def initial_presence(votes, xi, rho) -> np.ndarray:
         num = np.where(provided, mapped, 0.0).sum(axis=-2)
         Delta = np.where(count > 0, num / np.maximum(count, 1), Delta)
     return clamp_probability(Delta, DELTA_CLAMP)
-
-
-def init_doc_variational(
-    doc: Document, params: ModelParams, pinned: bool = False
-) -> DocVariational:
-    """Starting per-document state: uniform responsibilities, the presence
-    beliefs (the clamped labels with ``pinned``, else :func:`initial_presence`
-    of its votes), and gamma set by one update from that point."""
-    C, _, T = params.alpha.shape
-    U = doc.word_ids.size
-    if pinned:
-        Delta = clamp_probability(known_labels(doc), DELTA_CLAMP)
-    else:
-        votes = doc.crowd_labels if doc.crowd_labels is not None else np.empty((0, C))
-        Delta = initial_presence(votes, params.xi, params.rho)
-    per_pair = doc.n_words / (C * T)
-    gamma = np.empty_like(params.alpha)
-    gamma[:, 1, :] = params.alpha[:, 1, :] + Delta[:, None] * per_pair
-    gamma[:, 0, :] = params.alpha[:, 0, :] + (1.0 - Delta)[:, None] * per_pair
-    return DocVariational(
-        delta=np.full((U, C), 1.0 / C), Delta=Delta, phi=np.full((U, T), 1.0 / T), gamma=gamma
-    )
 
 
 # ---------------------------------------------------------------------------

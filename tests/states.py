@@ -1,0 +1,63 @@
+"""Variational states for the tests, built and read in the E-step's chunk store.
+
+A store (``inference.CorpusStates``) is the only form a state takes.  These
+helpers make a store of cold states, read each document's values out of its
+chunk row, and make a store whose documents start from given values.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+
+from mlpalda import inference
+
+
+def cold_store(docs, params, V, pinned=False):
+    """A store of ``docs`` whose states are the E-step's cold start: uniform
+    delta and phi, the starting presence beliefs (the clamped labels with
+    ``pinned``), their responsibilities, and gamma one update from there.
+
+    Passed to ``e_step_corpus`` with the same ``docs`` object and
+    ``pinned``, it starts every document where a cold E-pass starts it.
+    """
+    C, _, T = params.alpha.shape
+    store = inference._pack(docs, C, T, inference._checked_words(docs, V), pinned)
+    for chunk in store.chunks:
+        chunk.delta, chunk.phi, chunk.Delta = inference._start_arrays(chunk, C, T, params)
+        chunk.resp = inference._responsibilities(chunk.delta, chunk.counts, chunk.phi)
+        chunk.gamma = inference._gamma_from(params.alpha, chunk.Delta, chunk.resp)
+        chunk.sweeps = np.zeros(chunk.docs.size, dtype=np.int64)
+    return store
+
+
+def _row_of(store, d):
+    chunk = next(chunk for chunk in store.chunks if d in chunk.docs)
+    return chunk, int(np.flatnonzero(chunk.docs == d)[0]), store.lengths[d]
+
+
+def doc_states(store):
+    """Copies of every document's values in ``store``, in corpus order, with
+    one row per term: delta (U, C), phi (U, T), Delta (C,), gamma (C, 2, T)
+    and the sweep count."""
+    states = []
+    for d in range(store.lengths.size):
+        chunk, b, u = _row_of(store, d)
+        states.append(SimpleNamespace(
+            delta=chunk.delta[b, :, :u].T.copy(), phi=chunk.phi[b, :, :u].T.copy(),
+            Delta=chunk.Delta[b].copy(), gamma=chunk.gamma[b].copy(), sweeps=int(chunk.sweeps[b]),
+        ))
+    return states
+
+
+def warm_store(docs, params, V, starts, pinned=False):
+    """A :func:`cold_store` of ``docs`` in which every document with an entry
+    of ``starts`` other than None starts from that entry's delta, phi and
+    Delta (a :func:`doc_states` entry, say of another store)."""
+    store = cold_store(docs, params, V, pinned)
+    for d, start in enumerate(starts):
+        if start is not None:
+            chunk, b, u = _row_of(store, d)
+            chunk.delta[b, :, :u] = start.delta.T
+            chunk.phi[b, :, :u] = start.phi.T
+            chunk.Delta[b] = start.Delta
+    return store

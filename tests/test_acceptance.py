@@ -25,16 +25,17 @@ from mlpalda.data import load_corpus
 from mlpalda.inference import (
     EStepConfig,
     TrainConfig,
-    collect_stats,
+    _reduce_stats,
     compute_elbo,
     e_step_corpus,
     predict_corpus,
     train,
 )
 from mlpalda.metrics import average_accuracy, avg_class_log_likelihood, micro_f1
-from mlpalda.model import Dimensions, Document, init_doc_variational
+from mlpalda.model import Dimensions, Document
 from mlpalda.numerics import dirichlet_gradient
 from mlpalda.oracle import TinyInstance, exact_log_marginal
+from states import cold_store, doc_states
 from synth import sample_corpus, separable_params
 from test_inference import (
     elog_of,
@@ -101,11 +102,11 @@ def test_criterion_2_oracle_bound():
         doc = Document(doc.doc_id, doc.word_ids, doc.counts, None, doc.crowd_labels)
         dims = Dimensions(D=1, C=C, T=T, V=V, K=K)
         exact = exact_log_marginal(TinyInstance(doc=doc, params=params, dims=dims))
-        fresh = init_doc_variational(doc, params)
+        fresh = cold_store([doc], params, V)
         elog_beta = elog_of(params)
-        worst = max(worst, compute_elbo(collect_stats([doc], [fresh], dims), params, elog_beta) - exact)
-        settled = e_step_corpus([doc], params, elog_beta, estep)[0]
-        worst = max(worst, compute_elbo(collect_stats([doc], [settled], dims), params, elog_beta) - exact)
+        worst = max(worst, compute_elbo(_reduce_stats(fresh, dims), params, elog_beta) - exact)
+        settled = e_step_corpus([doc], params, elog_beta, estep)
+        worst = max(worst, compute_elbo(_reduce_stats(settled, dims), params, elog_beta) - exact)
     elapsed = time.monotonic() - t0
     gate(2, "oracle-bound", worst <= 1e-9 and elapsed < 60.0,
          f"max elbo-exact {worst:.3e}, {elapsed:.1f}s for 200 instances")
@@ -300,8 +301,9 @@ def test_criterion_8_consistency_and_regrouping():
         rng = np.random.default_rng(800 + seed)
         params = random_params(rng, 2, 3, 10, K=2)
         doc = random_doc(rng, 2, 10, K=2, n_terms=4, max_count=3, doc_id=f"reg{seed}")
-        grouped = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=3, tol=0.0))[0]
-        init = init_doc_variational(doc, params)
+        estep = EStepConfig(max_iters=3, tol=0.0)
+        grouped = doc_states(e_step_corpus([doc], params, elog_of(params), estep))[0]
+        init = doc_states(cold_store([doc], params, 10))[0]
         ann1, ann0 = oracle_annotator_terms(doc, params)
         tokens = np.repeat(doc.word_ids, doc.counts)
         o_delta, o_phi, o_Delta, o_gamma = token_loop_cycle(

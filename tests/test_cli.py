@@ -190,6 +190,43 @@ def test_evaluate_pool_needs_model_in(tmp_path, corpus, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("first,later", [
+    ([-1, -1], [1, -1]), ([0, -1], [-1, -1]),
+], ids=["all-unknown-first", "one-unknown-first"])
+def test_evaluate_names_the_first_document_with_unknown_labels(tmp_path, corpus, capsys, first, later):
+    """A corpus file writes labels it does not know as -1 (all of them for a
+    document without labels); such a document cannot be scored, and the
+    first of them in corpus order is named on stderr."""
+    from mlpalda.data import save_corpus
+
+    docs, dims = load_corpus(corpus)
+    docs[3].true_labels, docs[9].true_labels = np.array(first), np.array(later)
+    mlc, preds, out = tmp_path / "u.mlc", tmp_path / "p.txt", tmp_path / "eval.csv"
+    save_corpus(mlc, docs, dims)
+    write_predictions(preds, [(d.doc_id, np.full(2, 0.5), np.ones(2, dtype=int)) for d in docs])
+    assert run("evaluate", "--corpus", str(mlc), "--predictions", str(preds), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: document {docs[3].doc_id} has unknown labels; cannot evaluate\n"
+    assert not out.exists()
+
+
+def test_known_truth_stacks_the_labels_or_names_the_first_unknown_document():
+    from mlpalda.cli import _known_truth
+    from mlpalda.model import Document
+
+    docs = [Document(f"d{i}", [0], [1], true_labels=labels)
+            for i, labels in enumerate(([1, 0], [0, 0], [1, 1]))]
+    truth = _known_truth(docs)
+    assert truth.dtype == np.int64 and truth.tolist() == [[1, 0], [0, 0], [1, 1]]
+    for unknown in ([None, [1, -1], None], [[1, 0], [0, -1], None], [[1, 0], None, [-1, 0]],
+                    [None, None, None]):
+        for doc, labels in zip(docs, unknown):
+            doc.true_labels = None if labels is None else np.array(labels)
+        first = next(i for i, labels in enumerate(unknown) if labels is None or -1 in labels)
+        with pytest.raises(ValueError, match=f"^document d{first} has unknown labels; cannot evaluate$"):
+            _known_truth(docs)
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--threshold", "0.99"), ("--max-estep-iters", "0"), ("--estep-tol", "-1"),
 ])

@@ -26,8 +26,8 @@ from mlpalda.inference import (
     _judgment_masks,
     _presence_log_odds,
     _presence_update,
+    _reduce_stats,
     _softmax_columns,
-    collect_stats,
     compute_elbo,
     e_step_corpus,
     expected_log_word_given_topic,
@@ -41,12 +41,13 @@ from mlpalda.model import (
     Document,
     ModelParams,
     clamp_probability,
-    init_doc_variational,
     init_params,
     validate,
+    validate_states,
 )
 from mlpalda.numerics import dirichlet_log_normalizer, solve_dirichlet_newton
 from mlpalda.oracle import TinyInstance, exact_log_marginal
+from states import cold_store, doc_states, warm_store
 from synth import sample_corpus, separable_params
 
 
@@ -174,9 +175,10 @@ def test_estep_matches_token_loop_transcription(mode, with_votes):
     doc = random_doc(rng, C, V, K=K, n_terms=4, max_count=3)
 
     pinned = mode == "no-crowd"
-    state = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=3, tol=0.0), pinned=pinned)[0]
+    estep = EStepConfig(max_iters=3, tol=0.0)
+    state = doc_states(e_step_corpus([doc], params, elog_of(params), estep, pinned=pinned))[0]
 
-    init = init_doc_variational(doc, params, pinned=pinned)
+    init = doc_states(cold_store([doc], params, V, pinned=pinned))[0]
     ann1, ann0 = oracle_annotator_terms(doc, params) if mode == "crowd" else (
         np.zeros(C),
         np.zeros(C),
@@ -217,8 +219,8 @@ def test_grouped_and_expanded_documents_agree():
         crowd_labels=doc.crowd_labels,
     )
     estep = EStepConfig(max_iters=6, tol=0.0)
-    grouped = e_step_corpus([doc], params, elog_of(params), estep)[0]
-    flat = e_step_corpus([expanded], per_token, elog_of(per_token), estep)[0]
+    grouped = doc_states(e_step_corpus([doc], params, elog_of(params), estep))[0]
+    flat = doc_states(e_step_corpus([expanded], per_token, elog_of(per_token), estep))[0]
 
     np.testing.assert_allclose(flat.Delta, grouped.Delta, rtol=0, atol=1e-12)
     np.testing.assert_allclose(flat.gamma, grouped.gamma, rtol=0, atol=1e-12)
@@ -271,7 +273,7 @@ def test_near_perfect_annotator_pins_presence():
         counts=np.array([1, 2]),
         crowd_labels=np.array([[1, 0]]),
     )
-    state = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=20))[0]
+    state = doc_states(e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=20)))[0]
     assert state.Delta[0] > 1.0 - 1e-6
     assert state.Delta[1] < 1e-6
 
@@ -281,8 +283,10 @@ def test_estep_state_is_self_consistent():
     C, T, V, K = 3, 2, 10, 2
     params = random_params(rng, C, T, V, K=K)
     doc = random_doc(rng, C, V, K=K, n_terms=6)
-    st = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=15))[0]
+    store = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=15))
+    st = doc_states(store)[0]
 
+    assert validate_states(params, store) == []
     assert np.all(np.abs(st.delta.sum(axis=1) - 1.0) < 1e-9)
     assert np.all(np.abs(st.phi.sum(axis=1) - 1.0) < 1e-9)
     assert np.all((st.Delta >= 1e-9) & (st.Delta <= 1.0 - 1e-9))
@@ -298,7 +302,8 @@ def test_estep_pins_observed_labels_in_no_crowd_mode():
     rng = np.random.default_rng(2)
     params = random_params(rng, 3, 2, 9)
     doc = random_doc(rng, 3, 9)
-    st = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=8), pinned=True)[0]
+    estep = EStepConfig(max_iters=8)
+    st = doc_states(e_step_corpus([doc], params, elog_of(params), estep, pinned=True))[0]
     np.testing.assert_allclose(
         st.Delta, np.clip(doc.true_labels.astype(float), 1e-9, 1 - 1e-9), atol=0
     )
@@ -314,10 +319,10 @@ def test_estep_smoothed_uses_chi_not_beta():
     chi = rng.uniform(0.5, 3.0, size=(T, V))
     doc = random_doc(rng, C, V)
     estep = EStepConfig(max_iters=4)
-    st = e_step_corpus([doc], smoothed, elog_of(smoothed, chi), estep, pinned=True)[0]
+    st = doc_states(e_step_corpus([doc], smoothed, elog_of(smoothed, chi), estep, pinned=True))[0]
     assert np.all(np.isfinite(st.phi))
     # different chi must change the answer
-    st2 = e_step_corpus([doc], smoothed, elog_of(smoothed, chi * 3.0), estep, pinned=True)[0]
+    st2 = doc_states(e_step_corpus([doc], smoothed, elog_of(smoothed, chi * 3.0), estep, pinned=True))[0]
     assert np.abs(st.phi - st2.phi).max() > 1e-6
 
 
@@ -355,22 +360,29 @@ def words_of(docs):
     return [Document(d.doc_id, d.word_ids, d.counts) for d in docs]
 
 
-def assert_equals_one_document_calls(docs, params, estep, starts, pinned):
+def assert_equals_one_document_calls(docs, params, estep, pinned, start=None):
     """Every state of one corpus call matches the one-document call's to
-    rounding, after exactly the same sweep count; returns the sweep counts.
+    rounding, after exactly the same sweep count; returns the corpus call's
+    store and the sweep counts.  With a ``start`` store of ``docs``, the
+    corpus call warm-starts from it, and each one-document call from a
+    store holding its document's start.
 
     BLAS may round a product summed over the padded term axis differently
     from the unpadded one, so the values are not equal bit for bit."""
-    states = e_step_corpus(docs, params, elog_of(params), estep, starts, pinned)
+    store = e_step_corpus(docs, params, elog_of(params), estep, start, pinned)
+    starts = [None] * len(docs) if start is None else doc_states(start)
     sweeps = []
-    for doc, start, st in zip(docs, starts, states):
-        one = e_step_corpus([doc], params, elog_of(params), estep, [start], pinned)[0]
+    for doc, begin, st in zip(docs, starts, doc_states(store)):
+        single = [doc]
+        if begin is not None:
+            begin = warm_store(single, params, params.beta.shape[1], [begin], pinned)
+        one = doc_states(e_step_corpus(single, params, elog_of(params), estep, begin, pinned))[0]
         assert st.sweeps == one.sweeps, doc.doc_id
         for name in ("delta", "phi", "Delta", "gamma"):
             np.testing.assert_allclose(getattr(st, name), getattr(one, name), rtol=1e-12,
                                        atol=1e-14, err_msg=f"{doc.doc_id} {name}")
         sweeps.append(st.sweeps)
-    return sweeps
+    return store, sweeps
 
 
 @ESTEP_MODES
@@ -379,7 +391,8 @@ def assert_equals_one_document_calls(docs, params, estep, starts, pinned):
 def test_corpus_estep_equals_one_document_calls(monkeypatch, pinned, words_only, warm, budget):
     """Padding, chunking and per-document exits move nothing beyond rounding:
     every state matches the one-document call's, after the same sweep count.
-    A warm start reuses the store's chunks, or reads a list of its states."""
+    A warm start reuses an E-step's store, or a fresh store that the list of
+    its states was written into (whose padding columns hold cold values)."""
     rng = np.random.default_rng(51)
     C, T, V, K = 3, 4, 120, 3
     params = random_params(rng, C, T, V, K=K)
@@ -388,14 +401,15 @@ def test_corpus_estep_equals_one_document_calls(monkeypatch, pinned, words_only,
         docs = words_of(docs)
     estep = EStepConfig(max_iters=60, tol=1e-7)
     monkeypatch.setattr(inference, "CHUNK_ELEMENTS", budget)
-    starts = [None] * len(docs)
+    start = None
     if warm:
-        starts = e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=2), pinned=pinned)
-        assert (len(starts.chunks) > 1) == (budget == 40)
+        start = e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=2), pinned=pinned)
         if warm == "list":
-            starts = list(starts)
+            start = warm_store(docs, params, V, doc_states(start), pinned)
 
-    sweeps = assert_equals_one_document_calls(docs, params, estep, starts, pinned)
+    store, sweeps = assert_equals_one_document_calls(docs, params, estep, pinned, start)
+    assert (len(store.chunks) > 1) == (budget == 40)
+    assert validate_states(params, store) == []
     assert len(set(sweeps)) > 1  # documents converge at different sweeps
     assert max(sweeps) < estep.max_iters
 
@@ -417,7 +431,7 @@ def test_corpus_estep_equals_one_document_calls_at_unit_widths(pinned, words_onl
     estep = EStepConfig(max_iters=60, tol=1e-7)
     assert len(inference._length_sorted_chunks(np.array([d.word_ids.size for d in docs]),
                                                max(C, T))) == 1
-    assert_equals_one_document_calls(docs, params, estep, [None] * len(docs), pinned)
+    assert_equals_one_document_calls(docs, params, estep, pinned)
 
 
 @ESTEP_MODES
@@ -433,7 +447,7 @@ def test_corpus_estep_matches_one_document_calls_at_wide_widths(pinned, words_on
     if words_only:
         docs = words_of(docs)
     estep = EStepConfig(max_iters=60, tol=1e-7)
-    assert_equals_one_document_calls(docs, params, estep, [None] * len(docs), pinned)
+    assert_equals_one_document_calls(docs, params, estep, pinned)
 
 
 @ESTEP_MODES
@@ -460,11 +474,11 @@ def test_estep_softmaxes_fall_back_to_the_max_shift_past_the_spread_bound(
 
     monkeypatch.setattr(inference, "_softmax_columns", recording_softmax)
     estep = EStepConfig(max_iters=60, tol=1e-7)
-    for st in e_step_corpus(docs, params, elog_of(params), estep, pinned=pinned):
+    for st in doc_states(e_step_corpus(docs, params, elog_of(params), estep, pinned=pinned)):
         for name in ("delta", "phi", "Delta", "gamma"):
             assert np.all(np.isfinite(getattr(st, name))), name
     assert shift_free.count(False) > len(shift_free) // 2  # the max-shift ran
-    assert_equals_one_document_calls(docs, params, estep, [None] * len(docs), pinned)
+    assert_equals_one_document_calls(docs, params, estep, pinned)
 
 
 @ESTEP_MODES
@@ -474,7 +488,8 @@ def test_chunk_budget_moves_nothing_beyond_rounding_at_benchmark_widths(
     """The budget before and after its re-measurement (2^15 and
     ``CHUNK_ELEMENTS``) chunk the same C=10, T=20 documents of 20 to 600
     terms differently; each document takes the same sweeps under both, and
-    its states agree to rounding."""
+    its states agree to rounding.  A warm start writes the list of a first
+    pass's states into a fresh store under each budget."""
     rng = np.random.default_rng(57)
     C, T, V, K = 10, 20, 1500, 3
     params = random_params(rng, C, T, V, K=K)
@@ -486,13 +501,15 @@ def test_chunk_budget_moves_nothing_beyond_rounding_at_benchmark_widths(
     estep = EStepConfig()  # the benchmark's settings
     starts = [None] * len(docs)
     if warm:
-        starts = list(e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=2), pinned=pinned))
+        starts = doc_states(e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=2),
+                                          pinned=pinned))
     runs = []
     for budget in (2 ** 15, inference.CHUNK_ELEMENTS):
         monkeypatch.setattr(inference, "CHUNK_ELEMENTS", budget)
-        runs.append(e_step_corpus(docs, params, elog_of(params), estep, starts, pinned))
-    old, new = runs
-    assert len(old.chunks) > len(new.chunks) > 1
+        start = warm_store(docs, params, V, starts, pinned)
+        runs.append(e_step_corpus(docs, params, elog_of(params), estep, start, pinned))
+    assert len(runs[0].chunks) > len(runs[1].chunks) > 1
+    old, new = map(doc_states, runs)
     for doc, a, b in zip(docs, old, new):
         assert a.sweeps == b.sweeps, doc.doc_id
         for name in ("delta", "phi", "Delta", "gamma"):
@@ -514,10 +531,11 @@ def test_rows_freed_by_leaving_documents_are_filled_from_the_tail(monkeypatch):
     # working row's term count names its document
     docs = [random_doc(rng, C, V, K=K, n_terms=n, max_count=3, doc_id=f"t{d}")
             for d, n in enumerate(range(3, 12))]
-    # converged starts leave at the first sweep, from chunk rows 0, 4, 6 and 8
+    # converged starts leave at the first sweep, from chunk rows 0, 4, 6 and 8;
+    # the others start cold
     tight = EStepConfig(max_iters=500, tol=1e-13)
-    starts = [e_step_corpus([doc], params, elog_of(params), tight)[0] if d in (0, 4, 6, 8) else None
-              for d, doc in enumerate(docs)]
+    starts = [doc_states(e_step_corpus([doc], params, elog_of(params), tight))[0] if d in (0, 4, 6, 8)
+              else None for d, doc in enumerate(docs)]
     estep = EStepConfig(max_iters=60, tol=1e-7)
 
     order, exact = [], inference._largest_change
@@ -529,10 +547,13 @@ def test_rows_freed_by_leaving_documents_are_filled_from_the_tail(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(inference, "_largest_change", recording)
-        states = e_step_corpus(docs, params, elog_of(params), estep, starts)
-    assert len(states.chunks) == 1
+        store = e_step_corpus(docs, params, elog_of(params), estep, warm_store(docs, params, V, starts))
+    assert len(store.chunks) == 1
+    states = doc_states(store)
     for doc, start, st in zip(docs, starts, states):
-        one = e_step_corpus([doc], params, elog_of(params), estep, [start])[0]
+        single = [doc]
+        start = None if start is None else warm_store(single, params, V, [start])
+        one = doc_states(e_step_corpus(single, params, elog_of(params), estep, start))[0]
         assert st.sweeps == one.sweeps, doc.doc_id
         for name in ("delta", "phi", "Delta", "gamma"):
             np.testing.assert_allclose(getattr(st, name), getattr(one, name), rtol=1e-12,
@@ -579,7 +600,7 @@ def test_early_out_changes_no_bit(monkeypatch, pinned, words_only, warm, budget)
             runs.append(e_step_corpus(docs, params, elog_of(params), estep, starts, pinned))
         calls.append(len(counted))
     assert (len(runs[0].chunks) > 1) == (budget == 40)
-    for doc, a, b in zip(docs, *runs):
+    for doc, a, b in zip(docs, *map(doc_states, runs)):
         assert a.sweeps == b.sweeps, doc.doc_id
         for name in ("delta", "phi", "Delta", "gamma"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (doc.doc_id, name)
@@ -640,7 +661,7 @@ def test_early_out_skips_most_full_tests_on_a_long_document(monkeypatch):
     params = random_params(rng, C, T, V)
     doc = words_of([random_doc(rng, C, V, n_terms=600, max_count=4)])
     calls = counting_largest_change(monkeypatch)
-    state = e_step_corpus(doc, params, elog_of(params), EStepConfig())[0]
+    state = doc_states(e_step_corpus(doc, params, elog_of(params), EStepConfig()))[0]
     assert state.sweeps > 10
     assert len(calls) < 2 * state.sweeps
 
@@ -660,7 +681,7 @@ def test_warm_start_leaves_the_store_unchanged(monkeypatch, pinned, words_only):
     names = [f.name for f in dataclasses.fields(inference._Chunk)]
     before = [{name: getattr(chunk, name).copy() for name in names} for chunk in store.chunks]
     again = e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=60, tol=1e-7), store, pinned)
-    assert len(store.chunks) > 1 and max(st.sweeps for st in again) > 2
+    assert len(store.chunks) > 1 and max(chunk.sweeps.max() for chunk in again.chunks) > 2
     for chunk, saved in zip(store.chunks, before):
         for name, value in saved.items():
             now = getattr(chunk, name)
@@ -668,27 +689,30 @@ def test_warm_start_leaves_the_store_unchanged(monkeypatch, pinned, words_only):
             assert now.tobytes() == value.tobytes(), name
 
 
-def test_store_of_another_corpus_or_mode_is_read_as_per_document_starts(monkeypatch):
-    """A store's chunks are reused only for the corpus object and mode they
-    were packed for.  Word-only copies of its documents, or pinned presence,
-    warm-start from the list of its states instead, so the store's votes and
-    free presence beliefs do not come back."""
+@pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+def test_estep_refuses_states_not_packed_for_its_corpus_and_mode(monkeypatch, pinned):
+    """A store's chunks hold the words and judgments of one corpus object,
+    packed for one presence mode.  A list of states, a store of another
+    corpus object (word-only copies of the same documents, or fewer of
+    them) and a store of the other mode are refused with the reason."""
     monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 40)
     rng = np.random.default_rng(55)
     C, T, V, K = 3, 4, 120, 3
     params = random_params(rng, C, T, V, K=K)
     docs = mixed_length_corpus(rng, C, V, K=K)
     estep = EStepConfig(max_iters=60, tol=1e-7)
-    store = e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=2))
-    for other, pinned in ((words_of(docs), False), (docs, True)):
-        got = e_step_corpus(other, params, elog_of(params), estep, store, pinned)
-        want = e_step_corpus(other, params, elog_of(params), estep, list(store), pinned)
-        for doc, a, b in zip(other, got, want):
-            for name in ("delta", "phi", "Delta", "gamma"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)), (doc.doc_id, name)
-            assert a.sweeps == b.sweeps, doc.doc_id
-    with pytest.raises(ValueError, match="states for"):
-        e_step_corpus(docs[:-1], params, elog_of(params), estep, store)
+    store = e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=2), pinned=pinned)
+    refused = [
+        (docs, doc_states(store), pinned, "states must be a CorpusStates, not list"),
+        (words_of(docs), store, pinned, "the states were packed for another corpus object"),
+        (docs[:-1], store, pinned, "the states were packed for another corpus object"),
+        (docs, store, not pinned, f"the states were packed with pinned={pinned}"),
+    ]
+    for corpus, states, mode, message in refused:
+        with pytest.raises(ValueError, match=f"^e_step_corpus: {message}$"):
+            e_step_corpus(corpus, params, elog_of(params), estep, states, mode)
+    again = e_step_corpus(docs, params, elog_of(params), estep, store, pinned)
+    assert all(a.ids is b.ids for a, b in zip(again.chunks, store.chunks))  # its packing is reused
 
 
 def test_softmax_columns_stays_finite_below_exp_underflow():
@@ -933,8 +957,9 @@ def test_collect_stats_counts_judgments():
         counts=np.array([2, 1]),
         crowd_labels=np.array([[1, -1], [0, 1]]),
     )
-    st = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=4))[0]
-    stats = collect_stats([doc], [st], Dimensions(D=1, C=C, T=T, V=V, K=K))
+    store = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=4))
+    st = doc_states(store)[0]
+    stats = _reduce_stats(store, Dimensions(D=1, C=C, T=T, V=V, K=K))
     np.testing.assert_array_equal(stats.rho_cnt, [1, 2])
     # annotator 0 said "present" for class 0 only
     assert stats.rho_num[0] == pytest.approx(st.Delta[0])
@@ -983,17 +1008,20 @@ def assert_same_mstep_stats(stats, ref):
 @pytest.mark.parametrize("budget", [40, 2 ** 30], ids=["many-chunks", "one-chunk"])
 def test_collect_stats_adds_documents_in_corpus_order(monkeypatch, mode, budget):
     """The chunking must not move a bit of an M-step statistic: each one
-    equals the corpus-order loop, for many chunks and for one."""
+    reduced from the store equals the corpus-order loop over its documents'
+    states, for many chunks and for one."""
     rng = np.random.default_rng(55)
     C, T, V = 3, 4, 30
     K = 3 if mode == "crowd" else 0
     params = random_params(rng, C, T, V, K=K)
     docs = mixed_length_corpus(rng, C, 30, K=K)
     dims = Dimensions(D=len(docs), C=C, T=T, V=V, K=K)
-    states = list(e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=6),
-                                pinned=mode == "no-crowd"))
     monkeypatch.setattr(inference, "CHUNK_ELEMENTS", budget)
-    assert_same_mstep_stats(collect_stats(docs, states, dims), corpus_order_stats(docs, states, dims))
+    store = e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=6),
+                          pinned=mode == "no-crowd")
+    assert (len(store.chunks) > 1) == (budget == 40)
+    states = doc_states(store)
+    assert_same_mstep_stats(_reduce_stats(store, dims), corpus_order_stats(docs, states, dims))
 
 
 @pytest.mark.parametrize("mode,smoothing", [
@@ -1001,7 +1029,8 @@ def test_collect_stats_adds_documents_in_corpus_order(monkeypatch, mode, budget)
 ])
 def test_training_stats_equal_collect_stats_of_its_states(monkeypatch, mode, smoothing):
     """``train`` reduces each E-pass from the chunk arrays; on the last pass
-    that gives what ``collect_stats`` gives for the same states."""
+    that gives the corpus-order loop's statistics over the documents' states,
+    and their bound terms summed document by document."""
     if mode == "crowd":
         docs, _ = make_training_corpus(D=20, votes_from=(3, [0.9, 0.8, 0.85], 7))
         dims = Dimensions(D=len(docs), C=2, T=3, V=12, K=3)
@@ -1026,9 +1055,10 @@ def test_training_stats_equal_collect_stats_of_its_states(monkeypatch, mode, smo
                                   em_rel_tol=0.0, seed=3))
     assert len(passes) == len(bounds) == 4
     assert len(passes[-1].chunks) > 1
-    ref = collect_stats(docs, list(passes[-1]), dims)
-    assert_same_mstep_stats(bounds[-1], ref)
-    assert bounds[-1].state_terms == pytest.approx(ref.state_terms, rel=1e-12, abs=0)
+    states = doc_states(passes[-1])
+    assert_same_mstep_stats(bounds[-1], corpus_order_stats(docs, states, dims))
+    ref = per_document_state_terms(docs, states)
+    assert bounds[-1].state_terms == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -1048,8 +1078,8 @@ def test_elbo_of_degenerate_model_is_log_presence_rate():
     doc = Document(
         doc_id="d", word_ids=np.array([0]), counts=np.array([1]), true_labels=np.array([1])
     )
-    st = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=5), pinned=True)[0]
-    elbo = compute_elbo(collect_stats([doc], [st], Dimensions(D=1, C=1, T=1, V=1)), params, elog_of(params))
+    store = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=5), pinned=True)
+    elbo = compute_elbo(_reduce_stats(store, Dimensions(D=1, C=1, T=1, V=1)), params, elog_of(params))
     assert abs(elbo - np.log(0.3)) < 1e-7
 
 
@@ -1068,10 +1098,10 @@ def test_elbo_never_exceeds_exact_marginal():
         dims = Dimensions(D=1, C=C, T=T, V=V, K=K)
         exact = exact_log_marginal(TinyInstance(doc=doc, params=params, dims=dims))
 
-        fresh = init_doc_variational(doc, params)
-        assert compute_elbo(collect_stats([doc], [fresh], dims), params, elog_of(params)) <= exact + 1e-9
-        st = e_step_corpus([doc], params, elog_of(params), estep)[0]
-        assert compute_elbo(collect_stats([doc], [st], dims), params, elog_of(params)) <= exact + 1e-9
+        fresh = cold_store([doc], params, V)
+        assert compute_elbo(_reduce_stats(fresh, dims), params, elog_of(params)) <= exact + 1e-9
+        st = e_step_corpus([doc], params, elog_of(params), estep)
+        assert compute_elbo(_reduce_stats(st, dims), params, elog_of(params)) <= exact + 1e-9
 
 
 def test_estep_increases_elbo():
@@ -1080,10 +1110,10 @@ def test_estep_increases_elbo():
     params = random_params(rng, C, T, V, K=K)
     doc = random_doc(rng, C, V, K=K, n_terms=5)
     dims = Dimensions(D=1, C=C, T=T, V=V, K=K)
-    before = init_doc_variational(doc, params)
-    after = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=30))[0]
-    assert (compute_elbo(collect_stats([doc], [after], dims), params, elog_of(params))
-            >= compute_elbo(collect_stats([doc], [before], dims), params, elog_of(params)) - 1e-10)
+    before = cold_store([doc], params, V)
+    after = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=30))
+    assert (compute_elbo(_reduce_stats(after, dims), params, elog_of(params))
+            >= compute_elbo(_reduce_stats(before, dims), params, elog_of(params)) - 1e-10)
 
 
 def _expected_log(conc):
@@ -1095,6 +1125,24 @@ def _dirichlet_terms(conc, elog):
                   + ((conc - 1.0) * elog).sum(-1)).sum())
 
 
+def per_document_state_terms(corpus, states):
+    """Reference transcription: the bound's terms that need a document's own
+    state beyond the M-step statistics, summed document by document."""
+    total = 0.0
+    for doc, st in zip(corpus, states):
+        counts = doc.counts.astype(np.float64)[:, None]
+        Delta = st.Delta
+        elog = _expected_log(st.gamma)
+        resp = (st.delta * counts).T @ st.phi
+        mix = Delta[:, None] * elog[:, 1, :] + (1.0 - Delta)[:, None] * elog[:, 0, :]
+        total += float((resp * mix).sum())
+        total -= float((counts * xlogy(st.delta, st.delta)).sum())
+        total -= float((counts * xlogy(st.phi, st.phi)).sum())
+        total -= _dirichlet_terms(st.gamma, elog)
+        total -= float((xlogy(Delta, Delta) + xlogy(1.0 - Delta, 1.0 - Delta)).sum())
+    return total
+
+
 def per_document_bound(corpus, params, states, topics=None, eta=None):
     """Reference transcription: the bound summed document by document, with
     every term evaluated from that document's own state."""
@@ -1104,11 +1152,10 @@ def per_document_bound(corpus, params, states, topics=None, eta=None):
         log_wt_full = _expected_log(topics)
     else:
         log_wt_full = np.log(np.clip(params.beta, 1e-300, None))
-    total = 0.0
+    total = per_document_state_terms(corpus, states)
     for doc, st in zip(corpus, states):
         counts = doc.counts.astype(np.float64)
         Delta = st.Delta
-        elog = _expected_log(st.gamma)
 
         total += float((Delta * np.log(xi) + (1.0 - Delta) * np.log(1.0 - xi)).sum())
         if doc.crowd_labels is not None and params.rho.size:
@@ -1116,20 +1163,9 @@ def per_document_bound(corpus, params, states, topics=None, eta=None):
             total += float((Delta * ann1 + (1.0 - Delta) * ann0).sum())
 
         total -= counts.sum() * np.log(C)
-        total -= float((counts[:, None] * xlogy(st.delta, st.delta)).sum())
-
-        resp = (st.delta * counts[:, None]).T @ st.phi
-        mix = Delta[:, None] * elog[:, 1, :] + (1.0 - Delta)[:, None] * elog[:, 0, :]
-        total += float((resp * mix).sum())
-
         log_wt = log_wt_full[:, doc.word_ids].T
         total += float((counts[:, None] * st.phi * log_wt).sum())
-        total -= float((counts[:, None] * xlogy(st.phi, st.phi)).sum())
-
-        total += _dirichlet_terms(params.alpha, elog)
-        total -= _dirichlet_terms(st.gamma, elog)
-
-        total -= float((xlogy(Delta, Delta) + xlogy(1.0 - Delta, 1.0 - Delta)).sum())
+        total += _dirichlet_terms(params.alpha, _expected_log(st.gamma))
 
     if topics is not None:
         elog_beta = _expected_log(topics)
@@ -1156,13 +1192,13 @@ def test_elbo_from_stats_matches_per_document_bound(mode, smoothing, stepped):
     pinned = mode == "no-crowd"
     elog_beta = elog_of(params, topics)
     if stepped:
-        states = e_step_corpus(docs, params, elog_beta, EStepConfig(max_iters=30), pinned=pinned)
+        store = e_step_corpus(docs, params, elog_beta, EStepConfig(max_iters=30), pinned=pinned)
     else:
-        states = [init_doc_variational(doc, params, pinned=pinned) for doc in docs]
+        store = cold_store(docs, params, V, pinned=pinned)
 
     pairs = () if topics is None else [(conc, dirichlet_log_normalizer(conc)) for conc in (topics, eta)]
-    ours = compute_elbo(collect_stats(docs, states, dims), params, elog_beta, *pairs)
-    ref = per_document_bound(docs, params, states, topics, eta)
+    ours = compute_elbo(_reduce_stats(store, dims), params, elog_beta, *pairs)
+    ref = per_document_bound(docs, params, doc_states(store), topics, eta)
     assert abs(ours - ref) <= 1e-12 * abs(ref)
 
 
@@ -1375,7 +1411,7 @@ def test_predict_checks_words_like_training(word_ids, counts, message):
         predict_corpus([docs[0], stray], params, topics)
 
 
-@pytest.mark.parametrize("entry", ["e_step_corpus", "collect_stats"])
+@pytest.mark.parametrize("entry", ["e_step_corpus", "train"])
 @pytest.mark.parametrize(
     "word_ids, counts, message",
     [
@@ -1397,8 +1433,7 @@ def test_estep_and_stats_check_words_in_corpus_order(entry, word_ids, counts, me
         if entry == "e_step_corpus":
             e_step_corpus(docs, params, elog_of(params), EStepConfig())
         else:
-            states = [init_doc_variational(doc, params) for doc in docs]
-            collect_stats(docs, states, Dimensions(D=3, C=C, T=T, V=V))
+            train(docs, Dimensions(D=3, C=C, T=T, V=V), TrainConfig(max_em_iters=1))
 
 
 def test_nocrowd_training_names_the_first_unlabelled_document():
@@ -1548,8 +1583,8 @@ def test_packed_judgments_give_the_votes_prior_agreements_and_counts(K):
 
     dims = Dimensions(D=len(docs), C=C, T=T, V=V, K=K)
     states = e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=3))
-    stats = collect_stats(docs, list(states), dims)
-    ref = corpus_order_stats(docs, list(states), dims)
+    stats = _reduce_stats(states, dims)
+    ref = corpus_order_stats(docs, doc_states(states), dims)
     np.testing.assert_allclose(stats.rho_num, ref["rho_num"], rtol=1e-12, atol=0)
     assert np.array_equal(stats.rho_cnt, ref["rho_cnt"])
 

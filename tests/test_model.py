@@ -13,22 +13,22 @@ from mlpalda.model import (
     DELTA_CLAMP,
     PROB_CLAMP,
     Dimensions,
-    DocVariational,
     Document,
     ModelParams,
     clamp_probability,
-    init_doc_variational,
     init_params,
     initial_presence,
     init_smoothed_state,
     load_model,
     save_model,
     validate,
+    validate_states,
     faulty_words,
     validate_corpus,
     validate_document,
     validate_words,
 )
+from states import cold_store, doc_states
 from synth import sample_corpus, separable_params
 
 
@@ -248,15 +248,19 @@ def test_init_smoothed_state_breaks_topic_symmetry():
 
 
 # ---------------------------------------------------------------------------
-# init_doc_variational
+# a document's cold state: the E-step's start, held in the chunk store
 # ---------------------------------------------------------------------------
+
+
+def _cold_state(doc, p, pinned=False):
+    return doc_states(cold_store([doc], p, _dims().V, pinned=pinned))[0]
 
 
 def test_init_doc_uniform_rows_and_gamma():
     dims = _dims(K=0)
     p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
     doc = _doc()
-    dv = init_doc_variational(doc, p, pinned=True)
+    dv = _cold_state(doc, p, pinned=True)
     assert np.allclose(dv.delta, 1.0 / 3.0)
     assert np.allclose(dv.phi, 1.0 / 2.0)
     # observed labels land in the Delta slot, clamped
@@ -273,7 +277,7 @@ def test_init_doc_prediction_uses_prior():
     dims = _dims(K=0)
     p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
     doc = _doc(labels=(1, 1, 1))  # present labels must be ignored
-    dv = init_doc_variational(doc, p)
+    dv = _cold_state(doc, p)
     assert np.allclose(dv.Delta, p.xi)
 
 
@@ -287,7 +291,7 @@ def test_init_doc_crowd_warm_start_maps_votes_through_quality():
     # "absent" vote; class 2 gets no votes at all
     crowd = np.array([[1, 0, -1], [1, -1, -1], [1, -1, -1]])
     doc = _doc(labels=None, crowd=crowd)
-    dv = init_doc_variational(doc, p)
+    dv = _cold_state(doc, p)
     assert abs(dv.Delta[0] - 0.9) <= 1e-12
     assert abs(dv.Delta[1] - 0.1) <= 1e-12
     assert abs(dv.Delta[2] - p.xi[2]) <= 1e-12
@@ -299,7 +303,7 @@ def test_init_doc_leaves_votes_out_without_annotator_qualities():
     dims = _dims(K=2)
     p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
     doc = _doc(labels=None, crowd=[[1, 0, -1], [1, -1, 0]])
-    dv = init_doc_variational(doc, p)
+    dv = _cold_state(doc, p)
     assert np.array_equal(dv.Delta, p.xi)
 
 
@@ -324,8 +328,8 @@ def test_init_doc_nocrowd_requires_known_labels():
     dims = _dims(K=0)
     p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
     doc = _doc(labels=(1, -1, 0))
-    with pytest.raises(ValueError):
-        init_doc_variational(doc, p, pinned=True)
+    with pytest.raises(ValueError, match="^document d0: no-crowd training needs fully known labels$"):
+        _cold_state(doc, p, pinned=True)
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +379,12 @@ def test_validate_flags_nan(where):
     dims = _dims(K=2)
     p = init_params(dims, mode="crowd", smoothing=True, seed=0)
     smoothed = init_smoothed_state(np.ones((dims.T, dims.V)), seed=0)
-    state = init_doc_variational(_doc(crowd=[[1, 0, 1], [0, -1, 1]]), p)
-    assert validate(p, dims, state=state, smoothed=smoothed) == []
+    states = cold_store([_doc(crowd=[[1, 0, 1], [0, -1, 1]])], p, dims.V)
+    assert validate(p, dims, smoothed=smoothed) + validate_states(p, states) == []
 
-    target = {"xi": p.xi, "rho": p.rho, "Delta": state.Delta, "chi": smoothed}[where]
+    target = {"xi": p.xi, "rho": p.rho, "Delta": states.chunks[0].Delta, "chi": smoothed}[where]
     target.flat[0] = np.nan
-    msgs = validate(p, dims, state=state, smoothed=smoothed)
+    msgs = validate(p, dims, smoothed=smoothed) + validate_states(p, states)
     assert any(m.startswith(where) for m in msgs), msgs
 
 
@@ -413,19 +417,44 @@ def test_a_model_has_exactly_one_of_beta_and_chi(tmp_path):
 def test_validate_doc_state():
     dims = _dims(K=0)
     p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
-    doc = _doc()
-    dv = init_doc_variational(doc, p, pinned=True)
-    assert validate(p, dims, state=dv) == []
+    states = cold_store([_doc()], p, dims.V, pinned=True)
+    assert validate_states(p, states) == []
+    chunk = states.chunks[0]
 
-    broken = DocVariational(
-        delta=dv.delta * 2.0, Delta=dv.Delta, phi=dv.phi, gamma=dv.gamma
-    )
-    assert any("delta" in m for m in validate(p, dims, state=broken))
+    chunk.delta *= 2.0
+    assert any("delta" in m for m in validate_states(p, states))
+    chunk.delta /= 2.0
 
-    shrunk = DocVariational(
-        delta=dv.delta, Delta=dv.Delta, phi=dv.phi, gamma=dv.gamma * 0.5
-    )
-    assert any("gamma" in m for m in validate(p, dims, state=shrunk))
+    chunk.gamma *= 0.5
+    assert any("gamma" in m for m in validate_states(p, states))
+
+
+def test_validate_states_reads_term_columns_not_padding():
+    """One message per broken invariant, in ``validate``'s style; the
+    padding columns of a chunk's shorter documents are not read."""
+    dims = _dims(K=2)
+    p = init_params(dims, mode="crowd", smoothing=False, seed=0)
+    docs = [_doc(word_ids=(0, 1, 2, 3), counts=(1, 1, 2, 1), crowd=[[1, 0, 1], [0, -1, 1]]),
+            _doc(word_ids=(4,), counts=(3,)), _doc(word_ids=(1, 3), counts=(2, 2))]
+    states = cold_store(docs, p, dims.V)
+    assert len(states.chunks) == 1 and validate_states(p, states) == []
+    chunk = states.chunks[0]
+    pad = np.nonzero(~chunk.mask)
+    assert pad[0].size  # the two shorter documents are padded
+    for name in ("delta", "phi"):
+        getattr(chunk, name)[pad[0], :, pad[1]] = np.nan
+    assert validate_states(p, states) == []
+
+    chunk.delta[0, :, 0] = [1.0, 0.5, -0.5]  # sums to one, but one entry is negative
+    chunk.phi[1, :, 0] = np.inf
+    chunk.Delta[2, 1] = 1.0
+    chunk.gamma[0, 2, 1, 0] = np.nan
+    assert validate_states(p, states) == [
+        "delta columns not stochastic", "phi columns not stochastic", "Delta out of clamp range",
+        "phi has non-finite entries", "gamma has non-finite entries",
+    ]
+    params = ModelParams(alpha=p.alpha[:, :, :1], xi=p.xi, rho=p.rho, beta=p.beta[:1])
+    assert "gamma shape mismatch with alpha" in validate_states(params, states)
 
 
 # ---------------------------------------------------------------------------
