@@ -114,6 +114,8 @@ def cmd_train(args) -> int:
     cfg = _train_config(args)
     if cfg.mode == "crowd" and args.crowd is None:
         raise ValueError("crowd mode needs --crowd")
+    if cfg.mode != "crowd" and args.crowd is not None:
+        raise ValueError("--crowd needs --mode crowd")
     corpus, dims = load_corpus(args.corpus, args.crowd)
     dims = dims.with_topics(args.topics)
     try:

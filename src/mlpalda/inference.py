@@ -18,7 +18,7 @@ from them (``_reduce_stats``), and :func:`~mlpalda.model.validate_states`
 checks them.
 
 Everything an EM iteration computes besides the sweeps is computed once per
-thing that changes: the words and judgments once per corpus (``_pack``),
+thing that changes: the words and judgments once per corpus (``pack_corpus``),
 and E[log beta] once per topic table, shared by the E-pass and the bound
 that read the same table (``train``).
 
@@ -48,14 +48,12 @@ from .model import (
     Document,
     ModelParams,
     clamp_probability,
-    corpus_words,
     init_params,
     init_smoothed_state,
     initial_presence,
     known_labels,
     normalize_mode,
     validate_corpus,
-    validate_words,
 )
 from .numerics import (dirichlet_expected_log, dirichlet_gradient, dirichlet_log_normalizer,
                        dirichlet_objective, solve_dirichlet_newton)
@@ -278,36 +276,26 @@ class _Chunk:
     sweeps: Optional[np.ndarray] = None  # (B,) inner sweeps
 
 
+@dataclass
 class CorpusStates:
     """Every document's variational state, held in the E-step's chunk arrays.
 
     Document d's values are the row of ``chunks`` whose ``docs`` entry is
     d, over its first ``lengths[d]`` columns.  ``corpus`` is the document
-    list the chunks were packed from, and ``pinned`` the presence mode they
-    were packed for.  A store that :func:`_pack` made holds no states yet,
-    and an E-pass over it starts every document cold.
+    list the chunks were packed from, ``dims`` the dimensions it was
+    checked against, and ``pinned`` the presence mode it was packed for.
+    A store that :func:`pack_corpus` made holds no states yet, and an
+    E-pass over it starts every document cold.
     """
 
-    def __init__(self, corpus, chunks, lengths, word_ids, counts, judged, pinned):
-        self.corpus = corpus
-        self.chunks = chunks
-        self.lengths = lengths    # (D,) terms per document
-        self.word_ids = word_ids  # (N,) every document's term ids, in corpus order
-        self.counts = counts      # (N,) their token counts as floats, in corpus order
-        self.judged = judged      # (K,) judgments each annotator gave, as floats
-        self.pinned = pinned      # the presence beliefs are the labels
-
-
-def _checked_words(corpus, V):
-    """``corpus``'s :func:`~mlpalda.model.corpus_words` ids, counts and lengths.
-
-    The first document in corpus order with faulty words raises its
-    ValueError.
-    """
-    word_ids, counts, lengths, faulty = corpus_words(corpus, V)
-    for d in np.flatnonzero(faulty):
-        validate_words(corpus[d], V)
-    return word_ids, counts, lengths
+    corpus: list
+    dims: Dimensions
+    pinned: bool          # the presence beliefs are the labels
+    chunks: list
+    lengths: np.ndarray   # (D,) terms per document
+    word_ids: np.ndarray  # (N,) every document's term ids, in corpus order
+    counts: np.ndarray    # (N,) their token counts as floats, in corpus order
+    judged: np.ndarray    # (K,) judgments each annotator gave, as floats
 
 
 def _judgment_masks(votes):
@@ -315,26 +303,28 @@ def _judgment_masks(votes):
     return (votes == 1).astype(np.int8), (votes == 0).astype(np.int8)
 
 
-def _pack(corpus, C, T, words, pinned=False) -> CorpusStates:
-    """Length-sorted chunks of ``corpus``'s words and judgments, with no states yet.
+def pack_corpus(corpus, dims: Dimensions, pinned=False) -> CorpusStates:
+    """``corpus`` checked against ``dims`` and packed for the E-step, with no states yet.
 
-    ``words`` are the corpus's checked (ids, counts, lengths), from
-    :func:`_checked_words` or :func:`~mlpalda.model.validate_corpus`.  The
-    judgments are packed as the :func:`_judgment_masks` of each chunk, and
-    the store counts each annotator's judgments once.  With ``pinned``
-    each chunk's ``Delta`` is set to its documents' clamped labels, the
-    presence beliefs they keep, and the first document in corpus order
-    with an unknown label raises its ValueError."""
-    word_ids, counts, lengths = words
+    :func:`~mlpalda.model.validate_corpus` checks every document, and with
+    ``pinned`` every label must be known (0 or 1); the first faulty
+    document in corpus order raises its ValueError.  The words that check
+    returns are cut into length-sorted chunks, and the judgments are
+    packed as the :func:`_judgment_masks` of each chunk, with each
+    annotator's judgments counted once.  With ``pinned`` each chunk's
+    ``Delta`` is set to its documents' clamped labels, the presence
+    beliefs they keep.
+    """
+    word_ids, counts, lengths = validate_corpus(corpus, dims)
     labels = None
     if pinned:
         labels = clamp_probability(np.array([known_labels(doc) for doc in corpus]), DELTA_CLAMP)
+    C, K = dims.C, dims.K
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     counts = counts.astype(np.float64)
-    K = next((doc.crowd_labels.shape[0] for doc in corpus if doc.crowd_labels is not None), 0)
     judged = np.zeros(K)
     chunks = []
-    for docs in map(np.array, _length_sorted_chunks(lengths, max(C, T))):
+    for docs in map(np.array, _length_sorted_chunks(lengths, max(C, dims.T))):
         mask = np.arange(lengths[docs].max()) < lengths[docs][:, None]
         rows, cols = np.nonzero(mask)
         votes = np.full((docs.size, K, C), -1, dtype=np.int8)
@@ -351,7 +341,7 @@ def _pack(corpus, C, T, words, pinned=False) -> CorpusStates:
         chunk.ids[mask] = word_ids[chunk.slots]
         chunk.counts[mask] = counts[chunk.slots]
         chunks.append(chunk)
-    return CorpusStates(corpus, chunks, lengths, word_ids, counts, judged, pinned)
+    return CorpusStates(corpus, dims, pinned, chunks, lengths, word_ids, counts, judged)
 
 
 def _start_arrays(chunk, C, T, params):
@@ -372,30 +362,28 @@ def _start_arrays(chunk, C, T, params):
 
 
 def e_step_corpus(
-    corpus,
+    store: CorpusStates,
     params: ModelParams,
     elog_beta: np.ndarray,
     estep: EStepConfig,
-    states=None,
-    pinned: bool = False,
 ) -> CorpusStates:
-    """Coordinate-ascent inner loops for every document; one state each.
+    """Coordinate-ascent inner loops for every document of a packed corpus.
 
-    Each document cycles gamma -> phi -> delta -> Delta until the largest
-    change across its delta, Delta and phi drops below ``estep.tol`` (or
-    the inner cap is hit), warm-starting from its state in ``states`` when
-    they hold one.  That full test runs only when the document's class and
-    topic totals (its responsibilities summed over topics and over classes)
-    moved by at most about tol per token since the last sweep; a larger move
+    ``store`` is a :func:`pack_corpus` store, whose documents all start
+    cold, or a store that an earlier call returned, whose documents
+    warm-start from the states it holds.  Each document cycles gamma ->
+    phi -> delta -> Delta until the largest change across its delta,
+    Delta and phi drops below ``estep.tol`` (or the inner cap is hit).
+    That full test runs only when the document's class and topic totals
+    (its responsibilities summed over topics and over classes) moved by
+    at most about tol per token since the last sweep; a larger move
     proves the change is at least tol, so this early-out changes no stop
-    (see :func:`_e_step_chunk`).  With ``pinned`` (no-crowd training) the
-    presence beliefs are the observed labels and stay there.  Otherwise they are free, and a
-    document's judgments enter wherever it carries them; prediction passes
-    documents that carry words only.  ``elog_beta`` is the model's (T, V)
+    (see :func:`_e_step_chunk`).  With ``store.pinned`` (no-crowd
+    training) the presence beliefs are the observed labels and stay
+    there.  Otherwise they are free, and a document's judgments enter
+    wherever it carries them; prediction packs documents that carry
+    words only.  ``elog_beta`` is the model's (T, V)
     :func:`expected_log_word_given_topic`, which is read, not changed.
-    Before any sweep, the first document in corpus order whose words are
-    faulty, or with ``pinned`` whose labels are not all known, raises
-    ValueError.
 
     The documents run in lockstep, in length-sorted chunks padded to their
     longest document.  A chunk takes documents while its widest working
@@ -423,38 +411,22 @@ def e_step_corpus(
     are; beyond it (a topic whose E[log theta] lies near -1e8, say) they
     run the max-shift.
 
-    The returned :class:`CorpusStates` keeps the states in those chunks.
-    Passed back as ``states`` with the same ``corpus`` object and
-    ``pinned``, it is read, not changed, and its packed words and
-    judgments are reused; so are those of a store that :func:`_pack` made
-    for them, whose documents all start cold.  ``states`` is None or such
-    a store: anything else (a store packed for another corpus object or
-    the other ``pinned`` mode, or any other object) raises ValueError.
+    The returned :class:`CorpusStates` keeps the states in those chunks
+    and shares ``store``'s packed words and judgments; ``store`` itself is
+    read, not changed.
     """
-    C, _, T = params.alpha.shape
-    if states is None:
-        store = _pack(corpus, C, T, _checked_words(corpus, elog_beta.shape[1]), pinned)
-    elif not isinstance(states, CorpusStates):
-        raise ValueError(f"e_step_corpus: states must be a CorpusStates, not {type(states).__name__}")
-    elif states.corpus is not corpus:
-        raise ValueError("e_step_corpus: the states were packed for another corpus object")
-    elif states.pinned != pinned:
-        raise ValueError(f"e_step_corpus: the states were packed with pinned={states.pinned}")
-    else:
-        store = states
     shifted = elog_beta - elog_beta.max(axis=0)  # each word's largest over topics becomes 0
     chunks, capped = [], 0
     for chunk in store.chunks:
-        chunk, hits = _e_step_chunk(chunk, corpus, params, estep, shifted, pinned)
+        chunk, hits = _e_step_chunk(chunk, store, params, estep, shifted)
         chunks.append(chunk)
         capped += hits
     if capped:
         logger.warning(
             "E-step: %d of %d documents were still changing after max_estep_iters=%d sweeps",
-            capped, len(corpus), estep.max_iters,
+            capped, len(store.corpus), estep.max_iters,
         )
-    return CorpusStates(corpus, chunks, store.lengths, store.word_ids, store.counts,
-                        store.judged, pinned)
+    return replace(store, chunks=chunks)
 
 
 def _presence_log_odds(xi, rho, yes, no):
@@ -485,8 +457,8 @@ def _mixed_log_theta(Delta, elog, gap, out=None):
     return out
 
 
-def _e_step_chunk(chunk, corpus, params, estep, elog_beta, pinned):
-    """Lockstep inner loops for one packed chunk of ``corpus``.
+def _e_step_chunk(chunk, store, params, estep, elog_beta):
+    """Lockstep inner loops for one packed chunk of ``store``.
 
     The documents start from the states the chunk holds, or cold
     (:func:`_start_arrays`) when it holds none.  Returns a chunk with the
@@ -570,7 +542,7 @@ def _e_step_chunk(chunk, corpus, params, estep, elog_beta, pinned):
             dirichlet_expected_log(gamma_n, out=elog_n)
         except ValueError as exc:
             bad = ~np.all(np.isfinite(gamma_n) & (gamma_n > 0.0), axis=(1, 2, 3))
-            doc = corpus[chunk.docs[live[np.argmax(bad)]]]
+            doc = store.corpus[chunk.docs[live[np.argmax(bad)]]]
             raise NumericalFailureError(f"document {doc.doc_id}: {exc}") from exc
         np.subtract(elog_n[:, :, 1], elog_n[:, :, 0], out=gap_n)
         _mixed_log_theta(Delta_n, elog_n, gap_n, out=mix_n)
@@ -588,7 +560,7 @@ def _e_step_chunk(chunk, corpus, params, estep, elog_beta, pinned):
         resp_n.sum(axis=1, out=new_totals[:, C:])
         move = np.subtract(new_totals, totals[:n], out=totals[:n])
         done = ~(np.abs(move, out=move).max(axis=1) > limit[:n])  # a NaN move fails ">"
-        if not pinned:
+        if not store.pinned:
             new_Delta = _presence_update(prior[:n], gap_n, resp_n)
             done &= np.abs(new_Delta - Delta_n).max(axis=-1) < estep.tol
             Delta_n[...] = new_Delta
@@ -621,7 +593,7 @@ def _e_step_chunk(chunk, corpus, params, estep, elog_beta, pinned):
         value = getattr(out, name)
         bad = ~np.isfinite(value).reshape(B, -1).all(axis=1)
         if bad.any():
-            doc = corpus[chunk.docs[np.argmax(bad)]]
+            doc = store.corpus[chunk.docs[np.argmax(bad)]]
             raise NumericalFailureError(f"document {doc.doc_id}: non-finite {name}")
     return out, capped
 
@@ -656,7 +628,7 @@ class CorpusStats:
     state_terms: float           # the bound's terms that need one document's state
 
 
-def _reduce_stats(store: CorpusStates, dims: Dimensions) -> CorpusStats:
+def _reduce_stats(store: CorpusStates) -> CorpusStats:
     """Sums of the states in ``store``, over documents in corpus order.
 
     Each document's E[log theta], presence beliefs and expected agreements
@@ -671,22 +643,21 @@ def _reduce_stats(store: CorpusStates, dims: Dimensions) -> CorpusStats:
     :func:`_xlogx`), minus the gamma Dirichlet block, and the Delta
     entropy.
     """
+    dims = store.dims
     C, T, V, K = dims.C, dims.T, dims.V, dims.K
     D = store.lengths.size
     log_theta = np.empty((D, C, 2, T))
     presence = np.empty((D, C))
     agree = np.zeros((D, K))
-    voted = K > 0 and store.judged.size == K  # the packed votes are K x C
     state_terms = 0.0
     for chunk in store.chunks:
         elog = dirichlet_expected_log(chunk.gamma)  # (B, C, 2, T)
         log_theta[chunk.docs] = elog
         Delta = chunk.Delta
         presence[chunk.docs] = Delta
-        if voted:
-            both = chunk.yes * Delta[:, None, :]
-            both += chunk.no * (1.0 - Delta)[:, None, :]
-            agree[chunk.docs] = both.sum(axis=-1)
+        both = chunk.yes * Delta[:, None, :]
+        both += chunk.no * (1.0 - Delta)[:, None, :]
+        agree[chunk.docs] = both.sum(axis=-1)
         counts = chunk.counts[:, None, :]
         gap = elog[:, :, 1] - elog[:, :, 0]
         state_terms += float((chunk.resp * _mixed_log_theta(Delta, elog, gap)).sum())
@@ -707,7 +678,7 @@ def _reduce_stats(store: CorpusStates, dims: Dimensions) -> CorpusStats:
         n_tokens=float(store.counts.sum()),
         sum_Delta=presence.sum(axis=0),
         rho_num=agree.sum(axis=0),
-        rho_cnt=store.judged.copy() if voted else np.zeros(K),
+        rho_cnt=store.judged.copy(),
         topic_word=topic_word,
         sum_log_theta=log_theta.sum(axis=0),
         state_terms=state_terms,
@@ -805,18 +776,16 @@ def _pack_training_corpus(corpus, dims: Dimensions, cfg: TrainConfig) -> CorpusS
     """``corpus`` checked as ``train`` needs it, then packed once (no states yet)."""
     if not corpus:
         raise ValueError("train: empty corpus")
-    words = validate_corpus(corpus, dims)
-    if cfg.mode == "crowd" and dims.K < 1:
-        raise ValueError("train: crowd mode requires K >= 1")
-    store = _pack(corpus, dims.C, dims.T, words, pinned=cfg.mode == "no-crowd")
+    store = pack_corpus(corpus, dims, pinned=cfg.mode == "no-crowd")
     if cfg.mode == "crowd":
-        seen = store.judged if store.judged.size else np.zeros(dims.K)
-        if seen.sum() == 0:
+        if dims.K < 1:
+            raise ValueError("train: crowd mode requires K >= 1")
+        if store.judged.sum() == 0:
             raise ValueError("train: crowd mode but no judgments at all")
-        if np.any(seen == 0):
+        if np.any(store.judged == 0):
             logger.warning(
                 "annotators %s never judged anything; their quality will stay at its start value",
-                np.flatnonzero(seen == 0).tolist(),
+                np.flatnonzero(store.judged == 0).tolist(),
             )
     return store
 
@@ -838,7 +807,6 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
     next E-pass both read its chi.  Each chi's log normalizer rows are
     computed for its bound and carried over as the next eta's.
     """
-    pinned = cfg.mode == "no-crowd"
     states = _pack_training_corpus(corpus, dims, cfg)  # no states yet: E-pass 1 starts cold
     params = init_params(dims, cfg.mode, cfg.smoothing, cfg.seed)
     chi = topics = eta = None  # smoothed, topics and eta pair chi and eta with their normalizers
@@ -852,8 +820,8 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
     last_change = 0.0
 
     for iteration in range(1, cfg.max_em_iters + 1):
-        states = e_step_corpus(corpus, params, elog_beta, cfg.estep, states, pinned)
-        stats = _reduce_stats(states, dims)
+        states = e_step_corpus(states, params, elog_beta, cfg.estep)
+        stats = _reduce_stats(states)
         if cfg.smoothing:
             chi = eta[0] + stats.topic_word  # a new array, so eta = topics needs no copy
             topics = (chi, dirichlet_log_normalizer(chi))
@@ -900,9 +868,12 @@ def predict_corpus(
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("predict: threshold must be in [0, 1]")
-    words = [Document(doc.doc_id, doc.word_ids, doc.counts) for doc in corpus]
-    beliefs = np.empty((len(corpus), params.alpha.shape[0]))
+    C, _, T = params.alpha.shape
     elog_beta = expected_log_word_given_topic(params, topics)
-    for chunk in e_step_corpus(words, params, elog_beta, estep).chunks:
+    words = [Document(doc.doc_id, doc.word_ids, doc.counts) for doc in corpus]
+    # the words are checked against the model's V; Dimensions only needs D >= 1
+    dims = Dimensions(D=max(len(words), 1), C=C, T=T, V=elog_beta.shape[1])
+    beliefs = np.empty((len(words), C))
+    for chunk in e_step_corpus(pack_corpus(words, dims), params, elog_beta, estep).chunks:
         beliefs[chunk.docs] = chunk.Delta
     return beliefs, (beliefs >= threshold).astype(np.int64)

@@ -398,7 +398,8 @@ def load_model(path):
     with the size the dims give; only blank lines may come between or after
     them.  Each values line holds 16 hex digits a value (see
     :func:`save_model`), with blanks allowed only around it; the dims line
-    is exactly the writer's.  v1 and v2 files are refused at line 1.
+    has the writer's keys in the writer's order, and the mode line is one
+    of the two the writer writes.  v1 and v2 files are refused at line 1.
     Every malformed or invariant-violating file raises
     :class:`~mlpalda.atomic.CorpusFormatError` (a ValueError) naming the
     path and the offending line.
@@ -419,13 +420,9 @@ def load_model(path):
         dims = Dimensions(*(int(p.partition("=")[2]) for p in pairs))
     except ValueError:
         raise CorpusFormatError(path, 2, f"bad dims line: {lines[1]!r}") from None
-    head = lines[2].split()
-    if len(head) != 2 or head[0] != "mode":
+    if lines[2] not in ("mode crowd", "mode no-crowd"):
         raise CorpusFormatError(path, 3, f"bad mode line: {lines[2]!r}")
-    try:
-        mode = normalize_mode(head[1])
-    except ValueError as exc:
-        raise CorpusFormatError(path, 3, str(exc)) from None
+    mode = lines[2].split()[1]
     if lines[3] not in ("smoothing on", "smoothing off"):
         raise CorpusFormatError(path, 4, f"bad smoothing line: {lines[3]!r}")
     smoothing = lines[3].endswith("on")

@@ -1,8 +1,9 @@
 """Variational states for the tests, built and read in the E-step's chunk store.
 
 A store (``inference.CorpusStates``) is the only form a state takes.  These
-helpers make a store of cold states, read each document's values out of its
-chunk row, and make a store whose documents start from given values.
+helpers pack documents into a store and run one E-pass over them, make a
+store of cold states, read each document's values out of its chunk row, and
+make a store whose documents start from given values.
 """
 
 from types import SimpleNamespace
@@ -10,18 +11,32 @@ from types import SimpleNamespace
 import numpy as np
 
 from mlpalda import inference
+from mlpalda.model import Dimensions
+
+
+def packed(docs, params, V, pinned=False):
+    """``inference.pack_corpus`` of ``docs``, checked against ``params``' C and
+    T, vocabulary size ``V`` and the annotator count of the votes they carry."""
+    C, _, T = params.alpha.shape
+    K = next((doc.crowd_labels.shape[0] for doc in docs if doc.crowd_labels is not None), 0)
+    return inference.pack_corpus(docs, Dimensions(D=max(len(docs), 1), C=C, T=T, V=V, K=K), pinned)
+
+
+def run_estep(docs, params, elog_beta, estep, pinned=False):
+    """One E-pass over ``docs``, :func:`packed` and started cold."""
+    store = packed(docs, params, elog_beta.shape[1], pinned)
+    return inference.e_step_corpus(store, params, elog_beta, estep)
 
 
 def cold_store(docs, params, V, pinned=False):
-    """A store of ``docs`` whose states are the E-step's cold start: uniform
-    delta and phi, the starting presence beliefs (the clamped labels with
-    ``pinned``), their responsibilities, and gamma one update from there.
-
-    Passed to ``e_step_corpus`` with the same ``docs`` object and
-    ``pinned``, it starts every document where a cold E-pass starts it.
+    """A :func:`packed` store of ``docs`` whose states are the E-step's cold
+    start: uniform delta and phi, the starting presence beliefs (the clamped
+    labels with ``pinned``), their responsibilities, and gamma one update
+    from there.  Passed to ``e_step_corpus``, it starts every document where
+    a cold E-pass starts it.
     """
     C, _, T = params.alpha.shape
-    store = inference._pack(docs, C, T, inference._checked_words(docs, V), pinned)
+    store = packed(docs, params, V, pinned)
     for chunk in store.chunks:
         chunk.delta, chunk.phi, chunk.Delta = inference._start_arrays(chunk, C, T, params)
         chunk.resp = inference._responsibilities(chunk.delta, chunk.counts, chunk.phi)

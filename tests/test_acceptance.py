@@ -27,7 +27,6 @@ from mlpalda.inference import (
     TrainConfig,
     _reduce_stats,
     compute_elbo,
-    e_step_corpus,
     predict_corpus,
     train,
 )
@@ -35,7 +34,7 @@ from mlpalda.metrics import average_accuracy, avg_class_log_likelihood, micro_f1
 from mlpalda.model import Dimensions, Document
 from mlpalda.numerics import dirichlet_gradient
 from mlpalda.oracle import TinyInstance, exact_log_marginal
-from states import cold_store, doc_states
+from states import cold_store, doc_states, run_estep
 from synth import sample_corpus, separable_params
 from test_inference import (
     elog_of,
@@ -104,9 +103,9 @@ def test_criterion_2_oracle_bound():
         exact = exact_log_marginal(TinyInstance(doc=doc, params=params, dims=dims))
         fresh = cold_store([doc], params, V)
         elog_beta = elog_of(params)
-        worst = max(worst, compute_elbo(_reduce_stats(fresh, dims), params, elog_beta) - exact)
-        settled = e_step_corpus([doc], params, elog_beta, estep)
-        worst = max(worst, compute_elbo(_reduce_stats(settled, dims), params, elog_beta) - exact)
+        worst = max(worst, compute_elbo(_reduce_stats(fresh), params, elog_beta) - exact)
+        settled = run_estep([doc], params, elog_beta, estep)
+        worst = max(worst, compute_elbo(_reduce_stats(settled), params, elog_beta) - exact)
     elapsed = time.monotonic() - t0
     gate(2, "oracle-bound", worst <= 1e-9 and elapsed < 60.0,
          f"max elbo-exact {worst:.3e}, {elapsed:.1f}s for 200 instances")
@@ -302,7 +301,7 @@ def test_criterion_8_consistency_and_regrouping():
         params = random_params(rng, 2, 3, 10, K=2)
         doc = random_doc(rng, 2, 10, K=2, n_terms=4, max_count=3, doc_id=f"reg{seed}")
         estep = EStepConfig(max_iters=3, tol=0.0)
-        grouped = doc_states(e_step_corpus([doc], params, elog_of(params), estep))[0]
+        grouped = doc_states(run_estep([doc], params, elog_of(params), estep))[0]
         init = doc_states(cold_store([doc], params, 10))[0]
         ann1, ann0 = oracle_annotator_terms(doc, params)
         tokens = np.repeat(doc.word_ids, doc.counts)

@@ -63,6 +63,19 @@ def test_train_crowd_mode_needs_crowd_file(tmp_path, corpus, capsys):
     assert "--crowd" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", [[], ["--mode", "nocrowd"], ["--mode", "no-crowd"]],
+                         ids=["default", "nocrowd", "no-crowd"])
+def test_train_crowd_file_needs_crowd_mode(tmp_path, corpus, capsys, mode):
+    """A no-crowd run would read the votes and never use them: refused."""
+    crowd, model = tmp_path / "c.crowd", tmp_path / "m.model"
+    assert run("simulate-crowd", "--corpus", str(corpus), "--crowd-out", str(crowd), "--seed", "2") == 0
+    code = run("train", "--corpus", str(corpus), "--crowd", str(crowd), "--topics", "2",
+               "--model-out", str(model), *mode)
+    assert code == 1
+    assert capsys.readouterr().err == "error: --crowd needs --mode crowd\n"
+    assert not model.exists()
+
+
 def test_train_same_seed_is_byte_identical(tmp_path, corpus):
     a, b = tmp_path / "a.model", tmp_path / "b.model"
     argv = ["train", "--corpus", str(corpus), "--topics", "2", "--max-iters", "5",

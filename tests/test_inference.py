@@ -32,6 +32,7 @@ from mlpalda.inference import (
     e_step_corpus,
     expected_log_word_given_topic,
     m_step,
+    pack_corpus,
     predict_corpus,
     train,
 )
@@ -47,7 +48,7 @@ from mlpalda.model import (
 )
 from mlpalda.numerics import dirichlet_log_normalizer, solve_dirichlet_newton
 from mlpalda.oracle import TinyInstance, exact_log_marginal
-from states import cold_store, doc_states, warm_store
+from states import cold_store, doc_states, packed, run_estep, warm_store
 from synth import sample_corpus, separable_params
 
 
@@ -176,7 +177,7 @@ def test_estep_matches_token_loop_transcription(mode, with_votes):
 
     pinned = mode == "no-crowd"
     estep = EStepConfig(max_iters=3, tol=0.0)
-    state = doc_states(e_step_corpus([doc], params, elog_of(params), estep, pinned=pinned))[0]
+    state = doc_states(run_estep([doc], params, elog_of(params), estep, pinned=pinned))[0]
 
     init = doc_states(cold_store([doc], params, V, pinned=pinned))[0]
     ann1, ann0 = oracle_annotator_terms(doc, params) if mode == "crowd" else (
@@ -219,8 +220,8 @@ def test_grouped_and_expanded_documents_agree():
         crowd_labels=doc.crowd_labels,
     )
     estep = EStepConfig(max_iters=6, tol=0.0)
-    grouped = doc_states(e_step_corpus([doc], params, elog_of(params), estep))[0]
-    flat = doc_states(e_step_corpus([expanded], per_token, elog_of(per_token), estep))[0]
+    grouped = doc_states(run_estep([doc], params, elog_of(params), estep))[0]
+    flat = doc_states(run_estep([expanded], per_token, elog_of(per_token), estep))[0]
 
     np.testing.assert_allclose(flat.Delta, grouped.Delta, rtol=0, atol=1e-12)
     np.testing.assert_allclose(flat.gamma, grouped.gamma, rtol=0, atol=1e-12)
@@ -273,7 +274,7 @@ def test_near_perfect_annotator_pins_presence():
         counts=np.array([1, 2]),
         crowd_labels=np.array([[1, 0]]),
     )
-    state = doc_states(e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=20)))[0]
+    state = doc_states(run_estep([doc], params, elog_of(params), EStepConfig(max_iters=20)))[0]
     assert state.Delta[0] > 1.0 - 1e-6
     assert state.Delta[1] < 1e-6
 
@@ -283,7 +284,7 @@ def test_estep_state_is_self_consistent():
     C, T, V, K = 3, 2, 10, 2
     params = random_params(rng, C, T, V, K=K)
     doc = random_doc(rng, C, V, K=K, n_terms=6)
-    store = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=15))
+    store = run_estep([doc], params, elog_of(params), EStepConfig(max_iters=15))
     st = doc_states(store)[0]
 
     assert validate_states(params, store) == []
@@ -303,7 +304,7 @@ def test_estep_pins_observed_labels_in_no_crowd_mode():
     params = random_params(rng, 3, 2, 9)
     doc = random_doc(rng, 3, 9)
     estep = EStepConfig(max_iters=8)
-    st = doc_states(e_step_corpus([doc], params, elog_of(params), estep, pinned=True))[0]
+    st = doc_states(run_estep([doc], params, elog_of(params), estep, pinned=True))[0]
     np.testing.assert_allclose(
         st.Delta, np.clip(doc.true_labels.astype(float), 1e-9, 1 - 1e-9), atol=0
     )
@@ -319,10 +320,10 @@ def test_estep_smoothed_uses_chi_not_beta():
     chi = rng.uniform(0.5, 3.0, size=(T, V))
     doc = random_doc(rng, C, V)
     estep = EStepConfig(max_iters=4)
-    st = doc_states(e_step_corpus([doc], smoothed, elog_of(smoothed, chi), estep, pinned=True))[0]
+    st = doc_states(run_estep([doc], smoothed, elog_of(smoothed, chi), estep, pinned=True))[0]
     assert np.all(np.isfinite(st.phi))
     # different chi must change the answer
-    st2 = doc_states(e_step_corpus([doc], smoothed, elog_of(smoothed, chi * 3.0), estep, pinned=True))[0]
+    st2 = doc_states(run_estep([doc], smoothed, elog_of(smoothed, chi * 3.0), estep, pinned=True))[0]
     assert np.abs(st.phi - st2.phi).max() > 1e-6
 
 
@@ -332,7 +333,7 @@ def test_estep_raises_on_nan_parameters():
     params.beta[0, 0] = np.nan
     doc = random_doc(rng, 2, 5, doc_id="bad-doc")
     with pytest.raises(NumericalFailureError, match="bad-doc"):
-        e_step_corpus([doc], params, elog_of(params), EStepConfig(), pinned=True)
+        run_estep([doc], params, elog_of(params), EStepConfig(), pinned=True)
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +370,17 @@ def assert_equals_one_document_calls(docs, params, estep, pinned, start=None):
 
     BLAS may round a product summed over the padded term axis differently
     from the unpadded one, so the values are not equal bit for bit."""
-    store = e_step_corpus(docs, params, elog_of(params), estep, start, pinned)
+    V = params.beta.shape[1]
     starts = [None] * len(docs) if start is None else doc_states(start)
+    if start is None:
+        start = packed(docs, params, V, pinned)
+    store = e_step_corpus(start, params, elog_of(params), estep)
     sweeps = []
     for doc, begin, st in zip(docs, starts, doc_states(store)):
-        single = [doc]
+        single = packed([doc], params, V, pinned)
         if begin is not None:
-            begin = warm_store(single, params, params.beta.shape[1], [begin], pinned)
-        one = doc_states(e_step_corpus(single, params, elog_of(params), estep, begin, pinned))[0]
+            single = warm_store([doc], params, V, [begin], pinned)
+        one = doc_states(e_step_corpus(single, params, elog_of(params), estep))[0]
         assert st.sweeps == one.sweeps, doc.doc_id
         for name in ("delta", "phi", "Delta", "gamma"):
             np.testing.assert_allclose(getattr(st, name), getattr(one, name), rtol=1e-12,
@@ -403,7 +407,7 @@ def test_corpus_estep_equals_one_document_calls(monkeypatch, pinned, words_only,
     monkeypatch.setattr(inference, "CHUNK_ELEMENTS", budget)
     start = None
     if warm:
-        start = e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=2), pinned=pinned)
+        start = run_estep(docs, params, elog_of(params), EStepConfig(max_iters=2), pinned=pinned)
         if warm == "list":
             start = warm_store(docs, params, V, doc_states(start), pinned)
 
@@ -474,7 +478,7 @@ def test_estep_softmaxes_fall_back_to_the_max_shift_past_the_spread_bound(
 
     monkeypatch.setattr(inference, "_softmax_columns", recording_softmax)
     estep = EStepConfig(max_iters=60, tol=1e-7)
-    for st in doc_states(e_step_corpus(docs, params, elog_of(params), estep, pinned=pinned)):
+    for st in doc_states(run_estep(docs, params, elog_of(params), estep, pinned=pinned)):
         for name in ("delta", "phi", "Delta", "gamma"):
             assert np.all(np.isfinite(getattr(st, name))), name
     assert shift_free.count(False) > len(shift_free) // 2  # the max-shift ran
@@ -501,13 +505,13 @@ def test_chunk_budget_moves_nothing_beyond_rounding_at_benchmark_widths(
     estep = EStepConfig()  # the benchmark's settings
     starts = [None] * len(docs)
     if warm:
-        starts = doc_states(e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=2),
-                                          pinned=pinned))
+        starts = doc_states(run_estep(docs, params, elog_of(params), EStepConfig(max_iters=2),
+                                      pinned=pinned))
     runs = []
     for budget in (2 ** 15, inference.CHUNK_ELEMENTS):
         monkeypatch.setattr(inference, "CHUNK_ELEMENTS", budget)
         start = warm_store(docs, params, V, starts, pinned)
-        runs.append(e_step_corpus(docs, params, elog_of(params), estep, start, pinned))
+        runs.append(e_step_corpus(start, params, elog_of(params), estep))
     assert len(runs[0].chunks) > len(runs[1].chunks) > 1
     old, new = map(doc_states, runs)
     for doc, a, b in zip(docs, old, new):
@@ -534,7 +538,7 @@ def test_rows_freed_by_leaving_documents_are_filled_from_the_tail(monkeypatch):
     # converged starts leave at the first sweep, from chunk rows 0, 4, 6 and 8;
     # the others start cold
     tight = EStepConfig(max_iters=500, tol=1e-13)
-    starts = [doc_states(e_step_corpus([doc], params, elog_of(params), tight))[0] if d in (0, 4, 6, 8)
+    starts = [doc_states(run_estep([doc], params, elog_of(params), tight))[0] if d in (0, 4, 6, 8)
               else None for d, doc in enumerate(docs)]
     estep = EStepConfig(max_iters=60, tol=1e-7)
 
@@ -547,13 +551,12 @@ def test_rows_freed_by_leaving_documents_are_filled_from_the_tail(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(inference, "_largest_change", recording)
-        store = e_step_corpus(docs, params, elog_of(params), estep, warm_store(docs, params, V, starts))
+        store = e_step_corpus(warm_store(docs, params, V, starts), params, elog_of(params), estep)
     assert len(store.chunks) == 1
     states = doc_states(store)
     for doc, start, st in zip(docs, starts, states):
-        single = [doc]
-        start = None if start is None else warm_store(single, params, V, [start])
-        one = doc_states(e_step_corpus(single, params, elog_of(params), estep, start))[0]
+        single = packed([doc], params, V) if start is None else warm_store([doc], params, V, [start])
+        one = doc_states(e_step_corpus(single, params, elog_of(params), estep))[0]
         assert st.sweeps == one.sweeps, doc.doc_id
         for name in ("delta", "phi", "Delta", "gamma"):
             np.testing.assert_allclose(getattr(st, name), getattr(one, name), rtol=1e-12,
@@ -589,15 +592,15 @@ def test_early_out_changes_no_bit(monkeypatch, pinned, words_only, warm, budget)
     if words_only:
         docs = words_of(docs)
     estep = EStepConfig(max_iters=60, tol=1e-7)
-    starts = None
+    starts = packed(docs, params, V, pinned)
     if warm:
-        starts = e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=2), pinned=pinned)
+        starts = e_step_corpus(starts, params, elog_of(params), EStepConfig(max_iters=2))
     runs, calls = [], []
     for slack in (inference.TOTALS_SLACK, np.inf):
         with monkeypatch.context() as m:
             m.setattr(inference, "TOTALS_SLACK", slack)
             counted = counting_largest_change(m)
-            runs.append(e_step_corpus(docs, params, elog_of(params), estep, starts, pinned))
+            runs.append(e_step_corpus(starts, params, elog_of(params), estep))
         calls.append(len(counted))
     assert (len(runs[0].chunks) > 1) == (budget == 40)
     for doc, a, b in zip(docs, *map(doc_states, runs)):
@@ -661,7 +664,7 @@ def test_early_out_skips_most_full_tests_on_a_long_document(monkeypatch):
     params = random_params(rng, C, T, V)
     doc = words_of([random_doc(rng, C, V, n_terms=600, max_count=4)])
     calls = counting_largest_change(monkeypatch)
-    state = doc_states(e_step_corpus(doc, params, elog_of(params), EStepConfig()))[0]
+    state = doc_states(run_estep(doc, params, elog_of(params), EStepConfig()))[0]
     assert state.sweeps > 10
     assert len(calls) < 2 * state.sweeps
 
@@ -669,7 +672,8 @@ def test_early_out_skips_most_full_tests_on_a_long_document(monkeypatch):
 @ESTEP_MODES
 def test_warm_start_leaves_the_store_unchanged(monkeypatch, pinned, words_only):
     """The E-step works in its own buffers: every array of a store passed
-    back as ``states`` keeps its bits, layout and state alike."""
+    back as a warm start keeps its bits, layout and state alike, and the
+    next pass reuses its packing."""
     monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 40)
     rng = np.random.default_rng(56)
     C, T, V, K = 3, 4, 120, 3
@@ -677,42 +681,17 @@ def test_warm_start_leaves_the_store_unchanged(monkeypatch, pinned, words_only):
     docs = mixed_length_corpus(rng, C, V, K=K)
     if words_only:
         docs = words_of(docs)
-    store = e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=2), pinned=pinned)
+    store = run_estep(docs, params, elog_of(params), EStepConfig(max_iters=2), pinned=pinned)
     names = [f.name for f in dataclasses.fields(inference._Chunk)]
     before = [{name: getattr(chunk, name).copy() for name in names} for chunk in store.chunks]
-    again = e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=60, tol=1e-7), store, pinned)
+    again = e_step_corpus(store, params, elog_of(params), EStepConfig(max_iters=60, tol=1e-7))
     assert len(store.chunks) > 1 and max(chunk.sweeps.max() for chunk in again.chunks) > 2
+    assert all(a.ids is b.ids for a, b in zip(again.chunks, store.chunks))  # its packing is reused
     for chunk, saved in zip(store.chunks, before):
         for name, value in saved.items():
             now = getattr(chunk, name)
             assert now.dtype == value.dtype and now.shape == value.shape, name
             assert now.tobytes() == value.tobytes(), name
-
-
-@pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
-def test_estep_refuses_states_not_packed_for_its_corpus_and_mode(monkeypatch, pinned):
-    """A store's chunks hold the words and judgments of one corpus object,
-    packed for one presence mode.  A list of states, a store of another
-    corpus object (word-only copies of the same documents, or fewer of
-    them) and a store of the other mode are refused with the reason."""
-    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 40)
-    rng = np.random.default_rng(55)
-    C, T, V, K = 3, 4, 120, 3
-    params = random_params(rng, C, T, V, K=K)
-    docs = mixed_length_corpus(rng, C, V, K=K)
-    estep = EStepConfig(max_iters=60, tol=1e-7)
-    store = e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=2), pinned=pinned)
-    refused = [
-        (docs, doc_states(store), pinned, "states must be a CorpusStates, not list"),
-        (words_of(docs), store, pinned, "the states were packed for another corpus object"),
-        (docs[:-1], store, pinned, "the states were packed for another corpus object"),
-        (docs, store, not pinned, f"the states were packed with pinned={pinned}"),
-    ]
-    for corpus, states, mode, message in refused:
-        with pytest.raises(ValueError, match=f"^e_step_corpus: {message}$"):
-            e_step_corpus(corpus, params, elog_of(params), estep, states, mode)
-    again = e_step_corpus(docs, params, elog_of(params), estep, store, pinned)
-    assert all(a.ids is b.ids for a, b in zip(again.chunks, store.chunks))  # its packing is reused
 
 
 def test_softmax_columns_stays_finite_below_exp_underflow():
@@ -760,7 +739,7 @@ def test_corpus_estep_names_the_failing_document():
     docs.insert(1, Document("bad-doc", np.array([0, 4]), np.array([2, 1]),
                             true_labels=np.array([0, 1])))
     with pytest.raises(NumericalFailureError, match="bad-doc"):
-        e_step_corpus(docs, params, elog_of(params), EStepConfig(), pinned=True)
+        run_estep(docs, params, elog_of(params), EStepConfig(), pinned=True)
 
 
 def _cap_warnings(caplog):
@@ -775,7 +754,7 @@ def test_estep_cap_hits_are_logged_once_per_pass(caplog):
     docs = [random_doc(rng, C, V, K=K, n_terms=6, doc_id=f"c{d}") for d in range(5)]
     capped = EStepConfig(max_iters=1)
     with caplog.at_level(logging.WARNING, logger="mlpalda.inference"):
-        e_step_corpus(docs, params, elog_of(params), capped)
+        run_estep(docs, params, elog_of(params), capped)
         predict_corpus(docs, params, None, capped)
     assert _cap_warnings(caplog) == [
         "E-step: 5 of 5 documents were still changing after max_estep_iters=1 sweeps"
@@ -812,6 +791,8 @@ def test_predict_corpus_matches_predict():
     for d, doc in enumerate(docs):
         b, l = predict_corpus([doc], params, topics, cfg.estep, threshold=0.4)
         assert np.array_equal(beliefs[d], b[0]) and np.array_equal(labels[d], l[0])
+    beliefs, labels = predict_corpus([], params, topics, cfg.estep)
+    assert beliefs.shape == labels.shape == (0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -957,9 +938,9 @@ def test_collect_stats_counts_judgments():
         counts=np.array([2, 1]),
         crowd_labels=np.array([[1, -1], [0, 1]]),
     )
-    store = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=4))
+    store = run_estep([doc], params, elog_of(params), EStepConfig(max_iters=4))
     st = doc_states(store)[0]
-    stats = _reduce_stats(store, Dimensions(D=1, C=C, T=T, V=V, K=K))
+    stats = _reduce_stats(store)
     np.testing.assert_array_equal(stats.rho_cnt, [1, 2])
     # annotator 0 said "present" for class 0 only
     assert stats.rho_num[0] == pytest.approx(st.Delta[0])
@@ -1017,11 +998,11 @@ def test_collect_stats_adds_documents_in_corpus_order(monkeypatch, mode, budget)
     docs = mixed_length_corpus(rng, C, 30, K=K)
     dims = Dimensions(D=len(docs), C=C, T=T, V=V, K=K)
     monkeypatch.setattr(inference, "CHUNK_ELEMENTS", budget)
-    store = e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=6),
-                          pinned=mode == "no-crowd")
+    store = run_estep(docs, params, elog_of(params), EStepConfig(max_iters=6),
+                      pinned=mode == "no-crowd")
     assert (len(store.chunks) > 1) == (budget == 40)
     states = doc_states(store)
-    assert_same_mstep_stats(_reduce_stats(store, dims), corpus_order_stats(docs, states, dims))
+    assert_same_mstep_stats(_reduce_stats(store), corpus_order_stats(docs, states, dims))
 
 
 @pytest.mark.parametrize("mode,smoothing", [
@@ -1078,8 +1059,8 @@ def test_elbo_of_degenerate_model_is_log_presence_rate():
     doc = Document(
         doc_id="d", word_ids=np.array([0]), counts=np.array([1]), true_labels=np.array([1])
     )
-    store = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=5), pinned=True)
-    elbo = compute_elbo(_reduce_stats(store, Dimensions(D=1, C=1, T=1, V=1)), params, elog_of(params))
+    store = run_estep([doc], params, elog_of(params), EStepConfig(max_iters=5), pinned=True)
+    elbo = compute_elbo(_reduce_stats(store), params, elog_of(params))
     assert abs(elbo - np.log(0.3)) < 1e-7
 
 
@@ -1099,9 +1080,9 @@ def test_elbo_never_exceeds_exact_marginal():
         exact = exact_log_marginal(TinyInstance(doc=doc, params=params, dims=dims))
 
         fresh = cold_store([doc], params, V)
-        assert compute_elbo(_reduce_stats(fresh, dims), params, elog_of(params)) <= exact + 1e-9
-        st = e_step_corpus([doc], params, elog_of(params), estep)
-        assert compute_elbo(_reduce_stats(st, dims), params, elog_of(params)) <= exact + 1e-9
+        assert compute_elbo(_reduce_stats(fresh), params, elog_of(params)) <= exact + 1e-9
+        st = run_estep([doc], params, elog_of(params), estep)
+        assert compute_elbo(_reduce_stats(st), params, elog_of(params)) <= exact + 1e-9
 
 
 def test_estep_increases_elbo():
@@ -1111,9 +1092,9 @@ def test_estep_increases_elbo():
     doc = random_doc(rng, C, V, K=K, n_terms=5)
     dims = Dimensions(D=1, C=C, T=T, V=V, K=K)
     before = cold_store([doc], params, V)
-    after = e_step_corpus([doc], params, elog_of(params), EStepConfig(max_iters=30))
-    assert (compute_elbo(_reduce_stats(after, dims), params, elog_of(params))
-            >= compute_elbo(_reduce_stats(before, dims), params, elog_of(params)) - 1e-10)
+    after = run_estep([doc], params, elog_of(params), EStepConfig(max_iters=30))
+    assert (compute_elbo(_reduce_stats(after), params, elog_of(params))
+            >= compute_elbo(_reduce_stats(before), params, elog_of(params)) - 1e-10)
 
 
 def _expected_log(conc):
@@ -1192,12 +1173,12 @@ def test_elbo_from_stats_matches_per_document_bound(mode, smoothing, stepped):
     pinned = mode == "no-crowd"
     elog_beta = elog_of(params, topics)
     if stepped:
-        store = e_step_corpus(docs, params, elog_beta, EStepConfig(max_iters=30), pinned=pinned)
+        store = run_estep(docs, params, elog_beta, EStepConfig(max_iters=30), pinned=pinned)
     else:
         store = cold_store(docs, params, V, pinned=pinned)
 
     pairs = () if topics is None else [(conc, dirichlet_log_normalizer(conc)) for conc in (topics, eta)]
-    ours = compute_elbo(_reduce_stats(store, dims), params, elog_beta, *pairs)
+    ours = compute_elbo(_reduce_stats(store), params, elog_beta, *pairs)
     ref = per_document_bound(docs, params, doc_states(store), topics, eta)
     assert abs(ours - ref) <= 1e-12 * abs(ref)
 
@@ -1411,7 +1392,7 @@ def test_predict_checks_words_like_training(word_ids, counts, message):
         predict_corpus([docs[0], stray], params, topics)
 
 
-@pytest.mark.parametrize("entry", ["e_step_corpus", "train"])
+@pytest.mark.parametrize("entry", ["pack_corpus", "train"])
 @pytest.mark.parametrize(
     "word_ids, counts, message",
     [
@@ -1430,8 +1411,8 @@ def test_estep_and_stats_check_words_in_corpus_order(entry, word_ids, counts, me
             Document("stray", np.array(word_ids), np.array(counts), true_labels=np.array([1, 0])),
             Document("later", np.array([9]), np.array([1]), true_labels=np.array([0, 1]))]
     with pytest.raises(ValueError, match=f"^document stray: {message}$"):
-        if entry == "e_step_corpus":
-            e_step_corpus(docs, params, elog_of(params), EStepConfig())
+        if entry == "pack_corpus":
+            pack_corpus(docs, Dimensions(D=3, C=C, T=T, V=V))
         else:
             train(docs, Dimensions(D=3, C=C, T=T, V=V), TrainConfig(max_em_iters=1))
 
@@ -1569,7 +1550,7 @@ def test_packed_judgments_give_the_votes_prior_agreements_and_counts(K):
     if K:
         docs[1].crowd_labels[:] = -1
         docs[4] = Document(docs[4].doc_id, docs[4].word_ids, docs[4].counts, docs[4].true_labels)
-    store = inference._pack(docs, C, T, inference._checked_words(docs, V))
+    store = packed(docs, params, V)
     for chunk in store.chunks:
         votes = np.full((chunk.docs.size, K, C), -1)
         for b, d in enumerate(chunk.docs):
@@ -1582,8 +1563,8 @@ def test_packed_judgments_give_the_votes_prior_agreements_and_counts(K):
     assert np.array_equal(store.judged, np.sum(given, axis=(0, 2)) if K else np.zeros(0))
 
     dims = Dimensions(D=len(docs), C=C, T=T, V=V, K=K)
-    states = e_step_corpus(docs, params, elog_of(params), EStepConfig(max_iters=3))
-    stats = _reduce_stats(states, dims)
+    states = e_step_corpus(store, params, elog_of(params), EStepConfig(max_iters=3))
+    stats = _reduce_stats(states)
     ref = corpus_order_stats(docs, doc_states(states), dims)
     np.testing.assert_allclose(stats.rho_num, ref["rho_num"], rtol=1e-12, atol=0)
     assert np.array_equal(stats.rho_cnt, ref["rho_cnt"])
@@ -1602,6 +1583,5 @@ def test_train_checks_the_words_of_its_corpus_once(monkeypatch):
         return exact(*args)
 
     monkeypatch.setattr(model, "corpus_words", counting)
-    monkeypatch.setattr(inference, "corpus_words", counting)
     train(docs, dims, TrainConfig(mode="no-crowd", max_em_iters=3, em_rel_tol=0.0))
     assert len(passes) == 1

@@ -8,7 +8,7 @@ import pytest
 
 from mlpalda.crowd import annotate_corpus, sample_pool
 from mlpalda.data import write_predictions
-from mlpalda.inference import TrainConfig, predict_corpus, train
+from mlpalda.inference import TrainConfig, pack_corpus, predict_corpus, train
 from mlpalda.model import (
     DELTA_CLAMP,
     PROB_CLAMP,
@@ -325,11 +325,14 @@ def test_initial_presence_of_a_batch_equals_each_row_alone():
 
 
 def test_init_doc_nocrowd_requires_known_labels():
-    dims = _dims(K=0)
-    p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
-    doc = _doc(labels=(1, -1, 0))
-    with pytest.raises(ValueError, match="^document d0: no-crowd training needs fully known labels$"):
-        _cold_state(doc, p, pinned=True)
+    """Packing with pinned presence names the first document in corpus
+    order whose labels are not all known, though a shorter one with no
+    labels is packed before it."""
+    docs = [_doc(word_ids=(0, 1, 2), counts=(1, 1, 1)),
+            replace(_doc(labels=(1, -1, 0)), doc_id="d1"),
+            replace(_doc(word_ids=(4,), counts=(2,), labels=None), doc_id="d2")]
+    with pytest.raises(ValueError, match="^document d1: no-crowd training needs fully known labels$"):
+        pack_corpus(docs, _dims(K=0), pinned=True)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +505,8 @@ def test_model_file_round_trip(tmp_path, mode, smoothing):
 
 @pytest.mark.parametrize("mode", ["crowd", "no-crowd"])
 def test_model_file_mode_follows_the_annotator_qualities(tmp_path, mode):
-    """No-crowd params keep no qualities even when the corpus has annotators
-    (training with --crowd in nocrowd mode), and still load back."""
+    """No-crowd params keep no qualities even when the dimensions count
+    annotators, and still load back."""
     dims = _dims(K=2)
     p = init_params(dims, mode=mode, smoothing=False, seed=0)
     path = tmp_path / "m.model"
@@ -581,6 +584,14 @@ def test_model_file_rejects_garbage(tmp_path):
                       "dims D=1 C=1 T=1 V=1 K=0=0"]:
         _write(path, HAND_WRITTEN[:1] + [dims_line] + HAND_WRITTEN[2:])
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad dims line")):
+            load_model(path)
+
+    # only the writer's two mode lines: no other spelling, case or spacing
+    for mode_line in ["mode NO_CROWD", "mode no_crowd", "mode nocrowd", "mode No-Crowd",
+                      "mode CROWD", "mode crowd ", "mode  no-crowd", "mode", "mode crowd crowd",
+                      "modes no-crowd", "mode other"]:
+        _write(path, HAND_WRITTEN[:2] + [mode_line] + HAND_WRITTEN[3:])
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: bad mode line: {mode_line!r}")):
             load_model(path)
 
 
