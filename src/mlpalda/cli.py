@@ -122,7 +122,8 @@ def cmd_train(args) -> int:
         params, topics, trace = train(corpus, dims, cfg)
     except MemoryError:
         # the arrays that grow with the header's V are the T x V topic-word
-        # parameters and statistics; the E-step's working memory is capped
+        # parameters and statistics; the E-step keeps one copy of the states,
+        # which grows with the corpus, not V, and its working memory is capped
         raise CorpusFormatError(
             args.corpus, 1, f"V={dims.V} is too large for a model of {dims.T} topics"
         ) from None

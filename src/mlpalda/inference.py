@@ -12,9 +12,10 @@ delta/phi/Delta).
 
 The inner loops are independent across documents given the global
 parameters, so one E-step runs them in lockstep over chunks of documents
-(``e_step_corpus``).  Those chunks are the only form a state takes: the
-states stay in them between E-passes, the M-step statistics are reduced
-from them (``_reduce_stats``), and :func:`~mlpalda.model.validate_states`
+(``e_step_corpus``).  Those chunks are the only form a state takes, and
+hold its only copy: the states stay in them between E-passes, each
+E-pass overwrites them in place, the M-step statistics are reduced from
+them (``_reduce_stats``), and :func:`~mlpalda.model.validate_states`
 checks them.
 
 Everything an EM iteration computes besides the sweeps is computed once per
@@ -35,7 +36,7 @@ smoothing ``train`` sets the prior eta to chi.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -226,7 +227,9 @@ def _responsibilities(delta, counts, phi, weighted=None, out=None):
 # ---------------------------------------------------------------------------
 
 # Cap on the padded columns x max(C, T) of one chunk's widest working array
-# (512 KiB of float64), so the E-step's memory does not grow with the corpus.
+# (512 KiB of float64), so the E-step's working memory does not grow with the
+# corpus: a pass works on one chunk at a time and writes its states over that
+# chunk's own, and prediction drops each chunk's states once it has run.
 # A sweep costs a fixed number of numpy calls per chunk, so larger chunks
 # share it among more documents; of the budgets 2^14 to 2^18, 2^16 measured
 # best on the two benchmark workloads taken together, and larger ones cost
@@ -257,8 +260,9 @@ class _Chunk:
     Column u of row b belongs to the u-th term of document ``docs[b]``.
     Padding columns carry zero counts and finite values that no result
     reads.  The layout fields, ``docs`` to ``no``, are packed once per
-    corpus and shared by every E-pass over it; the rest is the state.  With
-    pinned presence, packing sets ``Delta`` too: the clamped labels.
+    corpus and read by every E-pass over it; the rest is the state, which
+    each E-pass overwrites in place.  With pinned presence, packing sets
+    ``Delta`` too: the clamped labels.
     """
 
     docs: np.ndarray      # (B,) corpus positions, ascending length
@@ -285,7 +289,10 @@ class CorpusStates:
     list the chunks were packed from, ``dims`` the dimensions it was
     checked against, and ``pinned`` the presence mode it was packed for.
     A store that :func:`pack_corpus` made holds no states yet, and an
-    E-pass over it starts every document cold.
+    E-pass over it starts every document cold.  Each E-pass
+    (:func:`e_step_corpus`) writes its states over the ones the store
+    held, so the store keeps one copy of them, and the chunks keep their
+    packing arrays from pass to pass.
     """
 
     corpus: list
@@ -370,7 +377,7 @@ def e_step_corpus(
     """Coordinate-ascent inner loops for every document of a packed corpus.
 
     ``store`` is a :func:`pack_corpus` store, whose documents all start
-    cold, or a store that an earlier call returned, whose documents
+    cold, or a store that an earlier call updated, whose documents
     warm-start from the states it holds.  Each document cycles gamma ->
     phi -> delta -> Delta until the largest change across its delta,
     Delta and phi drops below ``estep.tol`` (or the inner cap is hit).
@@ -411,22 +418,30 @@ def e_step_corpus(
     are; beyond it (a topic whose E[log theta] lies near -1e8, say) they
     run the max-shift.
 
-    The returned :class:`CorpusStates` keeps the states in those chunks
-    and shares ``store``'s packed words and judgments; ``store`` itself is
-    read, not changed.
+    ``store`` is updated in place and returned: each chunk's new states
+    overwrite its old ones, so the store is the only copy of the states
+    and a pass holds one chunk's working arrays beside it.  A pass that
+    raises leaves the states of its chunks part old, part new.
     """
+    for _ in _e_pass(store, params, elog_beta, estep):
+        pass
+    return store
+
+
+def _e_pass(store, params, elog_beta, estep):
+    """Runs :func:`_e_step_chunk` on each chunk of ``store`` in turn and
+    yields the chunk once its states are final; after the last chunk, logs
+    how many documents were still changing at the inner cap."""
     shifted = elog_beta - elog_beta.max(axis=0)  # each word's largest over topics becomes 0
-    chunks, capped = [], 0
+    capped = 0
     for chunk in store.chunks:
-        chunk, hits = _e_step_chunk(chunk, store, params, estep, shifted)
-        chunks.append(chunk)
-        capped += hits
+        capped += _e_step_chunk(chunk, store, params, estep, shifted)
+        yield chunk
     if capped:
         logger.warning(
             "E-step: %d of %d documents were still changing after max_estep_iters=%d sweeps",
             capped, len(store.corpus), estep.max_iters,
         )
-    return replace(store, chunks=chunks)
 
 
 def _presence_log_odds(xi, rho, yes, no):
@@ -458,12 +473,15 @@ def _mixed_log_theta(Delta, elog, gap, out=None):
 
 
 def _e_step_chunk(chunk, store, params, estep, elog_beta):
-    """Lockstep inner loops for one packed chunk of ``store``.
+    """Lockstep inner loops for one packed chunk of ``store``, in place.
 
     The documents start from the states the chunk holds, or cold
-    (:func:`_start_arrays`) when it holds none.  Returns a chunk with the
-    same words and the new states, and how many of its documents were
-    still changing at the inner cap.  The chunk passed in is not changed.
+    (:func:`_start_arrays`) when it holds none.  Each document's final
+    delta, phi, Delta, responsibilities and sweep count are written into
+    the chunk's own arrays as it leaves, and gamma once all have left; the
+    arrays are allocated on the chunk's first pass and overwritten on
+    later ones.  Its packed words and judgments are read, not changed.
+    Returns how many of its documents were still changing at the inner cap.
 
     The log E[beta] weights are one gather of ``elog_beta``'s columns,
     which arrive shifted so that each word's largest is 0.  The presence
@@ -515,10 +533,10 @@ def _e_step_chunk(chunk, store, params, estep, elog_beta):
         delta, phi, Delta = chunk.delta.copy(), chunk.phi.copy(), chunk.Delta.copy()
     else:
         delta, phi, Delta = _start_arrays(chunk, C, T, params)
-    out = replace(
-        chunk, delta=np.empty_like(delta), phi=np.empty_like(phi), Delta=np.empty_like(Delta),
-        resp=np.empty((B, C, T)), gamma=None, sweeps=np.empty(B, dtype=np.int64),
-    )
+        chunk.delta, chunk.phi = np.empty_like(delta), np.empty_like(phi)
+        if chunk.Delta is None:  # pinned, packing set it to the labels, which stay
+            chunk.Delta = np.empty_like(Delta)
+        chunk.resp, chunk.sweeps = np.empty((B, C, T)), np.empty(B, dtype=np.int64)
     log_wt = np.take(elog_beta, chunk.ids, axis=1).transpose(1, 0, 2)  # (B, T, U) view
     np.copyto(log_wt, 0.0, where=~chunk.mask[:, None, :])
     terms = chunk.mask.astype(np.float64)
@@ -578,9 +596,9 @@ def _e_step_chunk(chunk, store, params, estep, elog_beta):
             continue
         leaving = live[:n][done]
         pick = slice(None, n) if done.all() else np.flatnonzero(done)
-        out.delta[leaving], out.phi[leaving] = delta[pick], phi[pick]
-        out.Delta[leaving], out.resp[leaving] = Delta[pick], resp[pick]
-        out.sweeps[leaving] = sweep
+        chunk.delta[leaving], chunk.phi[leaving] = delta[pick], phi[pick]
+        chunk.Delta[leaving], chunk.resp[leaving] = Delta[pick], resp[pick]
+        chunk.sweeps[leaving] = sweep
         keep = np.flatnonzero(~done)
         if not keep.size:
             break
@@ -588,14 +606,14 @@ def _e_step_chunk(chunk, store, params, estep, elog_beta):
         holes, tail = np.flatnonzero(done[:n]), keep[keep >= n]
         for rows in (delta, phi, Delta, resp, totals, log_wt, terms, counts, limit, prior, live):
             rows[holes] = rows[tail]
-    out.gamma = _gamma_from(params.alpha, out.Delta, out.resp)
+    chunk.gamma = _gamma_from(params.alpha, chunk.Delta, chunk.resp, out=chunk.gamma)
     for name in ("delta", "phi", "Delta", "gamma"):
-        value = getattr(out, name)
+        value = getattr(chunk, name)
         bad = ~np.isfinite(value).reshape(B, -1).all(axis=1)
         if bad.any():
             doc = store.corpus[chunk.docs[np.argmax(bad)]]
             raise NumericalFailureError(f"document {doc.doc_id}: non-finite {name}")
-    return out, capped
+    return capped
 
 
 def _largest_change(new, old, terms):
@@ -865,6 +883,12 @@ def predict_corpus(
     Only the words and the trained parameters matter: the E-step sees each
     document without its labels or judgments.  Ties at the threshold
     predict "present".
+
+    The corpus is packed once, and the chunks run the E-step one at a
+    time, as in :func:`e_step_corpus`; each chunk's presence beliefs are
+    copied out and all its states dropped before the next chunk runs.  So
+    prediction holds the packed words, the beliefs and one chunk's states,
+    however many documents it is given.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("predict: threshold must be in [0, 1]")
@@ -874,6 +898,7 @@ def predict_corpus(
     # the words are checked against the model's V; Dimensions only needs D >= 1
     dims = Dimensions(D=max(len(words), 1), C=C, T=T, V=elog_beta.shape[1])
     beliefs = np.empty((len(words), C))
-    for chunk in e_step_corpus(pack_corpus(words, dims), params, elog_beta, estep).chunks:
+    for chunk in _e_pass(pack_corpus(words, dims), params, elog_beta, estep):
         beliefs[chunk.docs] = chunk.Delta
+        chunk.delta = chunk.phi = chunk.Delta = chunk.resp = chunk.gamma = chunk.sweeps = None
     return beliefs, (beliefs >= threshold).astype(np.int64)

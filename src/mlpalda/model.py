@@ -24,6 +24,7 @@ U distinct terms in one document):
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,6 +41,9 @@ MODEL_FILE_HEADER = "mlpa-model v3"
 OLD_MODEL_FILE_HEADERS = ("mlpa-model v1", "mlpa-model v2")
 # a model file's arrays in written order, without and with smoothing
 MODEL_ARRAYS = {False: ("alpha", "xi", "rho", "beta"), True: ("alpha", "xi", "rho", "chi")}
+# the writer's dims line: its keys in its order, one blank between fields, and
+# decimal integers with no sign and no leading zero
+_DIMS_LINE = re.compile("dims " + " ".join(f"{key}=(0|[1-9][0-9]*)" for key in "DCTVK"))
 
 
 def clamp_probability(x, eps):
@@ -397,9 +401,11 @@ def load_model(path):
     The arrays come in written order, each header ``array <name> <size>``
     with the size the dims give; only blank lines may come between or after
     them.  Each values line holds 16 hex digits a value (see
-    :func:`save_model`), with blanks allowed only around it; the dims line
-    has the writer's keys in the writer's order, and the mode line is one
-    of the two the writer writes.  v1 and v2 files are refused at line 1.
+    :func:`save_model`), with blanks allowed only around it.  The dims line
+    and each array header are the writer's text: its keys in its order, one
+    blank between fields, and decimal integers with no sign and no leading
+    zero; the mode line is one of the two the writer writes.  v1 and v2
+    files are refused at line 1.
     Every malformed or invariant-violating file raises
     :class:`~mlpalda.atomic.CorpusFormatError` (a ValueError) naming the
     path and the offending line.
@@ -413,11 +419,11 @@ def load_model(path):
     if len(lines) < 4:
         raise CorpusFormatError(path, len(lines) + 1, "truncated header block")
 
+    match = _DIMS_LINE.fullmatch(lines[1])
     try:
-        word, *pairs = lines[1].split()
-        if word != "dims" or [p.partition("=")[0] for p in pairs] != list("DCTVK"):
+        if match is None:
             raise ValueError
-        dims = Dimensions(*(int(p.partition("=")[2]) for p in pairs))
+        dims = Dimensions(*map(int, match.groups()))
     except ValueError:
         raise CorpusFormatError(path, 2, f"bad dims line: {lines[1]!r}") from None
     if lines[2] not in ("mode crowd", "mode no-crowd"):
@@ -437,7 +443,7 @@ def load_model(path):
             i += 1
         size = math.prod(shapes[name])
         header = f"array {name} {size}"
-        if i == len(lines) or lines[i].split() != header.split():
+        if i == len(lines) or lines[i] != header:
             got = repr(lines[i].strip()) if i < len(lines) else "the end of the file"
             raise CorpusFormatError(path, i + 1, f"expected '{header}', got {got}")
         if i + 1 == len(lines):

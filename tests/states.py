@@ -1,11 +1,14 @@
 """Variational states for the tests, built and read in the E-step's chunk store.
 
-A store (``inference.CorpusStates``) is the only form a state takes.  These
-helpers pack documents into a store and run one E-pass over them, make a
-store of cold states, read each document's values out of its chunk row, and
-make a store whose documents start from given values.
+A store (``inference.CorpusStates``) is the only form a state takes, and an
+E-pass updates the store it is given in place.  These helpers pack documents
+into a store and run one E-pass over them, make a store of cold states, copy
+a store so that two passes can start from it, read each document's values
+out of its chunk row, and make a store whose documents start from given
+values.
 """
 
+import copy
 from types import SimpleNamespace
 
 import numpy as np
@@ -43,6 +46,12 @@ def cold_store(docs, params, V, pinned=False):
         chunk.gamma = inference._gamma_from(params.alpha, chunk.Delta, chunk.resp)
         chunk.sweeps = np.zeros(chunk.docs.size, dtype=np.int64)
     return store
+
+
+def copied(store):
+    """A deep copy of ``store``: a second start for an E-pass, which
+    overwrites the states of the store it is given."""
+    return copy.deepcopy(store)
 
 
 def _row_of(store, d):

@@ -9,6 +9,7 @@ the M-step against hand-computable statistics.
 
 import dataclasses
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ from mlpalda.model import (
 )
 from mlpalda.numerics import dirichlet_log_normalizer, solve_dirichlet_newton
 from mlpalda.oracle import TinyInstance, exact_log_marginal
-from states import cold_store, doc_states, packed, run_estep, warm_store
+from states import cold_store, copied, doc_states, packed, run_estep, warm_store
 from synth import sample_corpus, separable_params
 
 
@@ -600,7 +601,7 @@ def test_early_out_changes_no_bit(monkeypatch, pinned, words_only, warm, budget)
         with monkeypatch.context() as m:
             m.setattr(inference, "TOTALS_SLACK", slack)
             counted = counting_largest_change(m)
-            runs.append(e_step_corpus(starts, params, elog_of(params), estep))
+            runs.append(e_step_corpus(copied(starts), params, elog_of(params), estep))
         calls.append(len(counted))
     assert (len(runs[0].chunks) > 1) == (budget == 40)
     for doc, a, b in zip(docs, *map(doc_states, runs)):
@@ -670,10 +671,11 @@ def test_early_out_skips_most_full_tests_on_a_long_document(monkeypatch):
 
 
 @ESTEP_MODES
-def test_warm_start_leaves_the_store_unchanged(monkeypatch, pinned, words_only):
-    """The E-step works in its own buffers: every array of a store passed
-    back as a warm start keeps its bits, layout and state alike, and the
-    next pass reuses its packing."""
+def test_warm_pass_updates_the_store_in_place(monkeypatch, pinned, words_only):
+    """A store passed back as a warm start is the one the pass returns: its
+    chunks keep their packing arrays (the same objects, the same bits), and
+    their states, overwritten in the same arrays, equal bit for bit those of
+    the same pass over a deep copy of the store."""
     monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 40)
     rng = np.random.default_rng(56)
     C, T, V, K = 3, 4, 120, 3
@@ -682,16 +684,23 @@ def test_warm_start_leaves_the_store_unchanged(monkeypatch, pinned, words_only):
     if words_only:
         docs = words_of(docs)
     store = run_estep(docs, params, elog_of(params), EStepConfig(max_iters=2), pinned=pinned)
+    twin = copied(store)
     names = [f.name for f in dataclasses.fields(inference._Chunk)]
-    before = [{name: getattr(chunk, name).copy() for name in names} for chunk in store.chunks]
-    again = e_step_corpus(store, params, elog_of(params), EStepConfig(max_iters=60, tol=1e-7))
-    assert len(store.chunks) > 1 and max(chunk.sweeps.max() for chunk in again.chunks) > 2
-    assert all(a.ids is b.ids for a, b in zip(again.chunks, store.chunks))  # its packing is reused
-    for chunk, saved in zip(store.chunks, before):
-        for name, value in saved.items():
+    layout = names[:names.index("no") + 1]
+    before = [{name: (getattr(chunk, name), getattr(chunk, name).copy()) for name in names}
+              for chunk in store.chunks]
+    estep = EStepConfig(max_iters=60, tol=1e-7)
+    assert e_step_corpus(store, params, elog_of(params), estep) is store
+    assert len(store.chunks) > 1 and max(chunk.sweeps.max() for chunk in store.chunks) > 2
+    e_step_corpus(twin, params, elog_of(params), estep)
+    for chunk, saved, ref in zip(store.chunks, before, twin.chunks):
+        for name, (array, bits) in saved.items():
             now = getattr(chunk, name)
-            assert now.dtype == value.dtype and now.shape == value.shape, name
-            assert now.tobytes() == value.tobytes(), name
+            assert now is array, name
+            if name in layout:
+                assert now.tobytes() == bits.tobytes(), name
+            else:
+                assert now.tobytes() == getattr(ref, name).tobytes(), name
 
 
 def test_softmax_columns_stays_finite_below_exp_underflow():
@@ -793,6 +802,57 @@ def test_predict_corpus_matches_predict():
         assert np.array_equal(beliefs[d], b[0]) and np.array_equal(labels[d], l[0])
     beliefs, labels = predict_corpus([], params, topics, cfg.estep)
     assert beliefs.shape == labels.shape == (0, 2)
+
+
+def traced_peak(fn):
+    """``fn()``, and the peak of the memory traced during it above its start, in bytes."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def many_chunk_corpus(monkeypatch, rng, C, T, V, K=0):
+    """200 documents of 30 to 40 terms under a budget of four such documents
+    a chunk, so the corpus spans at least ten chunks.  At C=10, T=20 a term
+    column's states (C + T floats) outweigh its packing."""
+    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 4 * 40 * max(C, T))
+    return [random_doc(rng, C, V, K=K, n_terms=int(rng.integers(30, 41)), doc_id=f"k{d}")
+            for d in range(200)]
+
+
+def test_predict_holds_one_chunk_of_states_at_a_time(monkeypatch):
+    """Prediction keeps the beliefs, not the states: its traced peak stays
+    below half of the bytes of its documents' delta and phi."""
+    rng = np.random.default_rng(62)
+    C, T, V = 10, 20, 100
+    params = random_params(rng, C, T, V)
+    docs = words_of(many_chunk_corpus(monkeypatch, rng, C, T, V))
+    assert len(packed(docs, params, V).chunks) >= 10
+    states = sum(doc.word_ids.size for doc in docs) * (C + T) * 8
+    _, peak = traced_peak(lambda: predict_corpus(docs, params, None, EStepConfig()))
+    assert peak < states / 2, (peak, states)
+
+
+@ESTEP_MODES
+def test_warm_pass_allocates_less_than_the_states_it_updates(monkeypatch, pinned, words_only):
+    """A warm E-pass overwrites the store's states: its traced peak stays
+    below the bytes of the store's delta and phi, which a second copy of the
+    states would take."""
+    rng = np.random.default_rng(63)
+    C, T, V, K = 10, 20, 100, 3
+    params = random_params(rng, C, T, V, K=K)
+    docs = many_chunk_corpus(monkeypatch, rng, C, T, V, K=K)
+    if words_only:
+        docs = words_of(docs)
+    store = run_estep(docs, params, elog_of(params), EStepConfig(max_iters=2), pinned=pinned)
+    assert len(store.chunks) >= 10
+    states = sum(chunk.delta.nbytes + chunk.phi.nbytes for chunk in store.chunks)
+    _, peak = traced_peak(lambda: e_step_corpus(store, params, elog_of(params), EStepConfig()))
+    assert peak < states, (peak, states)
 
 
 # ---------------------------------------------------------------------------

@@ -581,9 +581,28 @@ def test_model_file_rejects_garbage(tmp_path):
     for dims_line in ["sizes D=1 C=1 T=1 V=1 K=0", "dims D=1 C=1 T=1 V=1 K=0 Z=9",
                       "dims D=1 C=1 T=1 V=1 K=0 D=2", "dims D=1 C=1 T=1 V=1",
                       "dims C=1 D=1 T=1 V=1 K=0", "dims D=1 C=1 T=1 V=1 K0", "dims",
-                      "dims D=1 C=1 T=1 V=1 K=0=0"]:
+                      "dims D=1 C=1 T=1 V=1 K=0=0",
+                      # nor other spacing, signs, leading zeros or digits
+                      "dims  D=1 C=1 T=1 V=1 K=0", "dims D=1 C=1 T=1  V=1 K=0",
+                      " dims D=1 C=1 T=1 V=1 K=0", "dims D=1 C=1 T=1 V=1 K=0 ",
+                      "dims D=1 C=1 T=1 V=1 K=0\t", "dims\tD=1 C=1 T=1 V=1 K=0",
+                      "dims D=01 C=1 T=1 V=1 K=0", "dims D=1 C=1 T=1 V=1 K=00",
+                      "dims D=1 C=1 T=1 V=1 K=+0", "dims D=1 C=1 T=1 V=1 K=-0",
+                      "dims D=+1 C=1 T=1 V=1 K=0", "dims D=1_0 C=1 T=1 V=1 K=0",
+                      "dims D=\uff11 C=1 T=1 V=1 K=0"]:
         _write(path, HAND_WRITTEN[:1] + [dims_line] + HAND_WRITTEN[2:])
-        with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad dims line")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad dims line: {dims_line!r}")):
+            load_model(path)
+
+    # only the writer's array headers: one blank between fields, none around
+    for n, header in [(5, "array  alpha 2"), (5, "array alpha  2"), (5, " array alpha 2"),
+                      (5, "array alpha 2\t"), (5, "array\talpha 2"), (7, "array xi 1 "),
+                      (9, "\tarray rho 0"), (11, "array  beta  1")]:
+        lines = list(HAND_WRITTEN)
+        lines[n - 1] = header
+        _write(path, lines)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:{n}: expected '{HAND_WRITTEN[n - 1]}', got {header.strip()!r}")):
             load_model(path)
 
     # only the writer's two mode lines: no other spelling, case or spacing
