@@ -201,13 +201,15 @@ def _presence_update(prior, gap, resp):
 
 
 def _gamma_from(alpha, Delta, resp, out=None):
-    """(..., C, 2, T) topic posteriors alpha + presence-weighted ``resp``, into ``out``."""
-    if out is None:
-        out = np.empty(Delta.shape + alpha.shape[1:])
-    np.multiply(Delta[..., None], resp, out=out[..., 1, :])
-    out[..., 1, :] += alpha[:, 1, :]
-    np.multiply((1.0 - Delta)[..., None], resp, out=out[..., 0, :])
-    out[..., 0, :] += alpha[:, 0, :]
+    """(..., C, 2, T) topic posteriors alpha + presence-weighted ``resp``, into ``out``.
+
+    Class c's absent and present pairs weigh its responsibilities by
+    w = (1 - Delta_c, Delta_c): both are one broadcast product
+    w x resp, to which alpha is then added.
+    """
+    weights = np.stack((1.0 - Delta, Delta), axis=-1)[..., None]  # (..., C, 2, 1)
+    out = np.multiply(weights, resp[..., None, :], out=out)
+    out += alpha
     return out
 
 
@@ -229,7 +231,8 @@ def _responsibilities(delta, counts, phi, weighted=None, out=None):
 # Cap on the padded columns x max(C, T) of one chunk's widest working array
 # (512 KiB of float64), so the E-step's working memory does not grow with the
 # corpus: a pass works on one chunk at a time and writes its states over that
-# chunk's own, and prediction drops each chunk's states once it has run.
+# chunk's own, and prediction stores no delta or phi and drops each chunk's
+# other states once it has run.
 # A sweep costs a fixed number of numpy calls per chunk, so larger chunks
 # share it among more documents; of the budgets 2^14 to 2^18, 2^16 measured
 # best on the two benchmark workloads taken together, and larger ones cost
@@ -423,19 +426,21 @@ def e_step_corpus(
     and a pass holds one chunk's working arrays beside it.  A pass that
     raises leaves the states of its chunks part old, part new.
     """
-    for _ in _e_pass(store, params, elog_beta, estep):
+    for _ in _e_pass(store, params, elog_beta, estep, keep_states=True):
         pass
     return store
 
 
-def _e_pass(store, params, elog_beta, estep):
+def _e_pass(store, params, elog_beta, estep, keep_states):
     """Runs :func:`_e_step_chunk` on each chunk of ``store`` in turn and
     yields the chunk once its states are final; after the last chunk, logs
-    how many documents were still changing at the inner cap."""
+    how many documents were still changing at the inner cap.
+    ``keep_states`` says whether the chunks keep their documents' delta
+    and phi."""
     shifted = elog_beta - elog_beta.max(axis=0)  # each word's largest over topics becomes 0
     capped = 0
     for chunk in store.chunks:
-        capped += _e_step_chunk(chunk, store, params, estep, shifted)
+        capped += _e_step_chunk(chunk, store, params, estep, shifted, keep_states)
         yield chunk
     if capped:
         logger.warning(
@@ -472,16 +477,25 @@ def _mixed_log_theta(Delta, elog, gap, out=None):
     return out
 
 
-def _e_step_chunk(chunk, store, params, estep, elog_beta):
+def _e_step_chunk(chunk, store, params, estep, elog_beta, keep_states):
     """Lockstep inner loops for one packed chunk of ``store``, in place.
 
     The documents start from the states the chunk holds, or cold
     (:func:`_start_arrays`) when it holds none.  Each document's final
-    delta, phi, Delta, responsibilities and sweep count are written into
-    the chunk's own arrays as it leaves, and gamma once all have left; the
-    arrays are allocated on the chunk's first pass and overwritten on
-    later ones.  Its packed words and judgments are read, not changed.
-    Returns how many of its documents were still changing at the inner cap.
+    Delta, responsibilities and sweep count, and with ``keep_states`` its
+    delta and phi, are written into the chunk's own arrays as it leaves,
+    and gamma once all have left; the arrays are allocated on the chunk's
+    first pass and overwritten on later ones.  Without ``keep_states``
+    (prediction, which reads only Delta) the chunk gets no delta or phi
+    arrays.  Its packed words and judgments are read, not changed.
+    Returns how many of its documents were still changing at the inner
+    cap.
+
+    Every final value is checked to be finite, in the order delta, phi,
+    Delta, gamma, and the first non-finite one raises
+    :class:`NumericalFailureError` naming its name and the document of the
+    lowest chunk row holding it; delta and phi are checked in the working
+    rows as their documents leave, so the check needs no stored copy.
 
     The log E[beta] weights are one gather of ``elog_beta``'s columns,
     which arrive shifted so that each word's largest is 0.  The presence
@@ -533,7 +547,8 @@ def _e_step_chunk(chunk, store, params, estep, elog_beta):
         delta, phi, Delta = chunk.delta.copy(), chunk.phi.copy(), chunk.Delta.copy()
     else:
         delta, phi, Delta = _start_arrays(chunk, C, T, params)
-        chunk.delta, chunk.phi = np.empty_like(delta), np.empty_like(phi)
+        if keep_states:
+            chunk.delta, chunk.phi = np.empty_like(delta), np.empty_like(phi)
         if chunk.Delta is None:  # pinned, packing set it to the labels, which stay
             chunk.Delta = np.empty_like(Delta)
         chunk.resp, chunk.sweeps = np.empty((B, C, T)), np.empty(B, dtype=np.int64)
@@ -550,6 +565,7 @@ def _e_step_chunk(chunk, store, params, estep, elog_beta):
     gamma, elog = np.empty((B, C, 2, T)), np.empty((B, C, 2, T))
     gap, mix = np.empty((B, C, T)), np.empty((B, C, T))
     totals, totals_next = np.full((B, C + T), np.nan), np.empty((B, C + T))
+    finite = {"delta": np.empty(B, dtype=bool), "phi": np.empty(B, dtype=bool)}  # per chunk row
     n, capped = B, 0
     for sweep in range(1, estep.max_iters + 1):
         old_delta, old_phi, Delta_n, resp_n = delta[:n], phi[:n], Delta[:n], resp[:n]
@@ -596,7 +612,11 @@ def _e_step_chunk(chunk, store, params, estep, elog_beta):
             continue
         leaving = live[:n][done]
         pick = slice(None, n) if done.all() else np.flatnonzero(done)
-        chunk.delta[leaving], chunk.phi[leaving] = delta[pick], phi[pick]
+        for name, working in (("delta", delta), ("phi", phi)):
+            final = working[pick]
+            finite[name][leaving] = np.isfinite(final).all(axis=(1, 2))
+            if keep_states:
+                getattr(chunk, name)[leaving] = final
         chunk.Delta[leaving], chunk.resp[leaving] = Delta[pick], resp[pick]
         chunk.sweeps[leaving] = sweep
         keep = np.flatnonzero(~done)
@@ -607,11 +627,11 @@ def _e_step_chunk(chunk, store, params, estep, elog_beta):
         for rows in (delta, phi, Delta, resp, totals, log_wt, terms, counts, limit, prior, live):
             rows[holes] = rows[tail]
     chunk.gamma = _gamma_from(params.alpha, chunk.Delta, chunk.resp, out=chunk.gamma)
-    for name in ("delta", "phi", "Delta", "gamma"):
-        value = getattr(chunk, name)
-        bad = ~np.isfinite(value).reshape(B, -1).all(axis=1)
-        if bad.any():
-            doc = store.corpus[chunk.docs[np.argmax(bad)]]
+    for name in ("Delta", "gamma"):
+        finite[name] = np.isfinite(getattr(chunk, name)).reshape(B, -1).all(axis=1)
+    for name, ok in finite.items():  # delta, phi, Delta, gamma
+        if not ok.all():
+            doc = store.corpus[chunk.docs[np.argmin(ok)]]
             raise NumericalFailureError(f"document {doc.doc_id}: non-finite {name}")
     return capped
 
@@ -885,10 +905,13 @@ def predict_corpus(
     predict "present".
 
     The corpus is packed once, and the chunks run the E-step one at a
-    time, as in :func:`e_step_corpus`; each chunk's presence beliefs are
-    copied out and all its states dropped before the next chunk runs.  So
-    prediction holds the packed words, the beliefs and one chunk's states,
-    however many documents it is given.
+    time, as in :func:`e_step_corpus`, but keep no delta or phi: each
+    document's are checked as it leaves its chunk and not stored.  Each
+    chunk's presence beliefs are copied out and its other states dropped
+    before the next chunk runs.  So prediction holds the packed words, the
+    beliefs and one chunk's working arrays, however many documents it is
+    given, and its beliefs are bit for bit the Delta of an
+    :func:`e_step_corpus` pass over the same words.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("predict: threshold must be in [0, 1]")
@@ -898,7 +921,7 @@ def predict_corpus(
     # the words are checked against the model's V; Dimensions only needs D >= 1
     dims = Dimensions(D=max(len(words), 1), C=C, T=T, V=elog_beta.shape[1])
     beliefs = np.empty((len(words), C))
-    for chunk in _e_pass(pack_corpus(words, dims), params, elog_beta, estep):
+    for chunk in _e_pass(pack_corpus(words, dims), params, elog_beta, estep, keep_states=False):
         beliefs[chunk.docs] = chunk.Delta
-        chunk.delta = chunk.phi = chunk.Delta = chunk.resp = chunk.gamma = chunk.sweeps = None
+        chunk.Delta = chunk.resp = chunk.gamma = chunk.sweeps = None
     return beliefs, (beliefs >= threshold).astype(np.int64)

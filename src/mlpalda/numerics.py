@@ -27,7 +27,8 @@ def dirichlet_expected_log(gamma, out=None):
     if arr.size == 0:
         raise ValueError("dirichlet_expected_log: empty input")
     if arr.min() > 0.0:  # NaN fails too
-        total = np.sum(arr, axis=-1, keepdims=True)
+        with np.errstate(over="ignore"):  # an overflowing sum is refused below, not warned of
+            total = np.sum(arr, axis=-1, keepdims=True)
         # with every entry > 0, a row sum is finite exactly when the row's
         # entries are (finite entries whose sum overflows are refused too)
         if total.max() < np.inf:

@@ -203,6 +203,42 @@ def test_evaluate_pool_needs_model_in(tmp_path, corpus, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["class-count", "missing-document", "pool-size", "doc-id"])
+def test_evaluate_refuses_inputs_that_do_not_match(tmp_path, corpus, capsys, case):
+    """Predictions with the wrong class count or without a document, a pool
+    of the wrong size and a corpus doc_id of two tokens each exit 1 with
+    their message, and no report is written."""
+    docs, _ = load_corpus(corpus)
+    preds, out = tmp_path / "p.txt", tmp_path / "eval.csv"
+    rows = [(d.doc_id, d.true_labels * 0.8 + 0.1, d.true_labels) for d in docs]
+    source = ["--predictions", str(preds)]
+    if case == "class-count":
+        rows = [(doc_id, np.r_[b, 0.5], np.r_[l, 1]) for doc_id, b, l in rows]
+        message = "predictions carry 3 classes, corpus has 2"
+    elif case == "missing-document":
+        rows = rows[:4] + rows[5:]
+        message = f"predictions missing for document {docs[4].doc_id!r}"
+    elif case == "pool-size":  # a crowd model of five annotators, a pool of two
+        crowd, model, pool = tmp_path / "c.crowd", tmp_path / "m.model", tmp_path / "pool.txt"
+        assert run("simulate-crowd", "--corpus", str(corpus), "--crowd-out", str(crowd),
+                   "--buckets", "5:0.8:0.95", "--per-doc", "3", "--seed", "2") == 0
+        assert run("train", "--corpus", str(corpus), "--crowd", str(crowd), "--mode", "crowd",
+                   "--topics", "2", "--model-out", str(model), "--max-iters", "3",
+                   "--tol", "0.0") == 2
+        pool.write_text("0 0.9\n1 0.8\n", encoding="utf-8")
+        source = ["--model-in", str(model), "--pool", str(pool)]
+        message = "pool file has 2 annotators, model has 5"
+    else:
+        corpus = tmp_path / "two-token-id.mlc"
+        corpus.write_text("#mlc v1 D=1 V=2 C=2\na b | 1 0 | 1:1\n", encoding="utf-8")
+        message = f"{corpus}:2: doc_id must be one token"
+    write_predictions(preds, rows)
+    capsys.readouterr()
+    assert run("evaluate", "--corpus", str(corpus), *source, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("first,later", [
     ([-1, -1], [1, -1]), ([0, -1], [-1, -1]),
 ], ids=["all-unknown-first", "one-unknown-first"])
@@ -323,6 +359,25 @@ def test_predict_rejects_malformed_model(tmp_path, corpus, capsys, array, edit, 
     err = capsys.readouterr().err
     assert f"{model}:{i + 1 + offset}: {message}" in err, err
     assert not (tmp_path / "p.txt").exists()
+
+
+def test_predict_numerical_failure_exits_3_and_writes_nothing(tmp_path, corpus, capsys):
+    """A model whose alpha entries are 1e308 loads, but its topic posteriors
+    overflow: predict exits 3 naming a document, and leaves neither the
+    predictions nor a temporary file (the suite makes every RuntimeWarning
+    an error, so no numpy warning escapes first either)."""
+    model, preds = tmp_path / "m.model", tmp_path / "p.txt"
+    run("train", "--corpus", str(corpus), "--topics", "2", "--model-out", str(model),
+        "--max-iters", "3", "--tol", "0.0")
+    lines = model.read_text().splitlines()
+    i = lines.index(next(line for line in lines if line.startswith("array alpha ")))
+    lines[i + 1] = _edit_values(lambda v: np.full_like(v, 1e308))(lines[i + 1])
+    model.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = run("predict", "--model-in", str(model), "--corpus", str(corpus), "--out", str(preds))
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure: document ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["c.mlc", "m.model"]
 
 
 VALID_INPUTS = {

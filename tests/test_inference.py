@@ -751,6 +751,24 @@ def test_corpus_estep_names_the_failing_document():
         run_estep(docs, params, elog_of(params), EStepConfig(), pinned=True)
 
 
+def test_estep_and_predict_name_the_document_whose_delta_went_non_finite():
+    """A NaN in beta reaches a document's delta and phi in its one sweep,
+    before any gamma reads them; the closing check names it, for a pass
+    that keeps the states and for prediction, which checks them as the
+    document leaves."""
+    rng = np.random.default_rng(18)
+    params = random_params(rng, 2, 2, 30)
+    params.beta[:, 0] = np.nan  # only documents holding word 0 go non-finite
+    docs = [Document(f"ok{n}", np.arange(1, n + 1), np.ones(n)) for n in (3, 5, 7)]
+    docs.insert(2, Document("bad-doc", np.array([0, 4]), np.array([2, 1])))
+    once = EStepConfig(max_iters=1)
+    message = "^document bad-doc: non-finite delta$"
+    with pytest.raises(NumericalFailureError, match=message):
+        e_step_corpus(packed(docs, params, 30), params, elog_of(params), once)
+    with pytest.raises(NumericalFailureError, match=message):
+        predict_corpus(docs, params, None, once)
+
+
 def _cap_warnings(caplog):
     return [r.getMessage() for r in caplog.records
             if r.levelno == logging.WARNING and "max_estep_iters" in r.getMessage()]
@@ -835,6 +853,34 @@ def test_predict_holds_one_chunk_of_states_at_a_time(monkeypatch):
     states = sum(doc.word_ids.size for doc in docs) * (C + T) * 8
     _, peak = traced_peak(lambda: predict_corpus(docs, params, None, EStepConfig()))
     assert peak < states / 2, (peak, states)
+
+
+def test_predict_beliefs_are_the_delta_of_a_state_keeping_pass(monkeypatch):
+    """Prediction leaves no chunk holding delta or phi, while an E-pass
+    leaves every chunk holding both, and its beliefs equal, bit for bit,
+    that pass's Delta over the same words and chunks."""
+    rng = np.random.default_rng(64)
+    C, T, V = 10, 20, 100
+    params = random_params(rng, C, T, V)
+    docs = words_of(many_chunk_corpus(monkeypatch, rng, C, T, V))
+    kept, step = [], inference._e_step_chunk
+
+    def recording(chunk, *args):
+        capped = step(chunk, *args)
+        kept.append(chunk.delta is not None and chunk.phi is not None)
+        return capped
+
+    monkeypatch.setattr(inference, "_e_step_chunk", recording)
+    store = run_estep(docs, params, elog_of(params), EStepConfig())
+    assert len(store.chunks) >= 10 and kept == [True] * len(store.chunks)
+    Delta = np.empty((len(docs), C))
+    for chunk in store.chunks:
+        Delta[chunk.docs] = chunk.Delta
+
+    kept.clear()
+    beliefs, _ = predict_corpus(docs, params, None, EStepConfig())
+    assert kept == [False] * len(store.chunks)
+    assert np.array_equal(beliefs, Delta)
 
 
 @ESTEP_MODES

@@ -103,8 +103,10 @@ def test_dirichlet_expected_log_domain():
 
 
 def test_dirichlet_expected_log_refuses_a_row_sum_that_overflows():
-    """Finite entries whose sum overflows raise like an infinite entry."""
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite and > 0"):
+    """Finite entries whose sum overflows raise like an infinite entry, and
+    no overflow warning escapes before the refusal (the suite makes every
+    RuntimeWarning an error)."""
+    with pytest.raises(ValueError, match="must be finite and > 0"):
         dirichlet_expected_log(np.array([[1.0, 2.0], [1e308, 1e308]]))
 
 
