@@ -31,7 +31,8 @@ from .data import (
     write_predictions,
 )
 from .atomic import CorpusFormatError, write_text
-from .inference import EStepConfig, NumericalFailureError, TrainConfig, predict_corpus, train
+from .inference import (THRESHOLD, EStepConfig, NumericalFailureError, TrainConfig, check_threshold,
+                        predict_corpus, train)
 from .metrics import compute_report
 from .model import Dimensions, load_model, save_model
 
@@ -39,8 +40,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_NUMERICAL = 3
-
-THRESHOLD = 0.5  # a belief at or above it predicts "present"
 
 SWEEP_HEADER = "seed,train_fraction,topics,avg_accuracy,micro_f1,avg_class_loglik,ann_rmse"
 
@@ -59,20 +58,21 @@ def _parse_buckets(spec: str):
     return tuple(buckets)
 
 
+def _given(**values) -> dict:
+    """The ``values`` whose flags were given (an unset flag is None)."""
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _estep_config(args) -> EStepConfig:
-    given = {"max_iters": args.max_estep_iters, "tol": args.estep_tol}
-    return EStepConfig(**{name: value for name, value in given.items() if value is not None})
+    return EStepConfig(**_given(max_iters=args.max_estep_iters, tol=args.estep_tol))
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        max_em_iters=args.max_iters,
-        em_rel_tol=args.tol,
-        estep=_estep_config(args),
-        mode=args.mode,
-        smoothing=args.smoothing == "on",
+    smoothing = None if args.smoothing is None else args.smoothing == "on"
+    return TrainConfig(estep=_estep_config(args), **_given(
+        max_em_iters=args.max_iters, em_rel_tol=args.tol, mode=args.mode, smoothing=smoothing,
         seed=args.seed,
-    )
+    ))
 
 
 def _known_truth(corpus):
@@ -100,8 +100,8 @@ def _predict_with_model(args, corpus, cdims):
         raise ValueError(
             f"model expects V={dims.V} C={dims.C}, corpus has V={cdims.V} C={cdims.C}"
         )
-    threshold = THRESHOLD if args.threshold is None else args.threshold
-    beliefs, labels = predict_corpus(corpus, params, smoothed, estep, threshold)
+    beliefs, labels = predict_corpus(corpus, params, smoothed, estep,
+                                     **_given(threshold=args.threshold))
     return beliefs, labels, params
 
 
@@ -216,6 +216,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("--repeats must be >= 1")
     if not 0.0 < args.test_fraction < 1.0:
         raise ValueError("--test-fraction must be in (0, 1)")
+    if args.threshold is not None:
+        check_threshold(args.threshold)
     corpus, dims = load_corpus(args.corpus)
     buckets = _parse_buckets(args.buckets)
 
@@ -224,7 +226,7 @@ def cmd_sweep(args) -> int:
         for T in topic_grid:
             cell = []
             for rep in range(args.repeats):
-                seed = args.seed + rep
+                seed = cfg.seed + rep
                 run_cfg = dataclasses.replace(cfg, seed=seed)
                 train_docs, test_docs = split_corpus(corpus, 1.0 - args.test_fraction, seed)
                 n_use = max(1, math.ceil(frac * len(train_docs)))
@@ -237,7 +239,8 @@ def cmd_sweep(args) -> int:
                 else:
                     run_dims = Dimensions(D=len(use), C=dims.C, T=T, V=dims.V)
                 params, topics, _ = train(use, run_dims, run_cfg)
-                beliefs, labels = predict_corpus(test_docs, params, topics, cfg.estep, args.threshold)
+                beliefs, labels = predict_corpus(test_docs, params, topics, cfg.estep,
+                                                 **_given(threshold=args.threshold))
                 truth = _known_truth(test_docs)
                 rmse = ann_rmse(params.rho, pool.qualities) if pool is not None else None
                 report = compute_report(labels, beliefs, truth, ann_rmse=rmse)
@@ -268,20 +271,22 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# unset setting flags stay None, so TrainConfig, EStepConfig and predict_corpus
+# supply the defaults and evaluate can tell a given flag from an absent one
 def _add_estep_flags(p):
-    # unset flags stay None, so EStepConfig supplies the defaults and evaluate
-    # can tell a given flag from an absent one
     p.add_argument("--max-estep-iters", type=int, help=f"default {EStepConfig.max_iters}")
     p.add_argument("--estep-tol", type=float, help=f"default {EStepConfig.tol}")
 
 
 def _add_train_flags(p):
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--max-iters", type=int, help=f"default {TrainConfig.max_em_iters}")
+    p.add_argument("--tol", type=float, help=f"default {TrainConfig.em_rel_tol}")
     _add_estep_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--smoothing", choices=("on", "off"), default="off")
-    p.add_argument("--mode", choices=("crowd", "nocrowd", "no-crowd"), default="nocrowd")
+    p.add_argument("--seed", type=int, help=f"default {TrainConfig.seed}")
+    p.add_argument("--smoothing", choices=("on", "off"),
+                   help=f"default {'on' if TrainConfig.smoothing else 'off'}")
+    p.add_argument("--mode", choices=("crowd", "nocrowd", "no-crowd"),
+                   help=f"default {TrainConfig.mode}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-in", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float, default=THRESHOLD)
+    p.add_argument("--threshold", type=float, help=f"default {THRESHOLD}")
     _add_estep_flags(p)
     p.set_defaults(func=cmd_predict)
 
@@ -345,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topic-grid", required=True, help="comma list of topic counts")
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--test-fraction", type=float, default=0.2)
-    p.add_argument("--threshold", type=float, default=THRESHOLD)
+    p.add_argument("--threshold", type=float, help=f"default {THRESHOLD}")
     p.add_argument("--buckets", default="default")
     p.add_argument("--per-doc", type=int, default=5)
     _add_train_flags(p)

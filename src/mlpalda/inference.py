@@ -5,10 +5,11 @@ Per-document mean field uses one factor per latent block: presence beliefs
 word-to-topic responsibilities ``phi`` (U, T), and per-class-pair topic
 posteriors ``gamma`` (C, 2, T).  One inner cycle updates them in the order
 gamma, phi, delta, Delta; every update is an exact coordinate maximizer of
-the bound given the others, so the bound never decreases.  After the inner
-loop one trailing gamma refresh makes the returned state self-consistent
-(gamma - alpha equals the presence-weighted responsibility sums of its own
-delta/phi/Delta).
+the bound given the others, so the bound never decreases.  gamma is a
+closed-form function of the other three: alpha plus the presence-weighted
+responsibilities sum_u c_u delta_u phi_u (:func:`_gamma_from`).  So a
+state is stored as delta, phi and Delta alone, and gamma and the
+responsibilities are formed from them where they are read.
 
 The inner loops are independent across documents given the global
 parameters, so one E-step runs them in lockstep over chunks of documents
@@ -52,7 +53,6 @@ from .model import (
     init_params,
     init_smoothed_state,
     initial_presence,
-    known_labels,
     normalize_mode,
     validate_corpus,
 )
@@ -63,6 +63,7 @@ logger = logging.getLogger(__name__)
 
 _LOG_FLOOR = 1e-300  # keeps log(prob) finite; never binds on trained parameters
 BOUND_DROP_REL = 1e-8  # a larger relative fall of the bound between EM iterations is logged
+THRESHOLD = 0.5  # by default a presence belief at or above it predicts "present"
 
 
 class NumericalFailureError(RuntimeError):
@@ -265,7 +266,8 @@ class _Chunk:
     reads.  The layout fields, ``docs`` to ``no``, are packed once per
     corpus and read by every E-pass over it; the rest is the state, which
     each E-pass overwrites in place.  With pinned presence, packing sets
-    ``Delta`` too: the clamped labels.
+    ``Delta`` too: the clamped labels.  gamma and the responsibilities
+    follow from the state, and :func:`_reduce_stats` forms them.
     """
 
     docs: np.ndarray      # (B,) corpus positions, ascending length
@@ -278,8 +280,6 @@ class _Chunk:
     delta: Optional[np.ndarray] = None   # (B, C, U)
     phi: Optional[np.ndarray] = None     # (B, T, U)
     Delta: Optional[np.ndarray] = None   # (B, C)
-    resp: Optional[np.ndarray] = None    # (B, C, T) count-weighted sums of delta x phi
-    gamma: Optional[np.ndarray] = None   # (B, C, 2, T)
     sweeps: Optional[np.ndarray] = None  # (B,) inner sweeps
 
 
@@ -319,34 +319,32 @@ def pack_corpus(corpus, dims: Dimensions, pinned=False) -> CorpusStates:
     :func:`~mlpalda.model.validate_corpus` checks every document, and with
     ``pinned`` every label must be known (0 or 1); the first faulty
     document in corpus order raises its ValueError.  The words that check
-    returns are cut into length-sorted chunks, and the judgments are
-    packed as the :func:`_judgment_masks` of each chunk, with each
+    returns are cut into length-sorted chunks, and the votes it stacked
+    are packed as the :func:`_judgment_masks` of each chunk, with each
     annotator's judgments counted once.  With ``pinned`` each chunk's
     ``Delta`` is set to its documents' clamped labels, the presence
     beliefs they keep.
     """
-    word_ids, counts, lengths = validate_corpus(corpus, dims)
-    labels = None
+    word_ids, counts, lengths, labels, votes = validate_corpus(corpus, dims)
     if pinned:
-        labels = clamp_probability(np.array([known_labels(doc) for doc in corpus]), DELTA_CLAMP)
-    C, K = dims.C, dims.K
+        unknown = (labels == -1).any(axis=1)
+        if unknown.any():
+            doc = corpus[np.argmax(unknown)]
+            raise ValueError(f"document {doc.doc_id}: no-crowd training needs fully known labels")
+        labels = clamp_probability(labels.astype(np.float64), DELTA_CLAMP)
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     counts = counts.astype(np.float64)
-    judged = np.zeros(K)
+    judged = np.zeros(dims.K)
     chunks = []
-    for docs in map(np.array, _length_sorted_chunks(lengths, max(C, dims.T))):
+    for docs in map(np.array, _length_sorted_chunks(lengths, max(dims.C, dims.T))):
         mask = np.arange(lengths[docs].max()) < lengths[docs][:, None]
         rows, cols = np.nonzero(mask)
-        votes = np.full((docs.size, K, C), -1, dtype=np.int8)
-        for b, d in enumerate(docs if K else ()):
-            if corpus[d].crowd_labels is not None:
-                votes[b] = corpus[d].crowd_labels
-        yes, no = _judgment_masks(votes)
+        yes, no = _judgment_masks(votes[docs])
         judged += (yes + no).sum(axis=(0, 2))
         chunk = _Chunk(
             docs=docs, ids=np.zeros(mask.shape, dtype=np.int64), counts=np.zeros(mask.shape),
             mask=mask, slots=offsets[docs][rows] + cols, yes=yes, no=no,
-            Delta=None if labels is None else labels[docs],
+            Delta=labels[docs] if pinned else None,
         )
         chunk.ids[mask] = word_ids[chunk.slots]
         chunk.counts[mask] = counts[chunk.slots]
@@ -358,17 +356,16 @@ def _start_arrays(chunk, C, T, params):
     """``chunk``'s cold delta, phi and Delta.
 
     Every document starts with uniform responsibilities and the
-    :func:`initial_presence` beliefs of its packed votes under ``params``,
-    one call for the chunk; a chunk packed with pinned presence holds its
-    labels as ``Delta``, and its documents start there.
+    :func:`initial_presence` beliefs of its packed judgment masks under
+    ``params``, one call for the chunk; a chunk packed with pinned presence
+    holds its labels as ``Delta``, and its documents start there.
     """
     B, U = chunk.counts.shape
     delta = np.full((B, C, U), 1.0 / C)
     phi = np.full((B, T, U), 1.0 / T)
     if chunk.Delta is not None:
         return delta, phi, chunk.Delta.copy()
-    votes = 2.0 * chunk.yes + chunk.no - 1.0  # 1 yes, 0 no, -1 none
-    return delta, phi, initial_presence(votes, params.xi, params.rho)
+    return delta, phi, initial_presence(chunk.yes, chunk.no, params.xi, params.rho)
 
 
 def e_step_corpus(
@@ -482,19 +479,18 @@ def _e_step_chunk(chunk, store, params, estep, elog_beta, keep_states):
 
     The documents start from the states the chunk holds, or cold
     (:func:`_start_arrays`) when it holds none.  Each document's final
-    Delta, responsibilities and sweep count, and with ``keep_states`` its
-    delta and phi, are written into the chunk's own arrays as it leaves,
-    and gamma once all have left; the arrays are allocated on the chunk's
-    first pass and overwritten on later ones.  Without ``keep_states``
-    (prediction, which reads only Delta) the chunk gets no delta or phi
-    arrays.  Its packed words and judgments are read, not changed.
-    Returns how many of its documents were still changing at the inner
-    cap.
+    Delta and sweep count, and with ``keep_states`` its delta and phi, are
+    written into the chunk's own arrays as it leaves; the arrays are
+    allocated on the chunk's first pass and overwritten on later ones.
+    Without ``keep_states`` (prediction, which reads only Delta) the chunk
+    gets no delta or phi arrays.  Its packed words and judgments are read,
+    not changed.  Returns how many of its documents were still changing at
+    the inner cap.
 
     Every final value is checked to be finite, in the order delta, phi,
-    Delta, gamma, and the first non-finite one raises
+    Delta, and the first non-finite one raises
     :class:`NumericalFailureError` naming its name and the document of the
-    lowest chunk row holding it; delta and phi are checked in the working
+    lowest chunk row holding it; the values are checked in the working
     rows as their documents leave, so the check needs no stored copy.
 
     The log E[beta] weights are one gather of ``elog_beta``'s columns,
@@ -539,7 +535,6 @@ def _e_step_chunk(chunk, store, params, estep, elog_beta, keep_states):
     swap for the next sweep.  gamma, E[log theta], the gap, the mixed
     E[log theta], the responsibilities and the count-weighted delta are
     filled in place.
-    The trailing gamma refresh runs once over the whole chunk.
     """
     C, _, T = params.alpha.shape
     B = chunk.counts.shape[0]
@@ -551,7 +546,7 @@ def _e_step_chunk(chunk, store, params, estep, elog_beta, keep_states):
             chunk.delta, chunk.phi = np.empty_like(delta), np.empty_like(phi)
         if chunk.Delta is None:  # pinned, packing set it to the labels, which stay
             chunk.Delta = np.empty_like(Delta)
-        chunk.resp, chunk.sweeps = np.empty((B, C, T)), np.empty(B, dtype=np.int64)
+        chunk.sweeps = np.empty(B, dtype=np.int64)
     log_wt = np.take(elog_beta, chunk.ids, axis=1).transpose(1, 0, 2)  # (B, T, U) view
     np.copyto(log_wt, 0.0, where=~chunk.mask[:, None, :])
     terms = chunk.mask.astype(np.float64)
@@ -565,7 +560,7 @@ def _e_step_chunk(chunk, store, params, estep, elog_beta, keep_states):
     gamma, elog = np.empty((B, C, 2, T)), np.empty((B, C, 2, T))
     gap, mix = np.empty((B, C, T)), np.empty((B, C, T))
     totals, totals_next = np.full((B, C + T), np.nan), np.empty((B, C + T))
-    finite = {"delta": np.empty(B, dtype=bool), "phi": np.empty(B, dtype=bool)}  # per chunk row
+    finite = {name: np.empty(B, dtype=bool) for name in ("delta", "phi", "Delta")}  # per chunk row
     n, capped = B, 0
     for sweep in range(1, estep.max_iters + 1):
         old_delta, old_phi, Delta_n, resp_n = delta[:n], phi[:n], Delta[:n], resp[:n]
@@ -612,12 +607,11 @@ def _e_step_chunk(chunk, store, params, estep, elog_beta, keep_states):
             continue
         leaving = live[:n][done]
         pick = slice(None, n) if done.all() else np.flatnonzero(done)
-        for name, working in (("delta", delta), ("phi", phi)):
-            final = working[pick]
-            finite[name][leaving] = np.isfinite(final).all(axis=(1, 2))
-            if keep_states:
-                getattr(chunk, name)[leaving] = final
-        chunk.Delta[leaving], chunk.resp[leaving] = Delta[pick], resp[pick]
+        for name, working in (("delta", delta), ("phi", phi), ("Delta", Delta)):
+            final, stored = working[pick], getattr(chunk, name)
+            finite[name][leaving] = np.isfinite(final).reshape(len(final), -1).all(axis=1)
+            if stored is not None:  # without keep_states, no delta or phi
+                stored[leaving] = final
         chunk.sweeps[leaving] = sweep
         keep = np.flatnonzero(~done)
         if not keep.size:
@@ -626,10 +620,7 @@ def _e_step_chunk(chunk, store, params, estep, elog_beta, keep_states):
         holes, tail = np.flatnonzero(done[:n]), keep[keep >= n]
         for rows in (delta, phi, Delta, resp, totals, log_wt, terms, counts, limit, prior, live):
             rows[holes] = rows[tail]
-    chunk.gamma = _gamma_from(params.alpha, chunk.Delta, chunk.resp, out=chunk.gamma)
-    for name in ("Delta", "gamma"):
-        finite[name] = np.isfinite(getattr(chunk, name)).reshape(B, -1).all(axis=1)
-    for name, ok in finite.items():  # delta, phi, Delta, gamma
+    for name, ok in finite.items():  # delta, phi, Delta
         if not ok.all():
             doc = store.corpus[chunk.docs[np.argmin(ok)]]
             raise NumericalFailureError(f"document {doc.doc_id}: non-finite {name}")
@@ -666,9 +657,11 @@ class CorpusStats:
     state_terms: float           # the bound's terms that need one document's state
 
 
-def _reduce_stats(store: CorpusStates) -> CorpusStats:
+def _reduce_stats(store: CorpusStates, params: ModelParams) -> CorpusStats:
     """Sums of the states in ``store``, over documents in corpus order.
 
+    Each chunk's responsibilities and gamma are formed from its delta, phi
+    and Delta, as the sweeps form them, under the E-pass's ``params``.
     Each document's E[log theta], presence beliefs and expected agreements
     go into corpus-indexed rows and ``topic_word`` comes from ``bincount``
     over the corpus-order term ids, so every M-step statistic adds its
@@ -689,19 +682,21 @@ def _reduce_stats(store: CorpusStates) -> CorpusStats:
     agree = np.zeros((D, K))
     state_terms = 0.0
     for chunk in store.chunks:
-        elog = dirichlet_expected_log(chunk.gamma)  # (B, C, 2, T)
-        log_theta[chunk.docs] = elog
         Delta = chunk.Delta
+        resp = _responsibilities(chunk.delta, chunk.counts, chunk.phi)
+        gamma = _gamma_from(params.alpha, Delta, resp)
+        elog = dirichlet_expected_log(gamma)  # (B, C, 2, T)
+        log_theta[chunk.docs] = elog
         presence[chunk.docs] = Delta
         both = chunk.yes * Delta[:, None, :]
         both += chunk.no * (1.0 - Delta)[:, None, :]
         agree[chunk.docs] = both.sum(axis=-1)
         counts = chunk.counts[:, None, :]
         gap = elog[:, :, 1] - elog[:, :, 0]
-        state_terms += float((chunk.resp * _mixed_log_theta(Delta, elog, gap)).sum())
+        state_terms += float((resp * _mixed_log_theta(Delta, elog, gap)).sum())
         state_terms -= float((counts * _xlogx(chunk.delta)).sum())
         state_terms -= float((counts * _xlogx(chunk.phi)).sum())
-        state_terms -= _dirichlet_block(chunk.gamma, elog)
+        state_terms -= _dirichlet_block(gamma, elog)
         state_terms -= float((_xlogx(Delta) + _xlogx(1.0 - Delta)).sum())
 
     phi = np.empty((store.word_ids.size, T))  # every term column's phi, in corpus order
@@ -859,7 +854,7 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
 
     for iteration in range(1, cfg.max_em_iters + 1):
         states = e_step_corpus(states, params, elog_beta, cfg.estep)
-        stats = _reduce_stats(states)
+        stats = _reduce_stats(states, params)
         if cfg.smoothing:
             chi = eta[0] + stats.topic_word  # a new array, so eta = topics needs no copy
             topics = (chi, dirichlet_log_normalizer(chi))
@@ -891,12 +886,18 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
     return params, chi, trace
 
 
+def check_threshold(threshold: float) -> None:
+    """ValueError unless ``threshold`` lies in [0, 1] (NaN fails too)."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError("predict: threshold must be in [0, 1]")
+
+
 def predict_corpus(
     corpus,
     params: ModelParams,
     topics: Optional[np.ndarray] = None,
     estep: EStepConfig = EStepConfig(),
-    threshold: float = 0.5,
+    threshold: float = THRESHOLD,
 ):
     """(D, C) presence beliefs and thresholded labels for unlabeled documents.
 
@@ -907,14 +908,13 @@ def predict_corpus(
     The corpus is packed once, and the chunks run the E-step one at a
     time, as in :func:`e_step_corpus`, but keep no delta or phi: each
     document's are checked as it leaves its chunk and not stored.  Each
-    chunk's presence beliefs are copied out and its other states dropped
-    before the next chunk runs.  So prediction holds the packed words, the
-    beliefs and one chunk's working arrays, however many documents it is
-    given, and its beliefs are bit for bit the Delta of an
+    chunk's presence beliefs are copied out, and dropped with its sweep
+    counts, before the next chunk runs.  So prediction holds the packed
+    words, the beliefs and one chunk's working arrays, however many
+    documents it is given, and its beliefs are bit for bit the Delta of an
     :func:`e_step_corpus` pass over the same words.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("predict: threshold must be in [0, 1]")
+    check_threshold(threshold)
     C, _, T = params.alpha.shape
     elog_beta = expected_log_word_given_topic(params, topics)
     words = [Document(doc.doc_id, doc.word_ids, doc.counts) for doc in corpus]
@@ -923,5 +923,5 @@ def predict_corpus(
     beliefs = np.empty((len(words), C))
     for chunk in _e_pass(pack_corpus(words, dims), params, elog_beta, estep, keep_states=False):
         beliefs[chunk.docs] = chunk.Delta
-        chunk.Delta = chunk.resp = chunk.gamma = chunk.sweeps = None
+        chunk.Delta = chunk.sweeps = None
     return beliefs, (beliefs >= threshold).astype(np.int64)

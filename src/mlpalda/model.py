@@ -14,11 +14,11 @@ U distinct terms in one document):
 * variational state, held in the E-step's chunks
   (:class:`mlpalda.inference.CorpusStates`) with one row per document and
   one column per distinct term: ``delta`` (B, C, U) word-to-class
-  responsibilities, ``phi`` (B, T, U) word-to-topic responsibilities,
-  ``Delta`` (B, C) presence beliefs, ``gamma`` (B, C, 2, T) topic
-  posteriors.  Tokens of the same term share one column, which is exact
-  because every word-level update depends on the token only through its
-  vocabulary index.
+  responsibilities, ``phi`` (B, T, U) word-to-topic responsibilities and
+  ``Delta`` (B, C) presence beliefs.  The (B, C, 2, T) topic posteriors
+  ``gamma`` are not stored: they follow from the other three.  Tokens of
+  the same term share one column, which is exact because every word-level
+  update depends on the token only through its vocabulary index.
 """
 
 from __future__ import annotations
@@ -165,22 +165,28 @@ def validate_corpus(corpus, dims: Dimensions):
     stacked labels and votes flags each document that breaks a rule; the
     first flagged document is then checked on its own, so the error is
     the one :func:`validate_document` raises for it.  Returns the
-    :func:`corpus_words` ids, counts and lengths that it checked, so that
-    a caller can use them without a second pass.
+    :func:`corpus_words` ids, counts and lengths that it checked, and the
+    (D, C) labels and (D, K, C) votes that it stacked, as int8 with -1
+    where a document has none, so that a caller can use them without a
+    second pass.
     """
     ids, counts, lengths, bad = corpus_words(corpus, dims.V)
-    for values, shape in (([doc.true_labels for doc in corpus], (dims.C,)),
-                          ([doc.crowd_labels for doc in corpus], (dims.K, dims.C) if dims.K else None)):
+    D, C, K = len(corpus), dims.C, dims.K
+    labels, votes = np.full((D, C), -1, dtype=np.int8), np.full((D, K, C), -1, dtype=np.int8)
+    # with K = 0 no votes fit, so every document that carries some is checked
+    for values, shape, stacked in (([doc.true_labels for doc in corpus], (C,), labels),
+                                   ([doc.crowd_labels for doc in corpus], (K, C) if K else None, votes)):
         wrong = np.array([v is not None for v in values], dtype=bool)
         fits = np.flatnonzero([v is not None and v.shape == shape for v in values])
         wrong[fits] = False
         if fits.size:
-            stacked = np.stack([values[d] for d in fits]).reshape(fits.size, -1)
-            wrong[fits[~np.isin(stacked, (-1, 0, 1)).all(axis=1)]] = True
+            rows = np.stack([values[d] for d in fits])
+            wrong[fits[~np.isin(rows, (-1, 0, 1)).reshape(fits.size, -1).all(axis=1)]] = True
+            stacked[fits] = rows
         bad |= wrong
     for d in np.flatnonzero(bad):
         validate_document(corpus[d], dims)
-    return ids, counts, lengths
+    return ids, counts, lengths, labels, votes
 
 
 def faulty_words(ids, counts, lengths, V: int) -> np.ndarray:
@@ -263,13 +269,13 @@ def validate(params: ModelParams, dims: Dimensions, smoothed: Optional[np.ndarra
     return msgs
 
 
-def validate_states(params: ModelParams, states) -> list:
+def validate_states(states) -> list:
     """Invariant violations of the E-step states in the chunks of ``states``
     (a :class:`mlpalda.inference.CorpusStates`), in :func:`validate`'s style.
 
     delta's and phi's columns must be stochastic over each document's term
-    columns (padding is not read), Delta within the ``DELTA_CLAMP`` range,
-    gamma at least alpha, and all of them finite.
+    columns (padding is not read) and finite, and Delta within the
+    ``DELTA_CLAMP`` range.
     """
     chunks = states.chunks
     if not chunks:
@@ -278,18 +284,13 @@ def validate_states(params: ModelParams, states) -> list:
     delta = np.concatenate([c.delta.transpose(0, 2, 1)[c.mask] for c in chunks])
     phi = np.concatenate([c.phi.transpose(0, 2, 1)[c.mask] for c in chunks])
     Delta = np.concatenate([c.Delta for c in chunks])
-    gamma = np.concatenate([c.gamma for c in chunks])
     msgs = []
     for name, rows in (("delta", delta), ("phi", phi)):
         if np.any(rows < 0.0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > ROW_SUM_TOL):
             msgs.append(f"{name} columns not stochastic")
     if not _all_within(Delta, DELTA_CLAMP, 1.0 - DELTA_CLAMP):
         msgs.append("Delta out of clamp range")
-    if gamma.shape[1:] != params.alpha.shape:
-        msgs.append("gamma shape mismatch with alpha")
-    elif np.any(gamma < params.alpha - 1e-12):
-        msgs.append("gamma below alpha")
-    for name, arr in (("delta", delta), ("phi", phi), ("gamma", gamma)):
+    for name, arr in (("delta", delta), ("phi", phi)):
         if not np.all(np.isfinite(arr)):
             msgs.append(f"{name} has non-finite entries")
     return msgs
@@ -331,31 +332,21 @@ def init_smoothed_state(eta: np.ndarray, seed: int) -> np.ndarray:
     return eta + 0.5 * rng.random(eta.shape)
 
 
-def known_labels(doc: Document) -> np.ndarray:
-    """``doc``'s labels as floats; ValueError unless every one is known (0 or 1)."""
-    lab = doc.true_labels
-    if lab is None or not np.all((lab == 0) | (lab == 1)):
-        raise ValueError(f"document {doc.doc_id}: no-crowd training needs fully known labels")
-    return lab.astype(np.float64)
-
-
-def initial_presence(votes, xi, rho) -> np.ndarray:
-    """(..., C) starting presence beliefs, clamped, from (..., K, C) ``votes``.
+def initial_presence(yes, no, xi, rho) -> np.ndarray:
+    """(..., C) starting presence beliefs, clamped, from the (..., K, C)
+    0/1 masks of the yes and of the no votes.
 
     The prior ``xi``, moved for each judged class to the mean of its votes
-    (-1 where none) mapped through the annotators' quality ``rho``.  K = 0,
-    or params without annotator qualities, leave the votes out, as the
-    E-step does.
+    mapped through the annotators' quality ``rho``: a yes vote counts as
+    rho, a no vote as 1 - rho.  K = 0, or params without annotator
+    qualities, leave the votes out, as the E-step does.
     """
-    votes, xi = np.asarray(votes), np.asarray(xi, dtype=np.float64)
-    Delta = np.broadcast_to(xi, votes.shape[:-2] + xi.shape)
-    if votes.shape[-2] and rho.size:
-        provided = votes != -1
-        yf = votes.astype(np.float64)
+    xi = np.asarray(xi, dtype=np.float64)
+    Delta = np.broadcast_to(xi, yes.shape[:-2] + xi.shape)
+    if yes.shape[-2] and rho.size:
         q = rho[:, None]
-        mapped = yf * q + (1.0 - yf) * (1.0 - q)
-        count = provided.sum(axis=-2)
-        num = np.where(provided, mapped, 0.0).sum(axis=-2)
+        count = (yes + no).sum(axis=-2)
+        num = (yes * q + no * (1.0 - q)).sum(axis=-2)
         Delta = np.where(count > 0, num / np.maximum(count, 1), Delta)
     return clamp_probability(Delta, DELTA_CLAMP)
 

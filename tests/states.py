@@ -5,7 +5,8 @@ E-pass updates the store it is given in place.  These helpers pack documents
 into a store and run one E-pass over them, make a store of cold states, copy
 a store so that two passes can start from it, read each document's values
 out of its chunk row, and make a store whose documents start from given
-values.
+values.  A store holds delta, phi and Delta; gamma is formed from them, as
+the bound forms it.
 """
 
 import copy
@@ -33,17 +34,14 @@ def run_estep(docs, params, elog_beta, estep, pinned=False):
 
 def cold_store(docs, params, V, pinned=False):
     """A :func:`packed` store of ``docs`` whose states are the E-step's cold
-    start: uniform delta and phi, the starting presence beliefs (the clamped
-    labels with ``pinned``), their responsibilities, and gamma one update
-    from there.  Passed to ``e_step_corpus``, it starts every document where
-    a cold E-pass starts it.
+    start: uniform delta and phi and the starting presence beliefs (the
+    clamped labels with ``pinned``).  Passed to ``e_step_corpus``, it starts
+    every document where a cold E-pass starts it.
     """
     C, _, T = params.alpha.shape
     store = packed(docs, params, V, pinned)
     for chunk in store.chunks:
         chunk.delta, chunk.phi, chunk.Delta = inference._start_arrays(chunk, C, T, params)
-        chunk.resp = inference._responsibilities(chunk.delta, chunk.counts, chunk.phi)
-        chunk.gamma = inference._gamma_from(params.alpha, chunk.Delta, chunk.resp)
         chunk.sweeps = np.zeros(chunk.docs.size, dtype=np.int64)
     return store
 
@@ -59,16 +57,21 @@ def _row_of(store, d):
     return chunk, int(np.flatnonzero(chunk.docs == d)[0]), store.lengths[d]
 
 
-def doc_states(store):
+def doc_states(store, params):
     """Copies of every document's values in ``store``, in corpus order, with
-    one row per term: delta (U, C), phi (U, T), Delta (C,), gamma (C, 2, T)
-    and the sweep count."""
+    one row per term: delta (U, C), phi (U, T), Delta (C,), the sweep
+    count, and gamma (C, 2, T) under ``params``' alpha, formed from its
+    chunk's delta, phi and Delta as ``inference._reduce_stats`` forms it."""
+    gamma = {}
+    for chunk in store.chunks:
+        resp = inference._responsibilities(chunk.delta, chunk.counts, chunk.phi)
+        gamma[id(chunk)] = inference._gamma_from(params.alpha, chunk.Delta, resp)
     states = []
     for d in range(store.lengths.size):
         chunk, b, u = _row_of(store, d)
         states.append(SimpleNamespace(
             delta=chunk.delta[b, :, :u].T.copy(), phi=chunk.phi[b, :, :u].T.copy(),
-            Delta=chunk.Delta[b].copy(), gamma=chunk.gamma[b].copy(), sweeps=int(chunk.sweeps[b]),
+            Delta=chunk.Delta[b].copy(), gamma=gamma[id(chunk)][b], sweeps=int(chunk.sweeps[b]),
         ))
     return states
 

@@ -103,9 +103,9 @@ def test_criterion_2_oracle_bound():
         exact = exact_log_marginal(TinyInstance(doc=doc, params=params, dims=dims))
         fresh = cold_store([doc], params, V)
         elog_beta = elog_of(params)
-        worst = max(worst, compute_elbo(_reduce_stats(fresh), params, elog_beta) - exact)
+        worst = max(worst, compute_elbo(_reduce_stats(fresh, params), params, elog_beta) - exact)
         settled = run_estep([doc], params, elog_beta, estep)
-        worst = max(worst, compute_elbo(_reduce_stats(settled), params, elog_beta) - exact)
+        worst = max(worst, compute_elbo(_reduce_stats(settled, params), params, elog_beta) - exact)
     elapsed = time.monotonic() - t0
     gate(2, "oracle-bound", worst <= 1e-9 and elapsed < 60.0,
          f"max elbo-exact {worst:.3e}, {elapsed:.1f}s for 200 instances")
@@ -301,8 +301,8 @@ def test_criterion_8_consistency_and_regrouping():
         params = random_params(rng, 2, 3, 10, K=2)
         doc = random_doc(rng, 2, 10, K=2, n_terms=4, max_count=3, doc_id=f"reg{seed}")
         estep = EStepConfig(max_iters=3, tol=0.0)
-        grouped = doc_states(run_estep([doc], params, elog_of(params), estep))[0]
-        init = doc_states(cold_store([doc], params, 10))[0]
+        grouped = doc_states(run_estep([doc], params, elog_of(params), estep), params)[0]
+        init = doc_states(cold_store([doc], params, 10), params)[0]
         ann1, ann0 = oracle_annotator_terms(doc, params)
         tokens = np.repeat(doc.word_ids, doc.counts)
         o_delta, o_phi, o_Delta, o_gamma = token_loop_cycle(

@@ -128,6 +128,10 @@ def test_simulate_crowd_custom_buckets(tmp_path, corpus):
     assert code == 0
     _, K, _ = read_crowd_file(crowd)
     assert K == 3
+    assert run("simulate-crowd", "--corpus", str(corpus), "--crowd-out", str(crowd),
+               "--buckets", "adversarial", "--seed", "1") == 0
+    _, K, _ = read_crowd_file(crowd)
+    assert K == 50
     assert run(
         "simulate-crowd", "--corpus", str(corpus), "--crowd-out", str(crowd),
         "--buckets", "nonsense",
@@ -496,6 +500,33 @@ def test_sweep_crowd_mode_reports_rmse(tmp_path, corpus):
     for l in lines[1:]:
         rmse = l.split(",")[6]
         assert rmse != "" and 0.0 <= float(rmse) <= 1.0
+
+
+@pytest.mark.parametrize("command,flag,value,message", [
+    ("sweep", "--topic-grid", "0", "--topic-grid entries must be >= 1"),
+    ("sweep", "--repeats", "0", "--repeats must be >= 1"),
+    ("sweep", "--test-fraction", "1", "--test-fraction must be in (0, 1)"),
+    ("sweep", "--threshold", "2", "predict: threshold must be in [0, 1]"),
+    ("train", "--max-iters", "0", "iteration caps must be >= 1"),
+    ("train", "--seed", "-1", "seed must be non-negative"),
+], ids=["sweep-topic-grid", "sweep-repeats", "sweep-test-fraction", "sweep-threshold",
+        "train-max-iters", "train-seed"])
+def test_bad_setting_exits_1_before_training(tmp_path, corpus, capsys, monkeypatch, command, flag,
+                                             value, message):
+    """Every setting is checked before the first model is trained."""
+    def refuse(*args):
+        raise AssertionError("trained before checking its settings")
+
+    monkeypatch.setattr("mlpalda.cli.train", refuse)
+    out = tmp_path / "out"
+    argv = {
+        "sweep": ["sweep", "--corpus", str(corpus), "--topic-grid", "2", "--out", str(out)],
+        "train": ["train", "--corpus", str(corpus), "--topics", "2", "--model-out", str(out)],
+    }[command]
+    argv += [flag, value]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_sweep_rejects_bad_fractions(tmp_path, corpus):

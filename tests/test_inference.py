@@ -178,9 +178,9 @@ def test_estep_matches_token_loop_transcription(mode, with_votes):
 
     pinned = mode == "no-crowd"
     estep = EStepConfig(max_iters=3, tol=0.0)
-    state = doc_states(run_estep([doc], params, elog_of(params), estep, pinned=pinned))[0]
+    state = doc_states(run_estep([doc], params, elog_of(params), estep, pinned=pinned), params)[0]
 
-    init = doc_states(cold_store([doc], params, V, pinned=pinned))[0]
+    init = doc_states(cold_store([doc], params, V, pinned=pinned), params)[0]
     ann1, ann0 = oracle_annotator_terms(doc, params) if mode == "crowd" else (
         np.zeros(C),
         np.zeros(C),
@@ -221,8 +221,8 @@ def test_grouped_and_expanded_documents_agree():
         crowd_labels=doc.crowd_labels,
     )
     estep = EStepConfig(max_iters=6, tol=0.0)
-    grouped = doc_states(run_estep([doc], params, elog_of(params), estep))[0]
-    flat = doc_states(run_estep([expanded], per_token, elog_of(per_token), estep))[0]
+    grouped = doc_states(run_estep([doc], params, elog_of(params), estep), params)[0]
+    flat = doc_states(run_estep([expanded], per_token, elog_of(per_token), estep), per_token)[0]
 
     np.testing.assert_allclose(flat.Delta, grouped.Delta, rtol=0, atol=1e-12)
     np.testing.assert_allclose(flat.gamma, grouped.gamma, rtol=0, atol=1e-12)
@@ -275,7 +275,8 @@ def test_near_perfect_annotator_pins_presence():
         counts=np.array([1, 2]),
         crowd_labels=np.array([[1, 0]]),
     )
-    state = doc_states(run_estep([doc], params, elog_of(params), EStepConfig(max_iters=20)))[0]
+    store = run_estep([doc], params, elog_of(params), EStepConfig(max_iters=20))
+    state = doc_states(store, params)[0]
     assert state.Delta[0] > 1.0 - 1e-6
     assert state.Delta[1] < 1e-6
 
@@ -286,9 +287,9 @@ def test_estep_state_is_self_consistent():
     params = random_params(rng, C, T, V, K=K)
     doc = random_doc(rng, C, V, K=K, n_terms=6)
     store = run_estep([doc], params, elog_of(params), EStepConfig(max_iters=15))
-    st = doc_states(store)[0]
+    st = doc_states(store, params)[0]
 
-    assert validate_states(params, store) == []
+    assert validate_states(store) == []
     assert np.all(np.abs(st.delta.sum(axis=1) - 1.0) < 1e-9)
     assert np.all(np.abs(st.phi.sum(axis=1) - 1.0) < 1e-9)
     assert np.all((st.Delta >= 1e-9) & (st.Delta <= 1.0 - 1e-9))
@@ -305,7 +306,7 @@ def test_estep_pins_observed_labels_in_no_crowd_mode():
     params = random_params(rng, 3, 2, 9)
     doc = random_doc(rng, 3, 9)
     estep = EStepConfig(max_iters=8)
-    st = doc_states(run_estep([doc], params, elog_of(params), estep, pinned=True))[0]
+    st = doc_states(run_estep([doc], params, elog_of(params), estep, pinned=True), params)[0]
     np.testing.assert_allclose(
         st.Delta, np.clip(doc.true_labels.astype(float), 1e-9, 1 - 1e-9), atol=0
     )
@@ -321,10 +322,12 @@ def test_estep_smoothed_uses_chi_not_beta():
     chi = rng.uniform(0.5, 3.0, size=(T, V))
     doc = random_doc(rng, C, V)
     estep = EStepConfig(max_iters=4)
-    st = doc_states(run_estep([doc], smoothed, elog_of(smoothed, chi), estep, pinned=True))[0]
+    store = run_estep([doc], smoothed, elog_of(smoothed, chi), estep, pinned=True)
+    st = doc_states(store, smoothed)[0]
     assert np.all(np.isfinite(st.phi))
     # different chi must change the answer
-    st2 = doc_states(run_estep([doc], smoothed, elog_of(smoothed, chi * 3.0), estep, pinned=True))[0]
+    store = run_estep([doc], smoothed, elog_of(smoothed, chi * 3.0), estep, pinned=True)
+    st2 = doc_states(store, smoothed)[0]
     assert np.abs(st.phi - st2.phi).max() > 1e-6
 
 
@@ -372,16 +375,16 @@ def assert_equals_one_document_calls(docs, params, estep, pinned, start=None):
     BLAS may round a product summed over the padded term axis differently
     from the unpadded one, so the values are not equal bit for bit."""
     V = params.beta.shape[1]
-    starts = [None] * len(docs) if start is None else doc_states(start)
+    starts = [None] * len(docs) if start is None else doc_states(start, params)
     if start is None:
         start = packed(docs, params, V, pinned)
     store = e_step_corpus(start, params, elog_of(params), estep)
     sweeps = []
-    for doc, begin, st in zip(docs, starts, doc_states(store)):
+    for doc, begin, st in zip(docs, starts, doc_states(store, params)):
         single = packed([doc], params, V, pinned)
         if begin is not None:
             single = warm_store([doc], params, V, [begin], pinned)
-        one = doc_states(e_step_corpus(single, params, elog_of(params), estep))[0]
+        one = doc_states(e_step_corpus(single, params, elog_of(params), estep), params)[0]
         assert st.sweeps == one.sweeps, doc.doc_id
         for name in ("delta", "phi", "Delta", "gamma"):
             np.testing.assert_allclose(getattr(st, name), getattr(one, name), rtol=1e-12,
@@ -410,11 +413,11 @@ def test_corpus_estep_equals_one_document_calls(monkeypatch, pinned, words_only,
     if warm:
         start = run_estep(docs, params, elog_of(params), EStepConfig(max_iters=2), pinned=pinned)
         if warm == "list":
-            start = warm_store(docs, params, V, doc_states(start), pinned)
+            start = warm_store(docs, params, V, doc_states(start, params), pinned)
 
     store, sweeps = assert_equals_one_document_calls(docs, params, estep, pinned, start)
     assert (len(store.chunks) > 1) == (budget == 40)
-    assert validate_states(params, store) == []
+    assert validate_states(store) == []
     assert len(set(sweeps)) > 1  # documents converge at different sweeps
     assert max(sweeps) < estep.max_iters
 
@@ -479,7 +482,7 @@ def test_estep_softmaxes_fall_back_to_the_max_shift_past_the_spread_bound(
 
     monkeypatch.setattr(inference, "_softmax_columns", recording_softmax)
     estep = EStepConfig(max_iters=60, tol=1e-7)
-    for st in doc_states(run_estep(docs, params, elog_of(params), estep, pinned=pinned)):
+    for st in doc_states(run_estep(docs, params, elog_of(params), estep, pinned=pinned), params):
         for name in ("delta", "phi", "Delta", "gamma"):
             assert np.all(np.isfinite(getattr(st, name))), name
     assert shift_free.count(False) > len(shift_free) // 2  # the max-shift ran
@@ -507,14 +510,14 @@ def test_chunk_budget_moves_nothing_beyond_rounding_at_benchmark_widths(
     starts = [None] * len(docs)
     if warm:
         starts = doc_states(run_estep(docs, params, elog_of(params), EStepConfig(max_iters=2),
-                                      pinned=pinned))
+                                      pinned=pinned), params)
     runs = []
     for budget in (2 ** 15, inference.CHUNK_ELEMENTS):
         monkeypatch.setattr(inference, "CHUNK_ELEMENTS", budget)
         start = warm_store(docs, params, V, starts, pinned)
         runs.append(e_step_corpus(start, params, elog_of(params), estep))
     assert len(runs[0].chunks) > len(runs[1].chunks) > 1
-    old, new = map(doc_states, runs)
+    old, new = (doc_states(run, params) for run in runs)
     for doc, a, b in zip(docs, old, new):
         assert a.sweeps == b.sweeps, doc.doc_id
         for name in ("delta", "phi", "Delta", "gamma"):
@@ -539,8 +542,8 @@ def test_rows_freed_by_leaving_documents_are_filled_from_the_tail(monkeypatch):
     # converged starts leave at the first sweep, from chunk rows 0, 4, 6 and 8;
     # the others start cold
     tight = EStepConfig(max_iters=500, tol=1e-13)
-    starts = [doc_states(run_estep([doc], params, elog_of(params), tight))[0] if d in (0, 4, 6, 8)
-              else None for d, doc in enumerate(docs)]
+    starts = [doc_states(run_estep([doc], params, elog_of(params), tight), params)[0]
+              if d in (0, 4, 6, 8) else None for d, doc in enumerate(docs)]
     estep = EStepConfig(max_iters=60, tol=1e-7)
 
     order, exact = [], inference._largest_change
@@ -554,10 +557,10 @@ def test_rows_freed_by_leaving_documents_are_filled_from_the_tail(monkeypatch):
         m.setattr(inference, "_largest_change", recording)
         store = e_step_corpus(warm_store(docs, params, V, starts), params, elog_of(params), estep)
     assert len(store.chunks) == 1
-    states = doc_states(store)
+    states = doc_states(store, params)
     for doc, start, st in zip(docs, starts, states):
         single = packed([doc], params, V) if start is None else warm_store([doc], params, V, [start])
-        one = doc_states(e_step_corpus(single, params, elog_of(params), estep))[0]
+        one = doc_states(e_step_corpus(single, params, elog_of(params), estep), params)[0]
         assert st.sweeps == one.sweeps, doc.doc_id
         for name in ("delta", "phi", "Delta", "gamma"):
             np.testing.assert_allclose(getattr(st, name), getattr(one, name), rtol=1e-12,
@@ -604,7 +607,7 @@ def test_early_out_changes_no_bit(monkeypatch, pinned, words_only, warm, budget)
             runs.append(e_step_corpus(copied(starts), params, elog_of(params), estep))
         calls.append(len(counted))
     assert (len(runs[0].chunks) > 1) == (budget == 40)
-    for doc, a, b in zip(docs, *map(doc_states, runs)):
+    for doc, a, b in zip(docs, *(doc_states(run, params) for run in runs)):
         assert a.sweeps == b.sweeps, doc.doc_id
         for name in ("delta", "phi", "Delta", "gamma"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (doc.doc_id, name)
@@ -665,7 +668,7 @@ def test_early_out_skips_most_full_tests_on_a_long_document(monkeypatch):
     params = random_params(rng, C, T, V)
     doc = words_of([random_doc(rng, C, V, n_terms=600, max_count=4)])
     calls = counting_largest_change(monkeypatch)
-    state = doc_states(run_estep(doc, params, elog_of(params), EStepConfig()))[0]
+    state = doc_states(run_estep(doc, params, elog_of(params), EStepConfig()), params)[0]
     assert state.sweeps > 10
     assert len(calls) < 2 * state.sweeps
 
@@ -1045,8 +1048,8 @@ def test_collect_stats_counts_judgments():
         crowd_labels=np.array([[1, -1], [0, 1]]),
     )
     store = run_estep([doc], params, elog_of(params), EStepConfig(max_iters=4))
-    st = doc_states(store)[0]
-    stats = _reduce_stats(store)
+    st = doc_states(store, params)[0]
+    stats = _reduce_stats(store, params)
     np.testing.assert_array_equal(stats.rho_cnt, [1, 2])
     # annotator 0 said "present" for class 0 only
     assert stats.rho_num[0] == pytest.approx(st.Delta[0])
@@ -1107,8 +1110,8 @@ def test_collect_stats_adds_documents_in_corpus_order(monkeypatch, mode, budget)
     store = run_estep(docs, params, elog_of(params), EStepConfig(max_iters=6),
                       pinned=mode == "no-crowd")
     assert (len(store.chunks) > 1) == (budget == 40)
-    states = doc_states(store)
-    assert_same_mstep_stats(_reduce_stats(store), corpus_order_stats(docs, states, dims))
+    states = doc_states(store, params)
+    assert_same_mstep_stats(_reduce_stats(store, params), corpus_order_stats(docs, states, dims))
 
 
 @pytest.mark.parametrize("mode,smoothing", [
@@ -1127,9 +1130,9 @@ def test_training_stats_equal_collect_stats_of_its_states(monkeypatch, mode, smo
     passes, bounds = [], []
     exact_e_step, exact_elbo = inference.e_step_corpus, inference.compute_elbo
 
-    def recording_e_step(*args, **kwargs):
-        passes.append(exact_e_step(*args, **kwargs))
-        return passes[-1]
+    def recording_e_step(store, params, *args):
+        passes.append((exact_e_step(store, params, *args), params))
+        return store
 
     def recording_elbo(stats, *args):
         bounds.append(stats)
@@ -1141,8 +1144,8 @@ def test_training_stats_equal_collect_stats_of_its_states(monkeypatch, mode, smo
     train(docs, dims, TrainConfig(mode=mode, smoothing=smoothing, max_em_iters=4,
                                   em_rel_tol=0.0, seed=3))
     assert len(passes) == len(bounds) == 4
-    assert len(passes[-1].chunks) > 1
-    states = doc_states(passes[-1])
+    assert len(passes[-1][0].chunks) > 1
+    states = doc_states(*passes[-1])
     assert_same_mstep_stats(bounds[-1], corpus_order_stats(docs, states, dims))
     ref = per_document_state_terms(docs, states)
     assert bounds[-1].state_terms == pytest.approx(ref, rel=1e-12, abs=0)
@@ -1166,7 +1169,7 @@ def test_elbo_of_degenerate_model_is_log_presence_rate():
         doc_id="d", word_ids=np.array([0]), counts=np.array([1]), true_labels=np.array([1])
     )
     store = run_estep([doc], params, elog_of(params), EStepConfig(max_iters=5), pinned=True)
-    elbo = compute_elbo(_reduce_stats(store), params, elog_of(params))
+    elbo = compute_elbo(_reduce_stats(store, params), params, elog_of(params))
     assert abs(elbo - np.log(0.3)) < 1e-7
 
 
@@ -1186,9 +1189,9 @@ def test_elbo_never_exceeds_exact_marginal():
         exact = exact_log_marginal(TinyInstance(doc=doc, params=params, dims=dims))
 
         fresh = cold_store([doc], params, V)
-        assert compute_elbo(_reduce_stats(fresh), params, elog_of(params)) <= exact + 1e-9
+        assert compute_elbo(_reduce_stats(fresh, params), params, elog_of(params)) <= exact + 1e-9
         st = run_estep([doc], params, elog_of(params), estep)
-        assert compute_elbo(_reduce_stats(st), params, elog_of(params)) <= exact + 1e-9
+        assert compute_elbo(_reduce_stats(st, params), params, elog_of(params)) <= exact + 1e-9
 
 
 def test_estep_increases_elbo():
@@ -1199,8 +1202,8 @@ def test_estep_increases_elbo():
     dims = Dimensions(D=1, C=C, T=T, V=V, K=K)
     before = cold_store([doc], params, V)
     after = run_estep([doc], params, elog_of(params), EStepConfig(max_iters=30))
-    assert (compute_elbo(_reduce_stats(after), params, elog_of(params))
-            >= compute_elbo(_reduce_stats(before), params, elog_of(params)) - 1e-10)
+    assert (compute_elbo(_reduce_stats(after, params), params, elog_of(params))
+            >= compute_elbo(_reduce_stats(before, params), params, elog_of(params)) - 1e-10)
 
 
 def _expected_log(conc):
@@ -1284,8 +1287,8 @@ def test_elbo_from_stats_matches_per_document_bound(mode, smoothing, stepped):
         store = cold_store(docs, params, V, pinned=pinned)
 
     pairs = () if topics is None else [(conc, dirichlet_log_normalizer(conc)) for conc in (topics, eta)]
-    ours = compute_elbo(_reduce_stats(store), params, elog_beta, *pairs)
-    ref = per_document_bound(docs, params, doc_states(store), topics, eta)
+    ours = compute_elbo(_reduce_stats(store, params), params, elog_beta, *pairs)
+    ref = per_document_bound(docs, params, doc_states(store, params), topics, eta)
     assert abs(ours - ref) <= 1e-12 * abs(ref)
 
 
@@ -1397,6 +1400,8 @@ def test_training_input_validation():
         train(stripped, dims, TrainConfig(mode="no-crowd"))
     with pytest.raises(ValueError, match="no judgments"):
         train(stripped, Dimensions(D=4, C=2, T=3, V=12, K=2), TrainConfig(mode="crowd"))
+    with pytest.raises(ValueError, match="^unknown mode 'bogus': expected 'crowd' or 'no-crowd'$"):
+        TrainConfig(mode="bogus")
 
 
 @pytest.mark.parametrize("tol", [-1.0, np.nan], ids=["negative", "nan"])
@@ -1670,8 +1675,8 @@ def test_packed_judgments_give_the_votes_prior_agreements_and_counts(K):
 
     dims = Dimensions(D=len(docs), C=C, T=T, V=V, K=K)
     states = e_step_corpus(store, params, elog_of(params), EStepConfig(max_iters=3))
-    stats = _reduce_stats(states)
-    ref = corpus_order_stats(docs, doc_states(states), dims)
+    stats = _reduce_stats(states, params)
+    ref = corpus_order_stats(docs, doc_states(states, params), dims)
     np.testing.assert_allclose(stats.rho_num, ref["rho_num"], rtol=1e-12, atol=0)
     assert np.array_equal(stats.rho_cnt, ref["rho_cnt"])
 

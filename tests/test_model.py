@@ -253,7 +253,7 @@ def test_init_smoothed_state_breaks_topic_symmetry():
 
 
 def _cold_state(doc, p, pinned=False):
-    return doc_states(cold_store([doc], p, _dims().V, pinned=pinned))[0]
+    return doc_states(cold_store([doc], p, _dims().V, pinned=pinned), p)[0]
 
 
 def test_init_doc_uniform_rows_and_gamma():
@@ -308,19 +308,21 @@ def test_init_doc_leaves_votes_out_without_annotator_qualities():
 
 
 def test_initial_presence_of_a_batch_equals_each_row_alone():
-    """One call over (B, K, C) votes gives, bit for bit, each document's
-    (K, C) call; K = 0, or no annotator qualities, gives the prior."""
+    """One call over the (B, K, C) vote masks gives, bit for bit, each
+    document's (K, C) call; K = 0, or no annotator qualities, gives the prior."""
     rng = np.random.default_rng(3)
     B, K, C = 7, 4, 5
     votes = rng.integers(-1, 2, size=(B, K, C)).astype(np.int8)
     votes[2] = -1  # a document nobody judged
+    yes, no = (votes == 1).astype(np.int8), (votes == 0).astype(np.int8)
     xi, rho = rng.uniform(0.2, 0.8, size=C), rng.uniform(0.55, 0.95, size=K)
-    batch = initial_presence(votes, xi, rho)
+    batch = initial_presence(yes, no, xi, rho)
     assert batch.shape == (B, C)
     for b in range(B):
-        assert batch[b].tobytes() == initial_presence(votes[b], xi, rho).tobytes()
+        assert batch[b].tobytes() == initial_presence(yes[b], no[b], xi, rho).tobytes()
     assert np.array_equal(batch[2], clamp_probability(xi, DELTA_CLAMP))
-    for none in (initial_presence(votes[:, :0], xi, rho), initial_presence(votes, xi, rho[:0])):
+    for none in (initial_presence(yes[:, :0], no[:, :0], xi, rho),
+                 initial_presence(yes, no, xi, rho[:0])):
         assert np.array_equal(none, np.tile(clamp_probability(xi, DELTA_CLAMP), (B, 1)))
 
 
@@ -383,11 +385,11 @@ def test_validate_flags_nan(where):
     p = init_params(dims, mode="crowd", smoothing=True, seed=0)
     smoothed = init_smoothed_state(np.ones((dims.T, dims.V)), seed=0)
     states = cold_store([_doc(crowd=[[1, 0, 1], [0, -1, 1]])], p, dims.V)
-    assert validate(p, dims, smoothed=smoothed) + validate_states(p, states) == []
+    assert validate(p, dims, smoothed=smoothed) + validate_states(states) == []
 
     target = {"xi": p.xi, "rho": p.rho, "Delta": states.chunks[0].Delta, "chi": smoothed}[where]
     target.flat[0] = np.nan
-    msgs = validate(p, dims, smoothed=smoothed) + validate_states(p, states)
+    msgs = validate(p, dims, smoothed=smoothed) + validate_states(states)
     assert any(m.startswith(where) for m in msgs), msgs
 
 
@@ -421,15 +423,11 @@ def test_validate_doc_state():
     dims = _dims(K=0)
     p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
     states = cold_store([_doc()], p, dims.V, pinned=True)
-    assert validate_states(p, states) == []
+    assert validate_states(states) == []
     chunk = states.chunks[0]
 
     chunk.delta *= 2.0
-    assert any("delta" in m for m in validate_states(p, states))
-    chunk.delta /= 2.0
-
-    chunk.gamma *= 0.5
-    assert any("gamma" in m for m in validate_states(p, states))
+    assert any("delta" in m for m in validate_states(states))
 
 
 def test_validate_states_reads_term_columns_not_padding():
@@ -440,24 +438,21 @@ def test_validate_states_reads_term_columns_not_padding():
     docs = [_doc(word_ids=(0, 1, 2, 3), counts=(1, 1, 2, 1), crowd=[[1, 0, 1], [0, -1, 1]]),
             _doc(word_ids=(4,), counts=(3,)), _doc(word_ids=(1, 3), counts=(2, 2))]
     states = cold_store(docs, p, dims.V)
-    assert len(states.chunks) == 1 and validate_states(p, states) == []
+    assert len(states.chunks) == 1 and validate_states(states) == []
     chunk = states.chunks[0]
     pad = np.nonzero(~chunk.mask)
     assert pad[0].size  # the two shorter documents are padded
     for name in ("delta", "phi"):
         getattr(chunk, name)[pad[0], :, pad[1]] = np.nan
-    assert validate_states(p, states) == []
+    assert validate_states(states) == []
 
     chunk.delta[0, :, 0] = [1.0, 0.5, -0.5]  # sums to one, but one entry is negative
     chunk.phi[1, :, 0] = np.inf
     chunk.Delta[2, 1] = 1.0
-    chunk.gamma[0, 2, 1, 0] = np.nan
-    assert validate_states(p, states) == [
+    assert validate_states(states) == [
         "delta columns not stochastic", "phi columns not stochastic", "Delta out of clamp range",
-        "phi has non-finite entries", "gamma has non-finite entries",
+        "phi has non-finite entries",
     ]
-    params = ModelParams(alpha=p.alpha[:, :, :1], xi=p.xi, rho=p.rho, beta=p.beta[:1])
-    assert "gamma shape mismatch with alpha" in validate_states(params, states)
 
 
 # ---------------------------------------------------------------------------
