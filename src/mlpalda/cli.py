@@ -51,11 +51,24 @@ def _parse_buckets(spec: str):
         return ADVERSARIAL_BUCKETS
     buckets = []
     for part in spec.split(","):
-        toks = part.split(":")
-        if len(toks) != 3:
-            raise ValueError(f"bad bucket {part!r}; expected <count>:<low>:<high>")
-        buckets.append((int(toks[0]), float(toks[1]), float(toks[2])))
+        try:
+            count, low, high = part.split(":")
+            buckets.append((int(count), float(low), float(high)))
+        except ValueError:
+            raise ValueError(f"--buckets: bad bucket {part!r}; expected <count>:<low>:<high>") from None
     return tuple(buckets)
+
+
+def _parse_list(flag: str, text: str, kind, expected: str):
+    """``kind`` of each non-empty entry of the comma list ``text``; a bad
+    entry is named with ``flag`` and what was ``expected``."""
+    values = []
+    for entry in filter(None, text.split(",")):
+        try:
+            values.append(kind(entry))
+        except ValueError:
+            raise ValueError(f"{flag}: bad entry {entry!r}; expected {expected}") from None
+    return values
 
 
 def _given(**values) -> dict:
@@ -182,8 +195,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_simulate_crowd(args) -> int:
+    buckets = _parse_buckets(args.buckets)
+    if args.seed < 0:
+        raise ValueError("seed must be non-negative")
     corpus, _ = load_corpus(args.corpus)
-    pool = sample_pool(_parse_buckets(args.buckets), args.seed, per_doc_count=args.per_doc)
+    pool = sample_pool(buckets, args.seed, per_doc_count=args.per_doc)
     labeled, _ = annotate_corpus(corpus, pool, args.seed, mask_fraction=args.mask_fraction)
     write_crowd_file(args.crowd_out, labeled, K=pool.size)
     if args.pool_out:
@@ -192,6 +208,8 @@ def cmd_simulate_crowd(args) -> int:
 
 
 def cmd_discretize(args) -> int:
+    if args.seed < 0:
+        raise ValueError("seed must be non-negative")
     rows, _, C = load_features(args.features)
     values = np.concatenate([r[2] for r in rows])
     disc = fit_discretizer(values, args.clusters, args.seed)
@@ -206,8 +224,8 @@ def _fmt_cell(x) -> str:
 
 def cmd_sweep(args) -> int:
     cfg = _train_config(args)
-    fractions = [float(x) for x in args.fractions.split(",") if x]
-    topic_grid = [int(x) for x in args.topic_grid.split(",") if x]
+    fractions = _parse_list("--fractions", args.fractions, float, "a number")
+    topic_grid = _parse_list("--topic-grid", args.topic_grid, int, "an integer")
     if not fractions or any(not 0.0 < f <= 1.0 for f in fractions):
         raise ValueError("--fractions entries must lie in (0, 1]")
     if not topic_grid or any(t < 1 for t in topic_grid):
@@ -218,8 +236,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("--test-fraction must be in (0, 1)")
     if args.threshold is not None:
         check_threshold(args.threshold)
-    corpus, dims = load_corpus(args.corpus)
     buckets = _parse_buckets(args.buckets)
+    corpus, dims = load_corpus(args.corpus)
 
     lines = [SWEEP_HEADER]
     for frac in fractions:

@@ -424,10 +424,12 @@ def fit_discretizer(values, V, seed, return_trace=False):
 
     trace = [_kmeans_objective(vals_sorted, centers)]
     for _ in range(KMEANS_MAX_ITERS):
+        # sorted values and centers: assign never decreases, so clusters are runs
         assign = _nearest_center(vals_sorted, centers)
+        bounds = np.searchsorted(assign, np.arange(V + 1))
         new_centers = centers.copy()
         for k in range(V):
-            members = vals_sorted[assign == k]
+            members = vals_sorted[bounds[k]:bounds[k + 1]]
             if members.size:
                 new_centers[k] = members.mean()
             else:

@@ -16,8 +16,9 @@ parameters, so one E-step runs them in lockstep over chunks of documents
 (``e_step_corpus``).  Those chunks are the only form a state takes, and
 hold its only copy: the states stay in them between E-passes, each
 E-pass overwrites them in place, the M-step statistics are reduced from
-them (``_reduce_stats``), and :func:`~mlpalda.model.validate_states`
-checks them.
+them (``_reduce_stats``), and :func:`validate_states` checks them.  A
+cold document starts from uniform responsibilities and the
+:func:`initial_presence` beliefs of its judgments (``_start_arrays``).
 
 Everything an EM iteration computes besides the sweeps is computed once per
 thing that changes: the words and judgments once per corpus (``pack_corpus``),
@@ -28,7 +29,8 @@ Rows are kept per distinct term and weighted by token count; tokens of the
 same term provably share a row because no update depends on the token
 beyond its vocabulary index.
 
-Corpus-level coordinates: in smoothed mode the topic-word posterior ``chi``
+Corpus-level coordinates: EM starts from one seeded point
+(:func:`em_start`); in smoothed mode the topic-word posterior ``chi``
 is refreshed once per E-pass after all documents; the M-step then maximizes
 each parameter block (xi, rho, alpha, beta) given the E-states, and with
 smoothing ``train`` sets the prior eta to chi.
@@ -46,14 +48,11 @@ from scipy.special import expit
 from .model import (
     DELTA_CLAMP,
     PROB_CLAMP,
+    ROW_SUM_TOL,
     Dimensions,
     Document,
     ModelParams,
     clamp_probability,
-    init_params,
-    init_smoothed_state,
-    initial_presence,
-    normalize_mode,
     validate_corpus,
 )
 from .numerics import (dirichlet_expected_log, dirichlet_gradient, dirichlet_log_normalizer,
@@ -64,6 +63,8 @@ logger = logging.getLogger(__name__)
 _LOG_FLOOR = 1e-300  # keeps log(prob) finite; never binds on trained parameters
 BOUND_DROP_REL = 1e-8  # a larger relative fall of the bound between EM iterations is logged
 THRESHOLD = 0.5  # by default a presence belief at or above it predicts "present"
+# the accepted spellings of the two modes, after stripping and lower-casing
+_MODES = {"crowd": "crowd", "no-crowd": "no-crowd", "nocrowd": "no-crowd", "no_crowd": "no-crowd"}
 
 
 class NumericalFailureError(RuntimeError):
@@ -96,7 +97,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.mode = normalize_mode(self.mode)
+        mode = _MODES.get(str(self.mode).strip().lower())
+        if mode is None:
+            raise ValueError(f"unknown mode {self.mode!r}: expected 'crowd' or 'no-crowd'")
+        self.mode = mode
         if self.max_em_iters < 1:
             raise ValueError("iteration caps must be >= 1")
         if not self.em_rel_tol >= 0.0:  # NaN fails too
@@ -308,6 +312,33 @@ class CorpusStates:
     judged: np.ndarray    # (K,) judgments each annotator gave, as floats
 
 
+def validate_states(states: CorpusStates) -> list:
+    """Invariant violations of the E-step states in the chunks of ``states``,
+    in :func:`~mlpalda.model.validate`'s style.
+
+    delta's and phi's columns must be stochastic over each document's term
+    columns (padding is not read) and finite, and Delta within the
+    ``DELTA_CLAMP`` range.
+    """
+    chunks = states.chunks
+    if not chunks:
+        return []
+    # each term column as a row, chunk by chunk
+    delta = np.concatenate([c.delta.transpose(0, 2, 1)[c.mask] for c in chunks])
+    phi = np.concatenate([c.phi.transpose(0, 2, 1)[c.mask] for c in chunks])
+    Delta = np.concatenate([c.Delta for c in chunks])
+    msgs = []
+    for name, rows in (("delta", delta), ("phi", phi)):
+        if np.any(rows < 0.0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > ROW_SUM_TOL):
+            msgs.append(f"{name} columns not stochastic")
+    if not np.all((Delta >= DELTA_CLAMP) & (Delta <= 1.0 - DELTA_CLAMP)):  # NaN fails too
+        msgs.append("Delta out of clamp range")
+    for name, arr in (("delta", delta), ("phi", phi)):
+        if not np.all(np.isfinite(arr)):
+            msgs.append(f"{name} has non-finite entries")
+    return msgs
+
+
 def _judgment_masks(votes):
     """The 0/1 masks of the yes and of the no votes among ``votes`` (-1: none)."""
     return (votes == 1).astype(np.int8), (votes == 0).astype(np.int8)
@@ -350,6 +381,25 @@ def pack_corpus(corpus, dims: Dimensions, pinned=False) -> CorpusStates:
         chunk.counts[mask] = counts[chunk.slots]
         chunks.append(chunk)
     return CorpusStates(corpus, dims, pinned, chunks, lengths, word_ids, counts, judged)
+
+
+def initial_presence(yes, no, xi, rho) -> np.ndarray:
+    """(..., C) starting presence beliefs, clamped, from the (..., K, C)
+    0/1 masks of the yes and of the no votes.
+
+    The prior ``xi``, moved for each judged class to the mean of its votes
+    mapped through the annotators' quality ``rho``: a yes vote counts as
+    rho, a no vote as 1 - rho.  K = 0, or params without annotator
+    qualities, leave the votes out, as the E-step does.
+    """
+    xi = np.asarray(xi, dtype=np.float64)
+    Delta = np.broadcast_to(xi, yes.shape[:-2] + xi.shape)
+    if yes.shape[-2] and rho.size:
+        q = rho[:, None]
+        count = (yes + no).sum(axis=-2)
+        num = (yes * q + no * (1.0 - q)).sum(axis=-2)
+        Delta = np.where(count > 0, num / np.maximum(count, 1), Delta)
+    return clamp_probability(Delta, DELTA_CLAMP)
 
 
 def _start_arrays(chunk, C, T, params):
@@ -823,6 +873,26 @@ def _pack_training_corpus(corpus, dims: Dimensions, cfg: TrainConfig) -> CorpusS
     return store
 
 
+def em_start(dims: Dimensions, cfg: TrainConfig):
+    """EM's seeded start ``(params, chi, eta)``: alpha all ones, xi 0.5 and,
+    in crowd mode, rho 0.7 (above the 0.5 symmetry point, which keeps the
+    crowd E-step pointed at the truthful labeling).  One generator seeded
+    with ``cfg.seed`` breaks the topics' symmetry: unsmoothed, beta's rows
+    are Dirichlet(1) draws, and chi and eta are None; smoothed, the params
+    carry no beta, chi is 1 + 0.5 U(0, 1), and eta is the all-ones prior
+    with its :func:`~mlpalda.numerics.dirichlet_log_normalizer` rows.
+    """
+    C, T, V = dims.C, dims.T, dims.V
+    rng = np.random.default_rng(cfg.seed)
+    alpha, xi = np.ones((C, 2, T)), np.full(C, 0.5)
+    rho = np.full(dims.K, 0.7) if cfg.mode == "crowd" else np.empty(0)
+    if not cfg.smoothing:
+        return ModelParams(alpha, xi, rho, beta=rng.dirichlet(np.ones(V), size=T)), None, None
+    ones = np.ones((T, V))
+    chi = ones + 0.5 * rng.random((T, V))
+    return ModelParams(alpha, xi, rho), chi, (ones, dirichlet_log_normalizer(ones))
+
+
 def train(corpus, dims: Dimensions, cfg: TrainConfig):
     """Run variational EM; returns (params, chi_or_None, trace).
 
@@ -830,7 +900,8 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
     each E-step warm-starts from the previous state and every M-step block
     maximizes its own additive piece of the bound, the recorded ELBO series
     never decreases beyond float rounding; a larger fall logs a warning.
-    Smoothed, the prior eta starts at ones and after each M-step becomes chi
+    EM starts at :func:`em_start`.  Smoothed, the prior eta starts at ones
+    and after each M-step becomes chi
     (eta_t's block, -H(Dir(chi_t)) - KL(Dir(chi_t) || Dir(eta_t)), is largest
     at eta_t = chi_t); the trace's parameter change includes that move.
 
@@ -841,12 +912,8 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
     computed for its bound and carried over as the next eta's.
     """
     states = _pack_training_corpus(corpus, dims, cfg)  # no states yet: E-pass 1 starts cold
-    params = init_params(dims, cfg.mode, cfg.smoothing, cfg.seed)
-    chi = topics = eta = None  # smoothed, topics and eta pair chi and eta with their normalizers
-    if cfg.smoothing:
-        ones = np.ones((dims.T, dims.V))
-        eta = (ones, dirichlet_log_normalizer(ones))
-        chi = init_smoothed_state(ones, cfg.seed)
+    params, chi, eta = em_start(dims, cfg)
+    topics = None  # smoothed, topics and eta pair chi and eta with their normalizers
     elog_beta = expected_log_word_given_topic(params, chi)
     trace = ElboTrace()
     prev_elbo = None

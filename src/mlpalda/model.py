@@ -1,7 +1,6 @@
-"""Model containers, seeded initialization, invariant checks, model files.
+"""Model containers, corpus and model invariant checks, model files.
 
-Shapes used throughout (C classes, T topics, V vocabulary terms, K annotators,
-U distinct terms in one document):
+Shapes used throughout (C classes, T topics, V vocabulary terms, K annotators):
 
 * ``alpha``  (C, 2, T)  Dirichlet concentrations of the per-class topic
   distributions; index 1 of the middle axis is the "class present" row,
@@ -11,14 +10,9 @@ U distinct terms in one document):
 * ``beta``   (T, V)     topic-word distributions (point estimate, unsmoothed).
 * ``chi``    (T, V)     variational posterior over topic rows (smoothed mode,
   with ``beta=None``); its prior ``eta`` is the trainer's and is not saved.
-* variational state, held in the E-step's chunks
-  (:class:`mlpalda.inference.CorpusStates`) with one row per document and
-  one column per distinct term: ``delta`` (B, C, U) word-to-class
-  responsibilities, ``phi`` (B, T, U) word-to-topic responsibilities and
-  ``Delta`` (B, C) presence beliefs.  The (B, C, 2, T) topic posteriors
-  ``gamma`` are not stored: they follow from the other three.  Tokens of
-  the same term share one column, which is exact because every word-level
-  update depends on the token only through its vocabulary index.
+
+How EM starts, runs and holds its variational states is
+:mod:`mlpalda.inference`'s.
 """
 
 from __future__ import annotations
@@ -49,15 +43,6 @@ _DIMS_LINE = re.compile("dims " + " ".join(f"{key}=(0|[1-9][0-9]*)" for key in "
 def clamp_probability(x, eps):
     """Clip probabilities into [eps, 1 - eps] before any logarithm."""
     return np.clip(x, eps, 1.0 - eps)
-
-
-def normalize_mode(mode: str) -> str:
-    m = str(mode).strip().lower()
-    if m in ("crowd",):
-        return "crowd"
-    if m in ("no-crowd", "nocrowd", "no_crowd"):
-        return "no-crowd"
-    raise ValueError(f"unknown mode {mode!r}: expected 'crowd' or 'no-crowd'")
 
 
 @dataclass(frozen=True)
@@ -267,88 +252,6 @@ def validate(params: ModelParams, dims: Dimensions, smoothed: Optional[np.ndarra
             msgs.append("chi positivity violated")
 
     return msgs
-
-
-def validate_states(states) -> list:
-    """Invariant violations of the E-step states in the chunks of ``states``
-    (a :class:`mlpalda.inference.CorpusStates`), in :func:`validate`'s style.
-
-    delta's and phi's columns must be stochastic over each document's term
-    columns (padding is not read) and finite, and Delta within the
-    ``DELTA_CLAMP`` range.
-    """
-    chunks = states.chunks
-    if not chunks:
-        return []
-    # each term column as a row, chunk by chunk
-    delta = np.concatenate([c.delta.transpose(0, 2, 1)[c.mask] for c in chunks])
-    phi = np.concatenate([c.phi.transpose(0, 2, 1)[c.mask] for c in chunks])
-    Delta = np.concatenate([c.Delta for c in chunks])
-    msgs = []
-    for name, rows in (("delta", delta), ("phi", phi)):
-        if np.any(rows < 0.0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > ROW_SUM_TOL):
-            msgs.append(f"{name} columns not stochastic")
-    if not _all_within(Delta, DELTA_CLAMP, 1.0 - DELTA_CLAMP):
-        msgs.append("Delta out of clamp range")
-    for name, arr in (("delta", delta), ("phi", phi)):
-        if not np.all(np.isfinite(arr)):
-            msgs.append(f"{name} has non-finite entries")
-    return msgs
-
-
-# ---------------------------------------------------------------------------
-# initialization
-# ---------------------------------------------------------------------------
-
-
-def init_params(dims: Dimensions, mode: str, smoothing: bool, seed: int) -> ModelParams:
-    """Deterministic starting point for EM.
-
-    alpha starts at all-ones (uniform Dirichlet), xi at 0.5, rho at 0.7
-    (above the 0.5 symmetry point, which keeps the crowd E-step pointed at
-    the truthful labeling), and beta rows are drawn from a symmetric
-    Dirichlet so topics are distinguishable from the first iteration.
-    """
-    mode = normalize_mode(mode)
-    if mode == "crowd" and dims.K < 1:
-        raise ValueError("crowd mode requires K >= 1")
-    alpha = np.ones((dims.C, 2, dims.T))
-    xi = np.full(dims.C, 0.5)
-    rho = np.full(dims.K, 0.7) if mode == "crowd" else np.empty(0)
-    if smoothing:
-        return ModelParams(alpha=alpha, xi=xi, rho=rho)
-    rng = np.random.default_rng(seed)
-    beta = rng.dirichlet(np.ones(dims.V), size=dims.T)
-    return ModelParams(alpha=alpha, xi=xi, rho=rho, beta=beta)
-
-
-def init_smoothed_state(eta: np.ndarray, seed: int) -> np.ndarray:
-    """Seeded (T, V) chi start: eta plus a small positive jitter.
-
-    Without the jitter every topic row is identical and the word-to-topic
-    responsibilities stay exactly uniform forever.
-    """
-    rng = np.random.default_rng(seed)
-    return eta + 0.5 * rng.random(eta.shape)
-
-
-def initial_presence(yes, no, xi, rho) -> np.ndarray:
-    """(..., C) starting presence beliefs, clamped, from the (..., K, C)
-    0/1 masks of the yes and of the no votes.
-
-    The prior ``xi``, moved for each judged class to the mean of its votes
-    mapped through the annotators' quality ``rho``: a yes vote counts as
-    rho, a no vote as 1 - rho.  K = 0, or params without annotator
-    qualities, leave the votes out, as the E-step does.
-    """
-    xi = np.asarray(xi, dtype=np.float64)
-    Delta = np.broadcast_to(xi, yes.shape[:-2] + xi.shape)
-    if yes.shape[-2] and rho.size:
-        q = rho[:, None]
-        count = (yes + no).sum(axis=-2)
-        num = (yes * q + no * (1.0 - q)).sum(axis=-2)
-        Delta = np.where(count > 0, num / np.maximum(count, 1), Delta)
-    return clamp_probability(Delta, DELTA_CLAMP)
 
 
 # ---------------------------------------------------------------------------

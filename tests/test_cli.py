@@ -502,26 +502,42 @@ def test_sweep_crowd_mode_reports_rmse(tmp_path, corpus):
         assert rmse != "" and 0.0 <= float(rmse) <= 1.0
 
 
+BAD_BUCKET = "--buckets: bad bucket '2:0.9:x'; expected <count>:<low>:<high>"
+
+
 @pytest.mark.parametrize("command,flag,value,message", [
     ("sweep", "--topic-grid", "0", "--topic-grid entries must be >= 1"),
+    ("sweep", "--topic-grid", "x", "--topic-grid: bad entry 'x'; expected an integer"),
+    ("sweep", "--fractions", "0.5,abc", "--fractions: bad entry 'abc'; expected a number"),
+    ("sweep", "--buckets", "2:0.9:x", BAD_BUCKET),
     ("sweep", "--repeats", "0", "--repeats must be >= 1"),
     ("sweep", "--test-fraction", "1", "--test-fraction must be in (0, 1)"),
     ("sweep", "--threshold", "2", "predict: threshold must be in [0, 1]"),
     ("train", "--max-iters", "0", "iteration caps must be >= 1"),
     ("train", "--seed", "-1", "seed must be non-negative"),
-], ids=["sweep-topic-grid", "sweep-repeats", "sweep-test-fraction", "sweep-threshold",
-        "train-max-iters", "train-seed"])
+    ("simulate-crowd", "--buckets", "2:0.9:x", BAD_BUCKET),
+    ("simulate-crowd", "--buckets", "2:0.9", "--buckets: bad bucket '2:0.9'; expected <count>:<low>:<high>"),
+    ("simulate-crowd", "--seed", "-1", "seed must be non-negative"),
+    ("discretize", "--seed", "-1", "seed must be non-negative"),
+], ids=["sweep-topic-grid", "sweep-topic-grid-entry", "sweep-fractions-entry", "sweep-buckets",
+        "sweep-repeats", "sweep-test-fraction", "sweep-threshold", "train-max-iters", "train-seed",
+        "simulate-crowd-buckets", "simulate-crowd-bucket-arity", "simulate-crowd-seed",
+        "discretize-seed"])
 def test_bad_setting_exits_1_before_training(tmp_path, corpus, capsys, monkeypatch, command, flag,
                                              value, message):
-    """Every setting is checked before the first model is trained."""
+    """Every setting is checked before any input is read or model trained."""
     def refuse(*args):
-        raise AssertionError("trained before checking its settings")
+        raise AssertionError("read or trained before checking its settings")
 
-    monkeypatch.setattr("mlpalda.cli.train", refuse)
+    for name in ("train", "load_corpus", "load_features"):
+        monkeypatch.setattr(f"mlpalda.cli.{name}", refuse)
     out = tmp_path / "out"
     argv = {
         "sweep": ["sweep", "--corpus", str(corpus), "--topic-grid", "2", "--out", str(out)],
         "train": ["train", "--corpus", str(corpus), "--topics", "2", "--model-out", str(out)],
+        "simulate-crowd": ["simulate-crowd", "--corpus", str(corpus), "--crowd-out", str(out)],
+        "discretize": ["discretize", "--features", str(corpus), "--clusters", "2",
+                       "--corpus-out", str(out)],
     }[command]
     argv += [flag, value]
     assert run(*argv) == 1

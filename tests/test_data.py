@@ -1,8 +1,12 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
-from mlpalda.atomic import format_floats
+from mlpalda.atomic import format_floats, write_text
 from mlpalda.data import (
+    KMEANS_MAX_ITERS,
     CorpusFormatError,
     Discretizer,
     discretize_features,
@@ -18,6 +22,8 @@ from mlpalda.data import (
     split_corpus,
     write_crowd_file,
     write_predictions,
+    _kmeans_objective,
+    _nearest_center,
 )
 from mlpalda.model import Dimensions, Document
 
@@ -207,6 +213,23 @@ def test_predictions_file_equals_row_by_row_formatting(tmp_path):
     assert (tmp_path / "empty.txt").read_text() == ""
 
 
+def test_write_text_writes_into_a_named_pipe_in_place(tmp_path):
+    """A path that exists but is not a regular file is written directly: a
+    reader draining a named pipe gets the exact text, and no temp file is
+    made beside it."""
+    pipe = tmp_path / "out.pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    text = "".join(f"line {i} \u00e9\n" for i in range(20000))  # past a pipe's 64 KiB buffer
+    write_text(pipe, text)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == [text.encode("utf-8")]
+    assert [p.name for p in tmp_path.iterdir()] == ["out.pipe"]
+
+
 # ---------------------------------------------------------------------------
 # discretizer
 # ---------------------------------------------------------------------------
@@ -242,6 +265,53 @@ def test_fit_is_deterministic_and_objective_never_increases():
         assert b <= a + 1e-9
     d3 = fit_discretizer(vals, V=6, seed=6)
     assert d3.size == 6
+
+
+def _mask_based_fit(values, V, seed):
+    """fit_discretizer's codebook and objective trace when there are more
+    distinct values than V, transcribed with each Lloyd cluster taken by a
+    mask over all values."""
+    vals = np.sort(np.asarray(values, dtype=np.float64))
+    distinct = np.unique(vals)
+    rng = np.random.default_rng(seed)
+    centers = np.array([vals[rng.integers(vals.size)]])
+    while centers.size < V:
+        srt = np.sort(centers)
+        d2 = (vals - srt[_nearest_center(vals, srt)]) ** 2
+        if d2.sum() <= 0.0:
+            centers = np.append(centers, np.setdiff1d(distinct, centers)[0])
+            continue
+        centers = np.append(centers, vals[rng.choice(vals.size, p=d2 / d2.sum())])
+    centers = np.sort(centers)
+    trace = [_kmeans_objective(vals, centers)]
+    for _ in range(KMEANS_MAX_ITERS):
+        assign = _nearest_center(vals, centers)
+        new_centers = centers.copy()
+        for k in range(V):
+            members = vals[assign == k]
+            if members.size:
+                new_centers[k] = members.mean()
+            else:
+                new_centers[k] = vals[np.argmax(np.abs(vals - centers[assign]))]
+        new_centers = np.sort(new_centers)
+        moved = np.abs(new_centers - centers).max()
+        centers = new_centers
+        trace.append(_kmeans_objective(vals, centers))
+        if moved < 1e-9:
+            break
+    return np.unique(centers), trace
+
+
+@pytest.mark.parametrize("high,size,V,seed", [(12, 400, 5, 0), (30, 1000, 9, 1), (7, 300, 4, 2)])
+def test_lloyd_runs_equal_a_mask_based_transcription_on_tied_integers(high, size, V, seed):
+    """Each cluster is a run of the sorted values, sliced by bounds; on
+    integer values, whose midpoints between integer centers are ties, the
+    codebook and the objective trace are bit for bit a mask's."""
+    vals = np.random.default_rng(seed).integers(0, high, size=size).astype(np.float64)
+    disc, trace = fit_discretizer(vals, V=V, seed=seed, return_trace=True)
+    centers, want = _mask_based_fit(vals, V, seed)
+    assert disc.centers.tobytes() == centers.tobytes()
+    assert trace == want and len(trace) > 2
 
 
 def test_nearest_center_mapping_and_tie_rule():

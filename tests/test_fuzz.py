@@ -20,7 +20,8 @@ from mlpalda.data import (
     read_crowd_file,
     read_predictions,
 )
-from mlpalda.model import Dimensions, init_params, init_smoothed_state, load_model, save_model
+from mlpalda.inference import TrainConfig, em_start
+from mlpalda.model import Dimensions, load_model, save_model
 
 ALPHABET = [
     b"99999999999999999999", b"-99999999999999999999", b"-1", b"0", b"1", b"2",
@@ -83,8 +84,8 @@ def files(tmp_path_factory):
     paths = {kind: base / f"in.{kind}" for kind in [*VALID, "model"]}
     # one annotator: rho's values line is one value, which a single token can replace
     dims = Dimensions(D=3, C=2, T=2, V=4, K=1)
-    params = init_params(dims, mode="crowd", smoothing=True, seed=0)
-    save_model(paths["model"], params, dims, init_smoothed_state(np.ones((dims.T, dims.V)), seed=0))
+    params, chi, _ = em_start(dims, TrainConfig(mode="crowd", smoothing=True))
+    save_model(paths["model"], params, dims, chi)
     return paths, {**VALID, "model": paths["model"].read_bytes()}
 
 

@@ -31,21 +31,23 @@ from mlpalda.inference import (
     _softmax_columns,
     compute_elbo,
     e_step_corpus,
+    em_start,
     expected_log_word_given_topic,
+    initial_presence,
     m_step,
     pack_corpus,
     predict_corpus,
     train,
+    validate_states,
 )
 from mlpalda.model import (
+    DELTA_CLAMP,
     PROB_CLAMP,
     Dimensions,
     Document,
     ModelParams,
     clamp_probability,
-    init_params,
     validate,
-    validate_states,
 )
 from mlpalda.numerics import dirichlet_log_normalizer, solve_dirichlet_newton
 from mlpalda.oracle import TinyInstance, exact_log_marginal
@@ -1290,6 +1292,77 @@ def test_elbo_from_stats_matches_per_document_bound(mode, smoothing, stepped):
     ours = compute_elbo(_reduce_stats(store, params), params, elog_beta, *pairs)
     ref = per_document_bound(docs, params, doc_states(store, params), topics, eta)
     assert abs(ours - ref) <= 1e-12 * abs(ref)
+
+
+# ---------------------------------------------------------------------------
+# EM's start
+# ---------------------------------------------------------------------------
+
+
+def _start(K=0, **cfg):
+    return em_start(Dimensions(D=4, C=3, T=2, V=5, K=K), TrainConfig(**cfg))
+
+
+def test_em_start_defaults_nocrowd():
+    p, chi, eta = _start()
+    assert chi is None and eta is None
+    assert p.alpha.shape == (3, 2, 2)
+    assert np.all(p.alpha == 1.0)
+    assert np.all(p.xi == 0.5)
+    assert p.rho.size == 0
+    assert p.beta.shape == (2, 5)
+    assert np.allclose(p.beta.sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(p.beta > 0)
+
+
+def test_em_start_defaults_crowd_smoothed():
+    p, _, _ = _start(K=4, mode="crowd", smoothing=True, seed=1)
+    assert np.all(p.rho == 0.7)
+    assert p.rho.shape == (4,)
+    assert p.beta is None
+    # a smoothed model's topics are chi; its prior eta is the trainer's, never a field
+    assert [f.name for f in dataclasses.fields(p)] == ["alpha", "xi", "rho", "beta"]
+
+
+def test_em_start_deterministic_and_seed_sensitive():
+    a, b, c = (_start(seed=seed)[0] for seed in (42, 42, 43))
+    assert np.array_equal(a.beta, b.beta)
+    assert not np.array_equal(a.beta, c.beta)
+    # the rows are one seeded generator's Dirichlet(1) draws
+    assert np.array_equal(a.beta, np.random.default_rng(42).dirichlet(np.ones(5), size=2))
+    # beta rows differ from one another, otherwise topics never separate
+    assert not np.allclose(a.beta[0], a.beta[1])
+
+
+def test_em_start_smoothed_breaks_topic_symmetry():
+    _, s1, eta = _start(smoothing=True, seed=5)
+    _, s2, _ = _start(smoothing=True, seed=5)
+    ones = np.ones((2, 5))
+    assert np.array_equal(eta[0], ones)
+    assert np.array_equal(eta[1], dirichlet_log_normalizer(ones))
+    assert np.array_equal(s1, s2)
+    assert np.array_equal(s1, ones + 0.5 * np.random.default_rng(5).random((2, 5)))
+    assert np.all(s1 >= eta[0] - 1e-12)
+    assert not np.allclose(s1[0], s1[1])
+
+
+def test_initial_presence_of_a_batch_equals_each_row_alone():
+    """One call over the (B, K, C) vote masks gives, bit for bit, each
+    document's (K, C) call; K = 0, or no annotator qualities, gives the prior."""
+    rng = np.random.default_rng(3)
+    B, K, C = 7, 4, 5
+    votes = rng.integers(-1, 2, size=(B, K, C)).astype(np.int8)
+    votes[2] = -1  # a document nobody judged
+    yes, no = (votes == 1).astype(np.int8), (votes == 0).astype(np.int8)
+    xi, rho = rng.uniform(0.2, 0.8, size=C), rng.uniform(0.55, 0.95, size=K)
+    batch = initial_presence(yes, no, xi, rho)
+    assert batch.shape == (B, C)
+    for b in range(B):
+        assert batch[b].tobytes() == initial_presence(yes[b], no[b], xi, rho).tobytes()
+    assert np.array_equal(batch[2], clamp_probability(xi, DELTA_CLAMP))
+    for none in (initial_presence(yes[:, :0], no[:, :0], xi, rho),
+                 initial_presence(yes, no, xi, rho[:0])):
+        assert np.array_equal(none, np.tile(clamp_probability(xi, DELTA_CLAMP), (B, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
-"""Tests for model containers, initialization, validation and model files."""
+"""Tests for model containers, a document's cold E-step state, invariant checks and model files."""
 
 import re
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mlpalda.crowd import annotate_corpus, sample_pool
 from mlpalda.data import write_predictions
-from mlpalda.inference import TrainConfig, pack_corpus, predict_corpus, train
+from mlpalda.inference import TrainConfig, em_start, pack_corpus, predict_corpus, train, validate_states
 from mlpalda.model import (
     DELTA_CLAMP,
     PROB_CLAMP,
@@ -16,13 +16,9 @@ from mlpalda.model import (
     Document,
     ModelParams,
     clamp_probability,
-    init_params,
-    initial_presence,
-    init_smoothed_state,
     load_model,
     save_model,
     validate,
-    validate_states,
     faulty_words,
     validate_corpus,
     validate_document,
@@ -44,6 +40,16 @@ def _doc(word_ids=(0, 2), counts=(1, 3), labels=(1, 0, 1), crowd=None):
         true_labels=None if labels is None else np.array(labels, dtype=np.int64),
         crowd_labels=None if crowd is None else np.array(crowd, dtype=np.int64),
     )
+
+
+def _params(dims, mode, smoothing=False, seed=0):
+    """EM's starting params for ``dims`` (:func:`~mlpalda.inference.em_start`)."""
+    return em_start(dims, TrainConfig(mode=mode, smoothing=smoothing, seed=seed))[0]
+
+
+def _chi(dims, seed=0):
+    """EM's smoothed starting topics chi for ``dims``."""
+    return em_start(dims, TrainConfig(smoothing=True, seed=seed))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -199,55 +205,6 @@ def test_faulty_words_on_documents_with_rising_ids(repeat):
 
 
 # ---------------------------------------------------------------------------
-# init_params
-# ---------------------------------------------------------------------------
-
-
-def test_init_params_defaults_nocrowd():
-    dims = _dims(K=0)
-    p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
-    assert p.alpha.shape == (3, 2, 2)
-    assert np.all(p.alpha == 1.0)
-    assert np.all(p.xi == 0.5)
-    assert p.rho.size == 0
-    assert p.beta.shape == (2, 5)
-    assert np.allclose(p.beta.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(p.beta > 0)
-
-
-def test_init_params_defaults_crowd_smoothed():
-    dims = _dims(K=4)
-    p = init_params(dims, mode="crowd", smoothing=True, seed=1)
-    assert np.all(p.rho == 0.7)
-    assert p.rho.shape == (4,)
-    assert p.beta is None
-    # a smoothed model's topics are chi; its prior eta is the trainer's, never a field
-    assert [f.name for f in fields(p)] == ["alpha", "xi", "rho", "beta"]
-
-
-def test_init_params_deterministic_and_seed_sensitive():
-    dims = _dims(K=0)
-    a = init_params(dims, mode="no-crowd", smoothing=False, seed=42)
-    b = init_params(dims, mode="no-crowd", smoothing=False, seed=42)
-    c = init_params(dims, mode="no-crowd", smoothing=False, seed=43)
-    assert np.array_equal(a.beta, b.beta)
-    assert not np.array_equal(a.beta, c.beta)
-    # beta rows differ from one another, otherwise topics never separate
-    assert not np.allclose(a.beta[0], a.beta[1])
-
-
-def test_init_smoothed_state_breaks_topic_symmetry():
-    dims = _dims(K=0)
-    p = init_params(dims, mode="no-crowd", smoothing=True, seed=5)
-    eta = np.ones((dims.T, dims.V))
-    s1 = init_smoothed_state(eta, seed=5)
-    s2 = init_smoothed_state(eta, seed=5)
-    assert np.array_equal(s1, s2)
-    assert np.all(s1 >= eta - 1e-12)
-    assert not np.allclose(s1[0], s1[1])
-
-
-# ---------------------------------------------------------------------------
 # a document's cold state: the E-step's start, held in the chunk store
 # ---------------------------------------------------------------------------
 
@@ -258,7 +215,7 @@ def _cold_state(doc, p, pinned=False):
 
 def test_init_doc_uniform_rows_and_gamma():
     dims = _dims(K=0)
-    p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
+    p = _params(dims, "no-crowd")
     doc = _doc()
     dv = _cold_state(doc, p, pinned=True)
     assert np.allclose(dv.delta, 1.0 / 3.0)
@@ -275,7 +232,7 @@ def test_init_doc_uniform_rows_and_gamma():
 
 def test_init_doc_prediction_uses_prior():
     dims = _dims(K=0)
-    p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
+    p = _params(dims, "no-crowd")
     doc = _doc(labels=(1, 1, 1))  # present labels must be ignored
     dv = _cold_state(doc, p)
     assert np.allclose(dv.Delta, p.xi)
@@ -283,7 +240,7 @@ def test_init_doc_prediction_uses_prior():
 
 def test_init_doc_crowd_warm_start_maps_votes_through_quality():
     dims = _dims(K=3)
-    p = init_params(dims, mode="crowd", smoothing=False, seed=0)
+    p = _params(dims, "crowd")
     p = ModelParams(
         alpha=p.alpha, xi=p.xi, rho=np.array([0.9, 0.9, 0.9]), beta=p.beta
     )
@@ -301,29 +258,10 @@ def test_init_doc_leaves_votes_out_without_annotator_qualities():
     """No-crowd params carry no rho, so votes cannot move the prior (the
     E-step's judgment terms are zero for them too)."""
     dims = _dims(K=2)
-    p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
+    p = _params(dims, "no-crowd")
     doc = _doc(labels=None, crowd=[[1, 0, -1], [1, -1, 0]])
     dv = _cold_state(doc, p)
     assert np.array_equal(dv.Delta, p.xi)
-
-
-def test_initial_presence_of_a_batch_equals_each_row_alone():
-    """One call over the (B, K, C) vote masks gives, bit for bit, each
-    document's (K, C) call; K = 0, or no annotator qualities, gives the prior."""
-    rng = np.random.default_rng(3)
-    B, K, C = 7, 4, 5
-    votes = rng.integers(-1, 2, size=(B, K, C)).astype(np.int8)
-    votes[2] = -1  # a document nobody judged
-    yes, no = (votes == 1).astype(np.int8), (votes == 0).astype(np.int8)
-    xi, rho = rng.uniform(0.2, 0.8, size=C), rng.uniform(0.55, 0.95, size=K)
-    batch = initial_presence(yes, no, xi, rho)
-    assert batch.shape == (B, C)
-    for b in range(B):
-        assert batch[b].tobytes() == initial_presence(yes[b], no[b], xi, rho).tobytes()
-    assert np.array_equal(batch[2], clamp_probability(xi, DELTA_CLAMP))
-    for none in (initial_presence(yes[:, :0], no[:, :0], xi, rho),
-                 initial_presence(yes, no, xi, rho[:0])):
-        assert np.array_equal(none, np.tile(clamp_probability(xi, DELTA_CLAMP), (B, 1)))
 
 
 def test_init_doc_nocrowd_requires_known_labels():
@@ -352,13 +290,13 @@ def test_clamp_probability():
 
 def test_validate_clean_params():
     dims = _dims(K=2)
-    p = init_params(dims, mode="crowd", smoothing=False, seed=0)
+    p = _params(dims, "crowd")
     assert validate(p, dims) == []
 
 
 def test_validate_flags_violations():
     dims = _dims(K=0)
-    p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
+    p = _params(dims, "no-crowd")
 
     bad_alpha = ModelParams(
         alpha=np.zeros_like(p.alpha), xi=p.xi, rho=p.rho, beta=p.beta
@@ -382,8 +320,8 @@ def test_validate_flags_violations():
 def test_validate_flags_nan(where):
     """NaN compares false both ways, so each range check must reject it."""
     dims = _dims(K=2)
-    p = init_params(dims, mode="crowd", smoothing=True, seed=0)
-    smoothed = init_smoothed_state(np.ones((dims.T, dims.V)), seed=0)
+    p = _params(dims, "crowd", True)
+    smoothed = _chi(dims)
     states = cold_store([_doc(crowd=[[1, 0, 1], [0, -1, 1]])], p, dims.V)
     assert validate(p, dims, smoothed=smoothed) + validate_states(states) == []
 
@@ -396,8 +334,8 @@ def test_validate_flags_nan(where):
 @pytest.mark.parametrize("value", [np.inf, -np.inf, "shape"])
 def test_validate_flags_bad_chi(value):
     dims = _dims(K=2)
-    p = init_params(dims, mode="crowd", smoothing=True, seed=0)
-    smoothed = init_smoothed_state(np.ones((dims.T, dims.V)), seed=0)
+    p = _params(dims, "crowd", True)
+    smoothed = _chi(dims)
     if value == "shape":
         smoothed = smoothed[:, 1:]
     else:
@@ -408,9 +346,9 @@ def test_validate_flags_bad_chi(value):
 
 def test_a_model_has_exactly_one_of_beta_and_chi(tmp_path):
     dims = _dims(K=0)
-    plain = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
-    smoothed = init_params(dims, mode="no-crowd", smoothing=True, seed=0)
-    chi = init_smoothed_state(np.ones((dims.T, dims.V)), seed=0)
+    plain = _params(dims, "no-crowd")
+    smoothed = _params(dims, "no-crowd", True)
+    chi = _chi(dims)
     assert validate(plain, dims) == [] and validate(smoothed, dims, smoothed=chi) == []
     for params, topics in ((plain, chi), (smoothed, None)):
         assert [m for m in validate(params, dims, smoothed=topics) if m.startswith("beta or chi")]
@@ -421,7 +359,7 @@ def test_a_model_has_exactly_one_of_beta_and_chi(tmp_path):
 
 def test_validate_doc_state():
     dims = _dims(K=0)
-    p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
+    p = _params(dims, "no-crowd")
     states = cold_store([_doc()], p, dims.V, pinned=True)
     assert validate_states(states) == []
     chunk = states.chunks[0]
@@ -434,7 +372,7 @@ def test_validate_states_reads_term_columns_not_padding():
     """One message per broken invariant, in ``validate``'s style; the
     padding columns of a chunk's shorter documents are not read."""
     dims = _dims(K=2)
-    p = init_params(dims, mode="crowd", smoothing=False, seed=0)
+    p = _params(dims, "crowd")
     docs = [_doc(word_ids=(0, 1, 2, 3), counts=(1, 1, 2, 1), crowd=[[1, 0, 1], [0, -1, 1]]),
             _doc(word_ids=(4,), counts=(3,)), _doc(word_ids=(1, 3), counts=(2, 2))]
     states = cold_store(docs, p, dims.V)
@@ -468,7 +406,7 @@ def test_validate_states_reads_term_columns_not_padding():
 ])
 def test_model_file_round_trip(tmp_path, mode, smoothing):
     dims = _dims(D=7, C=3, T=2, V=5, K=4 if mode == "crowd" else 0)
-    p = init_params(dims, mode=mode, smoothing=smoothing, seed=9)
+    p = _params(dims, mode, smoothing, seed=9)
     # make the values less regular than the defaults
     rng = np.random.default_rng(3)
     p = ModelParams(
@@ -477,7 +415,7 @@ def test_model_file_round_trip(tmp_path, mode, smoothing):
         rho=clamp_probability(rng.random(p.rho.shape), PROB_CLAMP),
         beta=p.beta,
     )
-    smoothed = init_smoothed_state(np.ones((dims.T, dims.V)), seed=11) if smoothing else None
+    smoothed = _chi(dims, seed=11) if smoothing else None
 
     path = tmp_path / "m.model"
     save_model(path, p, dims, smoothed=smoothed)
@@ -503,7 +441,7 @@ def test_model_file_mode_follows_the_annotator_qualities(tmp_path, mode):
     """No-crowd params keep no qualities even when the dimensions count
     annotators, and still load back."""
     dims = _dims(K=2)
-    p = init_params(dims, mode=mode, smoothing=False, seed=0)
+    p = _params(dims, mode)
     path = tmp_path / "m.model"
     save_model(path, p, dims)
     assert path.read_text().splitlines()[2] == f"mode {mode}"
@@ -528,7 +466,7 @@ def _write(path, lines):
 
 def test_model_file_is_versioned_text(tmp_path):
     dims = _dims(K=0)
-    p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
+    p = _params(dims, "no-crowd")
     path = tmp_path / "m.model"
     save_model(path, p, dims)
     lines = path.read_text().splitlines()
@@ -632,7 +570,7 @@ def test_model_values_line_names_its_line(tmp_path, values, message):
 
 def test_model_file_round_trips_special_values_bit_for_bit(tmp_path):
     dims = _dims(D=1, C=1, T=2, V=4, K=0)
-    p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
+    p = _params(dims, "no-crowd")
     p.alpha = np.array([5e-324, np.finfo(np.float64).max, 0.1 + 0.2, 1.0]).reshape(1, 2, 2)
     p.beta = np.array([[-0.0, 5e-324, 0.1 + 0.2, 0.7], [0.25] * 4])
     path = tmp_path / "m.model"
@@ -684,9 +622,9 @@ def _insert(lines, i, new):
         "missing", "mis-sized", "missing-values"])
 def test_model_file_arrays_come_in_written_order(tmp_path, edit, line):
     dims = _dims()
-    p = init_params(dims, mode="crowd", smoothing=True, seed=0)
+    p = _params(dims, "crowd", True)
     path = tmp_path / "m.model"
-    save_model(path, p, dims, smoothed=init_smoothed_state(np.ones((dims.T, dims.V)), seed=0))
+    save_model(path, p, dims, smoothed=_chi(dims))
     lines = path.read_text().splitlines()
     assert [ls.split()[1] for ls in lines[4::2]] == ["alpha", "xi", "rho", "chi"]
     path.write_text("\n".join(edit(lines)) + "\n")
@@ -696,7 +634,7 @@ def test_model_file_arrays_come_in_written_order(tmp_path, edit, line):
 
 def test_model_file_skips_blank_lines_between_arrays(tmp_path):
     dims = _dims()
-    p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
+    p = _params(dims, "no-crowd")
     path = tmp_path / "m.model"
     save_model(path, p, dims)
     lines = path.read_text().splitlines()
@@ -707,7 +645,7 @@ def test_model_file_skips_blank_lines_between_arrays(tmp_path):
 
 def test_failed_save_keeps_the_old_model_file(tmp_path, monkeypatch):
     dims = _dims(K=0)
-    p = init_params(dims, mode="no-crowd", smoothing=False, seed=0)
+    p = _params(dims, "no-crowd")
     path = tmp_path / "m.model"
     save_model(path, p, dims)
     before = path.read_bytes()
@@ -716,7 +654,7 @@ def test_failed_save_keeps_the_old_model_file(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr("mlpalda.atomic.os.replace", refuse)
-    other = init_params(dims, mode="no-crowd", smoothing=False, seed=1)
+    other = _params(dims, "no-crowd", seed=1)
     with pytest.raises(OSError, match="disk full"):
         save_model(path, other, dims)
     assert path.read_bytes() == before
