@@ -410,19 +410,24 @@ def fit_discretizer(values, V, seed, return_trace=False):
 
     rng = np.random.default_rng(seed)
     vals_sorted = np.sort(vals)
-    centers = np.array([vals_sorted[rng.integers(vals_sorted.size)]])
+    centers = np.array([vals_sorted[rng.integers(vals_sorted.size)]])  # kept sorted
+    d2 = (vals_sorted - centers[0]) ** 2  # each value's squared distance to its nearest center
     while centers.size < V:  # distance-weighted seeding
-        srt = np.sort(centers)
-        d2 = (vals_sorted - srt[_nearest_center(vals_sorted, srt)]) ** 2
         total = d2.sum()
         if total <= 0.0:
-            extra = np.setdiff1d(distinct, centers)[0]
-            centers = np.append(centers, extra)
-            continue
-        centers = np.append(centers, vals_sorted[rng.choice(vals_sorted.size, p=d2 / total)])
-    centers = np.sort(centers)
+            new = np.setdiff1d(distinct, centers)[0]
+        else:
+            new = vals_sorted[rng.choice(vals_sorted.size, p=d2 / total)]
+        k = int(np.searchsorted(centers, new))
+        centers = np.insert(centers, k, new)
+        # only the values between the new center's neighbours can have it nearest
+        lo = np.searchsorted(vals_sorted, centers[k - 1]) if k else 0
+        hi = (np.searchsorted(vals_sorted, centers[k + 1], side="right")
+              if k + 1 < centers.size else vals_sorted.size)
+        part = vals_sorted[lo:hi]
+        d2[lo:hi] = (part - centers[_nearest_center(part, centers)]) ** 2
 
-    trace = [_kmeans_objective(vals_sorted, centers)]
+    trace = [_kmeans_objective(vals_sorted, centers)] if return_trace else None
     for _ in range(KMEANS_MAX_ITERS):
         # sorted values and centers: assign never decreases, so clusters are runs
         assign = _nearest_center(vals_sorted, centers)
@@ -438,7 +443,8 @@ def fit_discretizer(values, V, seed, return_trace=False):
         new_centers = np.sort(new_centers)
         moved = np.abs(new_centers - centers).max()
         centers = new_centers
-        trace.append(_kmeans_objective(vals_sorted, centers))
+        if return_trace:
+            trace.append(_kmeans_objective(vals_sorted, centers))
         if moved < 1e-9:
             break
     # merged centers can only arise from pathological inputs; drop duplicates

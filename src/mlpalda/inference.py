@@ -13,7 +13,8 @@ responsibilities are formed from them where they are read.
 
 The inner loops are independent across documents given the global
 parameters, so one E-step runs them in lockstep over chunks of documents
-(``e_step_corpus``).  Those chunks are the only form a state takes, and
+(``e_step_corpus``), and spreads the chunks over one forked worker per
+usable CPU (``_e_pass``).  Those chunks are the only form a state takes, and
 hold its only copy: the states stay in them between E-passes, each
 E-pass overwrites them in place, the M-step statistics are reduced from
 them (``_reduce_stats``), and :func:`validate_states` checks them.  A
@@ -39,6 +40,12 @@ smoothing ``train`` sets the prior eta to chi.
 from __future__ import annotations
 
 import logging
+import math
+import mmap
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -235,13 +242,14 @@ def _responsibilities(delta, counts, phi, weighted=None, out=None):
 
 # Cap on the padded columns x max(C, T) of one chunk's widest working array
 # (512 KiB of float64), so the E-step's working memory does not grow with the
-# corpus: a pass works on one chunk at a time and writes its states over that
-# chunk's own, and prediction stores no delta or phi and drops each chunk's
-# other states once it has run.
+# corpus: each worker of a pass works on one chunk at a time and writes its
+# states over that chunk's own, and prediction stores no delta or phi and
+# drops each chunk's other states once it has them.
 # A sweep costs a fixed number of numpy calls per chunk, so larger chunks
 # share it among more documents; of the budgets 2^14 to 2^18, 2^16 measured
-# best on the two benchmark workloads taken together, and larger ones cost
-# memory (see CHANGES.md).
+# best on the two benchmark workloads taken together, and still does against
+# 2^15 and 2^17 with the chunks spread over workers; larger ones cost memory
+# (see CHANGES.md).
 CHUNK_ELEMENTS = 2 ** 16
 
 
@@ -402,18 +410,18 @@ def initial_presence(yes, no, xi, rho) -> np.ndarray:
     return clamp_probability(Delta, DELTA_CLAMP)
 
 
-def _start_arrays(chunk, C, T, params):
+def _start_arrays(chunk, C, T, params, pinned):
     """``chunk``'s cold delta, phi and Delta.
 
     Every document starts with uniform responsibilities and the
     :func:`initial_presence` beliefs of its packed judgment masks under
-    ``params``, one call for the chunk; a chunk packed with pinned presence
-    holds its labels as ``Delta``, and its documents start there.
+    ``params``, one call for the chunk; a chunk packed with ``pinned``
+    presence holds its labels as ``Delta``, and its documents start there.
     """
     B, U = chunk.counts.shape
     delta = np.full((B, C, U), 1.0 / C)
     phi = np.full((B, T, U), 1.0 / T)
-    if chunk.Delta is not None:
+    if pinned:
         return delta, phi, chunk.Delta.copy()
     return delta, phi, initial_presence(chunk.yes, chunk.no, params.xi, params.rho)
 
@@ -468,27 +476,185 @@ def e_step_corpus(
     are; beyond it (a topic whose E[log theta] lies near -1e8, say) they
     run the max-shift.
 
+    The chunks run on every CPU the process may use, one worker per CPU
+    (:func:`_e_pass`), and each chunk's arithmetic is the same whichever
+    worker runs it, so the states are bit for bit those of one process.
+
     ``store`` is updated in place and returned: each chunk's new states
     overwrite its old ones, so the store is the only copy of the states
-    and a pass holds one chunk's working arrays beside it.  A pass that
-    raises leaves the states of its chunks part old, part new.
+    and a pass holds one chunk's working arrays per worker beside it.  A
+    pass that raises leaves the states of its chunks part old, part new.
     """
     for _ in _e_pass(store, params, elog_beta, estep, keep_states=True):
         pass
     return store
 
 
+def _usable_cpus():
+    """The CPUs this process may run on, or 1 where E-step workers cannot
+    be forked safely: without ``os.fork`` or ``os.sched_getaffinity``, or
+    while other threads are alive (a forked child keeps only the calling
+    thread, and any lock another thread held stays held in it)."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _balanced_cuts(sizes, w):
+    """Bounds of ``w`` non-empty runs of ``sizes`` (``w`` <= their number):
+    the k-th cut lies where the running total comes nearest k/w of the
+    whole, the first of equally near places winning."""
+    total = np.cumsum(sizes)
+    cuts = [0]
+    for k in range(1, w):
+        lo, hi = cuts[-1] + 1, len(sizes) - (w - k)  # leave every later run one size
+        before = total[lo - 1:hi]  # the running total before each candidate cut
+        cuts.append(lo + int(np.argmin(np.abs(before - total[-1] * k / w))))
+    return cuts + [len(sizes)]
+
+
+def _is_shared(array):
+    """Whether ``array`` views a shared anonymous mapping."""
+    while isinstance(array, (np.ndarray, memoryview)):
+        array = array.base if isinstance(array, np.ndarray) else array.obj
+    return isinstance(array, mmap.mmap)
+
+
+def _give_states(chunks, C, T, keep_states, shared):
+    """Gives each of ``chunks`` the state arrays an E-pass writes: Delta
+    and the sweep counts, and with ``keep_states`` delta and phi.
+
+    A chunk keeps the arrays it has, and a missing one is allocated.  With
+    ``shared`` every array not yet in shared memory moves there, values
+    and all: into one new shared anonymous mapping for the lot, which
+    forked workers write and their parent then reads.  The chunks keep
+    these arrays, so a store's next passes find them there.
+    """
+    moves = []
+    for chunk in chunks:
+        B, U = chunk.counts.shape
+        shapes = {"Delta": (B, C), "sweeps": (B,)}
+        if keep_states:
+            shapes.update(delta=(B, C, U), phi=(B, T, U))
+        for name, shape in shapes.items():
+            old = getattr(chunk, name)
+            if old is None or (shared and not _is_shared(old)):
+                moves.append((chunk, name, shape, old))
+    if not moves:
+        return
+    if shared:  # every state entry takes 8 bytes
+        arena = mmap.mmap(-1, 8 * sum(math.prod(shape) for _, _, shape, _ in moves))
+    offset = 0
+    for chunk, name, shape, old in moves:
+        dtype = np.int64 if name == "sweeps" else np.float64
+        if shared:
+            array = np.frombuffer(arena, dtype, math.prod(shape), offset).reshape(shape)
+            offset += array.nbytes
+        else:
+            array = np.empty(shape, dtype)
+        if old is not None:
+            array[...] = old
+        setattr(chunk, name, array)
+
+
+def _fork_worker(work):
+    """Forks a child that calls ``work()``; returns its pid and the read end
+    of the pipe on which it sends back the pickled ``(True, result)``, or
+    ``(False, exception)`` if ``work`` raised.  The child then leaves with
+    ``os._exit``, so it never returns into its parent's code."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    try:
+        try:
+            reply = (True, work())
+        except BaseException as exc:  # interrupts too: the parent re-raises it
+            reply = (False, exc)
+        try:
+            payload = pickle.dumps(reply)
+        except Exception:  # an exception that does not pickle is sent as its text
+            payload = pickle.dumps((False, RuntimeError(repr(reply[1]))))
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _worker_reply(workers):
+    """Waits for the first of ``workers`` to exit and drops it: returns the
+    result it sent back, or raises the exception it sent, or RuntimeError
+    if it died without a reply."""
+    pid, read = workers[0]
+    with open(read, "rb", closefd=False) as pipe:
+        payload = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    del workers[0]
+    os.close(read)
+    if not payload:
+        raise RuntimeError(f"E-step worker {pid} ended without a reply "
+                           f"(exit code {os.waitstatus_to_exitcode(status)})")
+    ok, value = pickle.loads(payload)
+    if not ok:
+        raise value
+    return value
+
+
 def _e_pass(store, params, elog_beta, estep, keep_states):
-    """Runs :func:`_e_step_chunk` on each chunk of ``store`` in turn and
-    yields the chunk once its states are final; after the last chunk, logs
+    """Runs :func:`_e_step_chunk` on every chunk of ``store`` and yields
+    each chunk once its states are final; after the last chunk, logs once
     how many documents were still changing at the inner cap.
     ``keep_states`` says whether the chunks keep their documents' delta
-    and phi."""
+    and phi.
+
+    The length-sorted chunks are cut into w = min(:func:`_usable_cpus`,
+    chunks) runs of about equal padded columns (:func:`_balanced_cuts`).
+    The caller's process runs the first run and yields its chunks as they
+    finish; each other run goes to a child made by ``os.fork``, which
+    writes its chunks' states into arrays that :func:`_give_states` puts
+    in shared memory before the forks.  Each child's chunks are yielded once it
+    has exited, in chunk order.  With w = 1 nothing is forked.  Of the
+    errors the chunks raise, the one of the lowest chunk is raised, as a
+    pass over the chunks in turn would raise it; a worker still running
+    when the pass leaves early is killed, and every worker is reaped.
+    """
+    chunks = store.chunks
+    if not chunks:
+        return
+    C, _, T = params.alpha.shape
     shifted = elog_beta - elog_beta.max(axis=0)  # each word's largest over topics becomes 0
-    capped = 0
-    for chunk in store.chunks:
-        capped += _e_step_chunk(chunk, store, params, estep, shifted, keep_states)
-        yield chunk
+    cold = [chunk.delta is None for chunk in chunks]  # before any state array is given
+    cuts = _balanced_cuts([chunk.counts.size for chunk in chunks],
+                          min(_usable_cpus(), len(chunks)))
+    _give_states(chunks, C, T, keep_states, shared=len(cuts) > 2)
+
+    def run(i):
+        return _e_step_chunk(chunks[i], store, params, estep, shifted, cold[i])
+
+    workers = []  # (pid, read end of its pipe) of each worker not yet reaped
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            workers.append(_fork_worker(lambda lo=lo, hi=hi: sum(map(run, range(lo, hi)))))
+        capped = 0
+        for i in range(cuts[1]):
+            capped += run(i)
+            yield chunks[i]
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            capped += _worker_reply(workers)
+            yield from chunks[lo:hi]
+    finally:
+        for pid, read in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.close(read)
+            os.waitpid(pid, 0)
     if capped:
         logger.warning(
             "E-step: %d of %d documents were still changing after max_estep_iters=%d sweeps",
@@ -524,18 +690,16 @@ def _mixed_log_theta(Delta, elog, gap, out=None):
     return out
 
 
-def _e_step_chunk(chunk, store, params, estep, elog_beta, keep_states):
+def _e_step_chunk(chunk, store, params, estep, elog_beta, cold):
     """Lockstep inner loops for one packed chunk of ``store``, in place.
 
-    The documents start from the states the chunk holds, or cold
-    (:func:`_start_arrays`) when it holds none.  Each document's final
-    Delta and sweep count, and with ``keep_states`` its delta and phi, are
-    written into the chunk's own arrays as it leaves; the arrays are
-    allocated on the chunk's first pass and overwritten on later ones.
-    Without ``keep_states`` (prediction, which reads only Delta) the chunk
-    gets no delta or phi arrays.  Its packed words and judgments are read,
-    not changed.  Returns how many of its documents were still changing at
-    the inner cap.
+    The documents start from the states the chunk holds, or with ``cold``
+    from :func:`_start_arrays`.  Each document's final Delta and sweep
+    count, and its delta and phi where the chunk has arrays for them, are
+    written into the chunk's arrays (:func:`_give_states`) as it leaves;
+    prediction, which reads only Delta, gives it no delta or phi arrays.
+    Its packed words and judgments are read, not changed.  Returns how
+    many of its documents were still changing at the inner cap.
 
     Every final value is checked to be finite, in the order delta, phi,
     Delta, and the first non-finite one raises
@@ -588,15 +752,10 @@ def _e_step_chunk(chunk, store, params, estep, elog_beta, keep_states):
     """
     C, _, T = params.alpha.shape
     B = chunk.counts.shape[0]
-    if chunk.delta is not None:
-        delta, phi, Delta = chunk.delta.copy(), chunk.phi.copy(), chunk.Delta.copy()
+    if cold:
+        delta, phi, Delta = _start_arrays(chunk, C, T, params, store.pinned)
     else:
-        delta, phi, Delta = _start_arrays(chunk, C, T, params)
-        if keep_states:
-            chunk.delta, chunk.phi = np.empty_like(delta), np.empty_like(phi)
-        if chunk.Delta is None:  # pinned, packing set it to the labels, which stay
-            chunk.Delta = np.empty_like(Delta)
-        chunk.sweeps = np.empty(B, dtype=np.int64)
+        delta, phi, Delta = chunk.delta.copy(), chunk.phi.copy(), chunk.Delta.copy()
     log_wt = np.take(elog_beta, chunk.ids, axis=1).transpose(1, 0, 2)  # (B, T, U) view
     np.copyto(log_wt, 0.0, where=~chunk.mask[:, None, :])
     terms = chunk.mask.astype(np.float64)
@@ -660,7 +819,7 @@ def _e_step_chunk(chunk, store, params, estep, elog_beta, keep_states):
         for name, working in (("delta", delta), ("phi", phi), ("Delta", Delta)):
             final, stored = working[pick], getattr(chunk, name)
             finite[name][leaving] = np.isfinite(final).reshape(len(final), -1).all(axis=1)
-            if stored is not None:  # without keep_states, no delta or phi
+            if stored is not None:  # prediction keeps no delta or phi
                 stored[leaving] = final
         chunk.sweeps[leaving] = sweep
         keep = np.flatnonzero(~done)
@@ -972,14 +1131,16 @@ def predict_corpus(
     document without its labels or judgments.  Ties at the threshold
     predict "present".
 
-    The corpus is packed once, and the chunks run the E-step one at a
-    time, as in :func:`e_step_corpus`, but keep no delta or phi: each
-    document's are checked as it leaves its chunk and not stored.  Each
-    chunk's presence beliefs are copied out, and dropped with its sweep
-    counts, before the next chunk runs.  So prediction holds the packed
-    words, the beliefs and one chunk's working arrays, however many
-    documents it is given, and its beliefs are bit for bit the Delta of an
-    :func:`e_step_corpus` pass over the same words.
+    The corpus is packed once, and the chunks run the E-step as in
+    :func:`e_step_corpus`, one at a time in each worker, but keep no delta
+    or phi: each document's are checked as it leaves its chunk and not
+    stored.  Each chunk's presence beliefs are copied out, and dropped
+    with its sweep counts, once the pass yields the chunk.  So prediction
+    holds the packed words, the beliefs, each chunk's Delta and sweep
+    counts until they are copied out, and one chunk's working arrays per
+    worker, however many documents it is given, and its beliefs are bit
+    for bit the Delta of an :func:`e_step_corpus` pass over the same
+    words.
     """
     check_threshold(threshold)
     C, _, T = params.alpha.shape

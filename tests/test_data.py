@@ -314,6 +314,26 @@ def test_lloyd_runs_equal_a_mask_based_transcription_on_tied_integers(high, size
     assert trace == want and len(trace) > 2
 
 
+@pytest.mark.parametrize("values,V,seed", [
+    (np.random.default_rng(3).integers(0, 60, size=2000), 40, 3),
+    (np.random.default_rng(4).integers(-9, 9, size=500), 17, 4),
+    (np.random.default_rng(5).normal(size=3000).round(1), 25, 5),
+    # squared gaps of 1e-200 underflow to 0: the seeding adds distinct values
+    (np.repeat([0.0, 1e-200, 2e-200, 3e-200, 5e-200, 1.0], 3), 4, 6),
+], ids=["ints-40", "ints-17", "tenths-25", "underflow"])
+def test_seeding_updates_equal_a_full_recompute_per_center(values, V, seed):
+    """Seeding recomputes each value's nearest center only between the new
+    center's neighbours; on tied values, and where every squared distance
+    underflows, the codebook with and without the trace is bit for bit
+    that of a nearest-center pass over all values per added center."""
+    vals = np.asarray(values, dtype=np.float64)
+    centers, trace = _mask_based_fit(vals, V, seed)
+    assert centers.size == V
+    assert fit_discretizer(vals, V=V, seed=seed).centers.tobytes() == centers.tobytes()
+    disc, got = fit_discretizer(vals, V=V, seed=seed, return_trace=True)
+    assert disc.centers.tobytes() == centers.tobytes() and got == trace
+
+
 def test_nearest_center_mapping_and_tie_rule():
     disc = Discretizer(centers=np.array([0.0, 1.0]))
     ids, counts = discretize_instance([0.5], disc)  # exactly between: lower wins

@@ -9,6 +9,8 @@ the M-step against hand-computable statistics.
 
 import dataclasses
 import logging
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -47,6 +49,7 @@ from mlpalda.model import (
     Document,
     ModelParams,
     clamp_probability,
+    save_model,
     validate,
 )
 from mlpalda.numerics import dirichlet_log_normalizer, solve_dirichlet_newton
@@ -477,6 +480,7 @@ def test_estep_softmaxes_fall_back_to_the_max_shift_past_the_spread_bound(
     params.beta[t, np.concatenate([doc.word_ids for doc in docs])] = 0.0
     params.beta[t] /= params.beta[t].sum()
     shift_free = []
+    with_cpus(monkeypatch, 1)  # the recorder sees the sweeps of this process only
 
     def recording_softmax(logits, shifted, softmax=inference._softmax_columns):
         shift_free.append(shifted)
@@ -571,8 +575,26 @@ def test_rows_freed_by_leaving_documents_are_filled_from_the_tail(monkeypatch):
     assert order[1][:5] != order[0][:5]  # the freed rows were refilled
 
 
+def with_cpus(monkeypatch, cpus):
+    """Sets the usable-CPU count from which an E-pass takes its worker
+    count; returns the list into which each fork's child pid goes."""
+    monkeypatch.setattr(inference, "_usable_cpus", lambda: cpus)
+    forks, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
 def counting_largest_change(monkeypatch):
-    """Patch ``_largest_change`` to count its calls; returns the count list."""
+    """Patch ``_largest_change`` to count its calls; returns the count list.
+    The E-passes run in one process, where the patched function records."""
+    with_cpus(monkeypatch, 1)
     calls, exact = [], inference._largest_change
 
     def counting(new, old, terms):
@@ -869,6 +891,7 @@ def test_predict_beliefs_are_the_delta_of_a_state_keeping_pass(monkeypatch):
     params = random_params(rng, C, T, V)
     docs = words_of(many_chunk_corpus(monkeypatch, rng, C, T, V))
     kept, step = [], inference._e_step_chunk
+    with_cpus(monkeypatch, 1)  # the recorder sees the chunks of this process only
 
     def recording(chunk, *args):
         capped = step(chunk, *args)
@@ -904,6 +927,226 @@ def test_warm_pass_allocates_less_than_the_states_it_updates(monkeypatch, pinned
     states = sum(chunk.delta.nbytes + chunk.phi.nbytes for chunk in store.chunks)
     _, peak = traced_peak(lambda: e_step_corpus(store, params, elog_of(params), EStepConfig()))
     assert peak < states, (peak, states)
+
+
+# ---------------------------------------------------------------------------
+# E-step workers: the chunks of a pass spread over forked processes
+# ---------------------------------------------------------------------------
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+STATE_NAMES = ("delta", "phi", "Delta", "sweeps")
+
+
+def state_bytes(store):
+    return [[getattr(chunk, name).tobytes() for name in STATE_NAMES] for chunk in store.chunks]
+
+
+def stats_bytes(store, params):
+    stats = _reduce_stats(store, params)
+    return {f.name: np.asarray(getattr(stats, f.name)).tobytes()
+            for f in dataclasses.fields(stats)}
+
+
+def test_balanced_cuts_take_the_nearest_place_to_each_share():
+    assert inference._balanced_cuts([4] * 12, 1) == [0, 12]
+    assert inference._balanced_cuts([4] * 12, 2) == [0, 6, 12]
+    assert inference._balanced_cuts([4] * 12, 3) == [0, 4, 8, 12]
+    # one wide chunk at the end: the cut lies before it, not after one small chunk
+    assert inference._balanced_cuts([5, 5, 5, 5, 5, 5, 30], 2) == [0, 6, 7]
+    assert inference._balanced_cuts([10, 10, 10, 10, 11, 20, 21, 30], 2) == [0, 5, 8]
+    # every run keeps at least one chunk, however lopsided the sizes
+    assert inference._balanced_cuts([100, 1, 1], 3) == [0, 1, 2, 3]
+    assert inference._balanced_cuts([1, 1, 100], 3) == [0, 1, 2, 3]
+    assert inference._balanced_cuts([1, 1, 1, 1], 4) == [0, 1, 2, 3, 4]
+
+
+def test_usable_cpus_is_one_while_another_thread_runs_or_fork_is_missing(monkeypatch):
+    assert inference._usable_cpus() == len(os.sched_getaffinity(0))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert inference._usable_cpus() == 1
+    finally:
+        release.set()
+        thread.join()
+    monkeypatch.delattr(os, "fork")
+    assert inference._usable_cpus() == 1
+
+
+@ESTEP_MODES
+@pytest.mark.parametrize("start", ["cold", "warm", "copied", "warm-list"])
+def test_workers_change_no_bit_of_a_pass(monkeypatch, pinned, words_only, start):
+    """One, two and three workers leave the same states, bit for bit: every
+    delta, phi, Delta and sweep count, and every ``_reduce_stats`` field.
+    The starts: a packed store; the store of a first pass, passed back
+    (its state arrays stay the same objects); a deep copy of a first
+    pass's store; and a fresh store that a first pass's states were
+    written into.  Each pass forks one child per worker after the first,
+    and none is left once it returns."""
+    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 40)
+    rng = np.random.default_rng(71)
+    C, T, V, K = 3, 4, 120, 3
+    params = random_params(rng, C, T, V, K=K)
+    docs = mixed_length_corpus(rng, C, V, K=K)
+    if words_only:
+        docs = words_of(docs)
+    first, estep = EStepConfig(max_iters=2), EStepConfig(max_iters=60, tol=1e-7)
+    states, stats = [], []
+    for cpus in (1, 2, 3):
+        forks = with_cpus(monkeypatch, cpus)
+        store = packed(docs, params, V, pinned)
+        if start != "cold":
+            store = e_step_corpus(store, params, elog_of(params), first)
+        if start == "copied":
+            store = copied(store)
+        elif start == "warm-list":
+            store = warm_store(docs, params, V, doc_states(store, params), pinned)
+        arrays = [[getattr(chunk, name) for name in STATE_NAMES] for chunk in store.chunks]
+        forks.clear()
+        assert e_step_corpus(store, params, elog_of(params), estep) is store
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
+        if start == "warm":
+            assert all(now is then for chunk, saved in zip(store.chunks, arrays)
+                       for now, then in zip((getattr(chunk, n) for n in STATE_NAMES), saved))
+        states.append(state_bytes(store))
+        stats.append(stats_bytes(store, params))
+    assert len(store.chunks) > 3
+    assert states[1] == states[0] and states[2] == states[0]
+    assert stats[1] == stats[0] and stats[2] == stats[0]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_workers_change_no_bit_of_prediction(monkeypatch, cpus):
+    rng = np.random.default_rng(72)
+    C, T, V = 3, 4, 120
+    params = random_params(rng, C, T, V)
+    docs = words_of(mixed_length_corpus(rng, C, V))
+    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 40)
+    with_cpus(monkeypatch, 1)
+    want = predict_corpus(docs, params)
+    forks = with_cpus(monkeypatch, cpus)
+    beliefs, labels = predict_corpus(docs, params)
+    assert len(forks) == cpus - 1
+    assert_no_child_left()
+    assert beliefs.tobytes() == want[0].tobytes() and labels.tobytes() == want[1].tobytes()
+    beliefs, labels = predict_corpus([], params)
+    assert beliefs.shape == labels.shape == (0, C)
+    assert len(forks) == cpus - 1  # an empty corpus forks nothing
+
+
+@pytest.mark.parametrize("mode,smoothing", [
+    ("no-crowd", False), ("no-crowd", True), ("crowd", False), ("crowd", True),
+])
+def test_workers_change_no_byte_of_training(monkeypatch, tmp_path, mode, smoothing):
+    votes = (3, [0.9, 0.8, 0.7], 5) if mode == "crowd" else None
+    docs, _ = make_training_corpus(D=16, votes_from=votes)
+    dims = Dimensions(D=16, C=2, T=3, V=12, K=3 if votes else 0)
+    cfg = TrainConfig(mode=mode, smoothing=smoothing, max_em_iters=5, em_rel_tol=0.0, seed=2)
+    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 40)  # one document a chunk
+    outputs = []
+    for cpus in (1, 2, 3):
+        forks = with_cpus(monkeypatch, cpus)
+        params, chi, trace = train(docs, dims, cfg)
+        assert len(forks) == (cpus - 1) * len(trace.rows)
+        assert_no_child_left()
+        path = tmp_path / f"model-{cpus}.txt"
+        save_model(path, params, dims, chi)
+        outputs.append((path.read_bytes(), trace.to_csv()))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def one_term_pair_corpus(bad):
+    """12 documents of two terms each: word 0 only in those at positions ``bad``."""
+    return [Document(f"d{d}", np.array([0 if d in bad else 1 + d, 20 + d]), np.array([2, 1]))
+            for d in range(12)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("bad", [(2,), (7,), (11,), (2, 9), (5, 9), (9, 10)],
+                         ids=lambda bad: "-".join(map(str, bad)))
+def test_workers_raise_the_error_of_the_lowest_failing_chunk(monkeypatch, cpus, bad):
+    """Every document is a chunk of its own, and the chunks are of equal
+    size, so two workers hold chunks 0-5 and 6-11, and three 0-3, 4-7 and
+    8-11.  NaN in beta reaches the documents holding word 0: the error
+    names the first of them, whichever worker holds it and whichever
+    others fail too, for a pass and for prediction alike."""
+    rng = np.random.default_rng(73)
+    params = random_params(rng, 2, 2, 40)
+    params.beta[:, 0] = np.nan
+    docs = one_term_pair_corpus(bad)
+    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 1)
+    want = {1: [0, 12], 2: [0, 6, 12], 3: [0, 4, 8, 12]}[cpus]
+    assert inference._balanced_cuts([2] * 12, cpus) == want
+    forks = with_cpus(monkeypatch, cpus)
+    message = f"^document d{bad[0]}: non-finite delta$"
+    once = EStepConfig(max_iters=1)
+    store = packed(docs, params, 40)
+    assert [chunk.docs.tolist() for chunk in store.chunks] == [[d] for d in range(12)]
+    with pytest.raises(NumericalFailureError, match=message):
+        e_step_corpus(store, params, elog_of(params), once)
+    assert_no_child_left()
+    with pytest.raises(NumericalFailureError, match=message):
+        predict_corpus(docs, params, None, once)
+    assert_no_child_left()
+    assert len(forks) == 2 * (cpus - 1)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_workers_cap_hits_are_logged_once_per_pass(monkeypatch, caplog, cpus):
+    rng = np.random.default_rng(74)
+    params = random_params(rng, 2, 2, 40)
+    docs = one_term_pair_corpus(())
+    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 1)
+    forks = with_cpus(monkeypatch, cpus)
+    capped = EStepConfig(max_iters=1)
+    with caplog.at_level(logging.WARNING, logger="mlpalda.inference"):
+        run_estep(docs, params, elog_of(params), capped)
+        predict_corpus(docs, params, None, capped)
+    assert len(forks) == 2 * (cpus - 1)
+    assert _cap_warnings(caplog) == [
+        "E-step: 12 of 12 documents were still changing after max_estep_iters=1 sweeps"
+    ] * 2
+
+
+def test_a_worker_that_dies_without_a_reply_fails_the_pass(monkeypatch):
+    rng = np.random.default_rng(75)
+    params = random_params(rng, 2, 2, 40)
+    docs = one_term_pair_corpus(())
+    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 1)
+    with_cpus(monkeypatch, 2)
+    parent, step = os.getpid(), inference._e_step_chunk
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return step(*args)
+
+    monkeypatch.setattr(inference, "_e_step_chunk", dying)
+    with pytest.raises(RuntimeError, match=r"^E-step worker \d+ ended without a reply "
+                                           r"\(exit code 3\)$"):
+        predict_corpus(docs, params)
+    assert_no_child_left()
+
+
+def test_a_pass_left_early_kills_and_reaps_its_workers(monkeypatch):
+    rng = np.random.default_rng(76)
+    params = random_params(rng, 2, 2, 40)
+    docs = one_term_pair_corpus(())
+    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 1)
+    forks = with_cpus(monkeypatch, 3)
+    elog = elog_of(params)
+    chunks = inference._e_pass(packed(docs, params, 40), params, elog, EStepConfig(), False)
+    assert next(chunks).docs.tolist() == [0]
+    assert len(forks) == 2
+    chunks.close()
+    assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
