@@ -13,13 +13,17 @@ responsibilities are formed from them where they are read.
 
 The inner loops are independent across documents given the global
 parameters, so one E-step runs them in lockstep over chunks of documents
-(``e_step_corpus``), and spreads the chunks over one forked worker per
-usable CPU (``_e_pass``).  Those chunks are the only form a state takes, and
-hold its only copy: the states stay in them between E-passes, each
-E-pass overwrites them in place, the M-step statistics are reduced from
-them (``_reduce_stats``), and :func:`validate_states` checks them.  A
-cold document starts from uniform responsibilities and the
-:func:`initial_presence` beliefs of its judgments (``_start_arrays``).
+(``e_step_corpus``), and spreads the chunks over one worker per usable
+CPU (``_e_pass``).  The workers are forked at the first E-pass of a
+``train`` call and kept until it ends (``_Workers``); each later pass
+sends them only the parameters that changed.  Those chunks are the only
+form a state takes, and hold its only copy: the states stay in them
+between E-passes, each E-pass overwrites them in place, the M-step
+statistics are reduced from them (``_reduce_stats``, whose per-chunk
+part each pass forms where it runs the chunk), and
+:func:`validate_states` checks them.  A cold document starts from
+uniform responsibilities and the :func:`initial_presence` beliefs of its
+judgments (``_start_arrays``).
 
 Everything an EM iteration computes besides the sweeps is computed once per
 thing that changes: the words and judgments once per corpus (``pack_corpus``),
@@ -46,6 +50,7 @@ import os
 import pickle
 import signal
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -308,6 +313,12 @@ class CorpusStates:
     (:func:`e_step_corpus`) writes its states over the ones the store
     held, so the store keeps one copy of them, and the chunks keep their
     packing arrays from pass to pass.
+
+    A pass that keeps the states also forms each chunk's share of
+    :func:`_reduce_stats` where it runs the chunk (:func:`_chunk_share`),
+    and leaves them in ``shares`` with the alpha they were formed under.
+    ``workers`` holds the E-step workers open on the store
+    (:func:`_workers`), if any.
     """
 
     corpus: list
@@ -318,6 +329,8 @@ class CorpusStates:
     word_ids: np.ndarray  # (N,) every document's term ids, in corpus order
     counts: np.ndarray    # (N,) their token counts as floats, in corpus order
     judged: np.ndarray    # (K,) judgments each annotator gave, as floats
+    shares: Optional[tuple] = None  # (alpha, each chunk's share)
+    workers: Optional[_Workers] = None
 
 
 def validate_states(states: CorpusStates) -> list:
@@ -468,17 +481,21 @@ def e_step_corpus(
 
     Two shifts, to which a softmax is blind, spare most softmaxes their
     max-shift: each word's largest E[log beta] over topics is subtracted,
-    in a copy, once per call, and each sweep subtracts each document's
-    largest mixed E[log theta].  Every delta and phi logit is then <= 0, and every
-    column's largest is >= -(its document's spread of mixed E[log theta]).
+    into the workers' table (``_Workers.elog``), once per call, and each
+    sweep subtracts each document's largest mixed E[log theta].  Every
+    delta and phi logit is then <= 0, and every column's largest is >=
+    -(its document's spread of mixed E[log theta]).
     While the largest spread among a chunk's running documents is within
     ``SHIFT_FREE_SPREAD``, the softmaxes exponentiate the logits as they
     are; beyond it (a topic whose E[log theta] lies near -1e8, say) they
     run the max-shift.
 
     The chunks run on every CPU the process may use, one worker per CPU
-    (:func:`_e_pass`), and each chunk's arithmetic is the same whichever
-    worker runs it, so the states are bit for bit those of one process.
+    (:func:`_e_pass`): the store's open workers, or workers forked for
+    this call alone.  Each chunk's arithmetic, and the share of
+    :func:`_reduce_stats` a worker forms for it, is the same whichever
+    worker runs it, so the states and statistics are bit for bit those of
+    one process.
 
     ``store`` is updated in place and returned: each chunk's new states
     overwrite its old ones, so the store is the only copy of the states
@@ -559,102 +576,227 @@ def _give_states(chunks, C, T, keep_states, shared):
         setattr(chunk, name, array)
 
 
-def _fork_worker(work):
-    """Forks a child that calls ``work()``; returns its pid and the read end
-    of the pipe on which it sends back the pickled ``(True, result)``, or
-    ``(False, exception)`` if ``work`` raised.  The child then leaves with
-    ``os._exit``, so it never returns into its parent's code."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid:
-        os.close(write)
-        return pid, read
-    try:
+def _write_all(fd, data):
+    """Writes all of ``data`` to ``fd``, which may take more than one write."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+class _Worker:
+    """A forked E-step worker: its pid, the chunks ``lo``..``hi`` it runs,
+    and the parent's ends of its two pipes."""
+
+    def __init__(self, pid, lo, hi, commands, replies):
+        self.pid, self.lo, self.hi = pid, lo, hi
+        self.commands = commands            # the fd its pickled jobs are written to
+        self.replies = open(replies, "rb")  # its pickled replies
+        self.owes = True                    # it has a job it has not replied to
+
+    def close(self):
+        os.close(self.commands)
+        self.replies.close()
+
+
+class _Workers:
+    """The forked E-step workers of one store, kept from pass to pass.
+
+    The first pass cuts the store's length-sorted chunks into w =
+    min(:func:`_usable_cpus`, chunks) runs of about equal padded columns
+    (:func:`_balanced_cuts`).  The calling process runs the first run of
+    every pass, and each other run has a worker, which the first pass
+    forks after it has put the arrays the workers write
+    (:func:`_give_states`) and the shifted E[log beta] table ``elog`` in
+    shared memory.  A worker inherits the store, those arrays and the
+    first pass's job; each later pass writes its table into ``elog`` and
+    sends a worker only its job (see :func:`_run_chunk`) through a pipe.
+    A worker replies through a second pipe, then blocks on the first until
+    the next job, and leaves by ``os._exit`` at that pipe's end, which
+    comes when :meth:`stop` closes it or the parent dies.  With w = 1
+    nothing is forked and every pass runs in-process.
+    """
+
+    def __init__(self, store):
+        self.store = store
+        self.cuts = None  # the runs' bounds, fixed by the first pass
+        self.elog = None  # (T, V) each pass's E[log beta], each word's largest over topics 0
+        self.procs = []   # the live workers, in run order
+
+    def begin(self, elog_beta, job):
+        """Starts a pass of ``job`` (see :func:`_run_chunk`) under
+        ``elog_beta``: forks the workers when there are none yet, and
+        otherwise sends each one the job."""
+        params, _, _, keep_states = job
+        if self.cuts is None:
+            sizes = [chunk.counts.size for chunk in self.store.chunks]
+            self.cuts = _balanced_cuts(sizes, min(_usable_cpus(), len(sizes)))
+        shared = len(self.cuts) > 2
+        C, _, T = params.alpha.shape
+        _give_states(self.store.chunks, C, T, keep_states, shared)
+        if self.elog is None:
+            size = 8 * elog_beta.size
+            self.elog = np.frombuffer(mmap.mmap(-1, size) if shared else bytearray(size))
+            self.elog = self.elog.reshape(elog_beta.shape)
+        np.subtract(elog_beta, elog_beta.max(axis=0), out=self.elog)
+        if self.procs:
+            payload = pickle.dumps(job)
+            for worker in self.procs:
+                worker.owes = True
+                try:
+                    _write_all(worker.commands, payload)
+                except BrokenPipeError:  # a dead worker: reading its reply reports it
+                    pass
+        else:
+            for lo, hi in zip(self.cuts[1:-1], self.cuts[2:]):
+                self.procs.append(self._fork(lo, hi, job))
+
+    def _fork(self, lo, hi, job):
+        commands, replies = os.pipe(), os.pipe()  # (read end, write end) each
         try:
-            reply = (True, work())
-        except BaseException as exc:  # interrupts too: the parent re-raises it
-            reply = (False, exc)
+            pid = os.fork()
+        except BaseException:
+            for fd in commands + replies:
+                os.close(fd)
+            raise
+        if pid == 0:  # the worker, which never returns into its parent's code
+            try:
+                for worker in self.procs:  # the other workers' pipes are the parent's
+                    worker.close()
+                os.close(commands[1])
+                os.close(replies[0])
+                _serve(self.store, lo, hi, job, commands[0], replies[1])
+            finally:
+                os._exit(0)
+        os.close(commands[0])
+        os.close(replies[1])
+        return _Worker(pid, lo, hi, commands[1], replies[0])
+
+    def reply(self, worker):
+        """``worker``'s results for its chunks in this pass; raises the
+        exception it sent instead, or RuntimeError if it ended without a
+        reply, which reaps it."""
         try:
-            payload = pickle.dumps(reply)
-        except Exception:  # an exception that does not pickle is sent as its text
-            payload = pickle.dumps((False, RuntimeError(repr(reply[1]))))
-        with open(write, "wb") as pipe:
-            pipe.write(payload)
+            ok, value = pickle.load(worker.replies)
+        except (EOFError, pickle.UnpicklingError):
+            self.procs.remove(worker)
+            worker.close()
+            _, status = os.waitpid(worker.pid, 0)
+            raise RuntimeError(f"E-step worker {worker.pid} ended without a reply "
+                               f"(exit code {os.waitstatus_to_exitcode(status)})") from None
+        worker.owes = False
+        if not ok:
+            raise value
+        return value
+
+    def stop(self):
+        """Ends and reaps every worker: closing its command pipe ends an
+        idle one, and one that owes a reply is killed."""
+        procs, self.procs = self.procs, []
+        for worker in procs:
+            worker.close()
+            if worker.owes:
+                os.kill(worker.pid, signal.SIGKILL)
+        for worker in procs:
+            os.waitpid(worker.pid, 0)
+
+
+@contextmanager
+def _workers(store):
+    """E-step workers (:class:`_Workers`) open on ``store`` for the passes
+    run inside the block: ``train`` opens them around EM, and a pass on a
+    store without them opens its own.  Every worker has been ended and
+    reaped when the block closes."""
+    store.workers = pool = _Workers(store)
+    try:
+        yield pool
     finally:
-        os._exit(0)
+        store.workers = None
+        pool.stop()
 
 
-def _worker_reply(workers):
-    """Waits for the first of ``workers`` to exit and drops it: returns the
-    result it sent back, or raises the exception it sent, or RuntimeError
-    if it died without a reply."""
-    pid, read = workers[0]
-    with open(read, "rb", closefd=False) as pipe:
-        payload = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    del workers[0]
-    os.close(read)
-    if not payload:
-        raise RuntimeError(f"E-step worker {pid} ended without a reply "
-                           f"(exit code {os.waitstatus_to_exitcode(status)})")
-    ok, value = pickle.loads(payload)
-    if not ok:
-        raise value
-    return value
+def _serve(store, lo, hi, job, commands, replies):
+    """A forked worker's loop: runs ``job`` on chunks ``lo``..``hi`` of
+    ``store`` (:func:`_run_chunk`), writes the pickled ``(True, [each
+    chunk's result])``, or ``(False, exception)`` if one raised, to
+    ``replies``, and reads its next job from ``commands``, until that pipe
+    ends."""
+    with open(commands, "rb") as jobs:
+        while True:
+            try:
+                reply = (True, [_run_chunk(store, i, job) for i in range(lo, hi)])
+            except BaseException as exc:  # interrupts too: the parent re-raises it
+                reply = (False, exc)
+            try:
+                payload = pickle.dumps(reply)
+            except Exception:  # an exception that does not pickle is sent as its text
+                payload = pickle.dumps((False, RuntimeError(repr(reply[1]))))
+            _write_all(replies, payload)
+            try:
+                job = pickle.load(jobs)
+            except EOFError:
+                return
+
+
+def _run_chunk(store, i, job):
+    """Chunk ``i`` of ``store`` through one E-pass, in whichever process
+    runs it: its sweeps (:func:`_e_step_chunk`) and, when the pass keeps
+    the states, its share of :func:`_reduce_stats` (:func:`_chunk_share`).
+    ``job`` is what a pass tells a worker: the params' alpha, xi and rho,
+    the inner-loop settings, each chunk's cold flag, and whether the
+    states are kept.  Returns the chunk's cap hits and its share (None
+    when the states are not kept)."""
+    params, estep, cold, keep_states = job
+    chunk = store.chunks[i]
+    capped = _e_step_chunk(chunk, store, params, estep, store.workers.elog, cold[i])
+    return capped, _chunk_share(chunk, params.alpha) if keep_states else None
 
 
 def _e_pass(store, params, elog_beta, estep, keep_states):
-    """Runs :func:`_e_step_chunk` on every chunk of ``store`` and yields
-    each chunk once its states are final; after the last chunk, logs once
-    how many documents were still changing at the inner cap.
+    """Runs every chunk of ``store`` through an E-pass (:func:`_run_chunk`)
+    and yields each chunk once its states are final; after the last chunk,
+    logs once how many documents were still changing at the inner cap.
     ``keep_states`` says whether the chunks keep their documents' delta
-    and phi.
+    and phi, and so whether the pass forms the chunks' shares of
+    :func:`_reduce_stats`, which it then leaves in ``store.shares``.
 
-    The length-sorted chunks are cut into w = min(:func:`_usable_cpus`,
-    chunks) runs of about equal padded columns (:func:`_balanced_cuts`).
-    The caller's process runs the first run and yields its chunks as they
-    finish; each other run goes to a child made by ``os.fork``, which
-    writes its chunks' states into arrays that :func:`_give_states` puts
-    in shared memory before the forks.  Each child's chunks are yielded once it
-    has exited, in chunk order.  With w = 1 nothing is forked.  Of the
-    errors the chunks raise, the one of the lowest chunk is raised, as a
-    pass over the chunks in turn would raise it; a worker still running
-    when the pass leaves early is killed, and every worker is reaped.
+    The pass runs on the store's open workers (:class:`_Workers`), or on
+    workers of its own, closed when it ends, if it has none.  The caller's
+    process runs the first run of chunks and yields them as they finish;
+    each worker's chunks are yielded, in chunk order, once it has replied.
+    Of the errors the chunks raise, the one of the lowest chunk is raised,
+    as a pass over the chunks in turn would raise it.  A pass that leaves
+    early, by an error or by being closed, ends every worker of the store
+    (one still running is killed) and reaps it.
     """
     chunks = store.chunks
     if not chunks:
         return
-    C, _, T = params.alpha.shape
-    shifted = elog_beta - elog_beta.max(axis=0)  # each word's largest over topics becomes 0
+    if store.workers is None:  # a lone pass: its workers end with it
+        with _workers(store):
+            yield from _e_pass(store, params, elog_beta, estep, keep_states)
+        return
+    pool = store.workers
     cold = [chunk.delta is None for chunk in chunks]  # before any state array is given
-    cuts = _balanced_cuts([chunk.counts.size for chunk in chunks],
-                          min(_usable_cpus(), len(chunks)))
-    _give_states(chunks, C, T, keep_states, shared=len(cuts) > 2)
-
-    def run(i):
-        return _e_step_chunk(chunks[i], store, params, estep, shifted, cold[i])
-
-    workers = []  # (pid, read end of its pipe) of each worker not yet reaped
+    job = (ModelParams(params.alpha, params.xi, params.rho), estep, cold, keep_states)
+    store.shares = None
+    capped, shares = 0, []
     try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            workers.append(_fork_worker(lambda lo=lo, hi=hi: sum(map(run, range(lo, hi)))))
-        capped = 0
-        for i in range(cuts[1]):
-            capped += run(i)
+        pool.begin(elog_beta, job)
+        for i in range(pool.cuts[1]):
+            hits, share = _run_chunk(store, i, job)
+            capped += hits
+            shares.append(share)
             yield chunks[i]
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            capped += _worker_reply(workers)
-            yield from chunks[lo:hi]
-    finally:
-        for pid, read in workers:
-            os.kill(pid, signal.SIGKILL)
-            os.close(read)
-            os.waitpid(pid, 0)
+        for worker in pool.procs:
+            for hits, share in pool.reply(worker):
+                capped += hits
+                shares.append(share)
+            yield from chunks[worker.lo:worker.hi]
+    except BaseException:
+        pool.stop()
+        raise
+    if keep_states:
+        store.shares = (params.alpha.copy(), shares)
     if capped:
         logger.warning(
             "E-step: %d of %d documents were still changing after max_estep_iters=%d sweeps",
@@ -866,47 +1008,71 @@ class CorpusStats:
     state_terms: float           # the bound's terms that need one document's state
 
 
+def _chunk_share(chunk, alpha):
+    """``chunk``'s share of :func:`_reduce_stats` under ``alpha``: its
+    documents' (B, C, 2, T) E[log theta] and the five parts of its state
+    terms, in the order the bound adds them.
+
+    Its responsibilities and gamma are formed from its delta, phi and
+    Delta, as the sweeps form them.  The parts are the expected log topic
+    draws, the delta and phi entropies (from :func:`_xlogx`), the gamma
+    Dirichlet block and the Delta entropy.
+    """
+    Delta = chunk.Delta
+    resp = _responsibilities(chunk.delta, chunk.counts, chunk.phi)
+    gamma = _gamma_from(alpha, Delta, resp)
+    elog = dirichlet_expected_log(gamma)
+    counts = chunk.counts[:, None, :]
+    gap = elog[:, :, 1] - elog[:, :, 0]
+    return elog, (float((resp * _mixed_log_theta(Delta, elog, gap)).sum()),
+                  float((counts * _xlogx(chunk.delta)).sum()),
+                  float((counts * _xlogx(chunk.phi)).sum()),
+                  _dirichlet_block(gamma, elog),
+                  float((_xlogx(Delta) + _xlogx(1.0 - Delta)).sum()))
+
+
 def _reduce_stats(store: CorpusStates, params: ModelParams) -> CorpusStats:
     """Sums of the states in ``store``, over documents in corpus order.
 
-    Each chunk's responsibilities and gamma are formed from its delta, phi
-    and Delta, as the sweeps form them, under the E-pass's ``params``.
-    Each document's E[log theta], presence beliefs and expected agreements
-    go into corpus-indexed rows and ``topic_word`` comes from ``bincount``
-    over the corpus-order term ids, so every M-step statistic adds its
-    documents in corpus order whatever the chunking.  The agreements are
-    the products of the packed judgment masks with Delta and 1 - Delta,
-    summed over classes, and the judgment counts are the store's.
-    ``state_terms`` sums, over documents, every bound term that depends on
-    that document's variational state beyond those statistics: the
-    expected log topic draws, the delta and phi entropies (from
-    :func:`_xlogx`), minus the gamma Dirichlet block, and the Delta
-    entropy.
+    Each chunk's share (:func:`_chunk_share`: its documents' E[log theta]
+    and its state-term parts) is the one the last E-pass formed in the
+    process that ran the chunk, left in ``store.shares``, when that pass
+    ran under ``params``' alpha; otherwise (states that no pass wrote, or
+    another alpha) it is formed here.  So the states must not change
+    between the pass and this call.  Each document's E[log theta],
+    presence beliefs and expected agreements go into corpus-indexed rows
+    and ``topic_word`` comes from ``bincount`` over the corpus-order term
+    ids, so every M-step statistic adds its documents in corpus order
+    whatever the chunking.  The agreements are the products of the packed
+    judgment masks with Delta and 1 - Delta, summed over classes, and the
+    judgment counts are the store's.  ``state_terms`` adds the chunks'
+    parts in chunk order: over documents, every bound term that depends
+    on that document's variational state beyond those statistics.
     """
     dims = store.dims
     C, T, V, K = dims.C, dims.T, dims.V, dims.K
     D = store.lengths.size
+    if store.shares is not None and np.array_equal(store.shares[0], params.alpha):
+        shares = store.shares[1]
+    else:
+        shares = [_chunk_share(chunk, params.alpha) for chunk in store.chunks]
     log_theta = np.empty((D, C, 2, T))
     presence = np.empty((D, C))
     agree = np.zeros((D, K))
     state_terms = 0.0
-    for chunk in store.chunks:
+    for chunk, (elog, parts) in zip(store.chunks, shares):
+        expected, delta_h, phi_h, gamma_block, Delta_h = parts
         Delta = chunk.Delta
-        resp = _responsibilities(chunk.delta, chunk.counts, chunk.phi)
-        gamma = _gamma_from(params.alpha, Delta, resp)
-        elog = dirichlet_expected_log(gamma)  # (B, C, 2, T)
         log_theta[chunk.docs] = elog
         presence[chunk.docs] = Delta
         both = chunk.yes * Delta[:, None, :]
         both += chunk.no * (1.0 - Delta)[:, None, :]
         agree[chunk.docs] = both.sum(axis=-1)
-        counts = chunk.counts[:, None, :]
-        gap = elog[:, :, 1] - elog[:, :, 0]
-        state_terms += float((resp * _mixed_log_theta(Delta, elog, gap)).sum())
-        state_terms -= float((counts * _xlogx(chunk.delta)).sum())
-        state_terms -= float((counts * _xlogx(chunk.phi)).sum())
-        state_terms -= _dirichlet_block(gamma, elog)
-        state_terms -= float((_xlogx(Delta) + _xlogx(1.0 - Delta)).sum())
+        state_terms += expected
+        state_terms -= delta_h
+        state_terms -= phi_h
+        state_terms -= gamma_block
+        state_terms -= Delta_h
 
     phi = np.empty((store.word_ids.size, T))  # every term column's phi, in corpus order
     for chunk in store.chunks:
@@ -1064,7 +1230,9 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
     (eta_t's block, -H(Dir(chi_t)) - KL(Dir(chi_t) || Dir(eta_t)), is largest
     at eta_t = chi_t); the trace's parameter change includes that move.
 
-    The corpus is checked and packed once.  E[log beta] is computed once
+    The corpus is checked and packed once, and one set of E-step workers
+    (:func:`_workers`) serves every E-pass: forked at the first, ended and
+    reaped when EM stops or raises.  E[log beta] is computed once
     per topic table and shared: unsmoothed, the E-pass and the bound of an
     iteration both read beta; smoothed, the bound of an iteration and the
     next E-pass both read its chi.  Each chi's log normalizer rows are
@@ -1078,36 +1246,37 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
     prev_elbo = None
     last_change = 0.0
 
-    for iteration in range(1, cfg.max_em_iters + 1):
-        states = e_step_corpus(states, params, elog_beta, cfg.estep)
-        stats = _reduce_stats(states, params)
-        if cfg.smoothing:
-            chi = eta[0] + stats.topic_word  # a new array, so eta = topics needs no copy
-            topics = (chi, dirichlet_log_normalizer(chi))
-            elog_beta = expected_log_word_given_topic(params, chi)
+    with _workers(states):  # forked at the first E-pass, ended when EM ends or raises
+        for iteration in range(1, cfg.max_em_iters + 1):
+            states = e_step_corpus(states, params, elog_beta, cfg.estep)
+            stats = _reduce_stats(states, params)
+            if cfg.smoothing:
+                chi = eta[0] + stats.topic_word  # a new array, so eta = topics needs no copy
+                topics = (chi, dirichlet_log_normalizer(chi))
+                elog_beta = expected_log_word_given_topic(params, chi)
 
-        elbo = compute_elbo(stats, params, elog_beta, topics, eta)
-        trace.rows.append((iteration, elbo, last_change))
-        if prev_elbo is not None:
-            drop = prev_elbo - elbo
-            if drop > BOUND_DROP_REL * abs(prev_elbo):
-                logger.warning("EM iteration %d: the bound fell by %.6g (%.3g relative)",
-                               iteration, drop, drop / abs(prev_elbo))
-            if abs(drop) <= cfg.em_rel_tol * abs(prev_elbo):
-                trace.converged = True
+            elbo = compute_elbo(stats, params, elog_beta, topics, eta)
+            trace.rows.append((iteration, elbo, last_change))
+            if prev_elbo is not None:
+                drop = prev_elbo - elbo
+                if drop > BOUND_DROP_REL * abs(prev_elbo):
+                    logger.warning("EM iteration %d: the bound fell by %.6g (%.3g relative)",
+                                   iteration, drop, drop / abs(prev_elbo))
+                if abs(drop) <= cfg.em_rel_tol * abs(prev_elbo):
+                    trace.converged = True
+                    break
+            prev_elbo = elbo
+            if iteration == cfg.max_em_iters:
                 break
-        prev_elbo = elbo
-        if iteration == cfg.max_em_iters:
-            break
 
-        new_params = m_step(stats, params)
-        last_change = _max_param_change(params, new_params)
-        params = new_params
-        if cfg.smoothing:
-            last_change = max(last_change, float(np.abs(chi - eta[0]).max()))
-            eta = topics
-        else:
-            elog_beta = expected_log_word_given_topic(params, None)
+            new_params = m_step(stats, params)
+            last_change = _max_param_change(params, new_params)
+            params = new_params
+            if cfg.smoothing:
+                last_change = max(last_change, float(np.abs(chi - eta[0]).max()))
+                eta = topics
+            else:
+                elog_beta = expected_log_word_given_topic(params, None)
 
     return params, chi, trace
 
@@ -1131,10 +1300,11 @@ def predict_corpus(
     document without its labels or judgments.  Ties at the threshold
     predict "present".
 
-    The corpus is packed once, and the chunks run the E-step as in
-    :func:`e_step_corpus`, one at a time in each worker, but keep no delta
+    The corpus is packed once, and the chunks run one E-pass as in
+    :func:`e_step_corpus`, one at a time in each worker, with workers
+    forked for this call and ended before it returns, but keep no delta
     or phi: each document's are checked as it leaves its chunk and not
-    stored.  Each chunk's presence beliefs are copied out, and dropped
+    stored, and no share of the statistics is formed.  Each chunk's presence beliefs are copied out, and dropped
     with its sweep counts, once the pass yields the chunk.  So prediction
     holds the packed words, the beliefs, each chunk's Delta and sweep
     counts until they are copied out, and one chunk's working arrays per

@@ -10,7 +10,9 @@ the M-step against hand-computable statistics.
 import dataclasses
 import logging
 import os
+import signal
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -930,7 +932,8 @@ def test_warm_pass_allocates_less_than_the_states_it_updates(monkeypatch, pinned
 
 
 # ---------------------------------------------------------------------------
-# E-step workers: the chunks of a pass spread over forked processes
+# E-step workers: the chunks of a pass spread over forked processes, which
+# live for a whole ``train`` call
 # ---------------------------------------------------------------------------
 
 
@@ -1054,7 +1057,7 @@ def test_workers_change_no_byte_of_training(monkeypatch, tmp_path, mode, smoothi
     for cpus in (1, 2, 3):
         forks = with_cpus(monkeypatch, cpus)
         params, chi, trace = train(docs, dims, cfg)
-        assert len(forks) == (cpus - 1) * len(trace.rows)
+        assert len(forks) == cpus - 1  # one pool for the whole call
         assert_no_child_left()
         path = tmp_path / f"model-{cpus}.txt"
         save_model(path, params, dims, chi)
@@ -1146,6 +1149,127 @@ def test_a_pass_left_early_kills_and_reaps_its_workers(monkeypatch):
     assert next(chunks).docs.tolist() == [0]
     assert len(forks) == 2
     chunks.close()
+    assert_no_child_left()
+
+
+@ESTEP_MODES
+def test_pooled_passes_change_no_bit(monkeypatch, pinned, words_only):
+    """Two passes on one set of workers with different parameters, so the
+    second pass's reach the workers through their pipes, not by the fork:
+    with one, two and three workers both passes leave the same states and
+    ``_reduce_stats`` fields bit for bit, the fields the workers' shares
+    give equal those formed from the states in-process, and the workers
+    are forked once."""
+    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 40)
+    rng = np.random.default_rng(78)
+    C, T, V, K = 3, 4, 120, 3
+    params = [random_params(rng, C, T, V, K=K) for _ in range(2)]
+    docs = mixed_length_corpus(rng, C, V, K=K)
+    if words_only:
+        docs = words_of(docs)
+    estep = EStepConfig(max_iters=60, tol=1e-7)
+    runs = []
+    for cpus in (1, 2, 3):
+        forks = with_cpus(monkeypatch, cpus)
+        store = packed(docs, params[0], V, pinned)
+        passes = []
+        with inference._workers(store):
+            for p in params:
+                e_step_corpus(store, p, elog_of(p), estep)
+                passes.append((state_bytes(store), stats_bytes(store, p)))
+                assert stats_bytes(dataclasses.replace(store, shares=None), p) == passes[-1][1]
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
+        runs.append(passes)
+    assert len(store.chunks) > 3
+    assert runs[0][0] != runs[0][1]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def labelled_pair_corpus():
+    """:func:`one_term_pair_corpus` with no shared word, with known labels."""
+    return [dataclasses.replace(doc, true_labels=np.array([d % 2, 1]))
+            for d, doc in enumerate(one_term_pair_corpus(()))]
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("fault", ["parent-chunk", "worker-chunk", "m-step"])
+def test_a_train_that_raises_leaves_no_worker_or_pipe(monkeypatch, cpus, fault):
+    """The third E-pass raises (NaN in beta, met in the parent's first
+    chunk or in the last worker's last chunk), or the second M-step does:
+    ``train`` forked its workers once, and none of them, nor any pipe
+    end, outlives the call."""
+    docs = labelled_pair_corpus()
+    dims = Dimensions(D=12, C=2, T=2, V=40)
+    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 1)  # one document a chunk
+    bad = 0 if fault == "parent-chunk" else 11
+    steps, exact = [], inference.m_step
+
+    def faulty(stats, params):
+        steps.append(len(steps))
+        new = exact(stats, params)
+        if len(steps) == 2:  # the parameters of the third E-pass
+            if fault == "m-step":
+                raise RuntimeError("M-step fault")
+            new.beta[:, 20 + bad] = np.nan  # word 20 + d is document d's alone
+        return new
+
+    monkeypatch.setattr(inference, "m_step", faulty)
+    forks = with_cpus(monkeypatch, cpus)
+    fds = open_fds()
+    error, message = ((RuntimeError, "^M-step fault$") if fault == "m-step" else
+                      (NumericalFailureError, f"^document d{bad}: "))
+    with pytest.raises(error, match=message):
+        train(docs, dims, TrainConfig(max_em_iters=5, em_rel_tol=0.0))
+    assert len(steps) == 2
+    assert len(forks) == cpus - 1
+    assert_no_child_left()
+    assert open_fds() == fds
+
+
+def test_a_worker_killed_between_passes_fails_the_next_pass(monkeypatch):
+    rng = np.random.default_rng(77)
+    params = random_params(rng, 2, 2, 40)
+    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 1)
+    forks = with_cpus(monkeypatch, 3)
+    store = packed(one_term_pair_corpus(()), params, 40)
+    with inference._workers(store):
+        e_step_corpus(store, params, elog_of(params), EStepConfig())
+        os.kill(forks[1], signal.SIGKILL)
+        with pytest.raises(RuntimeError, match=rf"^E-step worker {forks[1]} ended without a "
+                                               r"reply \(exit code -9\)$"):
+            e_step_corpus(store, params, elog_of(params), EStepConfig())
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_a_worker_leaves_on_its_own_when_its_command_pipe_ends(monkeypatch):
+    """An idle worker whose command pipe loses its write end, as when its
+    parent dies, exits by itself with code 0; closing the workers kills
+    none of them."""
+    rng = np.random.default_rng(79)
+    params = random_params(rng, 2, 2, 40)
+    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 1)
+    forks = with_cpus(monkeypatch, 3)
+    store = packed(one_term_pair_corpus(()), params, 40)
+    with inference._workers(store):
+        e_step_corpus(store, params, elog_of(params), EStepConfig())
+        worker = store.workers.procs[0]
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, worker.commands)  # the pipe's only write end closes
+        os.close(null)
+        deadline = time.monotonic() + 30.0
+        while (ended := os.waitid(os.P_PID, worker.pid,
+                                  os.WEXITED | os.WNOWAIT | os.WNOHANG)) is None:
+            assert time.monotonic() < deadline, "the worker did not leave"
+            time.sleep(0.01)
+        assert (ended.si_code, ended.si_status) == (os.CLD_EXITED, 0)
+        monkeypatch.setattr(os, "kill", lambda *args: pytest.fail(f"killed {args}"))
+    assert len(forks) == 2
     assert_no_child_left()
 
 
