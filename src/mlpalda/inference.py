@@ -14,16 +14,17 @@ responsibilities are formed from them where they are read.
 The inner loops are independent across documents given the global
 parameters, so one E-step runs them in lockstep over chunks of documents
 (``e_step_corpus``), and spreads the chunks over one worker per usable
-CPU (``_e_pass``).  The workers are forked at the first E-pass of a
-``train`` call and kept until it ends (``_Workers``); each later pass
-sends them only the parameters that changed.  Those chunks are the only
-form a state takes, and hold its only copy: the states stay in them
-between E-passes, each E-pass overwrites them in place, the M-step
-statistics are reduced from them (``_reduce_stats``, whose per-chunk
-part each pass forms where it runs the chunk), and
-:func:`validate_states` checks them.  A cold document starts from
-uniform responsibilities and the :func:`initial_presence` beliefs of its
-judgments (``_start_arrays``).
+CPU (``_e_pass``, on a :class:`~mlpalda.pool.Pool`).  The workers are
+forked at the first E-pass of a ``train`` call and kept until it ends;
+each later pass sends them only the parameters that changed.  Those
+chunks are the only form a state takes, and hold its only copy, in
+shared memory that the workers write: the states stay in them between
+E-passes, each E-pass overwrites them in place, the M-step statistics
+are reduced from them (``_reduce_stats``, whose per-chunk part each pass
+forms where it runs the chunk), and :func:`validate_states` checks them.
+A cold document starts from uniform responsibilities and the
+:func:`initial_presence` beliefs of its judgments, or its labels with
+pinned presence (``_start_arrays``).
 
 Everything an EM iteration computes besides the sweeps is computed once per
 thing that changes: the words and judgments once per corpus (``pack_corpus``),
@@ -44,14 +45,9 @@ smoothing ``train`` sets the prior eta to chi.
 from __future__ import annotations
 
 import logging
-import math
-import mmap
-import os
-import pickle
-import signal
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -69,6 +65,7 @@ from .model import (
 )
 from .numerics import (dirichlet_expected_log, dirichlet_gradient, dirichlet_log_normalizer,
                        dirichlet_objective, solve_dirichlet_newton)
+from .pool import Pool, is_shared, shared_arrays
 
 logger = logging.getLogger(__name__)
 
@@ -248,8 +245,7 @@ def _responsibilities(delta, counts, phi, weighted=None, out=None):
 # Cap on the padded columns x max(C, T) of one chunk's widest working array
 # (512 KiB of float64), so the E-step's working memory does not grow with the
 # corpus: each worker of a pass works on one chunk at a time and writes its
-# states over that chunk's own, and prediction stores no delta or phi and
-# drops each chunk's other states once it has them.
+# states over that chunk's own, and prediction stores no delta or phi.
 # A sweep costs a fixed number of numpy calls per chunk, so larger chunks
 # share it among more documents; of the budgets 2^14 to 2^18, 2^16 measured
 # best on the two benchmark workloads taken together, and still does against
@@ -280,10 +276,9 @@ class _Chunk:
 
     Column u of row b belongs to the u-th term of document ``docs[b]``.
     Padding columns carry zero counts and finite values that no result
-    reads.  The layout fields, ``docs`` to ``no``, are packed once per
+    reads.  The layout fields, ``docs`` to ``labels``, are packed once per
     corpus and read by every E-pass over it; the rest is the state, which
-    each E-pass overwrites in place.  With pinned presence, packing sets
-    ``Delta`` too: the clamped labels.  gamma and the responsibilities
+    each E-pass overwrites in place.  gamma and the responsibilities
     follow from the state, and :func:`_reduce_stats` forms them.
     """
 
@@ -294,6 +289,7 @@ class _Chunk:
     slots: np.ndarray     # (n,) corpus-order position of each term column, row by row
     yes: np.ndarray       # (B, K, C) 1 where an annotator judged the class present, else 0
     no: np.ndarray        # (B, K, C) 1 where an annotator judged the class absent, else 0
+    labels: Optional[np.ndarray] = None  # (B, C) the clamped labels that pinned presence keeps
     delta: Optional[np.ndarray] = None   # (B, C, U)
     phi: Optional[np.ndarray] = None     # (B, T, U)
     Delta: Optional[np.ndarray] = None   # (B, C)
@@ -308,17 +304,15 @@ class CorpusStates:
     d, over its first ``lengths[d]`` columns.  ``corpus`` is the document
     list the chunks were packed from, ``dims`` the dimensions it was
     checked against, and ``pinned`` the presence mode it was packed for.
-    A store that :func:`pack_corpus` made holds no states yet, and an
-    E-pass over it starts every document cold.  Each E-pass
-    (:func:`e_step_corpus`) writes its states over the ones the store
-    held, so the store keeps one copy of them, and the chunks keep their
-    packing arrays from pass to pass.
-
-    A pass that keeps the states also forms each chunk's share of
-    :func:`_reduce_stats` where it runs the chunk (:func:`_chunk_share`),
-    and leaves them in ``shares`` with the alpha they were formed under.
-    ``workers`` holds the E-step workers open on the store
-    (:func:`_workers`), if any.
+    A store holds states in every chunk or in none: none after
+    :func:`pack_corpus` or after a pass that raised, so the next E-pass
+    starts every document cold.  Each E-pass (:func:`e_step_corpus`)
+    writes its states over the ones the store held, in shared memory
+    with ``elog``, the table of E[log beta] the workers read
+    (:func:`_give_states`), and forms each chunk's share of
+    :func:`_reduce_stats` (:func:`_chunk_share`), left in ``shares`` with
+    the alpha they were formed under.  ``pool`` holds the E-step workers
+    open on the store (:func:`_pool`), if any.
     """
 
     corpus: list
@@ -329,8 +323,9 @@ class CorpusStates:
     word_ids: np.ndarray  # (N,) every document's term ids, in corpus order
     counts: np.ndarray    # (N,) their token counts as floats, in corpus order
     judged: np.ndarray    # (K,) judgments each annotator gave, as floats
-    shares: Optional[tuple] = None  # (alpha, each chunk's share)
-    workers: Optional[_Workers] = None
+    elog: Optional[np.ndarray] = None  # (T, V) E[log beta], each word's largest over topics 0
+    shares: Optional[tuple] = None     # (alpha, each chunk's share)
+    pool: Optional[Pool] = None
 
 
 def validate_states(states: CorpusStates) -> list:
@@ -374,8 +369,8 @@ def pack_corpus(corpus, dims: Dimensions, pinned=False) -> CorpusStates:
     returns are cut into length-sorted chunks, and the votes it stacked
     are packed as the :func:`_judgment_masks` of each chunk, with each
     annotator's judgments counted once.  With ``pinned`` each chunk's
-    ``Delta`` is set to its documents' clamped labels, the presence
-    beliefs they keep.
+    ``labels`` are its documents' clamped labels, the presence beliefs
+    they keep.
     """
     word_ids, counts, lengths, labels, votes = validate_corpus(corpus, dims)
     if pinned:
@@ -396,7 +391,7 @@ def pack_corpus(corpus, dims: Dimensions, pinned=False) -> CorpusStates:
         chunk = _Chunk(
             docs=docs, ids=np.zeros(mask.shape, dtype=np.int64), counts=np.zeros(mask.shape),
             mask=mask, slots=offsets[docs][rows] + cols, yes=yes, no=no,
-            Delta=labels[docs] if pinned else None,
+            labels=labels[docs] if pinned else None,
         )
         chunk.ids[mask] = word_ids[chunk.slots]
         chunk.counts[mask] = counts[chunk.slots]
@@ -423,19 +418,19 @@ def initial_presence(yes, no, xi, rho) -> np.ndarray:
     return clamp_probability(Delta, DELTA_CLAMP)
 
 
-def _start_arrays(chunk, C, T, params, pinned):
+def _start_arrays(chunk, C, T, params):
     """``chunk``'s cold delta, phi and Delta.
 
     Every document starts with uniform responsibilities and the
     :func:`initial_presence` beliefs of its packed judgment masks under
-    ``params``, one call for the chunk; a chunk packed with ``pinned``
-    presence holds its labels as ``Delta``, and its documents start there.
+    ``params``, one call for the chunk; a chunk packed with pinned
+    presence starts at a copy of its ``labels``.
     """
     B, U = chunk.counts.shape
     delta = np.full((B, C, U), 1.0 / C)
     phi = np.full((B, T, U), 1.0 / T)
-    if pinned:
-        return delta, phi, chunk.Delta.copy()
+    if chunk.labels is not None:
+        return delta, phi, chunk.labels.copy()
     return delta, phi, initial_presence(chunk.yes, chunk.no, params.xi, params.rho)
 
 
@@ -447,9 +442,10 @@ def e_step_corpus(
 ) -> CorpusStates:
     """Coordinate-ascent inner loops for every document of a packed corpus.
 
-    ``store`` is a :func:`pack_corpus` store, whose documents all start
-    cold, or a store that an earlier call updated, whose documents
-    warm-start from the states it holds.  Each document cycles gamma ->
+    ``store`` is a :func:`pack_corpus` store, or one whose last call
+    raised, whose documents all start cold, or a store that an earlier
+    call updated, whose documents warm-start from the states it holds.
+    Each document cycles gamma ->
     phi -> delta -> Delta until the largest change across its delta,
     Delta and phi drops below ``estep.tol`` (or the inner cap is hit).
     That full test runs only when the document's class and topic totals
@@ -481,260 +477,67 @@ def e_step_corpus(
 
     Two shifts, to which a softmax is blind, spare most softmaxes their
     max-shift: each word's largest E[log beta] over topics is subtracted,
-    into the workers' table (``_Workers.elog``), once per call, and each
-    sweep subtracts each document's largest mixed E[log theta].  Every
-    delta and phi logit is then <= 0, and every column's largest is >=
-    -(its document's spread of mixed E[log theta]).
+    into the store's shared table (``store.elog``), once per call, and
+    each sweep subtracts each document's largest mixed E[log theta].
+    Every delta and phi logit is then <= 0, and every column's largest is
+    >= -(its document's spread of mixed E[log theta]).
     While the largest spread among a chunk's running documents is within
     ``SHIFT_FREE_SPREAD``, the softmaxes exponentiate the logits as they
     are; beyond it (a topic whose E[log theta] lies near -1e8, say) they
     run the max-shift.
 
-    The chunks run on every CPU the process may use, one worker per CPU
-    (:func:`_e_pass`): the store's open workers, or workers forked for
-    this call alone.  Each chunk's arithmetic, and the share of
-    :func:`_reduce_stats` a worker forms for it, is the same whichever
-    worker runs it, so the states and statistics are bit for bit those of
-    one process.
-
-    ``store`` is updated in place and returned: each chunk's new states
-    overwrite its old ones, so the store is the only copy of the states
-    and a pass holds one chunk's working arrays per worker beside it.  A
-    pass that raises leaves the states of its chunks part old, part new.
+    The chunks run on every CPU the process may use (:func:`_e_pass`):
+    on the store's open workers, or on workers forked for this call
+    alone.  Each chunk's arithmetic, and its share of :func:`_reduce_stats`,
+    is the same whichever worker runs it, so the states and statistics are
+    bit for bit those of one process.  ``store`` is updated in place and
+    returned, and a pass holds one chunk's working arrays per worker
+    beside its states.  A pass that raises leaves the store with none.
     """
-    for _ in _e_pass(store, params, elog_beta, estep, keep_states=True):
-        pass
+    _e_pass(store, params, elog_beta, estep, keep_states=True)
     return store
 
 
-def _usable_cpus():
-    """The CPUs this process may run on, or 1 where E-step workers cannot
-    be forked safely: without ``os.fork`` or ``os.sched_getaffinity``, or
-    while other threads are alive (a forked child keeps only the calling
-    thread, and any lock another thread held stays held in it)."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    if threading.active_count() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _balanced_cuts(sizes, w):
-    """Bounds of ``w`` non-empty runs of ``sizes`` (``w`` <= their number):
-    the k-th cut lies where the running total comes nearest k/w of the
-    whole, the first of equally near places winning."""
-    total = np.cumsum(sizes)
-    cuts = [0]
-    for k in range(1, w):
-        lo, hi = cuts[-1] + 1, len(sizes) - (w - k)  # leave every later run one size
-        before = total[lo - 1:hi]  # the running total before each candidate cut
-        cuts.append(lo + int(np.argmin(np.abs(before - total[-1] * k / w))))
-    return cuts + [len(sizes)]
-
-
-def _is_shared(array):
-    """Whether ``array`` views a shared anonymous mapping."""
-    while isinstance(array, (np.ndarray, memoryview)):
-        array = array.base if isinstance(array, np.ndarray) else array.obj
-    return isinstance(array, mmap.mmap)
-
-
-def _give_states(chunks, C, T, keep_states, shared):
-    """Gives each of ``chunks`` the state arrays an E-pass writes: Delta
-    and the sweep counts, and with ``keep_states`` delta and phi.
-
-    A chunk keeps the arrays it has, and a missing one is allocated.  With
-    ``shared`` every array not yet in shared memory moves there, values
-    and all: into one new shared anonymous mapping for the lot, which
-    forked workers write and their parent then reads.  The chunks keep
-    these arrays, so a store's next passes find them there.
+def _give_states(store, C, T, table, keep_states):
+    """Gives ``store`` the arrays an E-pass writes, all in shared memory:
+    each chunk's Delta and sweep counts, with ``keep_states`` its delta
+    and phi, and the store's ``table``-shaped ``elog``.  An array already
+    there is kept; any other, missing or private (a hand-built or copied
+    store's), moves with its values into one new
+    :func:`~mlpalda.pool.shared_arrays` arena, which forked workers write
+    and their parent reads, and which the store keeps for its next passes.
     """
-    moves = []
-    for chunk in chunks:
+    wanted = [(store, "elog", table)]
+    for chunk in store.chunks:
         B, U = chunk.counts.shape
-        shapes = {"Delta": (B, C), "sweeps": (B,)}
+        wanted += [(chunk, "Delta", (B, C)), (chunk, "sweeps", (B,))]
         if keep_states:
-            shapes.update(delta=(B, C, U), phi=(B, T, U))
-        for name, shape in shapes.items():
-            old = getattr(chunk, name)
-            if old is None or (shared and not _is_shared(old)):
-                moves.append((chunk, name, shape, old))
+            wanted += [(chunk, "delta", (B, C, U)), (chunk, "phi", (B, T, U))]
+    moves = [(owner, name, shape) for owner, name, shape in wanted
+             if not is_shared(getattr(owner, name))]
     if not moves:
         return
-    if shared:  # every state entry takes 8 bytes
-        arena = mmap.mmap(-1, 8 * sum(math.prod(shape) for _, _, shape, _ in moves))
-    offset = 0
-    for chunk, name, shape, old in moves:
-        dtype = np.int64 if name == "sweeps" else np.float64
-        if shared:
-            array = np.frombuffer(arena, dtype, math.prod(shape), offset).reshape(shape)
-            offset += array.nbytes
-        else:
-            array = np.empty(shape, dtype)
+    arrays = shared_arrays([(shape, np.int64 if name == "sweeps" else np.float64)
+                            for _, name, shape in moves])
+    for (owner, name, _), array in zip(moves, arrays):
+        old = getattr(owner, name)
         if old is not None:
             array[...] = old
-        setattr(chunk, name, array)
-
-
-def _write_all(fd, data):
-    """Writes all of ``data`` to ``fd``, which may take more than one write."""
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-class _Worker:
-    """A forked E-step worker: its pid, the chunks ``lo``..``hi`` it runs,
-    and the parent's ends of its two pipes."""
-
-    def __init__(self, pid, lo, hi, commands, replies):
-        self.pid, self.lo, self.hi = pid, lo, hi
-        self.commands = commands            # the fd its pickled jobs are written to
-        self.replies = open(replies, "rb")  # its pickled replies
-        self.owes = True                    # it has a job it has not replied to
-
-    def close(self):
-        os.close(self.commands)
-        self.replies.close()
-
-
-class _Workers:
-    """The forked E-step workers of one store, kept from pass to pass.
-
-    The first pass cuts the store's length-sorted chunks into w =
-    min(:func:`_usable_cpus`, chunks) runs of about equal padded columns
-    (:func:`_balanced_cuts`).  The calling process runs the first run of
-    every pass, and each other run has a worker, which the first pass
-    forks after it has put the arrays the workers write
-    (:func:`_give_states`) and the shifted E[log beta] table ``elog`` in
-    shared memory.  A worker inherits the store, those arrays and the
-    first pass's job; each later pass writes its table into ``elog`` and
-    sends a worker only its job (see :func:`_run_chunk`) through a pipe.
-    A worker replies through a second pipe, then blocks on the first until
-    the next job, and leaves by ``os._exit`` at that pipe's end, which
-    comes when :meth:`stop` closes it or the parent dies.  With w = 1
-    nothing is forked and every pass runs in-process.
-    """
-
-    def __init__(self, store):
-        self.store = store
-        self.cuts = None  # the runs' bounds, fixed by the first pass
-        self.elog = None  # (T, V) each pass's E[log beta], each word's largest over topics 0
-        self.procs = []   # the live workers, in run order
-
-    def begin(self, elog_beta, job):
-        """Starts a pass of ``job`` (see :func:`_run_chunk`) under
-        ``elog_beta``: forks the workers when there are none yet, and
-        otherwise sends each one the job."""
-        params, _, _, keep_states = job
-        if self.cuts is None:
-            sizes = [chunk.counts.size for chunk in self.store.chunks]
-            self.cuts = _balanced_cuts(sizes, min(_usable_cpus(), len(sizes)))
-        shared = len(self.cuts) > 2
-        C, _, T = params.alpha.shape
-        _give_states(self.store.chunks, C, T, keep_states, shared)
-        if self.elog is None:
-            size = 8 * elog_beta.size
-            self.elog = np.frombuffer(mmap.mmap(-1, size) if shared else bytearray(size))
-            self.elog = self.elog.reshape(elog_beta.shape)
-        np.subtract(elog_beta, elog_beta.max(axis=0), out=self.elog)
-        if self.procs:
-            payload = pickle.dumps(job)
-            for worker in self.procs:
-                worker.owes = True
-                try:
-                    _write_all(worker.commands, payload)
-                except BrokenPipeError:  # a dead worker: reading its reply reports it
-                    pass
-        else:
-            for lo, hi in zip(self.cuts[1:-1], self.cuts[2:]):
-                self.procs.append(self._fork(lo, hi, job))
-
-    def _fork(self, lo, hi, job):
-        commands, replies = os.pipe(), os.pipe()  # (read end, write end) each
-        try:
-            pid = os.fork()
-        except BaseException:
-            for fd in commands + replies:
-                os.close(fd)
-            raise
-        if pid == 0:  # the worker, which never returns into its parent's code
-            try:
-                for worker in self.procs:  # the other workers' pipes are the parent's
-                    worker.close()
-                os.close(commands[1])
-                os.close(replies[0])
-                _serve(self.store, lo, hi, job, commands[0], replies[1])
-            finally:
-                os._exit(0)
-        os.close(commands[0])
-        os.close(replies[1])
-        return _Worker(pid, lo, hi, commands[1], replies[0])
-
-    def reply(self, worker):
-        """``worker``'s results for its chunks in this pass; raises the
-        exception it sent instead, or RuntimeError if it ended without a
-        reply, which reaps it."""
-        try:
-            ok, value = pickle.load(worker.replies)
-        except (EOFError, pickle.UnpicklingError):
-            self.procs.remove(worker)
-            worker.close()
-            _, status = os.waitpid(worker.pid, 0)
-            raise RuntimeError(f"E-step worker {worker.pid} ended without a reply "
-                               f"(exit code {os.waitstatus_to_exitcode(status)})") from None
-        worker.owes = False
-        if not ok:
-            raise value
-        return value
-
-    def stop(self):
-        """Ends and reaps every worker: closing its command pipe ends an
-        idle one, and one that owes a reply is killed."""
-        procs, self.procs = self.procs, []
-        for worker in procs:
-            worker.close()
-            if worker.owes:
-                os.kill(worker.pid, signal.SIGKILL)
-        for worker in procs:
-            os.waitpid(worker.pid, 0)
+        setattr(owner, name, array)
 
 
 @contextmanager
-def _workers(store):
-    """E-step workers (:class:`_Workers`) open on ``store`` for the passes
-    run inside the block: ``train`` opens them around EM, and a pass on a
-    store without them opens its own.  Every worker has been ended and
-    reaped when the block closes."""
-    store.workers = pool = _Workers(store)
-    try:
-        yield pool
-    finally:
-        store.workers = None
-        pool.stop()
-
-
-def _serve(store, lo, hi, job, commands, replies):
-    """A forked worker's loop: runs ``job`` on chunks ``lo``..``hi`` of
-    ``store`` (:func:`_run_chunk`), writes the pickled ``(True, [each
-    chunk's result])``, or ``(False, exception)`` if one raised, to
-    ``replies``, and reads its next job from ``commands``, until that pipe
-    ends."""
-    with open(commands, "rb") as jobs:
-        while True:
-            try:
-                reply = (True, [_run_chunk(store, i, job) for i in range(lo, hi)])
-            except BaseException as exc:  # interrupts too: the parent re-raises it
-                reply = (False, exc)
-            try:
-                payload = pickle.dumps(reply)
-            except Exception:  # an exception that does not pickle is sent as its text
-                payload = pickle.dumps((False, RuntimeError(repr(reply[1]))))
-            _write_all(replies, payload)
-            try:
-                job = pickle.load(jobs)
-            except EOFError:
-                return
+def _pool(store):
+    """E-step workers open on ``store`` for the passes inside the block: a
+    :class:`~mlpalda.pool.Pool` over its chunks, sized by their padded
+    columns, that runs :func:`_run_chunk`.  ``train`` opens one around EM,
+    and a pass on a store without one opens its own."""
+    with Pool([chunk.counts.size for chunk in store.chunks], partial(_run_chunk, store)) as pool:
+        store.pool = pool
+        try:
+            yield pool
+        finally:
+            store.pool = None
 
 
 def _run_chunk(store, i, job):
@@ -742,61 +545,48 @@ def _run_chunk(store, i, job):
     runs it: its sweeps (:func:`_e_step_chunk`) and, when the pass keeps
     the states, its share of :func:`_reduce_stats` (:func:`_chunk_share`).
     ``job`` is what a pass tells a worker: the params' alpha, xi and rho,
-    the inner-loop settings, each chunk's cold flag, and whether the
-    states are kept.  Returns the chunk's cap hits and its share (None
-    when the states are not kept)."""
+    the inner-loop settings, whether the pass starts cold, and whether
+    the states are kept.  Returns the chunk's cap hits and its share
+    (None when the states are not kept)."""
     params, estep, cold, keep_states = job
     chunk = store.chunks[i]
-    capped = _e_step_chunk(chunk, store, params, estep, store.workers.elog, cold[i])
+    capped = _e_step_chunk(chunk, store, params, estep, store.elog, cold)
     return capped, _chunk_share(chunk, params.alpha) if keep_states else None
 
 
 def _e_pass(store, params, elog_beta, estep, keep_states):
     """Runs every chunk of ``store`` through an E-pass (:func:`_run_chunk`)
-    and yields each chunk once its states are final; after the last chunk,
+    on the store's open pool, or on one of its own if it has none, then
     logs once how many documents were still changing at the inner cap.
     ``keep_states`` says whether the chunks keep their documents' delta
-    and phi, and so whether the pass forms the chunks' shares of
-    :func:`_reduce_stats`, which it then leaves in ``store.shares``.
-
-    The pass runs on the store's open workers (:class:`_Workers`), or on
-    workers of its own, closed when it ends, if it has none.  The caller's
-    process runs the first run of chunks and yields them as they finish;
-    each worker's chunks are yielded, in chunk order, once it has replied.
-    Of the errors the chunks raise, the one of the lowest chunk is raised,
-    as a pass over the chunks in turn would raise it.  A pass that leaves
-    early, by an error or by being closed, ends every worker of the store
-    (one still running is killed) and reaps it.
+    and phi, and so whether the pass leaves the chunks' shares of
+    :func:`_reduce_stats` in ``store.shares``.  Of the errors the chunks
+    raise, the one of the lowest chunk is raised.  A pass that raises ends
+    every worker of the store (one still running is killed), reaps it,
+    and leaves the store with no states.
     """
     chunks = store.chunks
     if not chunks:
         return
-    if store.workers is None:  # a lone pass: its workers end with it
-        with _workers(store):
-            yield from _e_pass(store, params, elog_beta, estep, keep_states)
-        return
-    pool = store.workers
-    cold = [chunk.delta is None for chunk in chunks]  # before any state array is given
+    if store.pool is None:  # a lone pass: its workers end with it
+        with _pool(store):
+            return _e_pass(store, params, elog_beta, estep, keep_states)
+    C, _, T = params.alpha.shape
+    cold = chunks[0].delta is None  # a store holds states in every chunk or in none
     job = (ModelParams(params.alpha, params.xi, params.rho), estep, cold, keep_states)
     store.shares = None
-    capped, shares = 0, []
     try:
-        pool.begin(elog_beta, job)
-        for i in range(pool.cuts[1]):
-            hits, share = _run_chunk(store, i, job)
-            capped += hits
-            shares.append(share)
-            yield chunks[i]
-        for worker in pool.procs:
-            for hits, share in pool.reply(worker):
-                capped += hits
-                shares.append(share)
-            yield from chunks[worker.lo:worker.hi]
+        _give_states(store, C, T, elog_beta.shape, keep_states)
+        np.subtract(elog_beta, elog_beta.max(axis=0), out=store.elog)
+        results = store.pool.run(job)
     except BaseException:
-        pool.stop()
+        store.pool.close()  # no worker keeps the arrays that are dropped here
+        for chunk in chunks:
+            chunk.delta = chunk.phi = chunk.Delta = chunk.sweeps = None
         raise
     if keep_states:
-        store.shares = (params.alpha.copy(), shares)
+        store.shares = (params.alpha.copy(), [share for _, share in results])
+    capped = sum(hits for hits, _ in results)
     if capped:
         logger.warning(
             "E-step: %d of %d documents were still changing after max_estep_iters=%d sweeps",
@@ -895,7 +685,7 @@ def _e_step_chunk(chunk, store, params, estep, elog_beta, cold):
     C, _, T = params.alpha.shape
     B = chunk.counts.shape[0]
     if cold:
-        delta, phi, Delta = _start_arrays(chunk, C, T, params, store.pinned)
+        delta, phi, Delta = _start_arrays(chunk, C, T, params)
     else:
         delta, phi, Delta = chunk.delta.copy(), chunk.phi.copy(), chunk.Delta.copy()
     log_wt = np.take(elog_beta, chunk.ids, axis=1).transpose(1, 0, 2)  # (B, T, U) view
@@ -1230,13 +1020,17 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
     (eta_t's block, -H(Dir(chi_t)) - KL(Dir(chi_t) || Dir(eta_t)), is largest
     at eta_t = chi_t); the trace's parameter change includes that move.
 
-    The corpus is checked and packed once, and one set of E-step workers
-    (:func:`_workers`) serves every E-pass: forked at the first, ended and
-    reaped when EM stops or raises.  E[log beta] is computed once
-    per topic table and shared: unsmoothed, the E-pass and the bound of an
-    iteration both read beta; smoothed, the bound of an iteration and the
-    next E-pass both read its chi.  Each chi's log normalizer rows are
-    computed for its bound and carried over as the next eta's.
+    The corpus is checked and packed once, and one pool of E-step workers
+    (:func:`_pool`, a :class:`~mlpalda.pool.Pool` over the chunks) serves
+    every E-pass: forked at the first, after the pass has put the state
+    arrays in shared memory, and ended and reaped when EM stops or raises.
+    Later passes send the workers only alpha, xi, rho and the inner-loop
+    settings, and write E[log beta] into the store's shared table.
+    E[log beta] is computed once per topic table and shared: unsmoothed,
+    the E-pass and the bound of an iteration both read beta; smoothed, the
+    bound of an iteration and the next E-pass both read its chi.  Each
+    chi's log normalizer rows are computed for its bound and carried over
+    as the next eta's.
     """
     states = _pack_training_corpus(corpus, dims, cfg)  # no states yet: E-pass 1 starts cold
     params, chi, eta = em_start(dims, cfg)
@@ -1246,7 +1040,7 @@ def train(corpus, dims: Dimensions, cfg: TrainConfig):
     prev_elbo = None
     last_change = 0.0
 
-    with _workers(states):  # forked at the first E-pass, ended when EM ends or raises
+    with _pool(states):  # forked at the first E-pass, ended when EM ends or raises
         for iteration in range(1, cfg.max_em_iters + 1):
             states = e_step_corpus(states, params, elog_beta, cfg.estep)
             stats = _reduce_stats(states, params)
@@ -1304,13 +1098,12 @@ def predict_corpus(
     :func:`e_step_corpus`, one at a time in each worker, with workers
     forked for this call and ended before it returns, but keep no delta
     or phi: each document's are checked as it leaves its chunk and not
-    stored, and no share of the statistics is formed.  Each chunk's presence beliefs are copied out, and dropped
-    with its sweep counts, once the pass yields the chunk.  So prediction
-    holds the packed words, the beliefs, each chunk's Delta and sweep
-    counts until they are copied out, and one chunk's working arrays per
-    worker, however many documents it is given, and its beliefs are bit
-    for bit the Delta of an :func:`e_step_corpus` pass over the same
-    words.
+    stored, and no share of the statistics is formed.  After the pass
+    each chunk's presence beliefs are copied out.  So prediction holds
+    the packed words, the beliefs, the chunks' Delta and sweep counts,
+    and one chunk's working arrays per worker, however many documents it
+    is given, and its beliefs are bit for bit the Delta of an
+    :func:`e_step_corpus` pass over the same words.
     """
     check_threshold(threshold)
     C, _, T = params.alpha.shape
@@ -1318,8 +1111,9 @@ def predict_corpus(
     words = [Document(doc.doc_id, doc.word_ids, doc.counts) for doc in corpus]
     # the words are checked against the model's V; Dimensions only needs D >= 1
     dims = Dimensions(D=max(len(words), 1), C=C, T=T, V=elog_beta.shape[1])
+    store = pack_corpus(words, dims)
+    _e_pass(store, params, elog_beta, estep, keep_states=False)
     beliefs = np.empty((len(words), C))
-    for chunk in _e_pass(pack_corpus(words, dims), params, elog_beta, estep, keep_states=False):
+    for chunk in store.chunks:
         beliefs[chunk.docs] = chunk.Delta
-        chunk.Delta = chunk.sweeps = None
     return beliefs, (beliefs >= threshold).astype(np.int64)

@@ -41,7 +41,7 @@ def cold_store(docs, params, V, pinned=False):
     C, _, T = params.alpha.shape
     store = packed(docs, params, V, pinned)
     for chunk in store.chunks:
-        chunk.delta, chunk.phi, chunk.Delta = inference._start_arrays(chunk, C, T, params, pinned)
+        chunk.delta, chunk.phi, chunk.Delta = inference._start_arrays(chunk, C, T, params)
         chunk.sweeps = np.zeros(chunk.docs.size, dtype=np.int64)
     return store
 

@@ -27,6 +27,9 @@ from mlpalda.inference import (
     TrainConfig,
     _reduce_stats,
     compute_elbo,
+    e_step_corpus,
+    expected_log_word_given_topic,
+    pack_corpus,
     predict_corpus,
     train,
 )
@@ -151,9 +154,32 @@ def test_criterion_3_gradient_checks():
 
 
 # ---------------------------------------------------------------------------
-# 4 + 5. annotator-quality recovery and adversarial robustness share the
-# same five seeded corpora, so the trainings run once in a module fixture.
+# 4 + 5 + 9. annotator-quality recovery, adversarial robustness and the
+# crowd arm against the crowd's own votes share the same five seeded
+# corpora, so the trainings run once in a module fixture.
 # ---------------------------------------------------------------------------
+
+
+def training_label_bits(docs, dims, params, topics, estep):
+    """The training documents' Delta >= 0.5 after one E-pass of the trained
+    model over their packed words and votes."""
+    store = e_step_corpus(pack_corpus(docs, dims), params,
+                          expected_log_word_given_topic(params, topics), estep)
+    Delta = np.empty((len(docs), dims.C))
+    for chunk in store.chunks:
+        Delta[chunk.docs] = chunk.Delta
+    return (Delta >= 0.5).astype(np.int64)
+
+
+def vote_bits(docs, qualities=None):
+    """Each training document's labels by the votes it carries: by majority,
+    or, given the annotators' true ``qualities``, by the votes weighted by
+    their log-odds (a flipper's vote counts against its label).  Ties
+    predict "present"."""
+    votes = np.stack([doc.crowd_labels for doc in docs])  # (D, K, C), -1: no vote
+    weight = np.ones(votes.shape[1]) if qualities is None else np.log(qualities / (1 - qualities))
+    score = np.einsum("k,dkc->dc", weight, (votes == 1).astype(float) - (votes == 0))
+    return (score >= 0).astype(np.int64)
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +203,9 @@ def recovery_runs():
                              for d in test_docs])
             row[f"rmse_{tag}"] = ann_rmse(params.rho, pool.qualities)
             row[f"acc_{tag}"] = average_accuracy(bits, test_truth)
+            fitted = training_label_bits(adocs, dims, params, topics, cfg.estep)
+            row[f"votes_{tag}"] = [average_accuracy(b, truth[:500]) for b in (
+                fitted, vote_bits(adocs), vote_bits(adocs, np.asarray(pool.qualities)))]
             if tag == "default":
                 small = Dimensions(D=100, C=3, T=4, V=100, K=pool.size)
                 p100, _, _ = train(adocs[:100], small, cfg)
@@ -201,6 +230,20 @@ def test_criterion_5_adversarial_robustness(recovery_runs):
     drop = acc_default - acc_adv
     gate(5, "adversarial-robustness", drop < 0.03,
          f"accuracy {acc_default:.4f} -> {acc_adv:.4f}, drop {drop:.4f}")
+
+
+def test_criterion_9_crowd_beats_its_votes(recovery_runs):
+    """Averaged over the five seeds, the crowd arm's training labels beat
+    the majority vote by at least 0.02 on the default pool and by at least
+    0.2 on the adversarial one, whose flippers a majority follows."""
+    rows, _ = recovery_runs
+    means = {tag: np.mean([r[f"votes_{tag}"] for r in rows], axis=0)
+             for tag in ("default", "adversarial")}
+    margin = {tag: float(m[0] - m[1]) for tag, m in means.items()}
+    ok = margin["default"] >= 0.02 and margin["adversarial"] >= 0.2
+    gate(9, "crowd-beats-its-votes", ok, "; ".join(
+        f"{tag}: model {m[0]:.4f}, majority {m[1]:.4f}, quality-weighted {m[2]:.4f}"
+        for tag, m in means.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,6 @@ import dataclasses
 import logging
 import os
 import signal
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -22,6 +20,7 @@ from scipy.special import psi as sp_digamma
 
 import mlpalda.inference as inference
 import mlpalda.numerics as numerics
+import mlpalda.pool as pool
 from mlpalda.inference import (
     CorpusStats,
     ElboTrace,
@@ -578,9 +577,9 @@ def test_rows_freed_by_leaving_documents_are_filled_from_the_tail(monkeypatch):
 
 
 def with_cpus(monkeypatch, cpus):
-    """Sets the usable-CPU count from which an E-pass takes its worker
-    count; returns the list into which each fork's child pid goes."""
-    monkeypatch.setattr(inference, "_usable_cpus", lambda: cpus)
+    """Sets the usable-CPU count from which a pool takes its worker count;
+    returns the list into which each fork's child pid goes."""
+    monkeypatch.setattr(pool, "_usable_cpus", lambda: cpus)
     forks, fork = [], os.fork
 
     def counting():
@@ -715,9 +714,9 @@ def test_warm_pass_updates_the_store_in_place(monkeypatch, pinned, words_only):
     store = run_estep(docs, params, elog_of(params), EStepConfig(max_iters=2), pinned=pinned)
     twin = copied(store)
     names = [f.name for f in dataclasses.fields(inference._Chunk)]
-    layout = names[:names.index("no") + 1]
-    before = [{name: (getattr(chunk, name), getattr(chunk, name).copy()) for name in names}
-              for chunk in store.chunks]
+    layout = names[:names.index("labels") + 1]  # labels are None unless pinned
+    before = [{name: (getattr(chunk, name), getattr(chunk, name).copy()) for name in names
+               if getattr(chunk, name) is not None} for chunk in store.chunks]
     estep = EStepConfig(max_iters=60, tol=1e-7)
     assert e_step_corpus(store, params, elog_of(params), estep) is store
     assert len(store.chunks) > 1 and max(chunk.sweeps.max() for chunk in store.chunks) > 2
@@ -955,33 +954,6 @@ def stats_bytes(store, params):
             for f in dataclasses.fields(stats)}
 
 
-def test_balanced_cuts_take_the_nearest_place_to_each_share():
-    assert inference._balanced_cuts([4] * 12, 1) == [0, 12]
-    assert inference._balanced_cuts([4] * 12, 2) == [0, 6, 12]
-    assert inference._balanced_cuts([4] * 12, 3) == [0, 4, 8, 12]
-    # one wide chunk at the end: the cut lies before it, not after one small chunk
-    assert inference._balanced_cuts([5, 5, 5, 5, 5, 5, 30], 2) == [0, 6, 7]
-    assert inference._balanced_cuts([10, 10, 10, 10, 11, 20, 21, 30], 2) == [0, 5, 8]
-    # every run keeps at least one chunk, however lopsided the sizes
-    assert inference._balanced_cuts([100, 1, 1], 3) == [0, 1, 2, 3]
-    assert inference._balanced_cuts([1, 1, 100], 3) == [0, 1, 2, 3]
-    assert inference._balanced_cuts([1, 1, 1, 1], 4) == [0, 1, 2, 3, 4]
-
-
-def test_usable_cpus_is_one_while_another_thread_runs_or_fork_is_missing(monkeypatch):
-    assert inference._usable_cpus() == len(os.sched_getaffinity(0))
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        assert inference._usable_cpus() == 1
-    finally:
-        release.set()
-        thread.join()
-    monkeypatch.delattr(os, "fork")
-    assert inference._usable_cpus() == 1
-
-
 @ESTEP_MODES
 @pytest.mark.parametrize("start", ["cold", "warm", "copied", "warm-list"])
 def test_workers_change_no_bit_of_a_pass(monkeypatch, pinned, words_only, start):
@@ -1086,7 +1058,7 @@ def test_workers_raise_the_error_of_the_lowest_failing_chunk(monkeypatch, cpus, 
     docs = one_term_pair_corpus(bad)
     monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 1)
     want = {1: [0, 12], 2: [0, 6, 12], 3: [0, 4, 8, 12]}[cpus]
-    assert inference._balanced_cuts([2] * 12, cpus) == want
+    assert pool._balanced_cuts([2] * 12, cpus) == want
     forks = with_cpus(monkeypatch, cpus)
     message = f"^document d{bad[0]}: non-finite delta$"
     once = EStepConfig(max_iters=1)
@@ -1118,38 +1090,63 @@ def test_workers_cap_hits_are_logged_once_per_pass(monkeypatch, caplog, cpus):
     ] * 2
 
 
-def test_a_worker_that_dies_without_a_reply_fails_the_pass(monkeypatch):
-    rng = np.random.default_rng(75)
-    params = random_params(rng, 2, 2, 40)
-    docs = one_term_pair_corpus(())
-    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 1)
-    with_cpus(monkeypatch, 2)
-    parent, step = os.getpid(), inference._e_step_chunk
-
-    def dying(*args):
-        if os.getpid() != parent:
-            os._exit(3)
-        return step(*args)
-
-    monkeypatch.setattr(inference, "_e_step_chunk", dying)
-    with pytest.raises(RuntimeError, match=r"^E-step worker \d+ ended without a reply "
-                                           r"\(exit code 3\)$"):
-        predict_corpus(docs, params)
-    assert_no_child_left()
-
-
 def test_a_pass_left_early_kills_and_reaps_its_workers(monkeypatch):
+    """The first chunk in the calling process raises KeyboardInterrupt
+    while both workers still owe their replies: each is killed and
+    reaped, and no file descriptor is left open."""
     rng = np.random.default_rng(76)
     params = random_params(rng, 2, 2, 40)
     docs = one_term_pair_corpus(())
     monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 1)
     forks = with_cpus(monkeypatch, 3)
-    elog = elog_of(params)
-    chunks = inference._e_pass(packed(docs, params, 40), params, elog, EStepConfig(), False)
-    assert next(chunks).docs.tolist() == [0]
+    parent, step = os.getpid(), inference._e_step_chunk
+
+    def interrupted(chunk, *args):
+        if os.getpid() == parent and chunk.docs.tolist() == [0]:
+            raise KeyboardInterrupt
+        return step(chunk, *args)
+
+    killed, kill = [], os.kill
+
+    def recording_kill(pid, sig):
+        killed.append((pid, sig))
+        kill(pid, sig)
+
+    monkeypatch.setattr(inference, "_e_step_chunk", interrupted)
+    monkeypatch.setattr(os, "kill", recording_kill)
+    store = packed(docs, params, 40)
+    fds = open_fds()
+    with pytest.raises(KeyboardInterrupt):
+        e_step_corpus(store, params, elog_of(params), EStepConfig())
     assert len(forks) == 2
-    chunks.close()
+    assert sorted(killed) == sorted((pid, signal.SIGKILL) for pid in forks)
     assert_no_child_left()
+    assert open_fds() == fds
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_pass_after_a_raising_pass_starts_cold(monkeypatch, cpus):
+    """NaN in beta reaches document d0, the first chunk's, so the pass
+    raises before it reaches most chunks; it leaves the store with no
+    states, and the next pass over it, with good parameters, leaves the
+    states and ``_reduce_stats`` fields of a fresh store bit for bit."""
+    rng = np.random.default_rng(80)
+    params = random_params(rng, 2, 2, 40)
+    bad = dataclasses.replace(params, beta=params.beta.copy())
+    bad.beta[:, 0] = np.nan
+    docs = one_term_pair_corpus((0,))
+    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 1)  # one document a chunk
+    with_cpus(monkeypatch, cpus)
+    estep = EStepConfig(max_iters=60, tol=1e-7)
+    store = packed(docs, params, 40)
+    with pytest.raises(NumericalFailureError, match="^document d0: "):
+        e_step_corpus(store, bad, elog_of(bad), estep)
+    assert all(getattr(chunk, name) is None for chunk in store.chunks for name in STATE_NAMES)
+    assert_no_child_left()
+    e_step_corpus(store, params, elog_of(params), estep)
+    fresh = run_estep(docs, params, elog_of(params), estep)
+    assert state_bytes(store) == state_bytes(fresh)
+    assert stats_bytes(store, params) == stats_bytes(fresh, params)
 
 
 @ESTEP_MODES
@@ -1173,7 +1170,7 @@ def test_pooled_passes_change_no_bit(monkeypatch, pinned, words_only):
         forks = with_cpus(monkeypatch, cpus)
         store = packed(docs, params[0], V, pinned)
         passes = []
-        with inference._workers(store):
+        with inference._pool(store):
             for p in params:
                 e_step_corpus(store, p, elog_of(p), estep)
                 passes.append((state_bytes(store), stats_bytes(store, p)))
@@ -1229,48 +1226,6 @@ def test_a_train_that_raises_leaves_no_worker_or_pipe(monkeypatch, cpus, fault):
     assert len(forks) == cpus - 1
     assert_no_child_left()
     assert open_fds() == fds
-
-
-def test_a_worker_killed_between_passes_fails_the_next_pass(monkeypatch):
-    rng = np.random.default_rng(77)
-    params = random_params(rng, 2, 2, 40)
-    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 1)
-    forks = with_cpus(monkeypatch, 3)
-    store = packed(one_term_pair_corpus(()), params, 40)
-    with inference._workers(store):
-        e_step_corpus(store, params, elog_of(params), EStepConfig())
-        os.kill(forks[1], signal.SIGKILL)
-        with pytest.raises(RuntimeError, match=rf"^E-step worker {forks[1]} ended without a "
-                                               r"reply \(exit code -9\)$"):
-            e_step_corpus(store, params, elog_of(params), EStepConfig())
-    assert len(forks) == 2
-    assert_no_child_left()
-
-
-def test_a_worker_leaves_on_its_own_when_its_command_pipe_ends(monkeypatch):
-    """An idle worker whose command pipe loses its write end, as when its
-    parent dies, exits by itself with code 0; closing the workers kills
-    none of them."""
-    rng = np.random.default_rng(79)
-    params = random_params(rng, 2, 2, 40)
-    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 1)
-    forks = with_cpus(monkeypatch, 3)
-    store = packed(one_term_pair_corpus(()), params, 40)
-    with inference._workers(store):
-        e_step_corpus(store, params, elog_of(params), EStepConfig())
-        worker = store.workers.procs[0]
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, worker.commands)  # the pipe's only write end closes
-        os.close(null)
-        deadline = time.monotonic() + 30.0
-        while (ended := os.waitid(os.P_PID, worker.pid,
-                                  os.WEXITED | os.WNOWAIT | os.WNOHANG)) is None:
-            assert time.monotonic() < deadline, "the worker did not leave"
-            time.sleep(0.01)
-        assert (ended.si_code, ended.si_status) == (os.CLD_EXITED, 0)
-        monkeypatch.setattr(os, "kill", lambda *args: pytest.fail(f"killed {args}"))
-    assert len(forks) == 2
-    assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
